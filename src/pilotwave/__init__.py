@@ -5,7 +5,7 @@ Lagrangians with Legendre cross-checks, and action extremization with
 endpoint-derivative verification."""
 
 from .errors import (BadParameter, ConfigError, DegenerateFrame,
-                     DegenerateVelocity, ImaginaryMass, MassSingular,
+                     DegenerateVelocity, FormMismatch, ImaginaryMass, MassSingular,
                      NoConvergence, NodeEncountered, PilotwaveError,
                      SignatureViolation, SingularMetric, StepFailure,
                      TachyonicInput, UnknownScenario)

@@ -121,12 +121,6 @@ def _nodal_partials(sys: LagrangianSystem, X, V, lam, step=ARG_STEP):
     return lx, lv
 
 
-def nodal_momenta(sys: LagrangianSystem, path: DiscretizedPath) -> Array:
-    """p_i = dL/dXdot at every node (finite differences in the argument)."""
-    _, lv = _nodal_partials(sys, path.points, path.velocities, path.lambdas)
-    return lv
-
-
 def euler_lagrange_residual(sys: LagrangianSystem, path: DiscretizedPath) -> Array:
     """Collocated stationarity residual at the interior nodes, (n-2, dim)."""
     n = path.lambdas.size

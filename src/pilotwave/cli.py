@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
 import sys
 import tempfile
@@ -59,6 +60,14 @@ CSV columns: reports are x0..x{D-1},value; trajectories are
 lambda,X0..X{D-1},p0..p{D-1},constraint_residual; floats carry 17
 significant digits.  See FORMATS.md.
 """
+
+
+def _check_number(field: str, value, integer: bool = False) -> None:
+    """Require a finite positive number, or an integer >= 2 for a sample count."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(field, "must be an integer" if integer else "must be a number")
+    if not (math.isfinite(value) and (value >= 2 if integer else value > 0)):
+        raise ConfigError(field, "must be >= 2" if integer else "must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -121,6 +130,11 @@ class RunConfig:
                 if (not isinstance(span, list) or len(span) != 2
                         or not span[1] > span[0]):
                     raise ConfigError("trajectories.span", "must be an increasing pair")
+            if "steps" in traj:
+                _check_number("trajectories.steps", traj["steps"], integer=True)
+            for key in ("rtol", "atol", "tolerance"):
+                if key in traj:
+                    _check_number(f"trajectories.{key}", traj[key])
         residuals = doc.get("residuals")
         if residuals is not None and (not isinstance(residuals, list)
                                       or not all(isinstance(r, str) for r in residuals)):
@@ -129,7 +143,8 @@ class RunConfig:
         if reduce_doc is not None and not isinstance(reduce_doc, dict):
             raise ConfigError("reduce", "must be an object")
         hj_doc = doc.get("hj", {})
-        fd_step = float(hj_doc.get("fd_step", 1e-4)) if isinstance(hj_doc, dict) else 1e-4
+        fd_step = hj_doc.get("fd_step", 1e-4) if isinstance(hj_doc, dict) else 1e-4
+        _check_number("hj.fd_step", fd_step)
         fmt = doc.get("format")
         if fmt is not None and fmt not in ("csv", "json"):
             raise ConfigError("format", "must be 'csv' or 'json'")
@@ -143,7 +158,8 @@ class RunConfig:
                 raise ConfigError(key, "unknown config field")
         return cls(scenario_name=name, scenario_params=params, command=command,
                    grid=grid, trajectories=traj, residuals=residuals,
-                   reduce=reduce_doc, hj_fd_step=fd_step, format=fmt, out=out, raw=doc)
+                   reduce=reduce_doc, hj_fd_step=float(fd_step), format=fmt, out=out,
+                   raw=doc)
 
     def hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -187,13 +203,18 @@ def _gate(report_max: float, tol: float, mode: str, scale: float) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (exit_code, {filename: text})
+# command handlers: each returns (failures, {filename: text})
 # ---------------------------------------------------------------------------
 
-def _render(report: ResidualReport, fmt: str):
-    if fmt == "csv":
-        return f"report_{report.name}.csv", report.to_csv()
-    return f"report_{report.name}.json", report.to_json()
+def _emit(files, failures, report: ResidualReport, fmt: str, tol: float, mode: str,
+          scale: float) -> bool:
+    """Render one report into ``files`` and gate it; a failure is recorded by name."""
+    files[f"report_{report.name}.{fmt}"] = report.to_csv() if fmt == "csv" else report.to_json()
+    passed = _gate(report.max_abs, tol, mode, scale)
+    if not passed:
+        failures.append(f"{report.name} (max_abs={report.max_abs:.3e}, tol={tol:.1e}, "
+                        f"mode={mode})")
+    return passed
 
 
 def _run_field_checks(sc, cfg, fmt, jobs, scale, names=None):
@@ -208,16 +229,14 @@ def _run_field_checks(sc, cfg, fmt, jobs, scale, names=None):
                 raise ConfigError("residuals", f"scenario has no check named '{n}'")
     for check in selected:
         rep = _evaluate_check(sc, check.name, pts, jobs)
-        fname, text = _render(rep, fmt)
-        files[fname] = text
-        if not _gate(rep.max_abs, check.tolerance, check.mode, scale):
-            failures.append(f"{check.name} (max_abs={rep.max_abs:.3e}, "
-                            f"tol={check.tolerance:.1e}, mode={check.mode})")
+        _emit(files, failures, rep, fmt, check.tolerance, check.mode, scale)
     return failures, files
 
 
-def _nc_identity_reports(sc, points):
+def _emit_nc_identities(files, failures, sc, cfg, fmt, scale):
+    """Frame, ehat and null-lift identity reports over the grid."""
     nc = sc.background
+    points = _grid_points(sc, cfg)
     frame_vals, ehat_vals, lift_vals, vol_vals = [], [], [], []
     for p in points:
         frame_vals.append(max(frame_identity_residuals(nc, p).values()))
@@ -225,12 +244,12 @@ def _nc_identity_reports(sc, points):
         res = null_lift_residuals(nc, p)
         lift_vals.append(max(res["product"], res["inverse_gap"]))
         vol_vals.append(res["volume_gap"])
-    return [
-        (ResidualReport.from_samples("frame-identities", points, frame_vals), 1e-10),
-        (ResidualReport.from_samples("ehat-identity", points, ehat_vals), 1e-9),
-        (ResidualReport.from_samples("null-lift-inverse", points, lift_vals), 1e-10),
-        (ResidualReport.from_samples("null-lift-volume", points, vol_vals), 1e-10),
-    ]
+    for name, vals, tol in (("frame-identities", frame_vals, 1e-10),
+                            ("ehat-identity", ehat_vals, 1e-9),
+                            ("null-lift-inverse", lift_vals, 1e-10),
+                            ("null-lift-volume", vol_vals, 1e-10)):
+        rep = ResidualReport.from_samples(name, points, vals)
+        _emit(files, failures, rep, fmt, tol, "max", scale)
 
 
 def cmd_check(sc, cfg, fmt, jobs, scale):
@@ -238,12 +257,7 @@ def cmd_check(sc, cfg, fmt, jobs, scale):
         return cmd_hj_verify(sc, cfg, fmt, jobs, scale)
     failures, files = _run_field_checks(sc, cfg, fmt, jobs, scale)
     if isinstance(sc.background, NCBackground):
-        pts = _grid_points(sc, cfg)
-        for rep, tol in _nc_identity_reports(sc, pts):
-            fname, text = _render(rep, fmt)
-            files[fname] = text
-            if not _gate(rep.max_abs, tol, "max", scale):
-                failures.append(f"{rep.name} (max_abs={rep.max_abs:.3e})")
+        _emit_nc_identities(files, failures, sc, cfg, fmt, scale)
     return failures, files
 
 
@@ -276,24 +290,16 @@ def cmd_trajectories(sc, cfg, fmt, jobs, scale):
     summary = ResidualReport.from_samples(
         "trajectory-constraint", [list(s) for s in seeds],
         [worst] * len(seeds))
-    fname, text = _render(summary, fmt)
-    files[fname] = text
-    if not _gate(worst, tol, "max", scale):
-        failures.append(f"trajectory-constraint (max_abs={worst:.3e}, tol={tol:.1e})")
+    _emit(files, failures, summary, fmt, tol, "max", scale)
     return failures, files
 
 
 def cmd_reduce(sc, cfg, fmt, jobs, scale):
     if not isinstance(sc.background, NCBackground):
         raise ConfigError("scenario.name", "reduce needs a newton-cartan scenario")
-    pts = _grid_points(sc, cfg)
     files = {}
     failures = []
-    for rep, tol in _nc_identity_reports(sc, pts):
-        fname, text = _render(rep, fmt)
-        files[fname] = text
-        if not _gate(rep.max_abs, tol, "max", scale):
-            failures.append(f"{rep.name} (max_abs={rep.max_abs:.3e})")
+    _emit_nc_identities(files, failures, sc, cfg, fmt, scale)
     rdoc = cfg.reduce or {}
     n_random = int(rdoc.get("random_frames", 0))
     if n_random > 0:
@@ -309,10 +315,7 @@ def cmd_reduce(sc, cfg, fmt, jobs, scale):
                             res["product"], res["inverse_gap"]))
         rep = ResidualReport.from_samples("random-frame-identities",
                                           np.zeros((n_random, dim)), vals)
-        fname, text = _render(rep, fmt)
-        files[fname] = text
-        if not _gate(rep.max_abs, 1e-9, "max", scale):
-            failures.append(f"random-frame-identities (max_abs={rep.max_abs:.3e})")
+        _emit(files, failures, rep, fmt, 1e-9, "max", scale)
     return failures, files
 
 
@@ -332,22 +335,22 @@ def cmd_hj_verify(sc, cfg, fmt, jobs, scale):
     files = {}
     failures = []
     for key, rep in reports.items():
-        fname, text = _render(rep, fmt)
-        files[fname] = text
-        if not _gate(rep.max_abs, gates[key], "max", scale):
-            failures.append(f"{rep.name} (max_abs={rep.max_abs:.3e}, tol={gates[key]:.0e})")
+        _emit(files, failures, rep, fmt, gates[key], "max", scale)
     return failures, files
 
 
 def cmd_superposition_demo(sc, cfg, fmt, jobs, scale):
-    if sc.psi is None:
-        raise ConfigError("scenario.name", "superposition-demo needs a complex field")
+    if sc.psi is None or sc.kind != "relativistic":
+        raise ConfigError("scenario.name",
+                          "superposition-demo needs a relativistic complex field")
     pts = _grid_points(sc, cfg)
     linear = _evaluate_check(sc, "linear-wave", pts, jobs)
     classical = _evaluate_check(sc, "classical-wave", pts, jobs)
     linear_tol, classical_floor = 1e-9, 1e-2
-    linear_ok = _gate(linear.max_abs, linear_tol, "max", scale)
-    classical_ok = _gate(classical.max_abs, classical_floor, "min", scale)
+    files = {}
+    failures = []
+    linear_ok = _emit(files, failures, linear, fmt, linear_tol, "max", scale)
+    classical_ok = _emit(files, failures, classical, fmt, classical_floor, "min", scale)
     doc = {
         "scenario": sc.name,
         "points": int(pts.shape[0]),
@@ -358,15 +361,7 @@ def cmd_superposition_demo(sc, cfg, fmt, jobs, scale):
         "classical_floor": classical_floor,
         "classical_pass": classical_ok,
     }
-    files = {"report_superposition_demo.json": json.dumps(doc, sort_keys=True, indent=1)}
-    for rep in (linear, classical):
-        fname, text = _render(rep, fmt)
-        files[fname] = text
-    failures = []
-    if not linear_ok:
-        failures.append(f"linear-wave (max_abs={linear.max_abs:.3e})")
-    if not classical_ok:
-        failures.append(f"classical-wave floor (max_abs={classical.max_abs:.3e})")
+    files["report_superposition_demo.json"] = json.dumps(doc, sort_keys=True, indent=1)
     return failures, files
 
 

@@ -27,10 +27,9 @@ import numpy as np
 
 from .errors import (DegenerateVelocity, ImaginaryMass, MassSingular,
                      NodeEncountered, TachyonicInput)
-from .field_equations import (momentum_covector, nc_momentum_covector,
-                              nc_quantum_potential, nc_quantum_hj_residual,
-                              nc_classical_hj_residual, classical_hj_residual_rel,
-                              quantum_hj_residual_rel, quantum_potential_rel)
+from .field_equations import (hj_expression, momentum_covector, nc_hj_expression,
+                              nc_momentum_covector, nc_quantum_potential,
+                              quantum_potential_rel)
 from .fields import EPS_NODE, PolarField
 from .geometry import BackgroundRel, check_point, metric_inverse
 from .integrators import integrate_adaptive
@@ -91,15 +90,19 @@ class GuidanceField:
             return guidance_velocity_rel(self.background, self.field, x)
         return guidance_velocity_nc(self.background, self.field, x)
 
-    def constraint_residual(self, x) -> float:
+    def constraint_residual(self, x, p=None) -> float:
+        """HJ expression of the kinetic covector p - qA at x, plus Q if quantum.
+
+        The momenta p default to the field's phase gradient dS.
+        """
         bg, f = self.background, self.field
+        pt = check_point(x, bg.dim)
+        p = np.asarray(f.dS(pt) if p is None else p, dtype=float)
         if self.kind == "relativistic":
-            if self.quantum:
-                return quantum_hj_residual_rel(bg, f, x)
-            return classical_hj_residual_rel(bg, f, x)
-        if self.quantum:
-            return nc_quantum_hj_residual(bg, f, x)
-        return nc_classical_hj_residual(bg, f, x)
+            val = hj_expression(bg, pt, p - bg.charge * bg.gauge_at(pt))
+            return val + quantum_potential_rel(bg, f, pt) if self.quantum else val
+        val = nc_hj_expression(bg, pt, p - bg.charge * bg.reduced_gauge_at(pt))
+        return val + nc_quantum_potential(bg, f, pt) if self.quantum else val
 
     @property
     def parametrization(self) -> str:
@@ -302,22 +305,5 @@ def hamiltonian_constraint_residual(traj: Trajectory, gf: GuidanceField) -> Resi
     Newton-Cartan: 2 w vhat.(p - qA) - (p - qA) h (p - qA) - 2 Phi w^2 + Q,
     with p the recorded sample momenta (Q dropped when gf.quantum is off).
     """
-    bg = gf.background
-    values = []
-    for pt, p in zip(traj.points, traj.momenta):
-        if gf.kind == "relativistic":
-            k = p - bg.charge * bg.gauge_at(pt)
-            ginv = metric_inverse(bg, pt)
-            val = float(k @ ginv @ k + bg.mass**2)
-            if gf.quantum:
-                val += quantum_potential_rel(bg, gf.field, pt)
-        else:
-            der = derive_nc(bg, pt)
-            w = bg.mass - bg.charge * float(bg.phi(pt))
-            k = p - bg.charge * bg.reduced_gauge_at(pt)
-            val = float(2.0 * w * (der.v_hat @ k) - k @ der.h_up @ k
-                        - 2.0 * der.Phi * w**2)
-            if gf.quantum:
-                val += nc_quantum_potential(bg, gf.field, pt)
-        values.append(val)
+    values = [gf.constraint_residual(pt, p) for pt, p in zip(traj.points, traj.momenta)]
     return ResidualReport.from_samples("hamiltonian-constraint", traj.points, values)

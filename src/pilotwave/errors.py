@@ -29,6 +29,10 @@ class NodeEncountered(PilotwaveError):
         self.partial = partial
 
 
+class FormMismatch(PilotwaveError):
+    """Two algebraically equivalent forms of one expression disagree."""
+
+
 class StepFailure(PilotwaveError):
     """Adaptive step control could not meet the error tolerance."""
 

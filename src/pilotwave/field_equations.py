@@ -20,9 +20,16 @@ Newton-Cartan side (frame data as in nc_geometry, w = m - q phi):
     continuity       d_mu [e w rho vhat^mu] - d_mu [e rho h^{mu nu}(d_nu S - q A_nu)]
     linear wave      variational equation of the quadratic psi action
 
-All divergences are expanded by the product rule through the derivative
-providers, so each residual here has an independent nested-finite-difference
-oracle (evaluate the whole bracket at shifted points) to test against.
+Every formula lives in one kernel.  The two product-rule divergences,
+d_M[vol up^{MN} V_N] (``_density_divergence``) and d_M[vol s v^M]
+(``_flow_divergence``), take factor derivatives from the derivative
+providers; ``_gauged_laplacian`` adds the gauge term of D = d - i q A,
+``_covariant_derivative_data`` builds D psi on either background, and one
+``_quantum_potential`` serves both, the Newton-Cartan form being the
+Lorentzian one with g^{MN} -> -h^{mu nu}.  ``hj_expression`` and
+``nc_hj_expression`` evaluate the HJ expression of a given kinetic
+covector.  Each residual has an independent nested-finite-difference oracle
+(evaluate the whole bracket at shifted points) to test against.
 
 The ``*_printed`` variants reproduce equation forms that fail their own
 consistency checks (a factor slip in the relativistic quantum potential's
@@ -36,7 +43,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NodeEncountered
+from .errors import FormMismatch, NodeEncountered
 from .fields import EPS_NODE, ComplexField, PolarField
 from .geometry import (BackgroundRel, check_point, inverse_metric_derivative,
                        metric_inverse, volume_element, volume_element_derivative)
@@ -46,19 +53,62 @@ Array = np.ndarray
 
 
 # ---------------------------------------------------------------------------
+# shared kernels
+# ---------------------------------------------------------------------------
+
+def _density_divergence(vol, dvol, up, dup, vec, dvec):
+    """d_M [vol up^{MN} vec_N] by the product rule; dvec[M, N] = d_M vec_N."""
+    return (dvol @ (up @ vec)
+            + vol * np.einsum("mmn,n->", dup, vec)
+            + vol * np.einsum("mn,mn->", up, dvec))
+
+
+def _flow_divergence(vol, dvol, v, dv, s, ds):
+    """d_M [vol s v^M] by the product rule; dv[M, N] = d_M v^N."""
+    return s * (dvol @ v) + vol * (ds @ v) + vol * s * np.trace(dv)
+
+
+def _gauged_laplacian(vol, dvol, up, dup, a_cov, q, dcov, ddcov):
+    """D_M [vol up^{MN} D_N psi] for the covariant derivative D = d - i q A."""
+    return (_density_divergence(vol, dvol, up, dup, dcov, ddcov)
+            - 1j * q * (a_cov @ (up @ dcov)) * vol)
+
+
+def _covariant_derivative_data(cf, pt, a_cov, da, q):
+    """psi, d psi, D_N psi and d_M (D_N psi) at pt, with D = d - i q A."""
+    psi = complex(cf.psi(pt))
+    dpsi = np.asarray(cf.dpsi(pt), dtype=complex)
+    d2psi = np.asarray(cf.d2psi(pt), dtype=complex)
+    dcov = dpsi - 1j * q * a_cov * psi
+    # d_M (Dpsi)_N = d2psi_MN - i q (dA_MN psi + A_N dpsi_M)
+    ddcov = d2psi - 1j * q * (da * psi + np.outer(dpsi, a_cov))
+    return psi, dpsi, dcov, ddcov
+
+
+def _quantum_potential(vol, dvol, up, dup, f, pt, bracket_coeff=0.5):
+    """-(1/4 rho^2) up drho drho - (1/vol) d_M [vol up^{MN} c drho_N / rho]."""
+    rho = f.rho_checked(pt)
+    drho = np.asarray(f.drho(pt), dtype=float)
+    d2rho = np.asarray(f.d2rho(pt), dtype=float)
+    a = bracket_coeff * drho / rho
+    da = bracket_coeff * (d2rho / rho - np.outer(drho, drho) / rho**2)
+    first = -(drho @ up @ drho) / (4.0 * rho**2)
+    return float(first - _density_divergence(vol, dvol, up, dup, a, da) / vol)
+
+
+# ---------------------------------------------------------------------------
 # relativistic backgrounds
 # ---------------------------------------------------------------------------
 
 def _rel_point_data(bg: BackgroundRel, x):
     """Metric data bundle reused by the relativistic residuals."""
     pt = check_point(x, bg.dim)
-    g = bg.metric_at(pt)
     ginv = metric_inverse(bg, pt)
     dg = bg.metric_derivative_at(pt)
     vol = volume_element(bg, pt)
     dvol = volume_element_derivative(bg, pt, ginv=ginv, dg=dg)
     dginv = inverse_metric_derivative(bg, pt, ginv=ginv, dg=dg)
-    return pt, g, ginv, vol, dvol, dginv
+    return pt, ginv, vol, dvol, dginv
 
 
 def momentum_covector(bg: BackgroundRel, f: PolarField, x) -> Array:
@@ -67,12 +117,15 @@ def momentum_covector(bg: BackgroundRel, f: PolarField, x) -> Array:
     return np.asarray(f.dS(pt), dtype=float) - bg.charge * bg.gauge_at(pt)
 
 
+def hj_expression(bg: BackgroundRel, x, k) -> float:
+    """k g^{-1} k + m^2 for a kinetic covector k at x."""
+    pt = check_point(x, bg.dim)
+    return float(k @ metric_inverse(bg, pt) @ k + bg.mass**2)
+
+
 def classical_hj_residual_rel(bg: BackgroundRel, f: PolarField, x) -> float:
     """(dS - qA) g^{-1} (dS - qA) + m^2 at x."""
-    pt = check_point(x, bg.dim)
-    ginv = metric_inverse(bg, pt)
-    k = momentum_covector(bg, f, pt)
-    return float(k @ ginv @ k + bg.mass**2)
+    return hj_expression(bg, x, momentum_covector(bg, f, x))
 
 
 def ensemble_current(bg: BackgroundRel, f: PolarField, x) -> Array:
@@ -85,33 +138,14 @@ def ensemble_current(bg: BackgroundRel, f: PolarField, x) -> Array:
 
 
 def continuity_residual_rel(bg: BackgroundRel, f: PolarField, x) -> float:
-    """d_M [rho sqrt(-g) g^{MN}(d_N S - q A_N)] by the product rule."""
-    pt, _, ginv, vol, dvol, dginv = _rel_point_data(bg, x)
+    """d_M [sqrt(-g) g^{MN} rho (d_N S - q A_N)]."""
+    pt, ginv, vol, dvol, dginv = _rel_point_data(bg, x)
     k = momentum_covector(bg, f, pt)
     rho = float(f.rho(pt))
     drho = np.asarray(f.drho(pt), dtype=float)
     dk = np.asarray(f.d2S(pt), dtype=float) - bg.charge * bg.gauge_derivative_at(pt)
-    gk = ginv @ k
-    term = drho @ gk * vol
-    term += rho * (dvol @ gk)
-    term += rho * vol * np.einsum("mmn,n->", dginv, k)
-    term += rho * vol * np.einsum("mn,mn->", ginv, dk)
-    return float(term)
-
-
-def _quantum_potential_rel(bg, f, x, bracket_coeff):
-    pt, _, ginv, vol, dvol, dginv = _rel_point_data(bg, x)
-    rho = f.rho_checked(pt)
-    drho = np.asarray(f.drho(pt), dtype=float)
-    d2rho = np.asarray(f.d2rho(pt), dtype=float)
-    first = -(drho @ ginv @ drho) / (4.0 * rho**2)
-    # d_M [sqrt(-g) g^{MN} c * drho_N / rho] expanded through the providers
-    a = bracket_coeff * drho / rho
-    da = bracket_coeff * (d2rho / rho - np.outer(drho, drho) / rho**2)
-    div = dvol @ (ginv @ a)
-    div += vol * np.einsum("mmn,n->", dginv, a)
-    div += vol * np.einsum("mn,mn->", ginv, da)
-    return float(first - div / vol)
+    return float(_density_divergence(vol, dvol, ginv, dginv, rho * k,
+                                     np.outer(drho, k) + rho * dk))
 
 
 def quantum_potential_rel(bg: BackgroundRel, f: PolarField, x) -> float:
@@ -120,7 +154,8 @@ def quantum_potential_rel(bg: BackgroundRel, f: PolarField, x) -> float:
     Q = -(1/4 rho^2) g drho drho - (1/sqrt(-g)) d[sqrt(-g) g drho/(2 rho)],
     which equals -box(sqrt rho)/sqrt(rho).  Vanishes for constant rho.
     """
-    return _quantum_potential_rel(bg, f, x, bracket_coeff=0.5)
+    pt, ginv, vol, dvol, dginv = _rel_point_data(bg, x)
+    return _quantum_potential(vol, dvol, ginv, dginv, f, pt)
 
 
 def quantum_potential_rel_printed(bg: BackgroundRel, f: PolarField, x) -> float:
@@ -129,7 +164,8 @@ def quantum_potential_rel_printed(bg: BackgroundRel, f: PolarField, x) -> float:
     Kept for comparison: it breaks the equivalence between the linear wave
     equation and the quantum HJ + continuity pair whenever drho != 0.
     """
-    return _quantum_potential_rel(bg, f, x, bracket_coeff=0.25)
+    pt, ginv, vol, dvol, dginv = _rel_point_data(bg, x)
+    return _quantum_potential(vol, dvol, ginv, dginv, f, pt, bracket_coeff=0.25)
 
 
 def quantum_hj_residual_rel(bg: BackgroundRel, f: PolarField, x) -> float:
@@ -137,23 +173,14 @@ def quantum_hj_residual_rel(bg: BackgroundRel, f: PolarField, x) -> float:
     return classical_hj_residual_rel(bg, f, x) + quantum_potential_rel(bg, f, x)
 
 
-def _covariant_derivative_data(bg, cf, pt):
-    """psi, Dpsi_N and d_M(Dpsi_N) at pt, with D = d - i q A."""
-    psi = complex(cf.psi(pt))
-    dpsi = np.asarray(cf.dpsi(pt), dtype=complex)
-    d2psi = np.asarray(cf.d2psi(pt), dtype=complex)
+def _rel_wave_data(bg, cf, x):
+    """The leading arguments of _gauged_laplacian, (sqrt(-g), its gradient,
+    g^{-1}, its gradient, A, q), then psi, d psi, D psi and d D psi at x."""
+    pt, ginv, vol, dvol, dginv = _rel_point_data(bg, x)
     a_cov = bg.gauge_at(pt)
-    da = bg.gauge_derivative_at(pt)
-    q = bg.charge
-    dcov = dpsi - 1j * q * a_cov * psi
-    # d_M (Dpsi)_N = d2psi_MN - i q (dA_MN psi + A_N dpsi_M)
-    ddcov = d2psi - 1j * q * (da * psi + np.outer(dpsi, a_cov))
-    return psi, dcov, ddcov, a_cov, q
-
-
-def _gauged_divergence(vec, dvec_diag, a_cov, q, charge_sign=+1):
-    """D_M V^M = d_M V^M - i q s A_M V^M for a charge-s vector density."""
-    return dvec_diag - 1j * q * charge_sign * (a_cov @ vec)
+    psi, dpsi, dcov, ddcov = _covariant_derivative_data(
+        cf, pt, a_cov, bg.gauge_derivative_at(pt), bg.charge)
+    return (vol, dvol, ginv, dginv, a_cov, bg.charge), psi, dpsi, dcov, ddcov
 
 
 def linear_kg_residual(bg: BackgroundRel, cf: ComplexField, x) -> complex:
@@ -162,32 +189,21 @@ def linear_kg_residual(bg: BackgroundRel, cf: ComplexField, x) -> complex:
     Density-normalized so plane-wave checks read the same on any
     background.
     """
-    pt, _, ginv, vol, dvol, dginv = _rel_point_data(bg, x)
-    psi, dcov, ddcov, a_cov, q = _covariant_derivative_data(bg, cf, pt)
-    vec = vol * (ginv @ dcov)
-    dvec_diag = (dvol @ (ginv @ dcov)
-                 + vol * np.einsum("mmn,n->", dginv, dcov)
-                 + vol * np.einsum("mn,mn->", ginv, ddcov))
-    div = _gauged_divergence(vec, dvec_diag, a_cov, q)
-    return complex(div / vol - bg.mass**2 * psi)
+    geo, psi, _, dcov, ddcov = _rel_wave_data(bg, cf, x)
+    return complex(_gauged_laplacian(*geo, dcov, ddcov) / geo[0] - bg.mass**2 * psi)
 
 
 def _classical_field_terms(bg, cf, x, printed):
-    pt, _, ginv, vol, dvol, dginv = _rel_point_data(bg, x)
-    psi, dcov, ddcov, a_cov, q = _covariant_derivative_data(bg, cf, pt)
+    geo, psi, dpsi, dcov, ddcov = _rel_wave_data(bg, cf, x)
+    vol, _, ginv = geo[:3]
     if abs(psi) ** 2 <= EPS_NODE:
         raise NodeEncountered(f"|psi|^2 = {abs(psi)**2:.3e} below node threshold")
     psis = np.conj(psi)
     dcov_c = np.conj(dcov)
-    ddcov_c = np.conj(ddcov)
     m2 = bg.mass**2
 
     # T1 = (1/2) D_M [sqrt(-g) g^{MN} D_N psi]
-    vec1 = vol * (ginv @ dcov)
-    dvec1 = (dvol @ (ginv @ dcov)
-             + vol * np.einsum("mmn,n->", dginv, dcov)
-             + vol * np.einsum("mn,mn->", ginv, ddcov))
-    t1 = 0.5 * _gauged_divergence(vec1, dvec1, a_cov, q)
+    t1 = 0.5 * _gauged_laplacian(*geo, dcov, ddcov)
 
     t2 = vol / (4.0 * psi) * (dcov @ ginv @ dcov)
 
@@ -200,15 +216,9 @@ def _classical_field_terms(bg, cf, x, printed):
 
     # T5 = -(1/2) D_M [(psi/psi*) sqrt(-g) g^{MN} (D_N psi)*]
     ratio = psi / psis
-    dratio = np.asarray(cf.dpsi(pt), dtype=complex) / psis \
-        - psi * np.conj(np.asarray(cf.dpsi(pt), dtype=complex)) / psis**2
-    w_vec = vol * (ginv @ dcov_c)
-    dw_diag = (dvol @ (ginv @ dcov_c)
-               + vol * np.einsum("mmn,n->", dginv, dcov_c)
-               + vol * np.einsum("mn,mn->", ginv, ddcov_c))
-    interior = ratio * w_vec
-    dinterior_diag = dratio @ w_vec + ratio * dw_diag
-    t5 = -0.5 * _gauged_divergence(interior, dinterior_diag, a_cov, q)
+    dratio = dpsi / psis - psi * np.conj(dpsi) / psis**2
+    t5 = -0.5 * (ratio * _gauged_laplacian(*geo, dcov_c, np.conj(ddcov))
+                 + dratio @ (vol * (ginv @ dcov_c)))
 
     return (t1 + t2 + t3 + t4 + t5) / vol
 
@@ -279,49 +289,46 @@ def nc_momentum_covector(nc: NCBackground, f: PolarField, x) -> Array:
     return np.asarray(f.dS(pt), dtype=float) - nc.charge * nc.reduced_gauge_at(pt)
 
 
+def _nc_hj_forms(nc: NCBackground, x, k) -> tuple[float, float]:
+    pt, der, w = _nc_point_data(nc, x)
+    vhat_form = 2.0 * w * (der.v_hat @ k) - k @ der.h_up @ k - 2.0 * w**2 * der.Phi
+    big_k = k + w * np.asarray(nc.m_field(pt), dtype=float)
+    vm_form = 2.0 * w * (der.v @ big_k) - big_k @ der.h_up @ big_k
+    return float(vhat_form), float(vm_form)
+
+
 def nc_classical_hj_forms(nc: NCBackground, f: PolarField, x) -> tuple[float, float]:
     """Both algebraic forms of the classical HJ expression.
 
     The boost-invariant form uses (vhat, Phi); the frame form uses (v, M)
     with K = k + w M, oriented to match.  They agree identically.
     """
-    pt, der, w = _nc_point_data(nc, x)
-    k = nc_momentum_covector(nc, f, pt)
-    vhat_form = 2.0 * w * (der.v_hat @ k) - k @ der.h_up @ k - 2.0 * w**2 * der.Phi
-    m = np.asarray(nc.m_field(pt), dtype=float)
-    big_k = k + w * m
-    vm_form = 2.0 * w * (der.v @ big_k) - big_k @ der.h_up @ big_k
-    return float(vhat_form), float(vm_form)
+    return _nc_hj_forms(nc, x, nc_momentum_covector(nc, f, x))
+
+
+def nc_hj_expression(nc: NCBackground, x, k) -> float:
+    """2 w vhat.k - k h k - 2 w^2 Phi for a kinetic covector k at x.
+
+    Also evaluates the equivalent (v, M) form and raises FormMismatch if the
+    two disagree beyond tolerance.
+    """
+    vhat_form, vm_form = _nc_hj_forms(nc, x, k)
+    scale = max(1.0, abs(vhat_form), abs(vm_form))
+    if abs(vhat_form - vm_form) > FORM_AGREEMENT_TOL * scale:
+        raise FormMismatch(f"HJ form mismatch: {vhat_form!r} vs {vm_form!r}")
+    return vhat_form
 
 
 def nc_classical_hj_residual(nc: NCBackground, f: PolarField, x) -> float:
-    """2 w vhat.k - k h k - 2 w^2 Phi with k = dS - qA.
-
-    Also evaluates the equivalent (v, M) form and refuses to return if the
-    two disagree beyond tolerance.
-    """
-    vhat_form, vm_form = nc_classical_hj_forms(nc, f, x)
-    scale = max(1.0, abs(vhat_form), abs(vm_form))
-    if abs(vhat_form - vm_form) > FORM_AGREEMENT_TOL * scale:
-        raise RuntimeError(
-            f"HJ form mismatch: {vhat_form!r} vs {vm_form!r}")
-    return vhat_form
+    """2 w vhat.k - k h k - 2 w^2 Phi with k = dS - qA, form-checked."""
+    return nc_hj_expression(nc, x, nc_momentum_covector(nc, f, x))
 
 
 def nc_quantum_potential(nc: NCBackground, f: PolarField, x) -> float:
     """Q = (1/4 rho^2) h drho drho + (1/2e) d_mu[(1/rho) e h^{mu nu} d_nu rho]."""
     pt, der, _ = _nc_point_data(nc, x)
     parts = derive_nc_partials(nc, pt)
-    rho = f.rho_checked(pt)
-    drho = np.asarray(f.drho(pt), dtype=float)
-    d2rho = np.asarray(f.d2rho(pt), dtype=float)
-    first = (drho @ der.h_up @ drho) / (4.0 * rho**2)
-    hdr = der.h_up @ drho
-    div = -(drho @ hdr) / rho**2
-    div += (parts["vol"] @ hdr) / (rho * der.vol)
-    div += np.einsum("mmn,n->", parts["h_up"], drho) / rho
-    div += np.einsum("mn,mn->", der.h_up, d2rho) / rho
-    return float(first + 0.5 * div)
+    return _quantum_potential(der.vol, parts["vol"], -der.h_up, -parts["h_up"], f, pt)
 
 
 def nc_quantum_hj_residual(nc: NCBackground, f: PolarField, x) -> float:
@@ -330,27 +337,18 @@ def nc_quantum_hj_residual(nc: NCBackground, f: PolarField, x) -> float:
 
 
 def nc_continuity_residual(nc: NCBackground, f: PolarField, x) -> float:
-    """d_mu[e w rho vhat^mu] - d_mu[e rho h^{mu nu} k_nu], product rule."""
+    """d_mu[e w rho vhat^mu] - d_mu[e h^{mu nu} rho k_nu]."""
     pt, der, w = _nc_point_data(nc, x)
     parts = derive_nc_partials(nc, pt)
     rho = float(f.rho(pt))
     drho = np.asarray(f.drho(pt), dtype=float)
     k = nc_momentum_covector(nc, f, pt)
     dk = np.asarray(f.d2S(pt), dtype=float) - nc.charge * nc.reduced_gauge_derivative_at(pt)
-    e = der.vol
-    de = parts["vol"]
-    dw = parts["w"]
-
-    t1 = (de @ der.v_hat) * w * rho
-    t1 += e * rho * (dw @ der.v_hat)
-    t1 += e * w * (drho @ der.v_hat)
-    t1 += e * w * rho * np.einsum("mm->", parts["v_hat"])
-
-    hk = der.h_up @ k
-    t2 = (de @ hk) * rho
-    t2 += e * (drho @ hk)
-    t2 += e * rho * np.einsum("mmn,n->", parts["h_up"], k)
-    t2 += e * rho * np.einsum("mn,mn->", der.h_up, dk)
+    e, de = der.vol, parts["vol"]
+    t1 = _flow_divergence(e, de, der.v_hat, parts["v_hat"], w * rho,
+                          parts["w"] * rho + w * drho)
+    t2 = _density_divergence(e, de, der.h_up, parts["h_up"], rho * k,
+                             np.outer(drho, k) + rho * dk)
     return float(t1 - t2)
 
 
@@ -364,34 +362,20 @@ def nc_schrodinger_residual(nc: NCBackground, cf: ComplexField, x) -> complex:
     """
     pt, der, w = _nc_point_data(nc, x)
     parts = derive_nc_partials(nc, pt)
-    psi = complex(cf.psi(pt))
-    dpsi = np.asarray(cf.dpsi(pt), dtype=complex)
-    d2psi = np.asarray(cf.d2psi(pt), dtype=complex)
     a_red = nc.reduced_gauge_at(pt)
-    da_red = nc.reduced_gauge_derivative_at(pt)
     q = nc.charge
-    e = der.vol
-    de = parts["vol"]
-    dw = parts["w"]
-    dvhat_trace = np.einsum("mm->", parts["v_hat"])
-
-    dcov = dpsi - 1j * q * a_red * psi
-    ddcov = d2psi - 1j * q * (da_red * psi + np.outer(dpsi, a_red))
+    psi, dpsi, dcov, ddcov = _covariant_derivative_data(
+        cf, pt, a_red, nc.reduced_gauge_derivative_at(pt), q)
+    e, de = der.vol, parts["vol"]
 
     # -i e w vhat^mu D_mu psi
     r = -1j * e * w * (der.v_hat @ dcov)
     # -i D_mu[ e w vhat^mu psi ]
-    div_evp = ((de @ der.v_hat) * w * psi
-               + e * (dw @ der.v_hat) * psi
-               + e * w * dvhat_trace * psi
-               + e * w * (der.v_hat @ dpsi))
+    div_evp = _flow_divergence(e, de, der.v_hat, parts["v_hat"], w * psi,
+                               parts["w"] * psi + w * dpsi)
     r += -1j * div_evp - q * (a_red @ der.v_hat) * e * w * psi
     # + D_nu[ e h^{nu mu} D_mu psi ]
-    hdc = der.h_up @ dcov
-    div_h = ((de @ hdc)
-             + e * np.einsum("mmn,n->", parts["h_up"], dcov)
-             + e * np.einsum("mn,mn->", der.h_up, ddcov))
-    r += div_h - 1j * q * (a_red @ hdc) * e
+    r += _gauged_laplacian(e, de, der.h_up, parts["h_up"], a_red, q, dcov, ddcov)
     # - 2 e Phi w^2 psi
     r += -2.0 * e * der.Phi * w**2 * psi
     return complex(r / e)
@@ -399,13 +383,11 @@ def nc_schrodinger_residual(nc: NCBackground, cf: ComplexField, x) -> complex:
 
 def nc_classical_action_density_polar(nc: NCBackground, f: PolarField, x) -> float:
     """Integrand of the classical ensemble action in (rho, S) variables:
-    e (2 w rho vhat.k - 2 Phi w^2 rho - rho h k k)."""
-    pt, der, w = _nc_point_data(nc, x)
-    rho = float(f.rho(pt))
+    e (2 w rho vhat.k - 2 Phi w^2 rho - rho h k k), i.e. e rho times the HJ
+    expression."""
+    pt, der, _ = _nc_point_data(nc, x)
     k = nc_momentum_covector(nc, f, pt)
-    val = 2.0 * w * rho * (der.v_hat @ k) - 2.0 * der.Phi * w**2 * rho \
-        - rho * (k @ der.h_up @ k)
-    return float(der.vol * val)
+    return float(der.vol * float(f.rho(pt)) * nc_hj_expression(nc, pt, k))
 
 
 def nc_classical_action_density_complex_printed(nc: NCBackground, cf: ComplexField,

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import NodeEncountered
 from .stencils import (DEFAULT_FIRST, DEFAULT_SECOND, DerivativeStencil,
-                       gradient, hessian)
+                       hessian, jacobian)
 
 Array = np.ndarray
 
@@ -67,9 +67,9 @@ def polar_field(rho, S, *, drho=None, d2rho=None, dS=None, d2S=None,
     return PolarField(
         rho=rho,
         S=S,
-        drho=drho if drho is not None else (lambda x: gradient(rho, x, first)),
+        drho=drho if drho is not None else (lambda x: jacobian(rho, x, first)),
         d2rho=d2rho if d2rho is not None else (lambda x: hessian(rho, x, second)),
-        dS=dS if dS is not None else (lambda x: gradient(S, x, first)),
+        dS=dS if dS is not None else (lambda x: jacobian(S, x, first)),
         d2S=d2S if d2S is not None else (lambda x: hessian(S, x, second)),
     )
 
@@ -80,7 +80,7 @@ def complex_field(psi, *, dpsi=None, d2psi=None,
     """Build a ComplexField, filling missing derivatives with central FD."""
     return ComplexField(
         psi=psi,
-        dpsi=dpsi if dpsi is not None else (lambda x: gradient(psi, x, first)),
+        dpsi=dpsi if dpsi is not None else (lambda x: jacobian(psi, x, first)),
         d2psi=d2psi if d2psi is not None else (lambda x: hessian(psi, x, second)),
     )
 

@@ -19,7 +19,7 @@ from .fields import ComplexField, PolarField, polar_field, polar_view
 from .geometry import BackgroundRel
 from .nc_geometry import NCBackground
 from .report import GridSpec, ResidualReport, sweep
-from .stencils import gradient, hessian
+from .stencils import hessian, jacobian
 
 Array = np.ndarray
 
@@ -52,39 +52,27 @@ class Scenario:
 
     def run_check(self, name: str, points) -> ResidualReport:
         try:
-            evaluator = CHECK_EVALUATORS[name]
+            fn_name, field_name = CHECK_EVALUATORS[name]
         except KeyError:
             raise UnknownScenario(f"no check named '{name}'")
-        return evaluator(self, points)
+        # looked up at call time, so a rebound field_equations function is used
+        fn, bg, fld = getattr(feq, fn_name), self.background, getattr(self, field_name)
+        return sweep(name, lambda p: fn(bg, fld, p), points)
 
 
-# ---------------------------------------------------------------------------
-# check evaluators
-# ---------------------------------------------------------------------------
-
+# check name -> (field_equations residual, scenario field it is evaluated on)
 CHECK_EVALUATORS = {
-    "classical-hj": lambda sc, pts: sweep(
-        "classical-hj", lambda p: feq.classical_hj_residual_rel(sc.background, sc.polar, p), pts),
-    "quantum-hj": lambda sc, pts: sweep(
-        "quantum-hj", lambda p: feq.quantum_hj_residual_rel(sc.background, sc.polar, p), pts),
-    "continuity": lambda sc, pts: sweep(
-        "continuity", lambda p: feq.continuity_residual_rel(sc.background, sc.polar, p), pts),
-    "quantum-potential": lambda sc, pts: sweep(
-        "quantum-potential", lambda p: feq.quantum_potential_rel(sc.background, sc.polar, p), pts),
-    "linear-wave": lambda sc, pts: sweep(
-        "linear-wave", lambda p: feq.linear_kg_residual(sc.background, sc.psi, p), pts),
-    "classical-wave": lambda sc, pts: sweep(
-        "classical-wave", lambda p: feq.classical_field_residual(sc.background, sc.psi, p), pts),
-    "nc-classical-hj": lambda sc, pts: sweep(
-        "nc-classical-hj", lambda p: feq.nc_classical_hj_residual(sc.background, sc.polar, p), pts),
-    "nc-quantum-hj": lambda sc, pts: sweep(
-        "nc-quantum-hj", lambda p: feq.nc_quantum_hj_residual(sc.background, sc.polar, p), pts),
-    "nc-continuity": lambda sc, pts: sweep(
-        "nc-continuity", lambda p: feq.nc_continuity_residual(sc.background, sc.polar, p), pts),
-    "nc-quantum-potential": lambda sc, pts: sweep(
-        "nc-quantum-potential", lambda p: feq.nc_quantum_potential(sc.background, sc.polar, p), pts),
-    "nc-schrodinger": lambda sc, pts: sweep(
-        "nc-schrodinger", lambda p: feq.nc_schrodinger_residual(sc.background, sc.psi, p), pts),
+    "classical-hj": ("classical_hj_residual_rel", "polar"),
+    "quantum-hj": ("quantum_hj_residual_rel", "polar"),
+    "continuity": ("continuity_residual_rel", "polar"),
+    "quantum-potential": ("quantum_potential_rel", "polar"),
+    "linear-wave": ("linear_kg_residual", "psi"),
+    "classical-wave": ("classical_field_residual", "psi"),
+    "nc-classical-hj": ("nc_classical_hj_residual", "polar"),
+    "nc-quantum-hj": ("nc_quantum_hj_residual", "polar"),
+    "nc-continuity": ("nc_continuity_residual", "polar"),
+    "nc-quantum-potential": ("nc_quantum_potential", "polar"),
+    "nc-schrodinger": ("nc_schrodinger_residual", "psi"),
 }
 
 
@@ -581,15 +569,14 @@ def validate_derivatives(sc: Scenario, n_points: int = 50, seed: int = 0) -> dic
 
     for x in pts:
         if sc.polar is not None:
-            track("drho", np.max(np.abs(sc.polar.drho(x) - gradient(sc.polar.rho, x))))
+            track("drho", np.max(np.abs(sc.polar.drho(x) - jacobian(sc.polar.rho, x))))
             track("d2rho", np.max(np.abs(sc.polar.d2rho(x) - hessian(sc.polar.rho, x))))
-            track("dS", np.max(np.abs(sc.polar.dS(x) - gradient(sc.polar.S, x))))
+            track("dS", np.max(np.abs(sc.polar.dS(x) - jacobian(sc.polar.S, x))))
             track("d2S", np.max(np.abs(sc.polar.d2S(x) - hessian(sc.polar.S, x))))
         if sc.psi is not None:
-            track("dpsi", np.max(np.abs(sc.psi.dpsi(x) - gradient(sc.psi.psi, x))))
+            track("dpsi", np.max(np.abs(sc.psi.dpsi(x) - jacobian(sc.psi.psi, x))))
             track("d2psi", np.max(np.abs(sc.psi.d2psi(x) - hessian(sc.psi.psi, x))))
         bg = sc.background
         if isinstance(bg, BackgroundRel) and bg.dmetric is not None:
-            from .stencils import jacobian
             track("dmetric", np.max(np.abs(bg.dmetric(x) - jacobian(bg.metric, x))))
     return worst

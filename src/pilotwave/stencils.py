@@ -19,7 +19,6 @@ class DerivativeStencil:
 
     order: int
     step: float
-    scheme: str = "central"
 
     def __post_init__(self):
         if self.order not in (1, 2):
@@ -42,15 +41,8 @@ def partial_along(f, x, m, stencil=DEFAULT_FIRST):
     return (np.asarray(f(xp)) - np.asarray(f(xm))) / (2.0 * h)
 
 
-def gradient(f, x, stencil=DEFAULT_FIRST):
-    """Gradient of a scalar (possibly complex) function, shape (D,)."""
-    x = np.asarray(x, dtype=float)
-    out = [partial_along(f, x, m, stencil) for m in range(x.size)]
-    return np.array(out)
-
-
 def jacobian(f, x, stencil=DEFAULT_FIRST):
-    """Stack of coordinate partials of an array-valued function.
+    """Stack of coordinate partials of a scalar or array-valued function.
 
     Returns shape (D,) + f(x).shape with out[m] = d_m f.
     """
@@ -92,17 +84,3 @@ def hessian(f, x, stencil=DEFAULT_SECOND):
             out[i, j] = val
             out[j, i] = val
     return out
-
-
-def divergence(vector_field, x, stencil=DEFAULT_FIRST):
-    """d_m F^m(x) of a vector field by nested central differencing.
-
-    Used as the independent oracle for product-rule divergence code: the
-    whole bracket is evaluated at shifted points, so no factor derivatives
-    are reused.
-    """
-    x = np.asarray(x, dtype=float)
-    total = 0.0
-    for m in range(x.size):
-        total = total + partial_along(vector_field, x, m, stencil)[m]
-    return total

@@ -1,6 +1,8 @@
 import json
 import os
 
+import pytest
+
 from pilotwave.cli import main
 
 
@@ -208,3 +210,30 @@ def test_identical_configs_are_byte_identical(tmp_path):
         with open(os.path.join(out1, name), "rb") as fa, \
                 open(os.path.join(out2, name), "rb") as fb:
             assert fa.read() == fb.read(), name
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("hj", "fd_step", "abc"),
+    ("trajectories", "steps", "x"),
+    ("trajectories", "steps", 1),
+    ("trajectories", "rtol", "abc"),
+    ("trajectories", "rtol", 0.0),
+    ("trajectories", "atol", "abc"),
+    ("trajectories", "atol", -1e-12),
+    ("trajectories", "tolerance", "abc"),
+    ("trajectories", "tolerance", 0),
+])
+def test_bad_number_exits_2_naming_field(tmp_path, capsys, section, key, value):
+    cfg = write_config(tmp_path, {"scenario": {"name": "flat-nc-plane-wave"},
+                                  section: {key: value}})
+    command = "hj-verify" if section == "hj" else "trajectories"
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key}" in err
+    assert "Traceback" not in err
+
+
+def test_superposition_demo_on_newton_cartan_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"scenario": {"name": "flat-nc-plane-wave"}})
+    assert main(["superposition-demo", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "scenario.name" in capsys.readouterr().err

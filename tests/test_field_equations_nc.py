@@ -1,9 +1,12 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import pilotwave.field_equations as feq
+from pilotwave.errors import FormMismatch
 from pilotwave.fields import complex_view, polar_field
 from pilotwave.nc_geometry import NCBackground, derive_nc, random_frame_background
 from pilotwave.scenarios import _superposition_psi, build
@@ -44,6 +47,14 @@ class TestClassicalHJ:
         vhat_form, vm_form = feq.nc_classical_hj_forms(nc, f, np.zeros(3))
         scale = max(1.0, abs(vhat_form))
         assert abs(vhat_form - vm_form) < 1e-10 * scale
+
+    def test_form_mismatch_raises_package_error(self):
+        # M changes on every call, so the (vhat, Phi) and (v, M) forms disagree
+        calls = iter(range(1, 1000))
+        nc = dataclasses.replace(NCBackground.flat(2),
+                                 m_field=lambda x: np.array([0.0, 0.3 * next(calls)]))
+        with pytest.raises(FormMismatch):
+            feq.nc_classical_hj_residual(nc, nc_plane_field(1.0, 0.7), X2)
 
 
 class TestQuantumPotential:
