@@ -12,7 +12,7 @@ from .errors import (BadParameter, ConfigError, DegenerateFrame,
 from .fields import (EPS_NODE, ComplexField, PolarField, complex_field,
                      complex_view, polar_compose, polar_decompose,
                      polar_field, polar_view, unwrap_phase)
-from .geometry import (BackgroundRel, check_point, metric_derivative,
+from .geometry import (BackgroundRel, MetricData, check_point, metric_data,
                        metric_inverse, volume_element)
 from .nc_geometry import (NCBackground, NCDerived, NullLift, derive_nc,
                           ehat_identity_check, null_lift, null_lift_residuals)

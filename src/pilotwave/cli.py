@@ -62,12 +62,19 @@ significant digits.  See FORMATS.md.
 """
 
 
-def _check_number(field: str, value, integer: bool = False) -> None:
-    """Require a finite positive number, or an integer >= 2 for a sample count."""
+def _check_number(field: str, value, integer: bool = False, least: int = 2) -> None:
+    """Require a finite positive number, or an integer >= least for a count."""
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise ConfigError(field, "must be an integer" if integer else "must be a number")
-    if not (math.isfinite(value) and (value >= 2 if integer else value > 0)):
-        raise ConfigError(field, "must be >= 2" if integer else "must be positive and finite")
+    if not (math.isfinite(value) and (value >= least if integer else value > 0)):
+        raise ConfigError(field,
+                          f"must be >= {least}" if integer else "must be positive and finite")
+
+
+def _is_number_list(value, size: int | None = None) -> bool:
+    """A list of finite numbers, of the given length if one is given."""
+    return (isinstance(value, list) and all(map(scen.is_finite_real, value))
+            and (size is None or len(value) == size))
 
 
 @dataclass(frozen=True)
@@ -107,6 +114,9 @@ class RunConfig:
             gdoc = doc["grid"]
             if not isinstance(gdoc, dict) or "bounds" not in gdoc or "samples" not in gdoc:
                 raise ConfigError("grid", "needs 'bounds' and 'samples'")
+            if not (isinstance(gdoc["bounds"], list)
+                    and all(_is_number_list(b, 2) for b in gdoc["bounds"])):
+                raise ConfigError("grid.bounds", "must be a list of [lo, hi] number pairs")
             try:
                 grid = GridSpec(tuple(tuple(b) for b in gdoc["bounds"]),
                                 tuple(int(n) for n in gdoc["samples"]))
@@ -118,8 +128,8 @@ class RunConfig:
                 raise ConfigError("trajectories", "must be an object")
             if "seeds" in traj:
                 seeds = traj["seeds"]
-                if not isinstance(seeds, list) or not all(isinstance(s, list) for s in seeds):
-                    raise ConfigError("trajectories.seeds", "must be a list of points")
+                if not isinstance(seeds, list) or not all(map(_is_number_list, seeds)):
+                    raise ConfigError("trajectories.seeds", "must be a list of number lists")
                 if grid is not None:
                     for i, s in enumerate(seeds):
                         if not grid.contains(s):
@@ -127,9 +137,8 @@ class RunConfig:
                                               "seed outside grid bounds")
             if "span" in traj:
                 span = traj["span"]
-                if (not isinstance(span, list) or len(span) != 2
-                        or not span[1] > span[0]):
-                    raise ConfigError("trajectories.span", "must be an increasing pair")
+                if not _is_number_list(span, 2) or not span[1] > span[0]:
+                    raise ConfigError("trajectories.span", "must be an increasing number pair")
             if "steps" in traj:
                 _check_number("trajectories.steps", traj["steps"], integer=True)
             for key in ("rtol", "atol", "tolerance"):
@@ -142,6 +151,9 @@ class RunConfig:
         reduce_doc = doc.get("reduce")
         if reduce_doc is not None and not isinstance(reduce_doc, dict):
             raise ConfigError("reduce", "must be an object")
+        for key, least in (("random_frames", 0), ("seed", 0), ("dim", 2)):
+            if key in (reduce_doc or {}):
+                _check_number(f"reduce.{key}", reduce_doc[key], integer=True, least=least)
         hj_doc = doc.get("hj", {})
         fd_step = hj_doc.get("fd_step", 1e-4) if isinstance(hj_doc, dict) else 1e-4
         _check_number("hj.fd_step", fd_step)
@@ -193,6 +205,9 @@ def _grid_points(sc: Scenario, cfg: RunConfig):
     grid = cfg.grid if cfg.grid is not None else sc.default_grid
     if grid is None:
         raise ConfigError("grid", f"scenario '{sc.name}' has no default grid")
+    if sc.default_grid is not None and len(grid.bounds) != len(sc.default_grid.bounds):
+        raise ConfigError("grid", f"has {len(grid.bounds)} axes, scenario '{sc.name}' "
+                                  f"needs {len(sc.default_grid.bounds)}")
     return grid.points()
 
 
@@ -271,6 +286,11 @@ def cmd_trajectories(sc, cfg, fmt, jobs, scale):
     seeds = tcfg.get("seeds", [list(s) for s in sc.default_seeds])
     if not seeds:
         raise ConfigError("trajectories.seeds", "no seeds given and scenario has none")
+    if sc.background is None:
+        raise ConfigError("scenario.name", "trajectories needs a background and a field")
+    for i, s in enumerate(seeds):
+        if len(s) != sc.background.dim:
+            raise ConfigError(f"trajectories.seeds[{i}]", f"needs {sc.background.dim} coordinates")
     span = tuple(tcfg.get("span", sc.default_span))
     steps = int(tcfg.get("steps", 51))
     rtol = float(tcfg.get("rtol", 1e-9))
@@ -324,10 +344,9 @@ def cmd_hj_verify(sc, cfg, fmt, jobs, scale):
 
     if sc.kind != "hj-foundation":
         raise ConfigError("scenario.name", "hj-verify needs an hj-foundation scenario")
-    grid = cfg.grid if cfg.grid is not None else sc.default_grid
     base = sc.bvp
     bvps = []
-    for xf, lf in grid.points():
+    for xf, lf in _grid_points(sc, cfg):
         bvps.append(BoundaryValueProblem(x0=base.x0, xf=[xf], lambda0=base.lambda0,
                                          lambdaf=float(lf), intervals=base.intervals))
     reports = verify_hj_relations(sc.system, bvps, fd_step=cfg.hj_fd_step)

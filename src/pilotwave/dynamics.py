@@ -39,6 +39,7 @@ from .report import ResidualReport, format_float
 Array = np.ndarray
 
 MASS_FLOOR = 1e-12
+MAX_STEP_FRAC = 1e-2   # largest integrator step, as a fraction of the lambda span
 
 
 def guidance_velocity_rel(bg: BackgroundRel, f: PolarField, x) -> Array:
@@ -58,7 +59,7 @@ def guidance_velocity_nc(nc: NCBackground, f: PolarField, x) -> Array:
     """
     pt = check_point(x, nc.dim)
     der = derive_nc(nc, pt)
-    w = nc.mass - nc.charge * float(nc.phi(pt))
+    w = der.w
     if abs(w) <= MASS_FLOOR:
         raise MassSingular(f"effective mass m - q phi = {w:.3e} vanishes")
     k = nc_momentum_covector(nc, f, pt)
@@ -158,14 +159,13 @@ class Trajectory:
 
 
 def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
-                         rtol: float = 1e-9, atol: float = 1e-12,
-                         max_step_frac: float = 1e-2) -> Trajectory:
+                         rtol: float = 1e-9, atol: float = 1e-12) -> Trajectory:
     """Integrate the guidance law from x0 over lambda_span.
 
     ``steps`` is the number of output samples (lambda values, uniformly
     spaced, endpoints included).  Adaptive Dormand-Prince sub-stepping runs
     between samples with relative/absolute tolerances as given and maximum
-    step max_step_frac * span.  Raises NodeEncountered (with the partial
+    step MAX_STEP_FRAC * span.  Raises NodeEncountered (with the partial
     trajectory attached) if the density falls to the node threshold, and
     StepFailure if error control cannot proceed.
     """
@@ -192,7 +192,7 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
         for k in range(1, steps):
             out = integrate_adaptive(rhs, lambdas[k - 1], samples[-1], lambdas[k:k + 1],
                                      rtol=rtol, atol=atol,
-                                     max_step=max_step_frac * span,
+                                     max_step=MAX_STEP_FRAC * span,
                                      step_callback=node_guard)
             samples.append(out[0])
     except NodeEncountered as exc:
@@ -262,11 +262,10 @@ def lagrangian_nc(nc: NCBackground, f: PolarField | None, x, xdot,
     pt = check_point(x, nc.dim)
     xdot = np.asarray(xdot, dtype=float)
     der = derive_nc(nc, pt)
-    tau = np.asarray(nc.tau(pt), dtype=float)
+    tau, w = der.frame[:, 0], der.w
     tdot = float(tau @ xdot)
     if tdot <= MASS_FLOOR:
         raise DegenerateVelocity(f"tau.Xdot = {tdot:.3e} must be positive")
-    w = nc.mass - nc.charge * float(nc.phi(pt))
     if abs(w) <= MASS_FLOOR:
         raise MassSingular(f"effective mass m - q phi = {w:.3e} vanishes")
     a_red = nc.reduced_gauge_at(pt)
@@ -288,11 +287,10 @@ def momentum_nc_classical(nc: NCBackground, x, xdot) -> Array:
     pt = check_point(x, nc.dim)
     xdot = np.asarray(xdot, dtype=float)
     der = derive_nc(nc, pt)
-    tau = np.asarray(nc.tau(pt), dtype=float)
+    tau, w = der.frame[:, 0], der.w
     tdot = float(tau @ xdot)
     if tdot <= MASS_FLOOR:
         raise DegenerateVelocity(f"tau.Xdot = {tdot:.3e} must be positive")
-    w = nc.mass - nc.charge * float(nc.phi(pt))
     hbx = der.hbar_down @ xdot
     return (-w / (2.0 * tdot**2) * float(xdot @ hbx) * tau
             + w * hbx / tdot + nc.charge * nc.reduced_gauge_at(pt))

@@ -31,6 +31,12 @@ Lorentzian one with g^{MN} -> -h^{mu nu}.  ``hj_expression`` and
 covector.  Each residual has an independent nested-finite-difference oracle
 (evaluate the whole bracket at shifted points) to test against.
 
+Geometry arrives in one bundle per point.  Relativistic residuals read
+``geometry.metric_data`` (g^{MN}, sqrt(-g) and their gradients from one
+read of the metric); Newton-Cartan residuals read ``derive_nc`` (the frame,
+its inverse, M, w = m - q phi and every derived object) and, for the
+divergences, ``derive_nc_partials``.
+
 The ``*_printed`` variants reproduce equation forms that fail their own
 consistency checks (a factor slip in the relativistic quantum potential's
 divergence term, a phase-covariance typo and mass-sign flip in the
@@ -45,8 +51,7 @@ import numpy as np
 
 from .errors import FormMismatch, NodeEncountered
 from .fields import EPS_NODE, ComplexField, PolarField
-from .geometry import (BackgroundRel, check_point, inverse_metric_derivative,
-                       metric_inverse, volume_element, volume_element_derivative)
+from .geometry import BackgroundRel, check_point, metric_data, metric_inverse
 from .nc_geometry import NCBackground, derive_nc, derive_nc_partials
 
 Array = np.ndarray
@@ -100,17 +105,6 @@ def _quantum_potential(vol, dvol, up, dup, f, pt, bracket_coeff=0.5):
 # relativistic backgrounds
 # ---------------------------------------------------------------------------
 
-def _rel_point_data(bg: BackgroundRel, x):
-    """Metric data bundle reused by the relativistic residuals."""
-    pt = check_point(x, bg.dim)
-    ginv = metric_inverse(bg, pt)
-    dg = bg.metric_derivative_at(pt)
-    vol = volume_element(bg, pt)
-    dvol = volume_element_derivative(bg, pt, ginv=ginv, dg=dg)
-    dginv = inverse_metric_derivative(bg, pt, ginv=ginv, dg=dg)
-    return pt, ginv, vol, dvol, dginv
-
-
 def momentum_covector(bg: BackgroundRel, f: PolarField, x) -> Array:
     """k_M = d_M S - q A_M."""
     pt = check_point(x, bg.dim)
@@ -130,21 +124,19 @@ def classical_hj_residual_rel(bg: BackgroundRel, f: PolarField, x) -> float:
 
 def ensemble_current(bg: BackgroundRel, f: PolarField, x) -> Array:
     """J^M = rho sqrt(-g) g^{MN}(d_N S - q A_N)."""
-    pt = check_point(x, bg.dim)
-    ginv = metric_inverse(bg, pt)
-    vol = volume_element(bg, pt)
-    k = momentum_covector(bg, f, pt)
-    return float(f.rho(pt)) * vol * (ginv @ k)
+    md = metric_data(bg, x)
+    return float(f.rho(md.pt)) * md.vol * (md.ginv @ momentum_covector(bg, f, md.pt))
 
 
 def continuity_residual_rel(bg: BackgroundRel, f: PolarField, x) -> float:
     """d_M [sqrt(-g) g^{MN} rho (d_N S - q A_N)]."""
-    pt, ginv, vol, dvol, dginv = _rel_point_data(bg, x)
+    md = metric_data(bg, x)
+    pt = md.pt
     k = momentum_covector(bg, f, pt)
     rho = float(f.rho(pt))
     drho = np.asarray(f.drho(pt), dtype=float)
     dk = np.asarray(f.d2S(pt), dtype=float) - bg.charge * bg.gauge_derivative_at(pt)
-    return float(_density_divergence(vol, dvol, ginv, dginv, rho * k,
+    return float(_density_divergence(md.vol, md.dvol, md.ginv, md.dginv, rho * k,
                                      np.outer(drho, k) + rho * dk))
 
 
@@ -154,8 +146,8 @@ def quantum_potential_rel(bg: BackgroundRel, f: PolarField, x) -> float:
     Q = -(1/4 rho^2) g drho drho - (1/sqrt(-g)) d[sqrt(-g) g drho/(2 rho)],
     which equals -box(sqrt rho)/sqrt(rho).  Vanishes for constant rho.
     """
-    pt, ginv, vol, dvol, dginv = _rel_point_data(bg, x)
-    return _quantum_potential(vol, dvol, ginv, dginv, f, pt)
+    md = metric_data(bg, x)
+    return _quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt)
 
 
 def quantum_potential_rel_printed(bg: BackgroundRel, f: PolarField, x) -> float:
@@ -164,8 +156,9 @@ def quantum_potential_rel_printed(bg: BackgroundRel, f: PolarField, x) -> float:
     Kept for comparison: it breaks the equivalence between the linear wave
     equation and the quantum HJ + continuity pair whenever drho != 0.
     """
-    pt, ginv, vol, dvol, dginv = _rel_point_data(bg, x)
-    return _quantum_potential(vol, dvol, ginv, dginv, f, pt, bracket_coeff=0.25)
+    md = metric_data(bg, x)
+    return _quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt,
+                              bracket_coeff=0.25)
 
 
 def quantum_hj_residual_rel(bg: BackgroundRel, f: PolarField, x) -> float:
@@ -176,11 +169,11 @@ def quantum_hj_residual_rel(bg: BackgroundRel, f: PolarField, x) -> float:
 def _rel_wave_data(bg, cf, x):
     """The leading arguments of _gauged_laplacian, (sqrt(-g), its gradient,
     g^{-1}, its gradient, A, q), then psi, d psi, D psi and d D psi at x."""
-    pt, ginv, vol, dvol, dginv = _rel_point_data(bg, x)
-    a_cov = bg.gauge_at(pt)
+    md = metric_data(bg, x)
+    a_cov = bg.gauge_at(md.pt)
     psi, dpsi, dcov, ddcov = _covariant_derivative_data(
-        cf, pt, a_cov, bg.gauge_derivative_at(pt), bg.charge)
-    return (vol, dvol, ginv, dginv, a_cov, bg.charge), psi, dpsi, dcov, ddcov
+        cf, md.pt, a_cov, bg.gauge_derivative_at(md.pt), bg.charge)
+    return (md.vol, md.dvol, md.ginv, md.dginv, a_cov, bg.charge), psi, dpsi, dcov, ddcov
 
 
 def linear_kg_residual(bg: BackgroundRel, cf: ComplexField, x) -> complex:
@@ -276,13 +269,6 @@ def classical_field_equation_report(bg: BackgroundRel, cf: ComplexField, points)
 FORM_AGREEMENT_TOL = 1e-10
 
 
-def _nc_point_data(nc: NCBackground, x):
-    pt = check_point(x, nc.dim)
-    der = derive_nc(nc, pt)
-    w = nc.mass - nc.charge * float(nc.phi(pt))
-    return pt, der, w
-
-
 def nc_momentum_covector(nc: NCBackground, f: PolarField, x) -> Array:
     """k_mu = d_mu S - q A_mu with the reduced gauge field A = Abar - phi M."""
     pt = check_point(x, nc.dim)
@@ -290,8 +276,12 @@ def nc_momentum_covector(nc: NCBackground, f: PolarField, x) -> Array:
 
 
 def _nc_hj_forms(nc: NCBackground, x, k) -> tuple[float, float]:
-    pt, der, w = _nc_point_data(nc, x)
+    pt = check_point(x, nc.dim)
+    der = derive_nc(nc, pt)
+    w = der.w
     vhat_form = 2.0 * w * (der.v_hat @ k) - k @ der.h_up @ k - 2.0 * w**2 * der.Phi
+    # M is read afresh, not taken from der.m, so the guard also sees a closure
+    # whose M disagrees with the one the derived objects were built from
     big_k = k + w * np.asarray(nc.m_field(pt), dtype=float)
     vm_form = 2.0 * w * (der.v @ big_k) - big_k @ der.h_up @ big_k
     return float(vhat_form), float(vm_form)
@@ -326,7 +316,8 @@ def nc_classical_hj_residual(nc: NCBackground, f: PolarField, x) -> float:
 
 def nc_quantum_potential(nc: NCBackground, f: PolarField, x) -> float:
     """Q = (1/4 rho^2) h drho drho + (1/2e) d_mu[(1/rho) e h^{mu nu} d_nu rho]."""
-    pt, der, _ = _nc_point_data(nc, x)
+    pt = check_point(x, nc.dim)
+    der = derive_nc(nc, pt)
     parts = derive_nc_partials(nc, pt)
     return _quantum_potential(der.vol, parts["vol"], -der.h_up, -parts["h_up"], f, pt)
 
@@ -338,13 +329,14 @@ def nc_quantum_hj_residual(nc: NCBackground, f: PolarField, x) -> float:
 
 def nc_continuity_residual(nc: NCBackground, f: PolarField, x) -> float:
     """d_mu[e w rho vhat^mu] - d_mu[e h^{mu nu} rho k_nu]."""
-    pt, der, w = _nc_point_data(nc, x)
+    pt = check_point(x, nc.dim)
+    der = derive_nc(nc, pt)
     parts = derive_nc_partials(nc, pt)
     rho = float(f.rho(pt))
     drho = np.asarray(f.drho(pt), dtype=float)
     k = nc_momentum_covector(nc, f, pt)
     dk = np.asarray(f.d2S(pt), dtype=float) - nc.charge * nc.reduced_gauge_derivative_at(pt)
-    e, de = der.vol, parts["vol"]
+    e, de, w = der.vol, parts["vol"], der.w
     t1 = _flow_divergence(e, de, der.v_hat, parts["v_hat"], w * rho,
                           parts["w"] * rho + w * drho)
     t2 = _density_divergence(e, de, der.h_up, parts["h_up"], rho * k,
@@ -360,13 +352,14 @@ def nc_schrodinger_residual(nc: NCBackground, cf: ComplexField, x) -> complex:
     divided by the volume element e so that normalization carries over to
     curved data.  Linear in psi by construction.
     """
-    pt, der, w = _nc_point_data(nc, x)
+    pt = check_point(x, nc.dim)
+    der = derive_nc(nc, pt)
     parts = derive_nc_partials(nc, pt)
     a_red = nc.reduced_gauge_at(pt)
     q = nc.charge
     psi, dpsi, dcov, ddcov = _covariant_derivative_data(
         cf, pt, a_red, nc.reduced_gauge_derivative_at(pt), q)
-    e, de = der.vol, parts["vol"]
+    e, de, w = der.vol, parts["vol"], der.w
 
     # -i e w vhat^mu D_mu psi
     r = -1j * e * w * (der.v_hat @ dcov)
@@ -385,7 +378,8 @@ def nc_classical_action_density_polar(nc: NCBackground, f: PolarField, x) -> flo
     """Integrand of the classical ensemble action in (rho, S) variables:
     e (2 w rho vhat.k - 2 Phi w^2 rho - rho h k k), i.e. e rho times the HJ
     expression."""
-    pt, der, _ = _nc_point_data(nc, x)
+    pt = check_point(x, nc.dim)
+    der = derive_nc(nc, pt)
     k = nc_momentum_covector(nc, f, pt)
     return float(der.vol * float(f.rho(pt)) * nc_hj_expression(nc, pt, k))
 
@@ -399,7 +393,8 @@ def nc_classical_action_density_complex_printed(nc: NCBackground, cf: ComplexFie
     a missing |psi|^2 factor in those terms whenever rho != 1 (see
     nc_classical_action_equivalence_report).
     """
-    pt, der, w = _nc_point_data(nc, x)
+    pt = check_point(x, nc.dim)
+    der = derive_nc(nc, pt)
     psi = complex(cf.psi(pt))
     if abs(psi) ** 2 <= EPS_NODE:
         raise NodeEncountered("node in classical action density")
@@ -409,7 +404,7 @@ def nc_classical_action_density_complex_printed(nc: NCBackground, cf: ComplexFie
     dcov = dpsi - 1j * q * a_red * psi
     dcov_c = np.conj(dcov)
     psis = np.conj(psi)
-    h = der.h_up
+    h, w = der.h_up, der.w
     val = 1j * w * (der.v_hat @ (psi * dcov_c - psis * dcov))
     val += -2.0 * der.Phi * w**2 * psi * psis
     val += -0.5 * (dcov @ h @ dcov_c)

@@ -22,8 +22,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import NodeEncountered
-from .stencils import (DEFAULT_FIRST, DEFAULT_SECOND, DerivativeStencil,
-                       hessian, jacobian)
+from .stencils import hessian, jacobian
 
 Array = np.ndarray
 
@@ -60,28 +59,24 @@ class ComplexField:
     d2psi: Callable[[Array], Array]
 
 
-def polar_field(rho, S, *, drho=None, d2rho=None, dS=None, d2S=None,
-                first: DerivativeStencil = DEFAULT_FIRST,
-                second: DerivativeStencil = DEFAULT_SECOND) -> PolarField:
+def polar_field(rho, S, *, drho=None, d2rho=None, dS=None, d2S=None) -> PolarField:
     """Build a PolarField, filling missing derivatives with central FD."""
     return PolarField(
         rho=rho,
         S=S,
-        drho=drho if drho is not None else (lambda x: jacobian(rho, x, first)),
-        d2rho=d2rho if d2rho is not None else (lambda x: hessian(rho, x, second)),
-        dS=dS if dS is not None else (lambda x: jacobian(S, x, first)),
-        d2S=d2S if d2S is not None else (lambda x: hessian(S, x, second)),
+        drho=drho if drho is not None else (lambda x: jacobian(rho, x)),
+        d2rho=d2rho if d2rho is not None else (lambda x: hessian(rho, x)),
+        dS=dS if dS is not None else (lambda x: jacobian(S, x)),
+        d2S=d2S if d2S is not None else (lambda x: hessian(S, x)),
     )
 
 
-def complex_field(psi, *, dpsi=None, d2psi=None,
-                  first: DerivativeStencil = DEFAULT_FIRST,
-                  second: DerivativeStencil = DEFAULT_SECOND) -> ComplexField:
+def complex_field(psi, *, dpsi=None, d2psi=None) -> ComplexField:
     """Build a ComplexField, filling missing derivatives with central FD."""
     return ComplexField(
         psi=psi,
-        dpsi=dpsi if dpsi is not None else (lambda x: jacobian(psi, x, first)),
-        d2psi=d2psi if d2psi is not None else (lambda x: hessian(psi, x, second)),
+        dpsi=dpsi if dpsi is not None else (lambda x: jacobian(psi, x)),
+        d2psi=d2psi if d2psi is not None else (lambda x: hessian(psi, x)),
     )
 
 

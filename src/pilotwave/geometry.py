@@ -4,6 +4,10 @@ A background packages the covariant metric g_MN, the gauge covector A_M and
 the particle parameters (mass, charge).  Everything is a pure function of
 the coordinate point, so backgrounds are safe to share between workers.
 Signature convention is mostly-plus (-, +, ..., +); units are hbar = c = 1.
+
+``metric_data(bg, x)`` is the per-point geometry bundle every residual
+reads: g^{MN}, sqrt(-g) and their gradients, from one checked read of the
+metric.  ``metric_inverse`` and ``volume_element`` give the single objects.
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SignatureViolation, SingularMetric
-from .stencils import DEFAULT_FIRST, DerivativeStencil, jacobian
+from .stencils import derivative_or_fd
 
 Array = np.ndarray
 
@@ -42,9 +46,9 @@ class BackgroundRel:
 
     ``metric(x)`` returns the covariant components g_MN and ``gauge(x)`` the
     covector A_M.  Analytic derivative closures are optional; when absent,
-    central differences with ``first_stencil`` are used.  Index convention
-    for the derivative arrays: axis 0 is the derivative direction, i.e.
-    ``dmetric(x)[M] = d_M g`` and ``dgauge(x)[M, N] = d_M A_N``.
+    central differences are used.  Index convention for the derivative
+    arrays: axis 0 is the derivative direction, i.e. ``dmetric(x)[M] =
+    d_M g`` and ``dgauge(x)[M, N] = d_M A_N``.
     """
 
     dim: int
@@ -54,7 +58,6 @@ class BackgroundRel:
     charge: float = 0.0
     dmetric: Callable[[Array], Array] | None = None
     dgauge: Callable[[Array], Array] | None = None
-    first_stencil: DerivativeStencil = DEFAULT_FIRST
 
     @classmethod
     def minkowski(cls, dim: int = 4, mass: float = 1.0, charge: float = 0.0,
@@ -95,21 +98,25 @@ class BackgroundRel:
 
     def metric_derivative_at(self, x) -> Array:
         """Full derivative stack, shape (D, D, D): out[M] = d_M g."""
-        pt = check_point(x, self.dim)
-        if self.dmetric is not None:
-            return np.asarray(self.dmetric(pt), dtype=float)
-        return jacobian(self.metric, pt, self.first_stencil)
+        return derivative_or_fd(self.metric, self.dmetric, check_point(x, self.dim))
 
     def gauge_derivative_at(self, x) -> Array:
-        pt = check_point(x, self.dim)
-        if self.dgauge is not None:
-            return np.asarray(self.dgauge(pt), dtype=float)
-        return jacobian(self.gauge, pt, self.first_stencil)
+        return derivative_or_fd(self.gauge, self.dgauge, check_point(x, self.dim))
 
 
-def lorentz_signature_count(g: Array) -> int:
-    """Number of negative eigenvalues of a symmetric matrix."""
-    return int(np.sum(np.linalg.eigvalsh(g) < 0.0))
+def _checked_inverse(g: Array) -> tuple[Array, float]:
+    """(g^{MN}, det g) after the checks that ``metric_inverse`` documents."""
+    det = np.linalg.det(g)
+    if abs(det) < DET_FLOOR:
+        raise SingularMetric(f"|det g| = {abs(det):.3e} below {DET_FLOOR:.0e}")
+    if int(np.sum(np.linalg.eigvalsh(g) < 0.0)) != 1:
+        raise SignatureViolation("metric must have exactly one negative eigenvalue")
+    ginv = np.linalg.inv(g)
+    ginv = 0.5 * (ginv + ginv.T)
+    residual = np.max(np.abs(g @ ginv - np.eye(g.shape[0])))
+    if residual >= INVERSE_TOL:
+        raise SingularMetric(f"inverse residual {residual:.3e} exceeds {INVERSE_TOL:.0e}")
+    return ginv, det
 
 
 def metric_inverse(bg: BackgroundRel, x) -> Array:
@@ -119,52 +126,37 @@ def metric_inverse(bg: BackgroundRel, x) -> Array:
     fails its own residual check) and SignatureViolation when the metric
     does not have exactly one negative eigenvalue.
     """
-    g = bg.metric_at(x)
-    det = np.linalg.det(g)
-    if abs(det) < DET_FLOOR:
-        raise SingularMetric(f"|det g| = {abs(det):.3e} below {DET_FLOOR:.0e}")
-    if lorentz_signature_count(g) != 1:
-        raise SignatureViolation("metric must have exactly one negative eigenvalue")
-    ginv = np.linalg.inv(g)
-    ginv = 0.5 * (ginv + ginv.T)
-    residual = np.max(np.abs(g @ ginv - np.eye(bg.dim)))
-    if residual >= INVERSE_TOL:
-        raise SingularMetric(f"inverse residual {residual:.3e} exceeds {INVERSE_TOL:.0e}")
-    return ginv
+    return _checked_inverse(bg.metric_at(x))[0]
 
 
-def volume_element(bg: BackgroundRel, x) -> float:
-    """sqrt(-det g); requires det g < 0."""
-    g = bg.metric_at(x)
-    det = np.linalg.det(g)
+def _volume(det: float) -> float:
     if det >= 0.0:
         raise SignatureViolation(f"det g = {det:.3e} is not negative")
     return float(np.sqrt(-det))
 
 
-def metric_derivative(bg: BackgroundRel, x, m: int) -> Array:
-    """d_m g at x, analytic when a closure is supplied, else central FD."""
-    if not 0 <= m < bg.dim:
-        raise ValueError(f"derivative index {m} out of range for D={bg.dim}")
-    return bg.metric_derivative_at(x)[m]
+def volume_element(bg: BackgroundRel, x) -> float:
+    """sqrt(-det g); requires det g < 0."""
+    return _volume(np.linalg.det(bg.metric_at(x)))
 
 
-def inverse_metric_derivative(bg: BackgroundRel, x, ginv: Array | None = None,
-                              dg: Array | None = None) -> Array:
-    """d_M g^{PQ} = -(g^{-1} d_M g g^{-1}), stacked on axis 0."""
-    if ginv is None:
-        ginv = metric_inverse(bg, x)
-    if dg is None:
-        dg = bg.metric_derivative_at(x)
-    return -np.einsum("pa,mab,bq->mpq", ginv, dg, ginv)
+@dataclass(frozen=True)
+class MetricData:
+    """Lorentzian geometry at one point, shared by every residual."""
+
+    pt: Array     # the checked point
+    ginv: Array   # g^{MN}
+    dginv: Array  # d_M g^{PQ} = -(g^{-1} d_M g g^{-1}), axis 0 = d_M
+    vol: float    # sqrt(-det g)
+    dvol: Array   # d_M sqrt(-g) = (1/2) sqrt(-g) tr(g^{-1} d_M g)
 
 
-def volume_element_derivative(bg: BackgroundRel, x, ginv: Array | None = None,
-                              dg: Array | None = None) -> Array:
-    """d_M sqrt(-g) = (1/2) sqrt(-g) tr(g^{-1} d_M g), shape (D,)."""
-    if ginv is None:
-        ginv = metric_inverse(bg, x)
-    if dg is None:
-        dg = bg.metric_derivative_at(x)
-    vol = volume_element(bg, x)
-    return 0.5 * vol * np.einsum("ab,mba->m", ginv, dg)
+def metric_data(bg: BackgroundRel, x) -> MetricData:
+    """One checked read of the metric at x, inverted, with sqrt(-det g)."""
+    pt = check_point(x, bg.dim)
+    ginv, det = _checked_inverse(bg.metric_at(pt))
+    vol = _volume(det)
+    dg = bg.metric_derivative_at(pt)
+    return MetricData(pt=pt, ginv=ginv,
+                      dginv=-np.einsum("pa,mab,bq->mpq", ginv, dg, ginv),
+                      vol=vol, dvol=0.5 * vol * np.einsum("ab,mba->m", ginv, dg))

@@ -67,7 +67,7 @@ def integrate_fixed(f, t0, y0, t1, steps):
 
 
 def integrate_adaptive(f, t0, y0, t_out, rtol=1e-9, atol=1e-12,
-                       max_step=np.inf, first_step=None, max_steps=1_000_000,
+                       max_step=np.inf, max_steps=1_000_000,
                        step_callback=None):
     """Adaptive integration returning the states at every time in t_out.
 
@@ -86,7 +86,7 @@ def integrate_adaptive(f, t0, y0, t_out, rtol=1e-9, atol=1e-12,
         out[0] = y
         idx = 1
     span = t_out[-1] - t0 if t_out.size else 0.0
-    h = first_step if first_step is not None else min(max_step, abs(span) * 1e-3 + 1e-12)
+    h = min(max_step, abs(span) * 1e-3 + 1e-12)
     k1 = np.asarray(f(t, y), dtype=float)
     n_steps = 0
     while idx < t_out.size:

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateFrame
 from .geometry import check_point
-from .stencils import DEFAULT_FIRST, DerivativeStencil, jacobian
+from .stencils import derivative_or_fd
 
 Array = np.ndarray
 
@@ -56,7 +56,6 @@ class NCBackground:
     dm_field: Callable[[Array], Array] | None = None
     dgauge_bar: Callable[[Array], Array] | None = None
     dphi: Callable[[Array], Array] | None = None
-    first_stencil: DerivativeStencil = DEFAULT_FIRST
 
     @classmethod
     def flat(cls, dim: int = 2, mass: float = 1.0, charge: float = 0.0) -> "NCBackground":
@@ -110,18 +109,9 @@ class NCBackground:
     def data_derivatives_at(self, x):
         """(dtau, dvierbein, dM, dAbar, dphi) with axis 0 the derivative index."""
         pt = check_point(x, self.dim)
-        st = self.first_stencil
-        dt = (np.asarray(self.dtau(pt), dtype=float) if self.dtau is not None
-              else jacobian(self.tau, pt, st))
-        dv = (np.asarray(self.dvierbein(pt), dtype=float) if self.dvierbein is not None
-              else jacobian(self.vierbein, pt, st))
-        dm = (np.asarray(self.dm_field(pt), dtype=float) if self.dm_field is not None
-              else jacobian(self.m_field, pt, st))
-        da = (np.asarray(self.dgauge_bar(pt), dtype=float) if self.dgauge_bar is not None
-              else jacobian(self.gauge_bar, pt, st))
-        dp = (np.asarray(self.dphi(pt), dtype=float) if self.dphi is not None
-              else jacobian(self.phi, pt, st))
-        return dt, dv, dm, da, dp
+        return tuple(derivative_or_fd(f, d, pt) for f, d in (
+            (self.tau, self.dtau), (self.vierbein, self.dvierbein), (self.m_field, self.dm_field),
+            (self.gauge_bar, self.dgauge_bar), (self.phi, self.dphi)))
 
     def reduced_gauge_derivative_at(self, x) -> Array:
         """d_mu A_nu for the reduced gauge field A = Abar - phi M."""
@@ -134,8 +124,12 @@ class NCBackground:
 
 @dataclass(frozen=True)
 class NCDerived:
-    """Objects derived from the frame at one point."""
+    """The frame at one point and every object derived from it."""
 
+    frame: Array      # (tau, e): tau as column 0, the vierbein as columns 1..D-1
+    finv: Array       # inverse frame: row 0 is -v, rows 1..D-1 are e^mu_a
+    m: Array          # mass gauge field M_mu
+    w: float          # effective mass m - q phi
     v: Array          # temporal vector v^mu
     e_inv: Array      # inverse vierbein e^mu_a, shape (D-1, D), row a
     h_up: Array       # h^{mu nu}
@@ -163,12 +157,13 @@ def derive_nc(nc: NCBackground, x) -> NCDerived:
     det = np.linalg.det(frame)
     if abs(det) < FRAME_DET_FLOOR:
         raise DegenerateFrame(f"|det(tau, e)| = {abs(det):.3e} below {FRAME_DET_FLOOR:.0e}")
-    ginv = np.linalg.inv(frame)
-    v = -ginv[0, :]
-    e_inv = ginv[1:, :]
+    finv = np.linalg.inv(frame)
+    v = -finv[0, :]
+    e_inv = finv[1:, :]
     vier = frame[:, 1:]
     tau = frame[:, 0]
     m = np.asarray(nc.m_field(pt), dtype=float)
+    w = nc.mass - nc.charge * float(nc.phi(pt))
     h_up = e_inv.T @ e_inv
     h_down = vier @ vier.T
     hbar = h_down - np.outer(tau, m) - np.outer(m, tau)
@@ -176,8 +171,9 @@ def derive_nc(nc: NCBackground, x) -> NCDerived:
     m_frame = e_inv @ m
     e_hat = vier - np.outer(tau, m_frame)
     phi_pot = float(-v @ m + 0.5 * m @ h_up @ m)
-    return NCDerived(v=v, e_inv=e_inv, h_up=h_up, h_down=h_down, hbar_down=hbar,
-                     v_hat=v_hat, e_hat=e_hat, Phi=phi_pot, vol=float(det))
+    return NCDerived(frame=frame, finv=finv, m=m, w=w, v=v, e_inv=e_inv, h_up=h_up,
+                     h_down=h_down, hbar_down=hbar, v_hat=v_hat, e_hat=e_hat, Phi=phi_pot,
+                     vol=float(det))
 
 
 def derive_nc_partials(nc: NCBackground, x):
@@ -191,11 +187,10 @@ def derive_nc_partials(nc: NCBackground, x):
     """
     pt = check_point(x, nc.dim)
     der = derive_nc(nc, pt)
-    frame = nc.frame_at(pt)
-    finv = np.linalg.inv(frame)
+    finv, m, e_inv = der.finv, der.m, der.e_inv
+    tau, vier = der.frame[:, 0], der.frame[:, 1:]
     dtau, dvier, dm, _, dphi = nc.data_derivatives_at(pt)
     d = nc.dim
-    m = np.asarray(nc.m_field(pt), dtype=float)
 
     dframe = np.empty((d, d, d))
     dframe[:, :, 0] = dtau
@@ -204,9 +199,6 @@ def derive_nc_partials(nc: NCBackground, x):
 
     dv = -dfinv[:, 0, :]
     de_inv = dfinv[:, 1:, :]
-    e_inv = der.e_inv
-    vier = frame[:, 1:]
-    tau = frame[:, 0]
 
     dh_up = (np.einsum("mac,ad->mcd", de_inv, e_inv)
              + np.einsum("ac,mad->mcd", e_inv, de_inv))
@@ -230,7 +222,7 @@ def null_lift(nc: NCBackground, x) -> NullLift:
     pt = check_point(x, nc.dim)
     der = derive_nc(nc, pt)
     d = nc.dim
-    tau = np.asarray(nc.tau(pt), dtype=float)
+    tau = der.frame[:, 0]
     gamma = np.zeros((d + 1, d + 1))
     gamma[:d, :d] = der.hbar_down
     gamma[:d, d] = tau
@@ -253,8 +245,7 @@ def frame_identity_residuals(nc: NCBackground, x) -> dict[str, float]:
     """Max-norm defects of the defining frame relations at x."""
     pt = check_point(x, nc.dim)
     der = derive_nc(nc, pt)
-    tau = np.asarray(nc.tau(pt), dtype=float)
-    vier = nc.frame_at(pt)[:, 1:]
+    tau, vier = der.frame[:, 0], der.frame[:, 1:]
     dm1 = nc.dim - 1
     return {
         "v_dot_tau": abs(float(der.v @ tau) + 1.0),
@@ -269,7 +260,7 @@ def ehat_identity_residual(nc: NCBackground, x) -> float:
     """Defect of ehat.delta.ehat = hbar + 2 Phi tau tau at one point."""
     pt = check_point(x, nc.dim)
     der = derive_nc(nc, pt)
-    tau = np.asarray(nc.tau(pt), dtype=float)
+    tau = der.frame[:, 0]
     lhs = der.e_hat @ der.e_hat.T
     rhs = der.hbar_down + 2.0 * der.Phi * np.outer(tau, tau)
     return float(np.max(np.abs(lhs - rhs)))

@@ -8,13 +8,15 @@ analytic derivatives are required to pass a finite-difference cross-check
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import field_equations as feq
 from .action_principles import BoundaryValueProblem, LagrangianSystem
-from .errors import BadParameter, UnknownScenario
+from .errors import BadParameter, ConfigError, UnknownScenario
 from .fields import ComplexField, PolarField, polar_field, polar_view
 from .geometry import BackgroundRel
 from .nc_geometry import NCBackground
@@ -80,11 +82,33 @@ CHECK_EVALUATORS = {
 # parameter plumbing
 # ---------------------------------------------------------------------------
 
+def is_finite_real(value) -> bool:
+    """True for a finite real number; a bool is not a number here."""
+    return (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
+def _check_kind(key, value, default):
+    """An override must be of its default's kind: string, number list or number."""
+    if isinstance(default, str):
+        ok, kind = isinstance(value, str), "a string"
+    elif isinstance(default, tuple) or default is None:
+        ok = (isinstance(value, (list, tuple)) and len(value) > 0
+              and all(map(is_finite_real, value)) or (default is None and value is None))
+        kind = "a non-empty list of finite numbers" + (" or null" if default is None else "")
+    else:
+        ok, kind = is_finite_real(value), "a finite number"
+    if not ok:
+        raise ConfigError(f"scenario.params.{key}", f"must be {kind}")
+
+
 def _resolve(params, defaults, name):
     params = dict(params or {})
     unknown = set(params) - set(defaults)
     if unknown:
         raise BadParameter(f"{name}: unknown parameter(s) {sorted(unknown)}")
+    for key, value in params.items():
+        _check_kind(key, value, defaults[key])
     out = dict(defaults)
     out.update(params)
     return out

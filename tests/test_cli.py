@@ -237,3 +237,34 @@ def test_superposition_demo_on_newton_cartan_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": {"name": "flat-nc-plane-wave"}})
     assert main(["superposition-demo", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
     assert "scenario.name" in capsys.readouterr().err
+
+
+PACKET = "flat-nc-gaussian-packet"
+
+
+@pytest.mark.parametrize("command, doc, field", [
+    ("check", {"scenario": {"name": "minkowski-plane-wave", "params": {"m": "abc"}}},
+     "scenario.params.m"),
+    ("check", {"scenario": {"name": "minkowski-plane-wave", "params": {"k": "abc"}}},
+     "scenario.params.k"),
+    ("check", {"scenario": {"name": "minkowski-superposition",
+                            "params": {"k1": [0.6, "x", 0.0]}}}, "scenario.params.k1"),
+    ("trajectories", {"scenario": {"name": PACKET},
+                      "trajectories": {"seeds": [[0.0, "a"]]}}, "trajectories.seeds"),
+    ("trajectories", {"scenario": {"name": PACKET},
+                      "trajectories": {"seeds": [[0.0, 0.5, 1.0]]}}, "trajectories.seeds[0]"),
+    ("trajectories", {"scenario": {"name": PACKET},
+                      "trajectories": {"span": ["a", "b"]}}, "trajectories.span"),
+    ("check", {"scenario": {"name": PACKET},
+               "grid": {"bounds": [[0, 1], [0, 1], [0, 1]], "samples": [2, 2, 2]}}, "grid"),
+    ("reduce", {"scenario": {"name": PACKET}, "reduce": {"random_frames": "x"}},
+     "reduce.random_frames"),
+    ("reduce", {"scenario": {"name": PACKET}, "reduce": {"random_frames": 2, "dim": 1}},
+     "reduce.dim"),
+])
+def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, doc, field):
+    cfg = write_config(tmp_path, doc)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert f"'{field}'" in err
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -5,9 +7,8 @@ from hypothesis import strategies as st
 
 from oracles import cofactor_det
 from pilotwave.errors import SignatureViolation, SingularMetric
-from pilotwave.geometry import (BackgroundRel, check_point, metric_derivative,
-                                metric_inverse, volume_element,
-                                volume_element_derivative)
+from pilotwave.geometry import (BackgroundRel, check_point, metric_data,
+                                metric_inverse, volume_element)
 from pilotwave.stencils import jacobian
 from conftest import make_wavy_rel
 
@@ -61,7 +62,7 @@ def test_volume_element_against_cofactor_oracle():
 
 def test_metric_derivative_flat_is_zero():
     bg = BackgroundRel.minkowski(4)
-    assert np.allclose(metric_derivative(bg, np.zeros(4), 1), 0.0)
+    assert np.allclose(bg.metric_derivative_at(np.zeros(4))[1], 0.0)
 
 
 def test_metric_derivative_hand_value():
@@ -71,7 +72,7 @@ def test_metric_derivative_hand_value():
         return g
 
     bg = BackgroundRel(dim=4, metric=metric, gauge=lambda x: np.zeros(4))
-    dg1 = metric_derivative(bg, np.zeros(4), 1)
+    dg1 = bg.metric_derivative_at(np.zeros(4))[1]
     assert dg1[0, 0] == pytest.approx(-0.2, abs=1e-9)
     assert np.max(np.abs(dg1[1:, 1:])) < 1e-12
 
@@ -81,9 +82,8 @@ def test_analytic_derivative_matches_fd_with_richardson():
     rng = np.random.default_rng(1)
     for x in rng.uniform(-1, 1, size=(100, 2)):
         exact = bg.dmetric(x)
-        from pilotwave.stencils import DerivativeStencil
-        err_h = np.max(np.abs(jacobian(bg.metric, x, DerivativeStencil(1, 2e-4)) - exact))
-        err_h2 = np.max(np.abs(jacobian(bg.metric, x, DerivativeStencil(1, 1e-4)) - exact))
+        err_h = np.max(np.abs(jacobian(bg.metric, x, 2e-4) - exact))
+        err_h2 = np.max(np.abs(jacobian(bg.metric, x, 1e-4) - exact))
         # central differences: halving the step divides the error by ~4
         assert err_h2 <= err_h / 4.0 * 1.6 + 1e-12
         assert err_h2 < 1e-6
@@ -91,10 +91,27 @@ def test_analytic_derivative_matches_fd_with_richardson():
 
 def test_volume_element_derivative_matches_fd(wavy_rel):
     x = np.array([0.3, -0.4])
-    dvol = volume_element_derivative(wavy_rel, x)
+    dvol = metric_data(wavy_rel, x).dvol
     from oracles import nested_gradient
     fd = nested_gradient(lambda p: volume_element(wavy_rel, p), x)
     assert np.max(np.abs(dvol - fd)) < 1e-8
+
+
+def test_inverse_metric_derivative_matches_fd(wavy_rel):
+    from oracles import nested_gradient
+    rng = np.random.default_rng(2)
+    for x in rng.uniform(-0.8, 0.8, size=(10, 2)):
+        fd = nested_gradient(lambda p: metric_inverse(wavy_rel, p), x)
+        assert np.max(np.abs(metric_data(wavy_rel, x).dginv - fd)) < 1e-8
+
+
+def test_metric_data_reads_the_metric_once(wavy_rel):
+    reads = []
+    bg = dataclasses.replace(wavy_rel, metric=lambda x: reads.append(1) or wavy_rel.metric(x))
+    md = metric_data(bg, np.array([0.3, -0.4]))
+    assert len(reads) == 1
+    assert np.array_equal(md.ginv, metric_inverse(wavy_rel, md.pt))
+    assert md.vol == volume_element(wavy_rel, md.pt)
 
 
 def test_singular_metric_raises():

@@ -129,6 +129,16 @@ def test_derived_partials_match_fd(wavy_nc):
         assert np.max(np.abs(parts["e_inv"] - fd_einv)) < 1e-6
 
 
+def test_derived_frame_bundle(wavy_nc):
+    rng = np.random.default_rng(4)
+    for x in rng.uniform(-0.8, 0.8, size=(10, 2)):
+        der = derive_nc(wavy_nc, x)
+        assert np.array_equal(der.frame, wavy_nc.frame_at(x))
+        assert np.max(np.abs(der.finv @ der.frame - np.eye(2))) < 1e-14
+        assert np.array_equal(der.m, wavy_nc.m_field(x))
+        assert der.w == wavy_nc.mass - wavy_nc.charge * wavy_nc.phi(x)
+
+
 def test_degenerate_frame_raises():
     nc = NCBackground.constant(tau=[1.0, 0.0], vierbein=[[2.0], [0.0]])
     with pytest.raises(DegenerateFrame):
