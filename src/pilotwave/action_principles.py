@@ -10,17 +10,22 @@ residual at each interior node is
 with V = D X and the outer d/dlambda applied by the same stencils to the
 nodal momenta p_i = dL/dXdot.  Newton drives max|R| below tolerance.
 
+L is pointwise, so the Newton Jacobian J = Lxx + Lxv D - D (Lvx + Lvv D),
+restricted to the interior, is assembled from per-node second partials of L
+and kept as a chord Jacobian while full Newton steps are accepted.
+
 Endpoint derivatives of the extremal action are the content of the
 Hamilton-Jacobi relations:
 
     dS/dX_f = p(lambda_f),      dS/dlambda_f = -H(lambda_f),
 
 verified here by re-extremizing at displaced endpoints, with one Richardson
-extrapolation step on the central differences.
+extrapolation step on the central differences.  The displaced problems start
+from the base problem's Jacobian and each iterates to tolerance on its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -31,12 +36,16 @@ from .report import ResidualReport
 Array = np.ndarray
 
 ARG_STEP = 1e-5          # FD step for dL/dX, dL/dXdot
-JACOBIAN_STEP = 1e-6
+JACOBIAN_STEP = 1e-6     # FD step for the second partials of L
 # The residual noise floor is eps*|L|/ARG_STEP amplified by the stencil row
 # sum ~ 1.5/dl; 1e-8 sits above it for unit-scale problems on spans >~ 0.5.
 NEWTON_TOL = 1e-8
 MAX_NEWTON_ITER = 60
-_COLOR_STRIDE = 13       # exceeds the residual dependence bandwidth
+# fourth-order first-derivative stencils (times 12 dl): the two rows at the
+# start (mirrored and negated at the end) and the centred interior row
+FORWARD_STENCILS = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0],
+                             [-3.0, -10.0, 18.0, -6.0, 1.0]])
+CENTRAL_STENCIL = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
 
 
 @dataclass(frozen=True)
@@ -53,10 +62,6 @@ class LagrangianSystem:
     lagrangian: Callable[[Array, Array, Array], Array]
     hamiltonian: Callable[[Array, Array], float] | None = None
     momentum: Callable[[Array, Array], Array] | None = None
-
-    def single(self, x, v, lam) -> float:
-        val = self.lagrangian(np.atleast_2d(x), np.atleast_2d(v), np.atleast_1d(lam))
-        return float(np.asarray(val).reshape(-1)[0])
 
 
 @dataclass(frozen=True)
@@ -83,11 +88,15 @@ class BoundaryValueProblem:
 
 @dataclass(frozen=True)
 class DiscretizedPath:
-    """Uniformly sampled trajectory with nodal velocities."""
+    """Uniformly sampled trajectory with nodal velocities.
+
+    ``jacobian`` is the Newton Jacobian ``extremize`` last used, if any.
+    """
 
     lambdas: Array   # (n,)
     points: Array    # (n, dim)
     velocities: Array
+    jacobian: Array | None = field(default=None, compare=False, repr=False)
 
     @property
     def intervals(self) -> int:
@@ -99,26 +108,34 @@ def differentiation_matrix(n: int, dl: float) -> Array:
     if n < 5:
         raise ValueError("need at least 5 nodes for the fourth-order stencils")
     d = np.zeros((n, n))
-    d[0, :5] = np.array([-25.0, 48.0, -36.0, 16.0, -3.0])
-    d[1, :5] = np.array([-3.0, -10.0, 18.0, -6.0, 1.0])
-    for i in range(2, n - 2):
-        d[i, i - 2:i + 3] = np.array([1.0, -8.0, 0.0, 8.0, -1.0])
-    d[n - 2, n - 5:] = -d[1, :5][::-1]
-    d[n - 1, n - 5:] = -d[0, :5][::-1]
+    d[:2, :5] = FORWARD_STENCILS
+    rows = np.arange(2, n - 2)[:, None]
+    d[rows, rows + np.arange(-2, 3)] = CENTRAL_STENCIL
+    d[n - 2:, n - 5:] = -FORWARD_STENCILS[::-1, ::-1]
     return d / (12.0 * dl)
 
 
-def _nodal_partials(sys: LagrangianSystem, X, V, lam, step=ARG_STEP):
-    """dL/dX and dL/dV at every node by vectorized central differences."""
+def _central_differences(f, X, V, lam, step):
+    """d f / d(X, V) at every node, f evaluated once on stacked shifted copies.
+
+    f maps (X, V, lam) with shapes (k, dim), (k, dim), (k,) to (k, ...);
+    the result has shape (n, ..., 2 dim): X axes first, then V axes.
+    """
     n, dim = X.shape
-    lx = np.empty((n, dim))
-    lv = np.empty((n, dim))
-    for d in range(dim):
-        e = np.zeros((1, dim))
-        e[0, d] = step
-        lx[:, d] = (sys.lagrangian(X + e, V, lam) - sys.lagrangian(X - e, V, lam)) / (2 * step)
-        lv[:, d] = (sys.lagrangian(X, V + e, lam) - sys.lagrangian(X, V - e, lam)) / (2 * step)
-    return lx, lv
+    e = step * np.eye(dim)[:, None, :]                  # (dim, 1, dim)
+    X_, V_ = (np.broadcast_to(a, (dim, n, dim)) for a in (X, V))
+    xs = np.concatenate([X_ + e, X_ - e, X_, X_])       # (4 dim, n, dim)
+    vs = np.concatenate([V_, V_, V_ + e, V_ - e])
+    vals = f(xs.reshape(-1, dim), vs.reshape(-1, dim), np.tile(lam, 4 * dim))
+    vals = np.asarray(vals).reshape(4, dim, n, *np.shape(vals)[1:])
+    diff = np.concatenate([vals[0] - vals[1], vals[2] - vals[3]]) / (2 * step)
+    return np.moveaxis(diff, 0, -1)
+
+
+def _nodal_partials(sys: LagrangianSystem, X, V, lam, step=ARG_STEP):
+    """dL/dX and dL/dV at every node, (n, dim) each, from one Lagrangian call."""
+    grad = _central_differences(sys.lagrangian, X, V, lam, step)
+    return np.split(grad, 2, axis=-1)
 
 
 def euler_lagrange_residual(sys: LagrangianSystem, path: DiscretizedPath) -> Array:
@@ -127,8 +144,7 @@ def euler_lagrange_residual(sys: LagrangianSystem, path: DiscretizedPath) -> Arr
     dl = (path.lambdas[-1] - path.lambdas[0]) / (n - 1)
     dmat = differentiation_matrix(n, dl)
     lx, lv = _nodal_partials(sys, path.points, path.velocities, path.lambdas)
-    dp = dmat @ lv
-    return (lx - dp)[1:-1]
+    return (lx - dmat @ lv)[1:-1]
 
 
 def _residual_from_interior(sys, bvp, dmat, lam, interior):
@@ -143,14 +159,43 @@ def _residual_from_interior(sys, bvp, dmat, lam, interior):
     return ((lx - dmat @ lv)[1:-1]).ravel(), X, V
 
 
+def _assembled_jacobian(sys, dmat, X, V, lam):
+    """Newton Jacobian dR/du, J = (Lxx + Lxv D) - D (Lvx + Lvv D), on the interior."""
+    n, dim = X.shape
+    hess = _central_differences(
+        lambda x, v, l: _central_differences(sys.lagrangian, x, v, l, ARG_STEP),
+        X, V, lam, JACOBIAN_STEP)                     # (n, 2 dim, 2 dim)
+    node = np.arange(n)
+
+    def nodal(diag, right):
+        """diag_i delta_ik + right_i D_ik as an (n, dim, n, dim) operator."""
+        op = dmat[:, None, :, None] * right[:, :, None]
+        op[node, :, node] += diag
+        return op
+
+    jac = nodal(hess[:, :dim, :dim], hess[:, :dim, dim:])
+    v_rows = nodal(hess[:, dim:, :dim], hess[:, dim:, dim:])
+    jac -= (dmat @ v_rows.reshape(n, -1)).reshape(jac.shape)
+    m = (n - 2) * dim
+    return jac[1:-1, :, 1:-1, :].reshape(m, m)
+
+
 def extremize(sys: LagrangianSystem, bvp: BoundaryValueProblem,
               initial: Array | None = None, tol: float = NEWTON_TOL,
-              max_iter: int = MAX_NEWTON_ITER) -> DiscretizedPath:
+              max_iter: int = MAX_NEWTON_ITER,
+              jacobian: Array | None = None) -> DiscretizedPath:
     """Damped-Newton solve of the collocated stationarity conditions.
 
     ``initial`` may supply a full (n, dim) starting path (endpoints are
-    overwritten); the default is the straight line.  Raises NoConvergence
-    with the best residual reached when the iteration stalls.
+    overwritten); the default is the straight line.  ``jacobian`` may supply
+    a starting chord Jacobian, for example the ``jacobian`` of the path of a
+    nearby problem on the same grid; by default it is assembled at the
+    starting path.  The chord Jacobian is kept while full steps are
+    accepted; it is rebuilt at the current iterate after a damped step, and
+    once when the line search stalls.  The returned path carries the
+    Jacobian last used (given or, if the start was already stationary,
+    assembled at the solution).  Raises NoConvergence with the best
+    residual reached when the iteration stalls.
     """
     lam = bvp.grid()
     n = lam.size
@@ -164,67 +209,45 @@ def extremize(sys: LagrangianSystem, bvp: BoundaryValueProblem,
         init_path = np.asarray(initial, dtype=float).reshape(n, dim)
     u = init_path[1:-1].ravel().copy()
 
-    r, _, _ = _residual_from_interior(sys, bvp, dmat, lam, u)
+    r, X, V = _residual_from_interior(sys, bvp, dmat, lam, u)
     best = float(np.max(np.abs(r))) if r.size else 0.0
-    jac = None
+    jac = jacobian
+    rebuild = jac is None
     refreshed = False
     for _ in range(max_iter):
         if np.max(np.abs(r)) < tol:
             break
-        if jac is None:
-            jac = _colored_jacobian(sys, bvp, dmat, lam, u, r, dim)
+        if rebuild:
+            jac = _assembled_jacobian(sys, dmat, X, V, lam)
         try:
             step = np.linalg.solve(jac, -r)
         except np.linalg.LinAlgError as exc:
             raise NoConvergence(f"singular Newton system: {exc}", best_residual=best)
         norm0 = float(r @ r)
         alpha = 1.0
-        r_try = None
+        accepted = None
         for _ in range(30):
-            r_cand, _, _ = _residual_from_interior(sys, bvp, dmat, lam, u + alpha * step)
-            if float(r_cand @ r_cand) <= (1.0 - 1e-4 * alpha) * norm0:
-                r_try = r_cand
+            cand = _residual_from_interior(sys, bvp, dmat, lam, u + alpha * step)
+            if float(cand[0] @ cand[0]) <= (1.0 - 1e-4 * alpha) * norm0:
+                accepted = cand
                 break
             alpha *= 0.5
-        if r_try is None:
+        if accepted is None:
             if refreshed:
                 raise NoConvergence("line search stalled", best_residual=best)
-            jac = None  # stale chord Jacobian: rebuild once and retry
-            refreshed = True
+            rebuild = refreshed = True  # stale chord Jacobian: rebuild once and retry
             continue
         refreshed = False
         u = u + alpha * step
-        r = r_try
+        r, X, V = accepted
         best = min(best, float(np.max(np.abs(r))))
-        if alpha < 1.0:
-            jac = None
+        rebuild = alpha < 1.0
     else:
         raise NoConvergence(f"no convergence after {max_iter} iterations",
                             best_residual=best)
-    _, X, V = _residual_from_interior(sys, bvp, dmat, lam, u)
-    return DiscretizedPath(lambdas=lam, points=X, velocities=V)
-
-
-def _colored_jacobian(sys, bvp, dmat, lam, u, r0, dim):
-    """FD Jacobian, grouping columns separated by the dependence bandwidth."""
-    m = u.size
-    n_nodes = m // dim
-    jac = np.zeros((m, m))
-    h = JACOBIAN_STEP
-    for color in range(min(_COLOR_STRIDE, n_nodes)):
-        for d in range(dim):
-            cols = [node * dim + d for node in range(color, n_nodes, _COLOR_STRIDE)]
-            du = np.zeros(m)
-            du[cols] = h
-            r_plus, _, _ = _residual_from_interior(sys, bvp, dmat, lam, u + du)
-            r_minus, _, _ = _residual_from_interior(sys, bvp, dmat, lam, u - du)
-            dr = (r_plus - r_minus) / (2 * h)
-            for col in cols:
-                node = col // dim
-                lo = max(0, (node - _COLOR_STRIDE // 2)) * dim
-                hi = min(n_nodes, node + _COLOR_STRIDE // 2 + 1) * dim
-                jac[lo:hi, col] = dr[lo:hi]
-    return jac
+    if jac is None:  # the start was stationary: nearby problems still get a chord
+        jac = _assembled_jacobian(sys, dmat, X, V, lam)
+    return DiscretizedPath(lambdas=lam, points=X, velocities=V, jacobian=jac)
 
 
 def action_value(sys: LagrangianSystem, path: DiscretizedPath) -> float:
@@ -242,29 +265,9 @@ def action_value(sys: LagrangianSystem, path: DiscretizedPath) -> float:
 
 def endpoint_state(sys: LagrangianSystem, path: DiscretizedPath):
     """(p_f, H_f) at the final node, from finite differences of L."""
-    xf = path.points[-1]
-    vf = path.velocities[-1]
-    lamf = path.lambdas[-1]
-    p = np.empty_like(vf)
-    for d in range(vf.size):
-        e = np.zeros_like(vf)
-        e[d] = ARG_STEP
-        p[d] = (sys.single(xf, vf + e, lamf) - sys.single(xf, vf - e, lamf)) / (2 * ARG_STEP)
-    h = float(p @ vf - sys.single(xf, vf, lamf))
-    return p, h
-
-
-def _extremal_action(sys, bvp, initial=None):
-    path = extremize(sys, bvp, initial=initial)
-    return action_value(sys, path), path
-
-
-def _replace_endpoint(bvp, xf=None, lambdaf=None):
-    return BoundaryValueProblem(
-        x0=bvp.x0, xf=bvp.xf if xf is None else xf,
-        lambda0=bvp.lambda0,
-        lambdaf=bvp.lambdaf if lambdaf is None else lambdaf,
-        intervals=bvp.intervals)
+    x, v, lam = path.points[-1:], path.velocities[-1:], path.lambdas[-1:]
+    p = _nodal_partials(sys, x, v, lam)[1][0]
+    return p, float(p @ v[0] - sys.lagrangian(x, v, lam)[0])
 
 
 def _ramp_guess(base: DiscretizedPath, delta: Array) -> Array:
@@ -273,11 +276,7 @@ def _ramp_guess(base: DiscretizedPath, delta: Array) -> Array:
 
 
 def _rescale_guess(base: DiscretizedPath, new_lam: Array) -> Array:
-    old = base.lambdas
-    out = np.empty((new_lam.size, base.points.shape[1]))
-    for d in range(base.points.shape[1]):
-        out[:, d] = np.interp(new_lam, old, base.points[:, d])
-    return out
+    return np.stack([np.interp(new_lam, base.lambdas, col) for col in base.points.T], axis=1)
 
 
 @dataclass(frozen=True)
@@ -296,19 +295,20 @@ def endpoint_derivatives(sys: LagrangianSystem, bvp: BoundaryValueProblem,
     """Finite-difference endpoint derivatives of the extremal action.
 
     Central differences at steps fd_step and fd_step/2 combined by one
-    Richardson extrapolation; each displaced problem is re-extremized,
-    warm-started from the base extremal.
+    Richardson extrapolation; each displaced problem is re-extremized to
+    tolerance, warm-started from the base extremal and its Jacobian.
     """
-    s0, base = _extremal_action(sys, bvp)
+    base = extremize(sys, bvp)
     dim = bvp.x0.size
+
+    def displaced(bvp_d, initial):
+        return action_value(sys, extremize(sys, bvp_d, initial=initial, jacobian=base.jacobian))
 
     def slope_x(d, delta):
         e = np.zeros(dim)
         e[d] = delta
-        sp, _ = _extremal_action(sys, _replace_endpoint(bvp, xf=bvp.xf + e),
-                                 initial=_ramp_guess(base, e))
-        sm, _ = _extremal_action(sys, _replace_endpoint(bvp, xf=bvp.xf - e),
-                                 initial=_ramp_guess(base, -e))
+        sp = displaced(replace(bvp, xf=bvp.xf + e), _ramp_guess(base, e))
+        sm = displaced(replace(bvp, xf=bvp.xf - e), _ramp_guess(base, -e))
         return (sp - sm) / (2 * delta)
 
     ds_dx = np.empty(dim)
@@ -318,10 +318,10 @@ def endpoint_derivatives(sys: LagrangianSystem, bvp: BoundaryValueProblem,
         ds_dx[d] = (4.0 * fine - coarse) / 3.0
 
     def slope_lam(delta):
-        bp = _replace_endpoint(bvp, lambdaf=bvp.lambdaf + delta)
-        bm = _replace_endpoint(bvp, lambdaf=bvp.lambdaf - delta)
-        sp, _ = _extremal_action(sys, bp, initial=_rescale_guess(base, bp.grid()))
-        sm, _ = _extremal_action(sys, bm, initial=_rescale_guess(base, bm.grid()))
+        bp = replace(bvp, lambdaf=bvp.lambdaf + delta)
+        bm = replace(bvp, lambdaf=bvp.lambdaf - delta)
+        sp = displaced(bp, _rescale_guess(base, bp.grid()))
+        sm = displaced(bm, _rescale_guess(base, bm.grid()))
         return (sp - sm) / (2 * delta)
 
     coarse = slope_lam(fd_step)
@@ -330,7 +330,7 @@ def endpoint_derivatives(sys: LagrangianSystem, bvp: BoundaryValueProblem,
 
     p_f, h_f = endpoint_state(sys, base)
     return EndpointDerivatives(dS_dXf=ds_dx, p_f=p_f, dS_dlambdaf=float(ds_dl),
-                               H_f=h_f, action=s0)
+                               H_f=h_f, action=action_value(sys, base))
 
 
 def verify_hj_relations(sys: LagrangianSystem, bvps,
@@ -367,23 +367,18 @@ def hermite_resample(path: DiscretizedPath, refine: int) -> DiscretizedPath:
     lam = path.lambdas
     n = lam.size
     new_lam = np.linspace(lam[0], lam[-1], (n - 1) * refine + 1)
-    pts = np.empty((new_lam.size, path.points.shape[1]))
-    vel = np.empty_like(pts)
     dl = lam[1] - lam[0]
     idx = np.minimum(((new_lam - lam[0]) / dl).astype(int), n - 2)
-    t = (new_lam - lam[idx]) / dl
-    for d in range(path.points.shape[1]):
-        p0 = path.points[idx, d]
-        p1 = path.points[idx + 1, d]
-        v0 = path.velocities[idx, d] * dl
-        v1 = path.velocities[idx + 1, d] * dl
-        h00 = 2 * t**3 - 3 * t**2 + 1
-        h10 = t**3 - 2 * t**2 + t
-        h01 = -2 * t**3 + 3 * t**2
-        h11 = t**3 - t**2
-        pts[:, d] = h00 * p0 + h10 * v0 + h01 * p1 + h11 * v1
-        vel[:, d] = (6 * t**2 - 6 * t) / dl * p0 + (3 * t**2 - 4 * t + 1) * v0 / dl \
-            + (6 * t - 6 * t**2) / dl * p1 + (3 * t**2 - 2 * t) * v1 / dl
+    t = ((new_lam - lam[idx]) / dl)[:, None]
+    p0, p1 = path.points[idx], path.points[idx + 1]
+    v0, v1 = path.velocities[idx] * dl, path.velocities[idx + 1] * dl
+    h00 = 2 * t**3 - 3 * t**2 + 1
+    h10 = t**3 - 2 * t**2 + t
+    h01 = -2 * t**3 + 3 * t**2
+    h11 = t**3 - t**2
+    pts = h00 * p0 + h10 * v0 + h01 * p1 + h11 * v1
+    vel = (6 * t**2 - 6 * t) / dl * p0 + (3 * t**2 - 4 * t + 1) * v0 / dl \
+        + (6 * t - 6 * t**2) / dl * p1 + (3 * t**2 - 2 * t) * v1 / dl
     return DiscretizedPath(lambdas=new_lam, points=pts, velocities=vel)
 
 

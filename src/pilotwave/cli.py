@@ -117,9 +117,12 @@ class RunConfig:
             if not (isinstance(gdoc["bounds"], list)
                     and all(_is_number_list(b, 2) for b in gdoc["bounds"])):
                 raise ConfigError("grid.bounds", "must be a list of [lo, hi] number pairs")
+            if not isinstance(gdoc["samples"], list):
+                raise ConfigError("grid.samples", "must be a list of integers")
+            for n in gdoc["samples"]:
+                _check_number("grid.samples", n, integer=True)
             try:
-                grid = GridSpec(tuple(tuple(b) for b in gdoc["bounds"]),
-                                tuple(int(n) for n in gdoc["samples"]))
+                grid = GridSpec(tuple(tuple(b) for b in gdoc["bounds"]), tuple(gdoc["samples"]))
             except (TypeError, ValueError) as exc:
                 raise ConfigError("grid", str(exc))
         traj = doc.get("trajectories")

@@ -2,10 +2,13 @@
 
 Everything here recomputes results through a route different from the
 implementation under test: whole-bracket nested finite differencing,
-cofactor determinant expansion, a plain fixed-step RK4, and a geodesic
-integrator driven by Christoffel symbols from its own metric differencing.
+cofactor determinant expansion, a plain fixed-step RK4, a geodesic
+integrator driven by Christoffel symbols from its own metric differencing,
+and a Newton Jacobian differenced from the whole collocated residual.
 """
 import numpy as np
+
+from pilotwave.action_principles import _residual_from_interior, differentiation_matrix
 
 
 def cofactor_det(a):
@@ -103,3 +106,36 @@ def integrate_geodesic(metric_fn, x0, u0, tau_grid):
     y0 = np.concatenate([np.asarray(x0, dtype=float), np.asarray(u0, dtype=float)])
     states = rk4_path(rhs, tau_grid[0], y0, tau_grid)
     return states[:, :d]
+
+
+_COLOR_STRIDE = 13       # exceeds the residual dependence bandwidth
+
+
+def _colored_jacobian(sys, bvp, u, h=1e-6):
+    """Newton Jacobian of the collocated residual at the interior path u.
+
+    Differences the whole residual, one column group at a time: columns
+    _COLOR_STRIDE nodes apart share a perturbation because the residual at a
+    node depends only on nodes within the stencil bandwidth (Curtis, Powell
+    and Reid 1974).
+    """
+    lam = bvp.grid()
+    dmat = differentiation_matrix(lam.size, (bvp.lambdaf - bvp.lambda0) / bvp.intervals)
+    dim = bvp.x0.size
+    m = u.size
+    n_nodes = m // dim
+    jac = np.zeros((m, m))
+    for color in range(min(_COLOR_STRIDE, n_nodes)):
+        for d in range(dim):
+            cols = [node * dim + d for node in range(color, n_nodes, _COLOR_STRIDE)]
+            du = np.zeros(m)
+            du[cols] = h
+            r_plus, _, _ = _residual_from_interior(sys, bvp, dmat, lam, u + du)
+            r_minus, _, _ = _residual_from_interior(sys, bvp, dmat, lam, u - du)
+            dr = (r_plus - r_minus) / (2 * h)
+            for col in cols:
+                node = col // dim
+                lo = max(0, (node - _COLOR_STRIDE // 2)) * dim
+                hi = min(n_nodes, node + _COLOR_STRIDE // 2 + 1) * dim
+                jac[lo:hi, col] = dr[lo:hi]
+    return jac

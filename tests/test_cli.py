@@ -261,6 +261,9 @@ PACKET = "flat-nc-gaussian-packet"
      "reduce.random_frames"),
     ("reduce", {"scenario": {"name": PACKET}, "reduce": {"random_frames": 2, "dim": 1}},
      "reduce.dim"),
+    *(("check", {"scenario": {"name": "flat-nc-plane-wave"},
+                 "grid": {"bounds": [[0, 1], [0, 1]], "samples": samples}}, "grid.samples")
+      for samples in ([2.7, 3], [True, 3], ["3", 3])),
 ])
 def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, doc, field):
     cfg = write_config(tmp_path, doc)
