@@ -22,7 +22,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import tempfile
@@ -33,7 +32,7 @@ import numpy as np
 
 from . import scenarios as scen
 from .dynamics import GuidanceField, integrate_trajectory
-from .errors import BadParameter, ConfigError, PilotwaveError, UnknownScenario
+from .errors import ConfigError, PilotwaveError
 from .nc_geometry import (NCBackground, ehat_identity_residual,
                           frame_identity_residuals, null_lift_residuals,
                           random_frame_background)
@@ -44,137 +43,104 @@ COMMANDS = ("check", "residuals", "trajectories", "reduce", "hj-verify",
             "superposition-demo")
 
 _EPILOG = """\
-config document (JSON):
-  scenario.name       registry scenario (required)
-  scenario.params     parameter overrides (optional)
-  command             optional; must match the subcommand when present
-  grid.bounds         [[lo, hi], ...] per axis        (optional)
-  grid.samples        [n, ...] per axis, each >= 2    (optional)
-  trajectories        {seeds, span, steps, rtol, atol, tolerance}
-  residuals           subset of check names for the residuals command
-  reduce              {random_frames, seed, dim} extra frame sampling
-  hj.fd_step          endpoint finite-difference step (default 1e-4)
-  format, out         defaults for --format and --out (flags win)
+config document (JSON); unknown keys are rejected at every level:
+  scenario.name           registry scenario (required)
+  scenario.params         overrides, each of its default's kind (optional)
+  command                 optional; must match the subcommand when present
+  grid.bounds             [[lo, hi], ...] per axis           (optional,
+  grid.samples            [n, ...] per axis, each >= 2        both or neither)
+  trajectories.seeds      start points (default: the scenario's)
+  trajectories.span       [lambda0, lambda1] (default: the scenario's)
+  trajectories.steps      output samples per seed, >= 2 (default 51)
+  trajectories.rtol       integrator relative tolerance (default 1e-9)
+  trajectories.atol       integrator absolute tolerance (default 1e-12)
+  trajectories.tolerance  constraint gate (default: the scenario's)
+  residuals               subset of check names for the residuals command
+  reduce.random_frames    extra random frames to check (default 0)
+  reduce.seed             their generator seed (default 0)
+  reduce.dim              their dimension, 2..10 (default: the scenario's)
+  hj.fd_step              endpoint finite-difference step (default 1e-4)
+  format                  default for --format, json (the flag wins)
+  out                     default for --out, ./out (the flag wins)
 
 CSV columns: reports are x0..x{D-1},value; trajectories are
 lambda,X0..X{D-1},p0..p{D-1},constraint_residual; floats carry 17
 significant digits.  See FORMATS.md.
 """
 
+# Every config field: a section maps key -> (kind, default), and a nested
+# dict is a sub-section.  Kinds are those of ``scenarios.check_value``; a
+# None default means not given (a scenario default applies where there is one).
+FIELDS = {
+    "scenario": {"name": (tuple(scen.REGISTRY), None), "params": ("object", {})},
+    "command": (COMMANDS, None),
+    "grid": {"bounds": (["span"], None), "samples": (["count"], None)},
+    "trajectories": {"seeds": (["vector"], None), "span": ("span", None),
+                     "steps": ("count", 51), "rtol": ("positive", 1e-9),
+                     "atol": ("positive", 1e-12), "tolerance": ("positive", None)},
+    "residuals": (["string"], None),
+    "reduce": {"random_frames": ("index", 0), "seed": ("index", 0), "dim": ("frame-dim", None)},
+    "hj": {"fd_step": ("positive", 1e-4)},
+    "format": (("csv", "json"), "json"),
+    "out": ("string", "out"),
+}
 
-def _check_number(field: str, value, integer: bool = False, least: int = 2) -> None:
-    """Require a finite positive number, or an integer >= least for a count."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ConfigError(field, "must be an integer" if integer else "must be a number")
-    if not (math.isfinite(value) and (value >= least if integer else value > 0)):
-        raise ConfigError(field,
-                          f"must be >= {least}" if integer else "must be positive and finite")
 
-
-def _is_number_list(value, size: int | None = None) -> bool:
-    """A list of finite numbers, of the given length if one is given."""
-    return (isinstance(value, list) and all(map(scen.is_finite_real, value))
-            and (size is None or len(value) == size))
+def _resolve_fields(doc, fields, prefix=""):
+    """Check one config object against its declared fields and fill in defaults;
+    a null at the top level counts as not given."""
+    scen.check_value(prefix[:-1] or "<root>", doc, "object")
+    for key in doc:
+        if key not in fields:
+            raise ConfigError(prefix + key, "unknown config field")
+    out = {}
+    for key, spec in fields.items():
+        given = key in doc and (doc[key] is not None or bool(prefix))
+        if isinstance(spec, dict):
+            out[key] = _resolve_fields(doc[key] if given else {}, spec, f"{prefix}{key}.")
+        else:
+            kind, default = spec
+            out[key] = scen.check_value(prefix + key, doc[key], kind) if given else default
+    return out
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """A checked config document with every default filled in."""
+
     scenario_name: str
     scenario_params: dict
     command: str | None
     grid: GridSpec | None
-    trajectories: dict | None
+    trajectories: dict
     residuals: list | None
-    reduce: dict | None
-    hj_fd_step: float
-    format: str | None
-    out: str | None
+    reduce: dict
+    hj: dict
+    format: str
+    out: str
     raw: dict
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "RunConfig":
-        if not isinstance(doc, dict):
-            raise ConfigError("<root>", "config must be a JSON object")
-        sc = doc.get("scenario")
-        if sc is None:
-            raise ConfigError("scenario", "missing")
-        if not isinstance(sc, dict) or "name" not in sc:
+    def from_dict(cls, doc) -> "RunConfig":
+        values = _resolve_fields(doc, FIELDS)
+        scenario = values.pop("scenario")
+        if scenario["name"] is None:
             raise ConfigError("scenario.name", "missing")
-        name = sc["name"]
-        if not isinstance(name, str):
-            raise ConfigError("scenario.name", "must be a string")
-        params = sc.get("params", {})
-        if not isinstance(params, dict):
-            raise ConfigError("scenario.params", "must be an object")
-        command = doc.get("command")
-        if command is not None and command not in COMMANDS:
-            raise ConfigError("command", f"must be one of {COMMANDS}")
-        grid = None
-        if "grid" in doc:
-            gdoc = doc["grid"]
-            if not isinstance(gdoc, dict) or "bounds" not in gdoc or "samples" not in gdoc:
-                raise ConfigError("grid", "needs 'bounds' and 'samples'")
-            if not (isinstance(gdoc["bounds"], list)
-                    and all(_is_number_list(b, 2) for b in gdoc["bounds"])):
-                raise ConfigError("grid.bounds", "must be a list of [lo, hi] number pairs")
-            if not isinstance(gdoc["samples"], list):
-                raise ConfigError("grid.samples", "must be a list of integers")
-            for n in gdoc["samples"]:
-                _check_number("grid.samples", n, integer=True)
+        grid = values.pop("grid")
+        if "grid" not in doc:
+            grid = None
+        elif grid["bounds"] is None or grid["samples"] is None:
+            raise ConfigError("grid", "needs 'bounds' and 'samples'")
+        else:
             try:
-                grid = GridSpec(tuple(tuple(b) for b in gdoc["bounds"]), tuple(gdoc["samples"]))
-            except (TypeError, ValueError) as exc:
+                grid = GridSpec(tuple(map(tuple, grid["bounds"])), tuple(grid["samples"]))
+            except ValueError as exc:
                 raise ConfigError("grid", str(exc))
-        traj = doc.get("trajectories")
-        if traj is not None:
-            if not isinstance(traj, dict):
-                raise ConfigError("trajectories", "must be an object")
-            if "seeds" in traj:
-                seeds = traj["seeds"]
-                if not isinstance(seeds, list) or not all(map(_is_number_list, seeds)):
-                    raise ConfigError("trajectories.seeds", "must be a list of number lists")
-                if grid is not None:
-                    for i, s in enumerate(seeds):
-                        if not grid.contains(s):
-                            raise ConfigError(f"trajectories.seeds[{i}]",
-                                              "seed outside grid bounds")
-            if "span" in traj:
-                span = traj["span"]
-                if not _is_number_list(span, 2) or not span[1] > span[0]:
-                    raise ConfigError("trajectories.span", "must be an increasing number pair")
-            if "steps" in traj:
-                _check_number("trajectories.steps", traj["steps"], integer=True)
-            for key in ("rtol", "atol", "tolerance"):
-                if key in traj:
-                    _check_number(f"trajectories.{key}", traj[key])
-        residuals = doc.get("residuals")
-        if residuals is not None and (not isinstance(residuals, list)
-                                      or not all(isinstance(r, str) for r in residuals)):
-            raise ConfigError("residuals", "must be a list of check names")
-        reduce_doc = doc.get("reduce")
-        if reduce_doc is not None and not isinstance(reduce_doc, dict):
-            raise ConfigError("reduce", "must be an object")
-        for key, least in (("random_frames", 0), ("seed", 0), ("dim", 2)):
-            if key in (reduce_doc or {}):
-                _check_number(f"reduce.{key}", reduce_doc[key], integer=True, least=least)
-        hj_doc = doc.get("hj", {})
-        fd_step = hj_doc.get("fd_step", 1e-4) if isinstance(hj_doc, dict) else 1e-4
-        _check_number("hj.fd_step", fd_step)
-        fmt = doc.get("format")
-        if fmt is not None and fmt not in ("csv", "json"):
-            raise ConfigError("format", "must be 'csv' or 'json'")
-        out = doc.get("out")
-        if out is not None and not isinstance(out, str):
-            raise ConfigError("out", "must be a string path")
-        known = {"scenario", "command", "grid", "trajectories", "residuals", "reduce",
-                 "hj", "format", "out"}
-        for key in doc:
-            if key not in known:
-                raise ConfigError(key, "unknown config field")
-        return cls(scenario_name=name, scenario_params=params, command=command,
-                   grid=grid, trajectories=traj, residuals=residuals,
-                   reduce=reduce_doc, hj_fd_step=float(fd_step), format=fmt, out=out,
-                   raw=doc)
+            for i, s in enumerate(values["trajectories"]["seeds"] or ()):
+                if not grid.contains(s):
+                    raise ConfigError(f"trajectories.seeds[{i}]", "seed outside grid bounds")
+        return cls(scenario_name=scenario["name"], scenario_params=scenario["params"],
+                   grid=grid, raw=doc, **values)
 
     def hash(self) -> str:
         canon = json.dumps(self.raw, sort_keys=True, separators=(",", ":"))
@@ -239,15 +205,12 @@ def _run_field_checks(sc, cfg, fmt, jobs, scale, names=None):
     pts = _grid_points(sc, cfg)
     files = {}
     failures = []
-    selected = sc.checks if names is None else [c for c in sc.checks if c.name in names]
-    if names is not None:
-        known = {c.name for c in sc.checks}
-        for n in names:
-            if n not in known:
-                raise ConfigError("residuals", f"scenario has no check named '{n}'")
-    for check in selected:
-        rep = _evaluate_check(sc, check.name, pts, jobs)
-        _emit(files, failures, rep, fmt, check.tolerance, check.mode, scale)
+    for name in names or ():
+        scen.check_value("residuals", name, tuple(c.name for c in sc.checks))
+    for check in sc.checks:
+        if names is None or check.name in names:
+            rep = _evaluate_check(sc, check.name, pts, jobs)
+            _emit(files, failures, rep, fmt, check.tolerance, check.mode, scale)
     return failures, files
 
 
@@ -280,13 +243,12 @@ def cmd_check(sc, cfg, fmt, jobs, scale):
 
 
 def cmd_residuals(sc, cfg, fmt, jobs, scale):
-    names = cfg.residuals
-    return _run_field_checks(sc, cfg, fmt, jobs, scale, names=names)
+    return _run_field_checks(sc, cfg, fmt, jobs, scale, names=cfg.residuals)
 
 
 def cmd_trajectories(sc, cfg, fmt, jobs, scale):
-    tcfg = cfg.trajectories or {}
-    seeds = tcfg.get("seeds", [list(s) for s in sc.default_seeds])
+    tcfg = cfg.trajectories
+    seeds = [list(s) for s in sc.default_seeds] if tcfg["seeds"] is None else tcfg["seeds"]
     if not seeds:
         raise ConfigError("trajectories.seeds", "no seeds given and scenario has none")
     if sc.background is None:
@@ -294,25 +256,18 @@ def cmd_trajectories(sc, cfg, fmt, jobs, scale):
     for i, s in enumerate(seeds):
         if len(s) != sc.background.dim:
             raise ConfigError(f"trajectories.seeds[{i}]", f"needs {sc.background.dim} coordinates")
-    span = tuple(tcfg.get("span", sc.default_span))
-    steps = int(tcfg.get("steps", 51))
-    rtol = float(tcfg.get("rtol", 1e-9))
-    atol = float(tcfg.get("atol", 1e-12))
-    tol = float(tcfg.get("tolerance", sc.trajectory_tolerance))
+    span = tcfg["span"] or sc.default_span
+    tol = tcfg["tolerance"] or sc.trajectory_tolerance
     gf = GuidanceField(background=sc.background, field=sc.polar)
     files = {}
     failures = []
     worst = 0.0
     for k, seed in enumerate(seeds):
-        traj = integrate_trajectory(gf, seed, span, steps=steps, rtol=rtol, atol=atol)
-        if fmt == "csv":
-            files[f"traj_{k}.csv"] = traj.to_csv()
-        else:
-            files[f"traj_{k}.json"] = traj.to_json()
+        traj = integrate_trajectory(gf, seed, span, steps=tcfg["steps"], rtol=tcfg["rtol"],
+                                    atol=tcfg["atol"])
+        files[f"traj_{k}.{fmt}"] = traj.to_csv() if fmt == "csv" else traj.to_json()
         worst = max(worst, float(np.max(np.abs(traj.constraint))))
-    summary = ResidualReport.from_samples(
-        "trajectory-constraint", [list(s) for s in seeds],
-        [worst] * len(seeds))
+    summary = ResidualReport.from_samples("trajectory-constraint", seeds, [worst] * len(seeds))
     _emit(files, failures, summary, fmt, tol, "max", scale)
     return failures, files
 
@@ -323,11 +278,10 @@ def cmd_reduce(sc, cfg, fmt, jobs, scale):
     files = {}
     failures = []
     _emit_nc_identities(files, failures, sc, cfg, fmt, scale)
-    rdoc = cfg.reduce or {}
-    n_random = int(rdoc.get("random_frames", 0))
+    n_random = cfg.reduce["random_frames"]
     if n_random > 0:
-        rng = np.random.default_rng(int(rdoc.get("seed", 0)))
-        dim = int(rdoc.get("dim", sc.background.dim))
+        rng = np.random.default_rng(cfg.reduce["seed"])
+        dim = cfg.reduce["dim"] or sc.background.dim
         vals = []
         x = np.zeros(dim)
         for _ in range(n_random):
@@ -347,12 +301,15 @@ def cmd_hj_verify(sc, cfg, fmt, jobs, scale):
 
     if sc.kind != "hj-foundation":
         raise ConfigError("scenario.name", "hj-verify needs an hj-foundation scenario")
-    base = sc.bvp
-    bvps = []
-    for xf, lf in _grid_points(sc, cfg):
-        bvps.append(BoundaryValueProblem(x0=base.x0, xf=[xf], lambda0=base.lambda0,
-                                         lambdaf=float(lf), intervals=base.intervals))
-    reports = verify_hj_relations(sc.system, bvps, fd_step=cfg.hj_fd_step)
+    base, fd_step = sc.bvp, cfg.hj["fd_step"]
+    pts = _grid_points(sc, cfg)
+    # the displaced problems end at lambda_f - fd_step, which must still exceed lambda_0
+    if not np.all(pts[:, -1] - fd_step > base.lambda0):
+        raise ConfigError("grid", f"every lambda_f must exceed lambda_0 + hj.fd_step "
+                                  f"= {base.lambda0} + {fd_step}")
+    bvps = [BoundaryValueProblem(x0=base.x0, xf=[xf], lambda0=base.lambda0,
+                                 lambdaf=float(lf), intervals=base.intervals) for xf, lf in pts]
+    reports = verify_hj_relations(sc.system, bvps, fd_step=fd_step)
     gates = {"momentum": 5e-5, "energy": 5e-5, "pde": 1e-4}
     files = {}
     failures = []
@@ -433,12 +390,12 @@ def run(command: str, cfg: RunConfig, out_dir: str | None = None,
     """Dispatch one command; returns the process exit status.
 
     ``out_dir`` and ``fmt`` fall back to the config's own 'out'/'format'
-    fields, then to 'out' and 'json'.
+    fields, whose defaults are 'out' and 'json'.
     """
     if cfg.command is not None and cfg.command != command:
         raise ConfigError("command", f"config says '{cfg.command}', invoked '{command}'")
-    out_dir = out_dir if out_dir is not None else (cfg.out or "out")
-    fmt = fmt if fmt is not None else (cfg.format or "json")
+    out_dir = out_dir if out_dir is not None else cfg.out
+    fmt = fmt if fmt is not None else cfg.format
     sc = scen.build(cfg.scenario_name, cfg.scenario_params)
     failures, files = HANDLERS[command](sc, cfg, fmt, jobs, tolerance_scale)
     _write_outputs(out_dir, command, cfg, files)
@@ -477,7 +434,7 @@ def main(argv=None) -> int:
         cfg = RunConfig.from_dict(doc)
         return run(args.command, cfg, args.out, fmt=args.format, jobs=args.jobs,
                    tolerance_scale=args.tolerance_scale)
-    except (ConfigError, UnknownScenario, BadParameter) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except PilotwaveError as exc:

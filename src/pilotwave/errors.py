@@ -68,10 +68,6 @@ class UnknownScenario(PilotwaveError):
     """Requested scenario name is not in the registry."""
 
 
-class BadParameter(PilotwaveError):
-    """Scenario parameter outside its documented range."""
-
-
 class ConfigError(PilotwaveError):
     """Run configuration failed validation.
 
@@ -81,3 +77,7 @@ class ConfigError(PilotwaveError):
     def __init__(self, field, message):
         super().__init__(f"config field '{field}': {message}")
         self.field = field
+
+
+class BadParameter(ConfigError):
+    """Scenario parameter ``scenario.params.<key>`` of the wrong kind or out of range."""

@@ -335,7 +335,7 @@ def nc_continuity_residual(nc: NCBackground, f: PolarField, x) -> float:
     rho = float(f.rho(pt))
     drho = np.asarray(f.drho(pt), dtype=float)
     k = nc_momentum_covector(nc, f, pt)
-    dk = np.asarray(f.d2S(pt), dtype=float) - nc.charge * nc.reduced_gauge_derivative_at(pt)
+    dk = np.asarray(f.d2S(pt), dtype=float) - nc.charge * parts["A"]
     e, de, w = der.vol, parts["vol"], der.w
     t1 = _flow_divergence(e, de, der.v_hat, parts["v_hat"], w * rho,
                           parts["w"] * rho + w * drho)
@@ -357,8 +357,7 @@ def nc_schrodinger_residual(nc: NCBackground, cf: ComplexField, x) -> complex:
     parts = derive_nc_partials(nc, pt)
     a_red = nc.reduced_gauge_at(pt)
     q = nc.charge
-    psi, dpsi, dcov, ddcov = _covariant_derivative_data(
-        cf, pt, a_red, nc.reduced_gauge_derivative_at(pt), q)
+    psi, dpsi, dcov, ddcov = _covariant_derivative_data(cf, pt, a_red, parts["A"], q)
     e, de, w = der.vol, parts["vol"], der.w
 
     # -i e w vhat^mu D_mu psi

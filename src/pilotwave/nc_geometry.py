@@ -113,14 +113,6 @@ class NCBackground:
             (self.tau, self.dtau), (self.vierbein, self.dvierbein), (self.m_field, self.dm_field),
             (self.gauge_bar, self.dgauge_bar), (self.phi, self.dphi)))
 
-    def reduced_gauge_derivative_at(self, x) -> Array:
-        """d_mu A_nu for the reduced gauge field A = Abar - phi M."""
-        pt = check_point(x, self.dim)
-        _, _, dm, da, dp = self.data_derivatives_at(pt)
-        m = np.asarray(self.m_field(pt), dtype=float)
-        phi = float(self.phi(pt))
-        return da - np.outer(dp, m) - phi * dm
-
 
 @dataclass(frozen=True)
 class NCDerived:
@@ -183,13 +175,14 @@ def derive_nc_partials(nc: NCBackground, x):
     so analytic frame derivatives propagate exactly.
 
     Returns a dict with keys v, e_inv, h_up, h_down, hbar_down, v_hat, Phi,
-    vol and w (the effective mass m - q phi).
+    vol, w (the effective mass m - q phi) and A (the reduced gauge field
+    Abar - phi M).
     """
     pt = check_point(x, nc.dim)
     der = derive_nc(nc, pt)
     finv, m, e_inv = der.finv, der.m, der.e_inv
     tau, vier = der.frame[:, 0], der.frame[:, 1:]
-    dtau, dvier, dm, _, dphi = nc.data_derivatives_at(pt)
+    dtau, dvier, dm, dabar, dphi = nc.data_derivatives_at(pt)
     d = nc.dim
 
     dframe = np.empty((d, d, d))
@@ -213,8 +206,9 @@ def derive_nc_partials(nc: NCBackground, x):
             + 0.5 * np.einsum("c,mcd,d->m", m, dh_up, m))
     dvol = der.vol * np.einsum("ab,mba->m", finv, dframe)
     dw = -nc.charge * dphi
+    da = dabar - np.outer(dphi, m) - float(nc.phi(pt)) * dm
     return {"v": dv, "e_inv": de_inv, "h_up": dh_up, "h_down": dh_down,
-            "hbar_down": dhbar, "v_hat": dv_hat, "Phi": dPhi, "vol": dvol, "w": dw}
+            "hbar_down": dhbar, "v_hat": dv_hat, "Phi": dPhi, "vol": dvol, "w": dw, "A": da}
 
 
 def null_lift(nc: NCBackground, x) -> NullLift:

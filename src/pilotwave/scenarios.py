@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import math
 import numbers
+import reprlib
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -83,40 +85,74 @@ CHECK_EVALUATORS = {
 # ---------------------------------------------------------------------------
 
 def is_finite_real(value) -> bool:
-    """True for a finite real number; a bool is not a number here."""
+    """True for a finite real number that fits a float; a bool is not a number here."""
     return (isinstance(value, numbers.Real) and not isinstance(value, bool)
-            and math.isfinite(value))
+            and abs(value) <= sys.float_info.max)
 
 
-def _check_kind(key, value, default):
-    """An override must be of its default's kind: string, number list or number."""
-    if isinstance(default, str):
-        ok, kind = isinstance(value, str), "a string"
-    elif isinstance(default, tuple) or default is None:
-        ok = (isinstance(value, (list, tuple)) and len(value) > 0
-              and all(map(is_finite_real, value)) or (default is None and value is None))
-        kind = "a non-empty list of finite numbers" + (" or null" if default is None else "")
+def _integer(least, most=math.inf):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) and least <= v <= most
+
+
+def _vector(value) -> bool:
+    return (isinstance(value, (list, tuple)) and len(value) > 0
+            and all(map(is_finite_real, value)))
+
+
+# kind -> (test, what a value of that kind is)
+KINDS = {
+    "number": (is_finite_real, "a finite number"),
+    "positive": (lambda v: is_finite_real(v) and v > 0, "a positive finite number"),
+    "count": (_integer(2), "an integer >= 2"),
+    "index": (_integer(0), "an integer >= 0"),
+    # random_frame_background rejection-samples; its acceptance falls fast with dim
+    "frame-dim": (_integer(2, 10), "an integer from 2 to 10"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "object": (lambda v: isinstance(v, dict), "an object"),
+    "vector": (_vector, "a non-empty list of finite numbers"),
+    "span": (lambda v: _vector(v) and len(v) == 2 and v[1] > v[0],
+             "an increasing pair of finite numbers"),
+}
+
+
+def check_value(field: str, value, kind, error=ConfigError):
+    """Return ``value`` if it is of ``kind``, else raise ``error(field, ...)``.
+
+    A kind is a name in KINDS, a one-element list ``[kind]`` for a list of
+    such values, or a tuple of the allowed values.
+    """
+    if isinstance(kind, list):
+        ok, want = isinstance(value, list), "a list"
+    elif isinstance(kind, tuple):
+        ok, want = value in kind, "one of " + ", ".join(kind)
     else:
-        ok, kind = is_finite_real(value), "a finite number"
+        test, want = KINDS[kind]
+        ok = test(value)
     if not ok:
-        raise ConfigError(f"scenario.params.{key}", f"must be {kind}")
+        raise error(field, f"{reprlib.repr(value)} is not {want}")
+    if isinstance(kind, list):
+        for item in value:
+            check_value(field, item, kind[0], error)
+    return value
 
 
-def _resolve(params, defaults, name):
+def _resolve(params, defaults, positive=()):
+    """The defaults with ``params`` applied; an override must be of its default's
+    kind (null where the default is null) and positive if named in ``positive``."""
     params = dict(params or {})
-    unknown = set(params) - set(defaults)
-    if unknown:
-        raise BadParameter(f"{name}: unknown parameter(s) {sorted(unknown)}")
     for key, value in params.items():
-        _check_kind(key, value, defaults[key])
-    out = dict(defaults)
-    out.update(params)
-    return out
+        field = f"scenario.params.{key}"
+        default = defaults[check_value(field, key, tuple(defaults), BadParameter)]
+        kind = ("positive" if key in positive else "string" if isinstance(default, str)
+                else "number" if is_finite_real(default) else "vector")
+        if value is not None or default is not None:
+            check_value(field, value, kind, BadParameter)
+    return {**defaults, **params}
 
 
-def _require(cond, message):
+def _require(cond, key, message):
     if not cond:
-        raise BadParameter(message)
+        raise BadParameter(f"scenario.params.{key}", message)
 
 
 # ---------------------------------------------------------------------------
@@ -137,9 +173,8 @@ def _plane_wave_field(p_total: Array) -> PolarField:
 
 
 def build_minkowski_plane_wave(params) -> Scenario:
-    p = _resolve(params, {"m": 1.0, "k": (0.6, 0.0, 0.0), "q": 0.0, "a": None}, "minkowski-plane-wave")
+    p = _resolve(params, {"m": 1.0, "k": (0.6, 0.0, 0.0), "q": 0.0, "a": None}, positive=("m",))
     m = float(p["m"])
-    _require(m > 0, "m must be positive")
     k = np.atleast_1d(np.asarray(p["k"], dtype=float))
     dim = k.size + 1
     energy = float(np.sqrt(m**2 + k @ k))
@@ -147,7 +182,7 @@ def build_minkowski_plane_wave(params) -> Scenario:
     q = float(p["q"])
     if p["a"] is not None:
         a = np.asarray(p["a"], dtype=float)
-        _require(a.size == dim, f"gauge covector needs {dim} components")
+        _require(a.size == dim, "a", f"gauge covector needs {dim} components")
         bg = BackgroundRel.minkowski(dim=dim, mass=m, charge=q,
                                      gauge=lambda x, av=a: av.copy(),
                                      dgauge=lambda x: np.zeros((dim, dim)))
@@ -203,16 +238,15 @@ def _superposition_psi(amps, momenta) -> ComplexField:
 
 def build_minkowski_superposition(params) -> Scenario:
     p = _resolve(params, {"m": 1.0, "k1": (0.6, 0.0, 0.0), "k2": (-0.8, 0.0, 0.0),
-                          "a1": 1.0, "a2": 0.7}, "minkowski-superposition")
+                          "a1": 1.0, "a2": 0.7}, positive=("m",))
     m = float(p["m"])
-    _require(m > 0, "m must be positive")
     k1 = np.atleast_1d(np.asarray(p["k1"], dtype=float))
     k2 = np.atleast_1d(np.asarray(p["k2"], dtype=float))
-    _require(k1.size == k2.size, "k1 and k2 need equal dimension")
-    _require(float(np.max(np.abs(k1 - k2))) > 1e-12, "wave vectors must differ")
+    _require(k1.size == k2.size, "k2", "k1 and k2 need equal dimension")
+    _require(float(np.max(np.abs(k1 - k2))) > 1e-12, "k2", "wave vectors must differ")
     dim = k1.size + 1
     amps = np.array([complex(p["a1"]), complex(p["a2"])])
-    _require(abs(abs(amps[0]) - abs(amps[1])) > 1e-6,
+    _require(abs(abs(amps[0]) - abs(amps[1])) > 1e-6, "a2",
              "amplitudes of equal modulus create nodes on the grid")
     p1 = np.concatenate([[-np.sqrt(m**2 + k1 @ k1)], k1])
     p2 = np.concatenate([[-np.sqrt(m**2 + k2 @ k2)], k2])
@@ -242,16 +276,13 @@ def build_curved_diagonal(params) -> Scenario:
     potential vanishes and guidance trajectories are geodesics.
     """
     p = _resolve(params, {"a": 0.05, "E": 1.2, "m": 1.0, "x_max": 3.0,
-                          "rho_profile": "constant"}, "curved-diagonal")
+                          "rho_profile": "constant"}, positive=("a", "m", "x_max"))
     a, energy, m, x_max = (float(p[key]) for key in ("a", "E", "m", "x_max"))
-    _require(a > 0, "conformal slope a must be positive")
-    _require(m > 0, "m must be positive")
-    _require(x_max > 0, "x_max must be positive")
-    _require(p["rho_profile"] in ("constant", "conserved"),
-             "rho_profile must be 'constant' or 'conserved'")
+    _require(p["rho_profile"] in ("constant", "conserved"), "rho_profile",
+             "must be 'constant' or 'conserved'")
     margin = energy**2 - m**2 * (1.0 + a * x_max)
-    _require(margin > 0.05, f"E too small: W'^2 margin {margin:.3f} <= 0.05 at x_max")
-    _require(1.0 - a * x_max > 0.05, "conformal factor must stay positive on the strip")
+    _require(margin > 0.05, "E", f"too small: W'^2 margin {margin:.3f} <= 0.05 at x_max")
+    _require(1.0 - a * x_max > 0.05, "a", "conformal factor must stay positive on the strip")
     eta = np.diag([-1.0, 1.0])
 
     def omega2(x):
@@ -318,10 +349,9 @@ def build_curved_diagonal(params) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def build_flat_nc_plane_wave(params) -> Scenario:
-    p = _resolve(params, {"m": 1.0, "k": 0.7}, "flat-nc-plane-wave")
+    p = _resolve(params, {"m": 1.0, "k": 0.7}, positive=("m",))
     m = float(p["m"])
     k = float(p["k"])
-    _require(m > 0, "m must be positive")
     energy = k**2 / (2.0 * m)
     nc = NCBackground.flat(dim=2, mass=m)
     p_cov = np.array([-energy, k])
@@ -354,11 +384,9 @@ def build_flat_nc_gaussian_packet(params) -> Scenario:
     guidance trajectories have the closed form x(t) = x0 s(t)/sigma0, which
     the test suite validates by brute force before relying on it.
     """
-    p = _resolve(params, {"m": 1.0, "sigma0": 1.0}, "flat-nc-gaussian-packet")
+    p = _resolve(params, {"m": 1.0, "sigma0": 1.0}, positive=("m", "sigma0"))
     m = float(p["m"])
     s0 = float(p["sigma0"])
-    _require(m > 0, "m must be positive")
-    _require(s0 > 0, "sigma0 must be positive")
     b = 1.0 / (2.0 * m * s0**2)
     c = 1.0 / (4.0 * s0**2)
 
@@ -447,11 +475,10 @@ def build_nc_nontrivial_m(params) -> Scenario:
     kappa_x = k + q phi M_x and w = m - q phi.
     """
     p = _resolve(params, {"m": 1.0, "q": 0.0, "phi": 0.0, "M_t": 0.3, "M_x": 0.0,
-                          "k": 0.7}, "nc-nontrivial-M")
+                          "k": 0.7}, positive=("m",))
     m, q, phi, m_t, m_x, k = (float(p[key]) for key in ("m", "q", "phi", "M_t", "M_x", "k"))
-    _require(m > 0, "m must be positive")
     w = m - q * phi
-    _require(abs(w) > 1e-10, "effective mass m - q phi vanishes")
+    _require(abs(w) > 1e-10, "phi", "effective mass m - q phi vanishes")
     nc = NCBackground.constant(tau=[1.0, 0.0], vierbein=[[0.0], [1.0]],
                                m_field=[m_t, m_x], phi=phi, mass=m, charge=q)
     phi_pot = m_t + 0.5 * m_x**2
@@ -482,9 +509,8 @@ def build_nc_nontrivial_m(params) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def build_free_particle_hj(params) -> Scenario:
-    p = _resolve(params, {"m": 1.0}, "free-particle-hj")
+    p = _resolve(params, {"m": 1.0}, positive=("m",))
     m = float(p["m"])
-    _require(m > 0, "m must be positive")
     sys = LagrangianSystem(
         dim=1,
         lagrangian=lambda X, V, lam: 0.5 * m * np.sum(V**2, axis=1),
@@ -508,11 +534,9 @@ def build_free_particle_hj(params) -> Scenario:
 
 
 def build_harmonic_oscillator_hj(params) -> Scenario:
-    p = _resolve(params, {"m": 1.0, "omega": 1.0}, "harmonic-oscillator-hj")
+    p = _resolve(params, {"m": 1.0, "omega": 1.0}, positive=("m", "omega"))
     m = float(p["m"])
     omega = float(p["omega"])
-    _require(m > 0, "m must be positive")
-    _require(omega > 0, "omega must be positive")
     sys = LagrangianSystem(
         dim=1,
         lagrangian=lambda X, V, lam: 0.5 * m * np.sum(V**2, axis=1)
@@ -525,7 +549,8 @@ def build_harmonic_oscillator_hj(params) -> Scenario:
     def action(x0, t0, xf, tf):
         wt = omega * (tf - t0)
         if abs(np.sin(wt)) < 1e-12:
-            raise BadParameter("conjugate point: omega (tf - t0) is a multiple of pi")
+            raise BadParameter("scenario.params.omega",
+                               "conjugate point: omega (tf - t0) is a multiple of pi")
         return m * omega * ((x0**2 + xf**2) * np.cos(wt) - 2.0 * x0 * xf) / (2.0 * np.sin(wt))
 
     def solution(x0, t0, xf, tf, lam):
@@ -559,12 +584,12 @@ REGISTRY = {
 
 def build(name: str, params: dict | None = None) -> Scenario:
     """Construct a registry scenario by name with parameter overrides."""
+    if name not in REGISTRY:
+        raise UnknownScenario(f"unknown scenario '{name}' (known: {', '.join(sorted(REGISTRY))})")
     try:
-        builder = REGISTRY[name]
-    except KeyError:
-        known = ", ".join(sorted(REGISTRY))
-        raise UnknownScenario(f"unknown scenario '{name}' (known: {known})")
-    return builder(params)
+        return REGISTRY[name](params)
+    except ArithmeticError as exc:  # closed forms of overrides that under- or overflow
+        raise BadParameter("scenario.params", f"out of floating-point range: {exc}")
 
 
 def scenario_names() -> list[str]:

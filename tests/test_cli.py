@@ -1,9 +1,16 @@
+import contextlib
+import copy
+import io
 import json
 import os
+import re
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from pilotwave.cli import main
+from pilotwave.cli import FIELDS, main
+from pilotwave.scenarios import build
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -240,6 +247,7 @@ def test_superposition_demo_on_newton_cartan_exits_2(tmp_path, capsys):
 
 
 PACKET = "flat-nc-gaussian-packet"
+PLANE = "flat-nc-plane-wave"
 
 
 @pytest.mark.parametrize("command, doc, field", [
@@ -264,6 +272,33 @@ PACKET = "flat-nc-gaussian-packet"
     *(("check", {"scenario": {"name": "flat-nc-plane-wave"},
                  "grid": {"bounds": [[0, 1], [0, 1]], "samples": samples}}, "grid.samples")
       for samples in ([2.7, 3], [True, 3], ["3", 3])),
+    # unknown keys and a non-object section, each silently dropped before
+    ("trajectories", {"scenario": {"name": PLANE}, "trajectories": {"stpes": 3}},
+     "trajectories.stpes"),
+    ("hj-verify", {"scenario": {"name": "free-particle-hj"}, "hj": {"fdstep": 1e-3}}, "hj.fdstep"),
+    ("check", {"scenario": {"name": PLANE},
+               "grid": {"bounds": [[0, 1], [0, 1]], "samples": [2, 2], "extra": 1}}, "grid.extra"),
+    ("reduce", {"scenario": {"name": PLANE}, "reduce": {"random_frame": 3}},
+     "reduce.random_frame"),
+    ("check", {"scenario": {"name": PLANE, "extra": 1}}, "scenario.extra"),
+    ("check", {"scenario": {"name": PLANE}, "hj": 5}, "hj"),
+    # scenario errors name their parameter
+    ("check", {"scenario": {"name": "minkowski-plane-wave", "params": {"m": -2}}},
+     "scenario.params.m"),
+    ("check", {"scenario": {"name": "minkowski-plane-wave", "params": {"nonsense": 1}}},
+     "scenario.params.nonsense"),
+    ("check", {"scenario": {"name": "curved-diagonal", "params": {"E": 0.9}}},
+     "scenario.params.E"),
+    ("check", {"scenario": {"name": "no-such-thing"}}, "scenario.name"),
+    # 2 m sigma0^2 underflows to zero in the packet's closed form
+    ("check", {"scenario": {"name": PACKET, "params": {"sigma0": 1e-200}}}, "scenario.params"),
+    # the displaced endpoint problems need lambda_f - fd_step > lambda_0
+    ("hj-verify", {"scenario": {"name": "harmonic-oscillator-hj"},
+                   "grid": {"bounds": [[0.2, 1.1], [-1.0, -0.5]], "samples": [2, 2]}}, "grid"),
+    ("hj-verify", {"scenario": {"name": "free-particle-hj"}, "hj": {"fd_step": 1.0},
+                   "grid": {"bounds": [[0.6, 1.5], [0.8, 1.7]], "samples": [2, 2]}}, "grid"),
+    ("reduce", {"scenario": {"name": PLANE}, "reduce": {"random_frames": 1, "dim": 11}},
+     "reduce.dim"),
 ])
 def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, doc, field):
     cfg = write_config(tmp_path, doc)
@@ -271,3 +306,100 @@ def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, doc, f
     err = capsys.readouterr().err
     assert f"'{field}'" in err
     assert "Traceback" not in err
+
+
+def declared_paths(fields, prefix=""):
+    """Every field path of a table shaped like ``cli.FIELDS``."""
+    for key, spec in fields.items():
+        if isinstance(spec, dict):
+            yield from declared_paths(spec, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+PATHS = sorted(declared_paths(FIELDS))
+
+
+def test_help_epilog_lists_every_declared_field(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    block = capsys.readouterr().out.split("config document (JSON)")[1].split("\n\n")[0]
+    assert sorted(re.findall(r"^  (\S+)", block, re.M)) == PATHS
+
+
+# one small valid document per command: grids of at most 3x3, one seed, few samples
+FUZZ_BASES = {
+    "check": {"scenario": {"name": PLANE},
+              "grid": {"bounds": [[0.0, 2.0], [-1.0, 1.0]], "samples": [3, 3]}},
+    "residuals": {"scenario": {"name": "minkowski-plane-wave", "params": {"k": [0.6]}},
+                  "grid": {"bounds": [[0.0, 2.0], [-1.0, 1.0]], "samples": [3, 3]},
+                  "residuals": ["classical-hj", "continuity"]},
+    "trajectories": {"scenario": {"name": PACKET},
+                     "trajectories": {"seeds": [[0.0, 0.5]], "span": [0.0, 1.0], "steps": 5,
+                                      "rtol": 1e-9, "atol": 1e-12, "tolerance": 1e-5}},
+    "reduce": {"scenario": {"name": "nc-nontrivial-M"},
+               "grid": {"bounds": [[0.0, 2.0], [-1.0, 1.0]], "samples": [2, 2]},
+               "reduce": {"random_frames": 2, "seed": 1, "dim": 3}},
+    "hj-verify": {"scenario": {"name": "free-particle-hj"},
+                  "grid": {"bounds": [[0.6, 1.5], [0.8, 1.7]], "samples": [2, 2]},
+                  "hj": {"fd_step": 1e-4}},
+    "superposition-demo": {"scenario": {"name": "minkowski-superposition",
+                                        "params": {"k1": [0.6], "k2": [-0.8]}},
+                           "grid": {"bounds": [[0.0, 3.0], [0.0, 3.0]], "samples": [3, 3]}},
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-10, 10) | st.text(max_size=3)
+    | st.sampled_from(["csv", "json", "check", PACKET, "classical-hj", "conserved"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=2),
+    max_leaves=6)
+SECTIONS = ("<root>", "scenario", "scenario.params", "grid", "trajectories", "reduce", "hj")
+
+
+def run_main(tmp, command, doc):
+    cfg = tmp / "config.json"
+    cfg.write_text(json.dumps(doc))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main([command, "--config", str(cfg), "--out", str(tmp / "out")])
+    return status, err.getvalue()
+
+
+@pytest.mark.parametrize("command", sorted(FUZZ_BASES))
+def test_fuzz_bases_pass(tmp_path, command):
+    assert run_main(tmp_path, command, FUZZ_BASES[command]) == (0, "")
+
+
+@given(data=st.data())
+def test_cli_contract_under_mutated_configs(tmp_path_factory, data):
+    command = data.draw(st.sampled_from(sorted(FUZZ_BASES)))
+    doc = copy.deepcopy(FUZZ_BASES[command])
+    sc = doc["scenario"]
+    params = [f"scenario.params.{k}" for k in build(sc["name"], sc.get("params")).params]
+    mutation = data.draw(st.sampled_from(["value", "unknown key", "non-object section"]))
+    if mutation == "non-object section":
+        expected = data.draw(st.sampled_from(SECTIONS))
+        path = expected.split(".") if expected != "<root>" else []
+        value = data.draw(st.integers(-2, 6) | st.text(max_size=3) | st.lists(JSON_VALUES,
+                                                                              max_size=2))
+    else:
+        path = data.draw(st.sampled_from(PATHS + params)).split(".")
+        value = data.draw(JSON_VALUES)
+        if mutation == "unknown key":
+            path[-1], value = "zz", 1
+            expected = ".".join(path)
+    if path:
+        target = doc
+        for key in path[:-1]:
+            target = target.setdefault(key, {})
+        target[path[-1]] = value
+    else:
+        doc = value
+    status, err = run_main(tmp_path_factory.mktemp("fuzz"), command, doc)
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
+    if mutation != "value":
+        assert status == 2 and f"config field '{expected}'" in err
+    elif status == 2:
+        named = re.search(r"config field '([^']+)'", err)
+        assert named and re.split(r"[.\[]", named.group(1))[0] in (*FIELDS, "<root>")

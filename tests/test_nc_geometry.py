@@ -129,6 +129,15 @@ def test_derived_partials_match_fd(wavy_nc):
         assert np.max(np.abs(parts["e_inv"] - fd_einv)) < 1e-6
 
 
+def test_derived_partials_reduced_gauge_matches_fd(wavy_nc):
+    from oracles import nested_gradient
+    rng = np.random.default_rng(4)
+    for x in rng.uniform(-0.7, 0.7, size=(5, 2)):
+        fd = np.stack([nested_gradient(lambda p: wavy_nc.reduced_gauge_at(p)[i], x)
+                       for i in range(2)], axis=-1)
+        assert np.max(np.abs(derive_nc_partials(wavy_nc, x)["A"] - fd)) < 1e-6
+
+
 def test_derived_frame_bundle(wavy_nc):
     rng = np.random.default_rng(4)
     for x in rng.uniform(-0.8, 0.8, size=(10, 2)):
