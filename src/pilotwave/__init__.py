@@ -6,8 +6,8 @@ endpoint-derivative verification."""
 
 from .errors import (BadParameter, ConfigError, DegenerateFrame,
                      DegenerateVelocity, FormMismatch, ImaginaryMass, MassSingular,
-                     NoConvergence, NodeEncountered, PilotwaveError,
-                     SignatureViolation, SingularMetric, StepFailure,
+                     NoConvergence, NodeEncountered, NonFiniteResult,
+                     PilotwaveError, SignatureViolation, SingularMetric, StepFailure,
                      TachyonicInput, UnknownScenario)
 from .fields import (EPS_NODE, ComplexField, PolarField, complex_field,
                      complex_view, polar_compose, polar_decompose,

@@ -5,8 +5,8 @@ reductions and endpoint-derivative verifications from a single JSON config
 document, writing CSV/JSON artifacts plus a manifest.
 
 Exit status: 0 when every gate passes, 1 on a tolerance failure (the
-failing report is named on stderr), 2 on a config error (with the field
-named).
+failing report is named on stderr) or an engine failure such as an
+overflow, 2 on a config error (with the field named).
 
 Output files (see FORMATS.md for the column dictionary):
   manifest.json        config hash plus the exact list of files written
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import scenarios as scen
 from .dynamics import GuidanceField, integrate_trajectory
-from .errors import ConfigError, PilotwaveError
+from .errors import ConfigError, NonFiniteResult, PilotwaveError
 from .nc_geometry import (NCBackground, ehat_identity_residual,
                           frame_identity_residuals, null_lift_residuals,
                           random_frame_background)
@@ -397,7 +397,10 @@ def run(command: str, cfg: RunConfig, out_dir: str | None = None,
     out_dir = out_dir if out_dir is not None else cfg.out
     fmt = fmt if fmt is not None else cfg.format
     sc = scen.build(cfg.scenario_name, cfg.scenario_params)
-    failures, files = HANDLERS[command](sc, cfg, fmt, jobs, tolerance_scale)
+    try:
+        failures, files = HANDLERS[command](sc, cfg, fmt, jobs, tolerance_scale)
+    except ArithmeticError as exc:
+        raise NonFiniteResult(f"{command} on '{sc.name}': {type(exc).__name__}: {exc}") from exc
     _write_outputs(out_dir, command, cfg, files)
     if failures:
         for f in failures:

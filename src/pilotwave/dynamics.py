@@ -163,11 +163,14 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
     """Integrate the guidance law from x0 over lambda_span.
 
     ``steps`` is the number of output samples (lambda values, uniformly
-    spaced, endpoints included).  Adaptive Dormand-Prince sub-stepping runs
-    between samples with relative/absolute tolerances as given and maximum
-    step MAX_STEP_FRAC * span.  Raises NodeEncountered (with the partial
-    trajectory attached) if the density falls to the node threshold, and
-    StepFailure if error control cannot proceed.
+    spaced, endpoints included).  One adaptive Dormand-Prince call per
+    output interval sub-steps between samples with relative/absolute
+    tolerances as given and maximum step MAX_STEP_FRAC * span; each call's
+    first trial step is that maximum, clamped to the interval.  The node
+    guard runs after every accepted step, so a node is seen within one
+    maximum step.  Raises NodeEncountered if the density falls to the node
+    threshold, with the samples before the node attached when there are
+    at least two, and StepFailure if error control cannot proceed.
     """
     bg = gf.background
     x0 = check_point(x0, bg.dim)

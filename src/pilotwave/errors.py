@@ -33,6 +33,10 @@ class FormMismatch(PilotwaveError):
     """Two algebraically equivalent forms of one expression disagree."""
 
 
+class NonFiniteResult(PilotwaveError):
+    """A computation overflowed, divided by zero or gave a non-finite value."""
+
+
 class StepFailure(PilotwaveError):
     """Adaptive step control could not meet the error tolerance."""
 

@@ -1,10 +1,13 @@
 """Explicit embedded Runge-Kutta integration (Dormand-Prince 5(4)).
 
 The fifth-order solution is propagated; the embedded fourth-order solution
-provides the local error estimate for adaptive step control.  A fixed-step
-mode drives the same stages, which is what the order-measurement tests use.
-Output points are hit exactly by clamping the step to each requested time,
-so no interpolation error enters sampled trajectories.
+provides the local error estimate for adaptive step control.  The tableau is
+stored as matrices, so each stage input and both solutions are one product
+with the stacked stage derivatives.  A fixed-step mode drives the same
+stages, which is what the order-measurement tests use.  Output points are
+hit exactly by clamping the step to each requested time, so no interpolation
+error enters sampled trajectories; the first trial step is ``max_step``,
+clamped the same way.
 """
 from __future__ import annotations
 
@@ -12,20 +15,21 @@ import numpy as np
 
 from .errors import StepFailure
 
-# Butcher tableau, Dormand & Prince (1980)
+# Butcher tableau, Dormand & Prince (1980): row i of _A feeds stage i
 _C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
+_A = np.array([
+    [0.0, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [1 / 5, 0.0, 0.0, 0.0, 0.0, 0.0],
+    [3 / 40, 9 / 40, 0.0, 0.0, 0.0, 0.0],
+    [44 / 45, -56 / 15, 32 / 9, 0.0, 0.0, 0.0],
+    [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729, 0.0, 0.0],
+    [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656, 0.0],
+    [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84],
+])
 _B5 = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
 _B4 = np.array([5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
                 187 / 2100, 1 / 40])
+_E = _B5 - _B4
 
 ORDER = 5
 _SAFETY = 0.9
@@ -33,25 +37,16 @@ _MIN_FACTOR = 0.2
 _MAX_FACTOR = 5.0
 
 
-def _stages(f, t, y, h, k1):
-    k = [k1]
-    for i in range(1, 7):
-        yi = y + h * sum(a * ki for a, ki in zip(_A[i], k))
-        k.append(np.asarray(f(t + _C[i] * h, yi), dtype=float))
-    return k
-
-
 def rk45_step(f, t, y, h, k1=None):
     """One Dormand-Prince step: returns (y5, error_vector, k7).
 
     k7 equals f at the new point (FSAL), reusable as the next k1.
     """
-    if k1 is None:
-        k1 = np.asarray(f(t, y), dtype=float)
-    k = _stages(f, t, y, h, k1)
-    y5 = y + h * sum(b * ki for b, ki in zip(_B5, k) if b != 0.0)
-    err = h * sum((b5 - b4) * ki for b5, b4, ki in zip(_B5, _B4, k))
-    return y5, err, k[6]
+    k = np.empty((7, y.size))
+    k[0] = f(t, y) if k1 is None else k1
+    for i in range(1, 7):
+        k[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ k[:i]))
+    return y + h * (_B5 @ k), h * (_E @ k), k[6].copy()
 
 
 def integrate_fixed(f, t0, y0, t1, steps):
@@ -71,9 +66,11 @@ def integrate_adaptive(f, t0, y0, t_out, rtol=1e-9, atol=1e-12,
                        step_callback=None):
     """Adaptive integration returning the states at every time in t_out.
 
-    ``t_out`` must be increasing and start at or after t0.  The controller
-    is the standard PI-free elementary one: accept when the weighted RMS
-    error is at most 1, grow/shrink by err^(-1/5) within [0.2, 5].
+    ``t_out`` must be increasing and start at or after t0.  The first trial
+    step is ``min(max_step, t_out[-1] - t0)``, clamped to the first output
+    time; a rejected trial shrinks like any other.  The controller is the
+    standard PI-free elementary one: accept when the weighted RMS error is
+    at most 1, grow/shrink by err^(-1/5) within [0.2, 5].
     ``step_callback(t, y)`` runs after every accepted step (used for node
     detection).
     """
@@ -85,8 +82,7 @@ def integrate_adaptive(f, t0, y0, t_out, rtol=1e-9, atol=1e-12,
     if t_out.size and np.isclose(t_out[0], t, rtol=0.0, atol=1e-14):
         out[0] = y
         idx = 1
-    span = t_out[-1] - t0 if t_out.size else 0.0
-    h = min(max_step, abs(span) * 1e-3 + 1e-12)
+    h = min(max_step, t_out[-1] - t) if t_out.size else 0.0
     k1 = np.asarray(f(t, y), dtype=float)
     n_steps = 0
     while idx < t_out.size:

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteResult
+
 Array = np.ndarray
 
 
@@ -35,6 +37,10 @@ class ResidualReport:
         vals = np.asarray(vals, dtype=float)
         if pts.shape[0] != vals.shape[0]:
             raise ValueError("points and values disagree in length")
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise NonFiniteResult(f"report '{name}': value {vals[bad[0]]} at point "
+                                  f"{pts[bad[0]].tolist()} is not finite")
         return cls(name=name, points=pts, values=vals)
 
     @property

@@ -250,6 +250,16 @@ PACKET = "flat-nc-gaussian-packet"
 PLANE = "flat-nc-plane-wave"
 
 
+def test_engine_overflow_exits_1_without_traceback(tmp_path, capsys):
+    # w**2 overflows a Python float in the Newton-Cartan HJ expression
+    cfg = write_config(tmp_path, {"scenario": {"name": PLANE, "params": {"m": 1.5e154}}})
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out" / "manifest.json")
+
+
 @pytest.mark.parametrize("command, doc, field", [
     ("check", {"scenario": {"name": "minkowski-plane-wave", "params": {"m": "abc"}}},
      "scenario.params.m"),

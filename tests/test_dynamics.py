@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import pilotwave.dynamics as dyn
 import pilotwave.field_equations as feq
 from pilotwave.dynamics import (GuidanceField, Trajectory, guidance_velocity_nc,
                                 guidance_velocity_rel,
@@ -10,7 +11,7 @@ from pilotwave.dynamics import (GuidanceField, Trajectory, guidance_velocity_nc,
                                 momentum_quantum_rel)
 from pilotwave.errors import (DegenerateVelocity, ImaginaryMass, MassSingular,
                               NodeEncountered, TachyonicInput)
-from pilotwave.fields import polar_field
+from pilotwave.fields import EPS_NODE, polar_field
 from pilotwave.geometry import BackgroundRel
 from pilotwave.integrators import integrate_fixed
 from pilotwave.nc_geometry import NCBackground
@@ -114,7 +115,8 @@ class TestIntegrateTrajectory:
         assert np.max(np.abs(traj.points - geo)) < 1e-6
 
     def test_node_halts_integration(self):
-        # density collapses to a node around x = 1.5 on the particle's path
+        # the particle crosses the density peak at x = 1.5; behind it rho
+        # falls to EPS_NODE near lambda = 0.433 (x = 1.84)
         def rho(x):
             return float(np.exp(-200.0 * (x[1] - 1.5) ** 2) + 0.0)
 
@@ -123,10 +125,37 @@ class TestIntegrateTrajectory:
         gf = GuidanceField(background=nc, field=f, quantum=False)
         with pytest.raises(NodeEncountered) as info:
             integrate_trajectory(gf, [0.0, 1.45], (0.0, 5.0), steps=11)
+        # the node lies inside the first output interval: no sample to keep
+        assert info.value.partial is None
+        with pytest.raises(NodeEncountered) as info:
+            integrate_trajectory(gf, [0.0, 1.45], (0.0, 5.0), steps=51)
         partial = info.value.partial
-        if partial is not None:
-            assert partial.points[-1, 1] < 1.5
-            assert len(partial) < 11
+        assert partial is not None and len(partial) == 5
+        assert partial.lambdas[-1] == 0.4
+        assert rho(partial.points[-1]) > EPS_NODE
+
+    def test_worldline_rhs_rows(self, monkeypatch):
+        # counts, not times: each of the 50 output intervals starts at the
+        # step cap of 0.05, so it takes 2 steps of 6 stages plus one first
+        # evaluation; a cold start at 1e-3 x interval took 1,850 rows
+        counts = {"rhs": 0, "adaptive": 0}
+        velocity, adaptive = dyn.GuidanceField.velocity, dyn.integrate_adaptive
+
+        def counted_velocity(self, x):
+            counts["rhs"] += 1
+            return velocity(self, x)
+
+        def counted_adaptive(*args, **kwargs):
+            counts["adaptive"] += 1
+            return adaptive(*args, **kwargs)
+
+        monkeypatch.setattr(dyn.GuidanceField, "velocity", counted_velocity)
+        monkeypatch.setattr(dyn, "integrate_adaptive", counted_adaptive)
+        sc = build("flat-nc-gaussian-packet")
+        gf = GuidanceField(background=sc.background, field=sc.polar)
+        traj = integrate_trajectory(gf, sc.default_seeds[0], (0.0, 5.0), steps=51)
+        assert len(traj) == 51
+        assert counts == {"rhs": 650, "adaptive": 50}
 
     def test_fixed_step_convergence_order_on_guidance(self):
         sc = build("flat-nc-gaussian-packet")

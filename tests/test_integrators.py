@@ -54,3 +54,57 @@ def test_step_failure_on_budget_exhaustion():
     f = lambda t, y: np.array([1.0 / (1.0 - t + 1e-16)])
     with pytest.raises(StepFailure):
         integrate_adaptive(f, 0.0, np.zeros(1), [0.0, 2.0], max_steps=50)
+
+
+def _recording(f):
+    """f plus the list of times it was evaluated at."""
+    times = []
+
+    def wrapped(t, y):
+        times.append(t)
+        return f(t, y)
+    return wrapped, times
+
+
+@pytest.mark.parametrize("max_step", [0.05, 0.3, np.inf])
+def test_trial_steps_stay_inside_max_step_and_output_span(max_step):
+    f, times = _recording(lambda t, y: np.array([np.cos(3.0 * t) * y[0], -y[1]]))
+    first_accept = []
+    t0, t_out = 0.2, np.array([0.2, 0.57, 1.3, 2.0])
+    integrate_adaptive(f, t0, np.array([1.0, 2.0]), t_out, max_step=max_step,
+                       step_callback=lambda t, y: first_accept.append(len(times)))
+    assert max(times) <= t_out[-1]
+    if np.isfinite(max_step):
+        assert max(times[:first_accept[0]]) <= t0 + max_step
+
+
+# Dormand & Prince (1980), one list per stage, as printed
+_DP_A = [[], [1 / 5], [3 / 40, 9 / 40], [44 / 45, -56 / 15, 32 / 9],
+         [19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729],
+         [9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656],
+         [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]]
+_DP_C = [0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0]
+_DP_B5 = [35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0]
+_DP_B4 = [5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40]
+
+
+def _per_stage_step(f, t, y, h):
+    k = [f(t, y)]
+    for a, c in zip(_DP_A[1:], _DP_C[1:]):
+        k.append(f(t + c * h, y + h * sum(aj * kj for aj, kj in zip(a, k))))
+    y5 = y + h * sum(b * kj for b, kj in zip(_DP_B5, k))
+    err = h * sum((b5 - b4) * kj for b5, b4, kj in zip(_DP_B5, _DP_B4, k))
+    return y5, err, k[-1], np.max(np.abs(k))
+
+
+def test_stacked_tableau_matches_per_stage_loop():
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        m, b, c = rng.normal(size=(3, 3)), rng.normal(size=3), rng.normal(size=3)
+        f = lambda t, y: m @ y + b + c * t
+        t, y, h = rng.uniform(-1, 1), rng.normal(size=3), rng.uniform(0.01, 0.5)
+        y5, err, k7 = rk45_step(f, t, y, h)
+        ref_y5, ref_err, ref_k7, kmax = _per_stage_step(f, t, y, h)
+        assert np.all(np.abs(y5 - ref_y5) <= 1e-14 * np.maximum(1.0, np.abs(ref_y5)))
+        assert np.all(np.abs(k7 - ref_k7) <= 1e-14 * np.maximum(1.0, np.abs(ref_k7)))
+        assert np.all(np.abs(err - ref_err) <= 1e-14 * h * kmax)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from pilotwave.errors import NonFiniteResult
 from pilotwave.report import GridSpec, ResidualReport, format_float, sweep
 
 
@@ -19,6 +20,13 @@ def test_complex_values_stored_as_magnitude():
     rep = ResidualReport.from_samples("c", np.zeros((2, 2)), [3 + 4j, 1j])
     assert rep.values[0] == pytest.approx(5.0)
     assert rep.values[1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(np.inf, 0.0)])
+def test_non_finite_value_names_report_and_point(bad):
+    pts = [[0.0, 0.5], [1.0, 1.5], [2.0, 2.5]]
+    with pytest.raises(NonFiniteResult, match=r"'r'.*\[1\.0, 1\.5\]"):
+        ResidualReport.from_samples("r", pts, [0.1, bad, bad])
 
 
 def test_json_roundtrip_fields():
