@@ -37,7 +37,7 @@ from .nc_geometry import (NCBackground, ehat_identity_residual,
                           frame_identity_residuals, null_lift_residuals,
                           random_frame_background)
 from .report import GridSpec, ResidualReport
-from .scenarios import Scenario
+from .scenarios import COMMAND_GATES, Check, Scenario
 
 COMMANDS = ("check", "residuals", "trajectories", "reduce", "hj-verify",
             "superposition-demo")
@@ -66,7 +66,11 @@ config document (JSON); unknown keys are rejected at every level:
 CSV columns: reports are x0..x{D-1},value; trajectories are
 lambda,X0..X{D-1},p0..p{D-1},constraint_residual; floats carry 17
 significant digits.  See FORMATS.md.
-"""
+
+gates the commands apply on top of the scenario's checks, one per report name
+(--tolerance-scale relaxes them):
+""" + "".join(f"  {c.name:<24}max_abs {'>' if c.mode == 'min' else '<='} {c.tolerance!r}\n"
+              for c in COMMAND_GATES.values())
 
 # Every config field: a section maps key -> (kind, default), and a nested
 # dict is a sub-section.  Kinds are those of ``scenarios.check_value``; a
@@ -180,24 +184,22 @@ def _grid_points(sc: Scenario, cfg: RunConfig):
     return grid.points()
 
 
-def _gate(report_max: float, tol: float, mode: str, scale: float) -> bool:
-    if mode == "min":
-        return report_max > tol / scale
-    return report_max <= tol * scale
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (failures, {filename: text})
 # ---------------------------------------------------------------------------
 
-def _emit(files, failures, report: ResidualReport, fmt: str, tol: float, mode: str,
+def _emit(files, failures, report: ResidualReport, fmt: str, check: Check,
           scale: float) -> bool:
-    """Render one report into ``files`` and gate it; a failure is recorded by name."""
+    """Render one report into ``files`` and gate it by ``check``, whose tolerance
+    ``scale`` multiplies ('max') or divides ('min'); a failure is recorded by name."""
     files[f"report_{report.name}.{fmt}"] = report.to_csv() if fmt == "csv" else report.to_json()
-    passed = _gate(report.max_abs, tol, mode, scale)
+    if check.mode == "min":
+        passed = report.max_abs > check.tolerance / scale
+    else:
+        passed = report.max_abs <= check.tolerance * scale
     if not passed:
-        failures.append(f"{report.name} (max_abs={report.max_abs:.3e}, tol={tol:.1e}, "
-                        f"mode={mode})")
+        failures.append(f"{report.name} (max_abs={report.max_abs:.3e}, "
+                        f"tol={check.tolerance:.1e}, mode={check.mode})")
     return passed
 
 
@@ -210,27 +212,30 @@ def _run_field_checks(sc, cfg, fmt, jobs, scale, names=None):
     for check in sc.checks:
         if names is None or check.name in names:
             rep = _evaluate_check(sc, check.name, pts, jobs)
-            _emit(files, failures, rep, fmt, check.tolerance, check.mode, scale)
+            _emit(files, failures, rep, fmt, check, scale)
     return failures, files
+
+
+_NC_IDENTITIES = ("frame-identities", "ehat-identity", "null-lift-inverse", "null-lift-volume")
+
+
+def _identity_values(nc, x) -> tuple:
+    """The Newton-Cartan identity defects at x, in the order of _NC_IDENTITIES."""
+    lift = null_lift_residuals(nc, x)
+    return (max(frame_identity_residuals(nc, x).values()), ehat_identity_residual(nc, x),
+            max(lift["product"], lift["inverse_gap"]), lift["volume_gap"])
 
 
 def _emit_nc_identities(files, failures, sc, cfg, fmt, scale):
     """Frame, ehat and null-lift identity reports over the grid."""
-    nc = sc.background
     points = _grid_points(sc, cfg)
-    frame_vals, ehat_vals, lift_vals, vol_vals = [], [], [], []
+    columns = [[] for _ in _NC_IDENTITIES]
     for p in points:
-        frame_vals.append(max(frame_identity_residuals(nc, p).values()))
-        ehat_vals.append(ehat_identity_residual(nc, p))
-        res = null_lift_residuals(nc, p)
-        lift_vals.append(max(res["product"], res["inverse_gap"]))
-        vol_vals.append(res["volume_gap"])
-    for name, vals, tol in (("frame-identities", frame_vals, 1e-10),
-                            ("ehat-identity", ehat_vals, 1e-9),
-                            ("null-lift-inverse", lift_vals, 1e-10),
-                            ("null-lift-volume", vol_vals, 1e-10)):
-        rep = ResidualReport.from_samples(name, points, vals)
-        _emit(files, failures, rep, fmt, tol, "max", scale)
+        for column, value in zip(columns, _identity_values(sc.background, p)):
+            column.append(value)
+    for name, values in zip(_NC_IDENTITIES, columns):
+        rep = ResidualReport.from_samples(name, points, values)
+        _emit(files, failures, rep, fmt, COMMAND_GATES[name], scale)
 
 
 def cmd_check(sc, cfg, fmt, jobs, scale):
@@ -268,7 +273,7 @@ def cmd_trajectories(sc, cfg, fmt, jobs, scale):
         files[f"traj_{k}.{fmt}"] = traj.to_csv() if fmt == "csv" else traj.to_json()
         worst = max(worst, float(np.max(np.abs(traj.constraint))))
     summary = ResidualReport.from_samples("trajectory-constraint", seeds, [worst] * len(seeds))
-    _emit(files, failures, summary, fmt, tol, "max", scale)
+    _emit(files, failures, summary, fmt, Check("trajectory-constraint", tol), scale)
     return failures, files
 
 
@@ -282,17 +287,12 @@ def cmd_reduce(sc, cfg, fmt, jobs, scale):
     if n_random > 0:
         rng = np.random.default_rng(cfg.reduce["seed"])
         dim = cfg.reduce["dim"] or sc.background.dim
-        vals = []
         x = np.zeros(dim)
-        for _ in range(n_random):
-            nc = random_frame_background(rng, dim)
-            res = null_lift_residuals(nc, x)
-            vals.append(max(max(frame_identity_residuals(nc, x).values()),
-                            ehat_identity_residual(nc, x),
-                            res["product"], res["inverse_gap"]))
+        vals = [max(_identity_values(random_frame_background(rng, dim), x)[:3])
+                for _ in range(n_random)]
         rep = ResidualReport.from_samples("random-frame-identities",
                                           np.zeros((n_random, dim)), vals)
-        _emit(files, failures, rep, fmt, 1e-9, "max", scale)
+        _emit(files, failures, rep, fmt, COMMAND_GATES[rep.name], scale)
     return failures, files
 
 
@@ -310,11 +310,10 @@ def cmd_hj_verify(sc, cfg, fmt, jobs, scale):
     bvps = [BoundaryValueProblem(x0=base.x0, xf=[xf], lambda0=base.lambda0,
                                  lambdaf=float(lf), intervals=base.intervals) for xf, lf in pts]
     reports = verify_hj_relations(sc.system, bvps, fd_step=fd_step)
-    gates = {"momentum": 5e-5, "energy": 5e-5, "pde": 1e-4}
     files = {}
     failures = []
-    for key, rep in reports.items():
-        _emit(files, failures, rep, fmt, gates[key], "max", scale)
+    for rep in reports.values():
+        _emit(files, failures, rep, fmt, COMMAND_GATES[rep.name], scale)
     return failures, files
 
 
@@ -325,19 +324,19 @@ def cmd_superposition_demo(sc, cfg, fmt, jobs, scale):
     pts = _grid_points(sc, cfg)
     linear = _evaluate_check(sc, "linear-wave", pts, jobs)
     classical = _evaluate_check(sc, "classical-wave", pts, jobs)
-    linear_tol, classical_floor = 1e-9, 1e-2
+    linear_gate, classical_gate = COMMAND_GATES["linear-wave"], COMMAND_GATES["classical-wave"]
     files = {}
     failures = []
-    linear_ok = _emit(files, failures, linear, fmt, linear_tol, "max", scale)
-    classical_ok = _emit(files, failures, classical, fmt, classical_floor, "min", scale)
+    linear_ok = _emit(files, failures, linear, fmt, linear_gate, scale)
+    classical_ok = _emit(files, failures, classical, fmt, classical_gate, scale)
     doc = {
         "scenario": sc.name,
         "points": int(pts.shape[0]),
         "linear_max_abs": linear.max_abs,
-        "linear_tolerance": linear_tol,
+        "linear_tolerance": linear_gate.tolerance,
         "linear_pass": linear_ok,
         "classical_max_abs": classical.max_abs,
-        "classical_floor": classical_floor,
+        "classical_floor": classical_gate.tolerance,
         "classical_pass": classical_ok,
     }
     files["report_superposition_demo.json"] = json.dumps(doc, sort_keys=True, indent=1)

@@ -275,16 +275,19 @@ def nc_momentum_covector(nc: NCBackground, f: PolarField, x) -> Array:
     return np.asarray(f.dS(pt), dtype=float) - nc.charge * nc.reduced_gauge_at(pt)
 
 
-def _nc_hj_forms(nc: NCBackground, x, k) -> tuple[float, float]:
+def _nc_hj_forms(nc: NCBackground, x, k) -> tuple[float, float, float]:
+    """Both forms and the largest magnitude among the terms they are summed from."""
     pt = check_point(x, nc.dim)
     der = derive_nc(nc, pt)
     w = der.w
-    vhat_form = 2.0 * w * (der.v_hat @ k) - k @ der.h_up @ k - 2.0 * w**2 * der.Phi
+    terms = (2.0 * w * (der.v_hat @ k), k @ der.h_up @ k, 2.0 * w**2 * der.Phi)
+    vhat_form = terms[0] - terms[1] - terms[2]
     # M is read afresh, not taken from der.m, so the guard also sees a closure
     # whose M disagrees with the one the derived objects were built from
     big_k = k + w * np.asarray(nc.m_field(pt), dtype=float)
-    vm_form = 2.0 * w * (der.v @ big_k) - big_k @ der.h_up @ big_k
-    return float(vhat_form), float(vm_form)
+    terms += (2.0 * w * (der.v @ big_k), big_k @ der.h_up @ big_k)
+    vm_form = terms[3] - terms[4]
+    return float(vhat_form), float(vm_form), float(max(map(abs, terms)))
 
 
 def nc_classical_hj_forms(nc: NCBackground, f: PolarField, x) -> tuple[float, float]:
@@ -293,18 +296,18 @@ def nc_classical_hj_forms(nc: NCBackground, f: PolarField, x) -> tuple[float, fl
     The boost-invariant form uses (vhat, Phi); the frame form uses (v, M)
     with K = k + w M, oriented to match.  They agree identically.
     """
-    return _nc_hj_forms(nc, x, nc_momentum_covector(nc, f, x))
+    return _nc_hj_forms(nc, x, nc_momentum_covector(nc, f, x))[:2]
 
 
 def nc_hj_expression(nc: NCBackground, x, k) -> float:
     """2 w vhat.k - k h k - 2 w^2 Phi for a kinetic covector k at x.
 
     Also evaluates the equivalent (v, M) form and raises FormMismatch if the
-    two disagree beyond tolerance.
+    two disagree beyond tolerance, relative to their largest term: the forms
+    themselves can cancel to 0 while their terms are large.
     """
-    vhat_form, vm_form = _nc_hj_forms(nc, x, k)
-    scale = max(1.0, abs(vhat_form), abs(vm_form))
-    if abs(vhat_form - vm_form) > FORM_AGREEMENT_TOL * scale:
+    vhat_form, vm_form, scale = _nc_hj_forms(nc, x, k)
+    if abs(vhat_form - vm_form) > FORM_AGREEMENT_TOL * max(1.0, scale):
         raise FormMismatch(f"HJ form mismatch: {vhat_form!r} vs {vm_form!r}")
     return vhat_form
 

@@ -30,7 +30,7 @@ Array = np.ndarray
 
 @dataclass(frozen=True)
 class Check:
-    """One named residual gate: max_abs <= tol ('max') or >= tol ('min')."""
+    """One named residual gate: max_abs <= tol ('max') or > tol ('min')."""
 
     name: str
     tolerance: float
@@ -78,6 +78,25 @@ CHECK_EVALUATORS = {
     "nc-quantum-potential": ("nc_quantum_potential", "polar"),
     "nc-schrodinger": ("nc_schrodinger_residual", "psi"),
 }
+
+# Gates a command applies on its own, on top of a scenario's checks, keyed by
+# the name of the report each one gates.
+COMMAND_GATES = {c.name: c for c in (
+    # check and reduce on a Newton-Cartan scenario, at every grid point
+    Check("frame-identities", 1e-10),
+    Check("ehat-identity", 1e-9),
+    Check("null-lift-inverse", 1e-10),
+    Check("null-lift-volume", 1e-10),
+    # reduce with reduce.random_frames > 0
+    Check("random-frame-identities", 1e-9),
+    # hj-verify (and check on an hj-foundation scenario)
+    Check("hj-endpoint-momentum", 5e-5),
+    Check("hj-endpoint-energy", 5e-5),
+    Check("hj-pde", 1e-4),
+    # superposition-demo: the linear equation holds, the classical one fails
+    Check("linear-wave", 1e-9),
+    Check("classical-wave", 1e-2, mode="min"),
+)}
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ Each workload runs once, shrunk (small grids, one trajectory seed, a 2x2
 hj grid), under the benchmark's own tracer.  Every per-layer counter the
 benchmark requires for that workload must be nonzero, derive_nc must run
 the number of times per grid point that perfbench/selftest.py pins, and
-tracing must leave every pilotwave binding as it found it.
+tracing must leave every pilotwave binding as it found it.  The bounds the
+benchmark re-checks its artifacts against are those of the CLI gate table
+and of the configs test.
 """
 import dataclasses
 import importlib.util
@@ -12,6 +14,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from pilotwave.scenarios import COMMAND_GATES
+from test_configs import PACKET_REL_TOL
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -68,3 +73,10 @@ def test_traced_workload_keeps_the_benchmark_contract(tmp_path, name):
     if name == "nc-sweep":
         for counter, expected in selftest.STRUCTURAL[name].items():
             assert metrics[counter] == expected, counter
+
+
+def test_benchmark_rechecks_the_cli_gates():
+    hj = {name: c.tolerance for name, c in COMMAND_GATES.items() if name.startswith("hj-")}
+    assert all(COMMAND_GATES[name].mode == "max" for name in hj)
+    assert bench.wl_mod.HJ_GATES == hj
+    assert bench.wl_mod.PACKET_REL_TOL == PACKET_REL_TOL

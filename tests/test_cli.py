@@ -10,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pilotwave.cli import FIELDS, main
-from pilotwave.scenarios import build
+from pilotwave.scenarios import COMMAND_GATES, build
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -337,6 +337,15 @@ def test_help_epilog_lists_every_declared_field(capsys):
     assert sorted(re.findall(r"^  (\S+)", block, re.M)) == PATHS
 
 
+def test_help_epilog_lists_every_command_gate(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    block = capsys.readouterr().out.split("on top of the scenario's checks")[1]
+    rows = re.findall(r"^  (\S+) +max_abs (<=|>) (\S+)$", block, re.M)
+    assert {name: (op, float(tol)) for name, op, tol in rows} == {
+        c.name: ("<=" if c.mode == "max" else ">", c.tolerance) for c in COMMAND_GATES.values()}
+
+
 # one small valid document per command: grids of at most 3x3, one seed, few samples
 FUZZ_BASES = {
     "check": {"scenario": {"name": PLANE},
@@ -359,7 +368,9 @@ FUZZ_BASES = {
 }
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-10, 10) | st.text(max_size=3)
-    | st.sampled_from(["csv", "json", "check", PACKET, "classical-hj", "conserved"]),
+    | st.sampled_from(["csv", "json", "check", PACKET, "classical-hj", "conserved"])
+    # magnitudes whose square or product overflows or underflows a double
+    | st.sampled_from([1e300, -1e300, 1.5e154, -1.5e154, 1e-300, 1e-154]),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=2),
     max_leaves=6)

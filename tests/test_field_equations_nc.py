@@ -56,6 +56,13 @@ class TestClassicalHJ:
         with pytest.raises(FormMismatch):
             feq.nc_classical_hj_residual(nc, nc_plane_field(1.0, 0.7), X2)
 
+    @pytest.mark.parametrize("m_t", [1e6, 1e7, 1e8, 1e300])
+    def test_large_constant_potential_is_no_form_mismatch(self, m_t):
+        # both forms cancel to about 0 from terms of order M_t
+        sc = build("nc-nontrivial-M", {"M_t": m_t})
+        for x in sc.default_grid.points():
+            feq.nc_classical_hj_residual(sc.background, sc.polar, x)
+
 
 class TestQuantumPotential:
     def test_constant_density_vanishes(self, wavy_nc):
