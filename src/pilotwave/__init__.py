@@ -9,13 +9,12 @@ from .errors import (BadParameter, ConfigError, DegenerateFrame,
                      NoConvergence, NodeEncountered, NonFiniteResult,
                      PilotwaveError, SignatureViolation, SingularMetric, StepFailure,
                      TachyonicInput, UnknownScenario)
-from .fields import (EPS_NODE, ComplexField, PolarField, complex_field,
-                     complex_view, polar_compose, polar_decompose,
-                     polar_field, polar_view, unwrap_phase)
+from .fields import (EPS_NODE, ComplexField, PolarField, complex_view,
+                     polar_field, polar_view)
 from .geometry import (BackgroundRel, MetricData, check_point, metric_data,
                        metric_inverse, volume_element)
-from .nc_geometry import (NCBackground, NCDerived, NullLift, derive_nc,
-                          ehat_identity_check, null_lift, null_lift_residuals)
+from .nc_geometry import (NCBackground, NCDerived, NullLift, derive_nc, null_lift,
+                          null_lift_residuals)
 from .report import GridSpec, ResidualReport, sweep
 from .dynamics import (GuidanceField, Trajectory, guidance_velocity_nc,
                        guidance_velocity_rel, hamiltonian_constraint_residual,

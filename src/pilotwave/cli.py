@@ -26,7 +26,7 @@ import os
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -157,8 +157,9 @@ class RunConfig:
 
 def _worker_check(args):
     name, params, check_name, pts = args
-    sc = scen.build(name, params)
-    rep = sc.run_check(check_name, np.asarray(pts))
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        sc = scen.build(name, params)
+        rep = sc.run_check(check_name, np.asarray(pts))
     return list(map(float, rep.values))
 
 
@@ -185,35 +186,46 @@ def _grid_points(sc: Scenario, cfg: RunConfig):
 
 
 # ---------------------------------------------------------------------------
-# command handlers: each returns (failures, {filename: text})
+# command handlers: each renders its artifacts into, and gates them through, one Run
 # ---------------------------------------------------------------------------
 
-def _emit(files, failures, report: ResidualReport, fmt: str, check: Check,
-          scale: float) -> bool:
-    """Render one report into ``files`` and gate it by ``check``, whose tolerance
-    ``scale`` multiplies ('max') or divides ('min'); a failure is recorded by name."""
-    files[f"report_{report.name}.{fmt}"] = report.to_csv() if fmt == "csv" else report.to_json()
-    if check.mode == "min":
-        passed = report.max_abs > check.tolerance / scale
-    else:
-        passed = report.max_abs <= check.tolerance * scale
-    if not passed:
-        failures.append(f"{report.name} (max_abs={report.max_abs:.3e}, "
-                        f"tol={check.tolerance:.1e}, mode={check.mode})")
-    return passed
+@dataclass
+class Run:
+    """One command's settings (format, tolerance scale, worker processes) and
+    results (filename -> text, one line per failed gate)."""
+
+    fmt: str
+    scale: float
+    jobs: int
+    files: dict = field(default_factory=dict)
+    failures: list = field(default_factory=list)
+
+    def add(self, stem: str, artifact) -> None:
+        """Render a report or trajectory as ``<stem>.<fmt>``."""
+        self.files[f"{stem}.{self.fmt}"] = (artifact.to_csv() if self.fmt == "csv"
+                                            else artifact.to_json())
+
+    def gate(self, report: ResidualReport, check: Check) -> bool:
+        """Render ``report`` and gate it by ``check``, whose tolerance the scale
+        multiplies ('max') or divides ('min'); a failure is recorded by name."""
+        self.add(f"report_{report.name}", report)
+        if check.mode == "min":
+            passed = report.max_abs > check.tolerance / self.scale
+        else:
+            passed = report.max_abs <= check.tolerance * self.scale
+        if not passed:
+            self.failures.append(f"{report.name} (max_abs={report.max_abs:.3e}, "
+                                 f"tol={check.tolerance:.1e}, mode={check.mode})")
+        return passed
 
 
-def _run_field_checks(sc, cfg, fmt, jobs, scale, names=None):
+def _run_field_checks(sc, cfg, run, names=None):
     pts = _grid_points(sc, cfg)
-    files = {}
-    failures = []
     for name in names or ():
         scen.check_value("residuals", name, tuple(c.name for c in sc.checks))
     for check in sc.checks:
         if names is None or check.name in names:
-            rep = _evaluate_check(sc, check.name, pts, jobs)
-            _emit(files, failures, rep, fmt, check, scale)
-    return failures, files
+            run.gate(_evaluate_check(sc, check.name, pts, run.jobs), check)
 
 
 _NC_IDENTITIES = ("frame-identities", "ehat-identity", "null-lift-inverse", "null-lift-volume")
@@ -226,7 +238,7 @@ def _identity_values(nc, x) -> tuple:
             max(lift["product"], lift["inverse_gap"]), lift["volume_gap"])
 
 
-def _emit_nc_identities(files, failures, sc, cfg, fmt, scale):
+def _gate_nc_identities(sc, cfg, run):
     """Frame, ehat and null-lift identity reports over the grid."""
     points = _grid_points(sc, cfg)
     columns = [[] for _ in _NC_IDENTITIES]
@@ -234,24 +246,22 @@ def _emit_nc_identities(files, failures, sc, cfg, fmt, scale):
         for column, value in zip(columns, _identity_values(sc.background, p)):
             column.append(value)
     for name, values in zip(_NC_IDENTITIES, columns):
-        rep = ResidualReport.from_samples(name, points, values)
-        _emit(files, failures, rep, fmt, COMMAND_GATES[name], scale)
+        run.gate(ResidualReport.from_samples(name, points, values), COMMAND_GATES[name])
 
 
-def cmd_check(sc, cfg, fmt, jobs, scale):
+def cmd_check(sc, cfg, run):
     if sc.kind == "hj-foundation":
-        return cmd_hj_verify(sc, cfg, fmt, jobs, scale)
-    failures, files = _run_field_checks(sc, cfg, fmt, jobs, scale)
+        return cmd_hj_verify(sc, cfg, run)
+    _run_field_checks(sc, cfg, run)
     if isinstance(sc.background, NCBackground):
-        _emit_nc_identities(files, failures, sc, cfg, fmt, scale)
-    return failures, files
+        _gate_nc_identities(sc, cfg, run)
 
 
-def cmd_residuals(sc, cfg, fmt, jobs, scale):
-    return _run_field_checks(sc, cfg, fmt, jobs, scale, names=cfg.residuals)
+def cmd_residuals(sc, cfg, run):
+    _run_field_checks(sc, cfg, run, names=cfg.residuals)
 
 
-def cmd_trajectories(sc, cfg, fmt, jobs, scale):
+def cmd_trajectories(sc, cfg, run):
     tcfg = cfg.trajectories
     seeds = [list(s) for s in sc.default_seeds] if tcfg["seeds"] is None else tcfg["seeds"]
     if not seeds:
@@ -264,25 +274,20 @@ def cmd_trajectories(sc, cfg, fmt, jobs, scale):
     span = tcfg["span"] or sc.default_span
     tol = tcfg["tolerance"] or sc.trajectory_tolerance
     gf = GuidanceField(background=sc.background, field=sc.polar)
-    files = {}
-    failures = []
-    worst = 0.0
+    worst = []
     for k, seed in enumerate(seeds):
         traj = integrate_trajectory(gf, seed, span, steps=tcfg["steps"], rtol=tcfg["rtol"],
                                     atol=tcfg["atol"])
-        files[f"traj_{k}.{fmt}"] = traj.to_csv() if fmt == "csv" else traj.to_json()
-        worst = max(worst, float(np.max(np.abs(traj.constraint))))
-    summary = ResidualReport.from_samples("trajectory-constraint", seeds, [worst] * len(seeds))
-    _emit(files, failures, summary, fmt, Check("trajectory-constraint", tol), scale)
-    return failures, files
+        run.add(f"traj_{k}", traj)
+        worst.append(float(np.max(np.abs(traj.constraint))))
+    summary = ResidualReport.from_samples("trajectory-constraint", seeds, worst)
+    run.gate(summary, Check("trajectory-constraint", tol))
 
 
-def cmd_reduce(sc, cfg, fmt, jobs, scale):
+def cmd_reduce(sc, cfg, run):
     if not isinstance(sc.background, NCBackground):
         raise ConfigError("scenario.name", "reduce needs a newton-cartan scenario")
-    files = {}
-    failures = []
-    _emit_nc_identities(files, failures, sc, cfg, fmt, scale)
+    _gate_nc_identities(sc, cfg, run)
     n_random = cfg.reduce["random_frames"]
     if n_random > 0:
         rng = np.random.default_rng(cfg.reduce["seed"])
@@ -292,11 +297,10 @@ def cmd_reduce(sc, cfg, fmt, jobs, scale):
                 for _ in range(n_random)]
         rep = ResidualReport.from_samples("random-frame-identities",
                                           np.zeros((n_random, dim)), vals)
-        _emit(files, failures, rep, fmt, COMMAND_GATES[rep.name], scale)
-    return failures, files
+        run.gate(rep, COMMAND_GATES[rep.name])
 
 
-def cmd_hj_verify(sc, cfg, fmt, jobs, scale):
+def cmd_hj_verify(sc, cfg, run):
     from .action_principles import BoundaryValueProblem, verify_hj_relations
 
     if sc.kind != "hj-foundation":
@@ -309,26 +313,20 @@ def cmd_hj_verify(sc, cfg, fmt, jobs, scale):
                                   f"= {base.lambda0} + {fd_step}")
     bvps = [BoundaryValueProblem(x0=base.x0, xf=[xf], lambda0=base.lambda0,
                                  lambdaf=float(lf), intervals=base.intervals) for xf, lf in pts]
-    reports = verify_hj_relations(sc.system, bvps, fd_step=fd_step)
-    files = {}
-    failures = []
-    for rep in reports.values():
-        _emit(files, failures, rep, fmt, COMMAND_GATES[rep.name], scale)
-    return failures, files
+    for rep in verify_hj_relations(sc.system, bvps, fd_step=fd_step).values():
+        run.gate(rep, COMMAND_GATES[rep.name])
 
 
-def cmd_superposition_demo(sc, cfg, fmt, jobs, scale):
+def cmd_superposition_demo(sc, cfg, run):
     if sc.psi is None or sc.kind != "relativistic":
         raise ConfigError("scenario.name",
                           "superposition-demo needs a relativistic complex field")
     pts = _grid_points(sc, cfg)
-    linear = _evaluate_check(sc, "linear-wave", pts, jobs)
-    classical = _evaluate_check(sc, "classical-wave", pts, jobs)
+    linear = _evaluate_check(sc, "linear-wave", pts, run.jobs)
+    classical = _evaluate_check(sc, "classical-wave", pts, run.jobs)
     linear_gate, classical_gate = COMMAND_GATES["linear-wave"], COMMAND_GATES["classical-wave"]
-    files = {}
-    failures = []
-    linear_ok = _emit(files, failures, linear, fmt, linear_gate, scale)
-    classical_ok = _emit(files, failures, classical, fmt, classical_gate, scale)
+    linear_ok = run.gate(linear, linear_gate)
+    classical_ok = run.gate(classical, classical_gate)
     doc = {
         "scenario": sc.name,
         "points": int(pts.shape[0]),
@@ -339,8 +337,7 @@ def cmd_superposition_demo(sc, cfg, fmt, jobs, scale):
         "classical_floor": classical_gate.tolerance,
         "classical_pass": classical_ok,
     }
-    files["report_superposition_demo.json"] = json.dumps(doc, sort_keys=True, indent=1)
-    return failures, files
+    run.files["report_superposition_demo.json"] = json.dumps(doc, sort_keys=True, indent=1)
 
 
 HANDLERS = {
@@ -389,23 +386,26 @@ def run(command: str, cfg: RunConfig, out_dir: str | None = None,
     """Dispatch one command; returns the process exit status.
 
     ``out_dir`` and ``fmt`` fall back to the config's own 'out'/'format'
-    fields, whose defaults are 'out' and 'json'.
+    fields, whose defaults are 'out' and 'json'.  A numpy overflow, division
+    by zero or invalid operation raises where it happens and ends as a
+    BadParameter while the scenario is built, a NonFiniteResult after.
     """
     if cfg.command is not None and cfg.command != command:
         raise ConfigError("command", f"config says '{cfg.command}', invoked '{command}'")
+    scen.check_value("--tolerance-scale", tolerance_scale, "positive")
+    scen.check_value("--jobs", jobs, "workers")
     out_dir = out_dir if out_dir is not None else cfg.out
-    fmt = fmt if fmt is not None else cfg.format
-    sc = scen.build(cfg.scenario_name, cfg.scenario_params)
-    try:
-        failures, files = HANDLERS[command](sc, cfg, fmt, jobs, tolerance_scale)
-    except ArithmeticError as exc:
-        raise NonFiniteResult(f"{command} on '{sc.name}': {type(exc).__name__}: {exc}") from exc
-    _write_outputs(out_dir, command, cfg, files)
-    if failures:
-        for f in failures:
-            print(f"tolerance failure: {f}", file=sys.stderr)
-        return 1
-    return 0
+    state = Run(fmt if fmt is not None else cfg.format, tolerance_scale, jobs)
+    with np.errstate(over="raise", divide="raise", invalid="raise"):
+        sc = scen.build(cfg.scenario_name, cfg.scenario_params)
+        try:
+            HANDLERS[command](sc, cfg, state)
+        except ArithmeticError as exc:
+            raise NonFiniteResult(f"{command} on '{sc.name}': {type(exc).__name__}: {exc}") from exc
+    _write_outputs(out_dir, command, cfg, state.files)
+    for f in state.failures:
+        print(f"tolerance failure: {f}", file=sys.stderr)
+    return 1 if state.failures else 0
 
 
 def main(argv=None) -> int:
@@ -418,10 +418,10 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None,
                         help="output directory (default: config 'out' or ./out)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps, >= 1")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--tolerance-scale", type=float, default=1.0,
-                        help="uniform tolerance relaxation factor for exploratory runs")
+                        help="positive tolerance relaxation factor for exploratory runs")
     args = parser.parse_args(argv)
     try:
         with open(args.config) as handle:

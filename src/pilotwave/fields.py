@@ -10,9 +10,9 @@ Node handling: operations raise NodeEncountered as soon as the density is
 at or below EPS_NODE.  Trajectories never cross nodes, and regularizing
 silently would only hide bugs.
 
-The phase returned by polar_decompose lies in (-pi, pi]; use unwrap_phase
-for nearest-branch continuation along a sampled path.  Residuals depend on
-dS only, so branch choice never affects them.
+``polar_view`` gives (rho, S) = (|psi|^2, arg psi) of a complex field, with
+S in (-pi, pi]; ``np.unwrap`` continues such a phase along a sampled path.
+Residuals depend on dS only, so branch choice never affects them.
 """
 from __future__ import annotations
 
@@ -69,40 +69,6 @@ def polar_field(rho, S, *, drho=None, d2rho=None, dS=None, d2S=None) -> PolarFie
         dS=dS if dS is not None else (lambda x: jacobian(S, x)),
         d2S=d2S if d2S is not None else (lambda x: hessian(S, x)),
     )
-
-
-def complex_field(psi, *, dpsi=None, d2psi=None) -> ComplexField:
-    """Build a ComplexField, filling missing derivatives with central FD."""
-    return ComplexField(
-        psi=psi,
-        dpsi=dpsi if dpsi is not None else (lambda x: jacobian(psi, x)),
-        d2psi=d2psi if d2psi is not None else (lambda x: hessian(psi, x)),
-    )
-
-
-def polar_compose(f: PolarField, x) -> complex:
-    """psi = sqrt(rho) e^{iS} at x."""
-    x = np.asarray(x, dtype=float)
-    return complex(np.sqrt(f.rho_checked(x)) * np.exp(1j * f.S(x)))
-
-
-def polar_decompose(f: ComplexField, x) -> tuple[float, float]:
-    """(rho, S) = (|psi|^2, arg psi) with S in (-pi, pi]."""
-    x = np.asarray(x, dtype=float)
-    psi = complex(f.psi(x))
-    rho = abs(psi) ** 2
-    if rho <= EPS_NODE:
-        raise NodeEncountered(f"|psi|^2 = {rho:.3e} at node threshold {EPS_NODE:.0e}")
-    return rho, float(np.angle(psi))
-
-
-def unwrap_phase(values) -> Array:
-    """Nearest-branch continuation of a phase sequence along a path."""
-    vals = np.asarray(values, dtype=float)
-    out = np.array(vals)
-    for k in range(1, out.size):
-        out[k] = vals[k] + 2.0 * np.pi * np.round((out[k - 1] - vals[k]) / (2.0 * np.pi))
-    return out
 
 
 def polar_view(cf: ComplexField) -> PolarField:

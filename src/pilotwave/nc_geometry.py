@@ -58,13 +58,13 @@ class NCBackground:
     dphi: Callable[[Array], Array] | None = None
 
     @classmethod
-    def flat(cls, dim: int = 2, mass: float = 1.0, charge: float = 0.0) -> "NCBackground":
-        """Absolute time plus Euclidean space: tau = dt, unit vierbein."""
+    def flat(cls, dim: int = 2, mass: float = 1.0) -> "NCBackground":
+        """Absolute time plus Euclidean space: tau = dt, unit vierbein, no charge."""
         tau = np.zeros(dim)
         tau[0] = 1.0
         vier = np.zeros((dim, dim - 1))
         vier[1:, :] = np.eye(dim - 1)
-        return cls.constant(tau, vier, mass=mass, charge=charge)
+        return cls.constant(tau, vier, mass=mass)
 
     @classmethod
     def constant(cls, tau, vierbein, m_field=None, gauge_bar=None, phi: float = 0.0,
@@ -260,15 +260,6 @@ def ehat_identity_residual(nc: NCBackground, x) -> float:
     return float(np.max(np.abs(lhs - rhs)))
 
 
-def ehat_identity_check(nc: NCBackground, points):
-    """ResidualReport of the ehat identity over one point or many."""
-    from .report import ResidualReport
-
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    values = [ehat_identity_residual(nc, p) for p in pts]
-    return ResidualReport.from_samples("ehat-identity", pts, values)
-
-
 def null_lift_residuals(nc: NCBackground, x) -> dict[str, float]:
     """Consistency defects of the lifted metric at x.
 
@@ -288,25 +279,24 @@ def null_lift_residuals(nc: NCBackground, x) -> dict[str, float]:
     return {"product": product, "inverse_gap": inverse_gap, "volume_gap": volume_gap}
 
 
-def random_frame_background(rng, dim: int, mass: float = 1.0, charge: float = 0.0,
-                            scale: float = 1.0) -> NCBackground:
-    """Constant NC background from a random well-conditioned oriented frame.
+def random_frame_background(rng, dim: int, charge: float = 0.0) -> NCBackground:
+    """Constant NC background of unit mass from a random well-conditioned oriented frame.
 
     Rejection-samples until cond(tau, e) <= 15 so that identity defects
     measure the algebra rather than the conditioning of the comparison
     inversion; orientation is flipped to det > 0.  M, Abar and phi are
-    drawn at O(scale/2).
+    drawn at O(1/2).
     """
     while True:
-        tau = rng.normal(size=dim) * scale
-        vier = rng.normal(size=(dim, dim - 1)) * scale
+        tau = rng.normal(size=dim)
+        vier = rng.normal(size=(dim, dim - 1))
         frame = np.column_stack([tau, vier])
         if np.linalg.cond(frame) <= 15.0:
             break
     if np.linalg.det(frame) < 0:
         tau = -tau
-    m_field = rng.normal(size=dim) * 0.5 * scale
-    abar = rng.normal(size=dim) * 0.5 * scale
-    phi = float(rng.normal()) * 0.5 * scale
+    m_field = rng.normal(size=dim) * 0.5
+    abar = rng.normal(size=dim) * 0.5
+    phi = float(rng.normal()) * 0.5
     return NCBackground.constant(tau, vier, m_field=m_field, gauge_bar=abar,
-                                 phi=phi, mass=mass, charge=charge)
+                                 phi=phi, charge=charge)

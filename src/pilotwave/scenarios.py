@@ -124,6 +124,7 @@ KINDS = {
     "positive": (lambda v: is_finite_real(v) and v > 0, "a positive finite number"),
     "count": (_integer(2), "an integer >= 2"),
     "index": (_integer(0), "an integer >= 0"),
+    "workers": (_integer(1), "an integer >= 1"),
     # random_frame_background rejection-samples; its acceptance falls fast with dim
     "frame-dim": (_integer(2, 10), "an integer from 2 to 10"),
     "string": (lambda v: isinstance(v, str), "a string"),

@@ -1,8 +1,8 @@
 """Central finite-difference stencils used as fallback derivative providers.
 
-``jacobian`` and ``hessian`` take a plain step.  The default steps balance
-truncation against double-precision round-off: H_FIRST = 1e-5 for first
-derivatives, H_SECOND = 1e-4 for second derivatives.
+The steps balance truncation against double-precision round-off: H_FIRST =
+1e-5 for first derivatives (``jacobian`` takes another step on request),
+H_SECOND = 1e-4 for second derivatives.
 """
 from __future__ import annotations
 
@@ -34,12 +34,13 @@ def derivative_or_fd(f, df, x):
     return np.asarray(df(x), dtype=float) if df is not None else jacobian(f, x)
 
 
-def hessian(f, x, h=H_SECOND):
-    """Symmetric second-derivative matrix of a scalar function.
+def hessian(f, x):
+    """Symmetric second-derivative matrix of a scalar function, step H_SECOND.
 
     The mixed-partial stencil is symmetric in the two directions by
     construction, so the returned matrix is exactly symmetric.
     """
+    h = H_SECOND
     x = np.asarray(x, dtype=float)
     d = x.size
     f0 = f(x)

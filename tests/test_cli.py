@@ -4,11 +4,15 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pilotwave
 from pilotwave.cli import FIELDS, main
 from pilotwave.scenarios import COMMAND_GATES, build
 
@@ -115,7 +119,8 @@ def test_trajectories_write_per_seed_files(tmp_path):
     for k in range(5):
         path = os.path.join(out, f"traj_{k}.csv")
         assert os.path.exists(path)
-        header = open(path).readline().strip().split(",")
+        with open(path) as handle:
+            header = handle.readline().strip().split(",")
         assert header == ["lambda", "X0", "X1", "p0", "p1", "constraint_residual"]
 
 
@@ -133,6 +138,54 @@ def test_tolerance_scale_relaxes_gate(tmp_path):
     out = str(tmp_path / "out")
     assert main(["trajectories", "--config", cfg, "--out", out,
                  "--tolerance-scale", "1e40"]) == 0
+
+
+def read_report(out_dir, name):
+    with open(os.path.join(out_dir, f"report_{name}.json")) as handle:
+        return json.load(handle)
+
+
+def test_trajectory_gate_holds_at_max_abs_and_fails_just_below(tmp_path):
+    doc = {"scenario": {"name": "flat-nc-gaussian-packet"},
+           "trajectories": {"steps": 11, "seeds": [[0.0, 0.25], [0.0, 2.0], [0.0, -3.0]]}}
+    out = str(tmp_path / "first")
+    assert main(["trajectories", "--config", write_config(tmp_path, doc), "--out", out]) == 0
+    report = read_report(out, "trajectory-constraint")
+    # each seed's sample is the worst |constraint| of its own worldline
+    for k, sample in enumerate(report["samples"]):
+        with open(os.path.join(out, f"traj_{k}.json")) as handle:
+            residuals = json.load(handle)["constraint_residual"]
+        assert sample["value"] == max(map(abs, residuals))
+    assert len({s["value"] for s in report["samples"]}) > 1
+    worst = report["max_abs"]
+    for tolerance, status in ((worst, 0), ((1 - 1e-9) * worst, 1)):
+        doc["trajectories"]["tolerance"] = tolerance
+        cfg = write_config(tmp_path, doc, name=f"tol-{status}.json")
+        assert main(["trajectories", "--config", cfg, "--out", str(tmp_path / "out")]) == status
+
+
+def test_min_gate_passes_just_above_and_fails_just_below(tmp_path):
+    cfg = write_config(tmp_path, {"scenario": {"name": "minkowski-superposition"}})
+    out = str(tmp_path / "first")
+    assert main(["superposition-demo", "--config", cfg, "--out", out]) == 0
+    classical = read_report(out, "classical-wave")["max_abs"]
+    floor = COMMAND_GATES["classical-wave"].tolerance
+    # the scaled floor floor/scale lands just below, then just above, the classical max_abs
+    for margin, status in ((1 - 1e-9, 0), (1 + 1e-9, 1)):
+        scale = floor / (margin * classical)
+        assert main(["superposition-demo", "--config", cfg, "--out", str(tmp_path / "out"),
+                     f"--tolerance-scale={scale!r}"]) == status
+
+
+@pytest.mark.parametrize("flag", ["--tolerance-scale=0", "--tolerance-scale=-1",
+                                  "--tolerance-scale=nan", "--tolerance-scale=inf",
+                                  "--jobs=0", "--jobs=-3"])
+def test_bad_flag_value_exits_2_naming_flag(tmp_path, capsys, flag):
+    cfg = write_config(tmp_path, {"scenario": {"name": "minkowski-plane-wave"}})
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out"), flag]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config field '{flag.split('=')[0]}'")
+    assert not os.path.exists(tmp_path / "out")
 
 
 def test_reduce_reports_identities(tmp_path):
@@ -187,8 +240,8 @@ def test_csv_format_output(tmp_path):
     out = str(tmp_path / "out")
     assert main(["residuals", "--config", cfg, "--out", out, "--format", "csv"]) == 0
     path = os.path.join(out, "report_classical-hj.csv")
-    header = open(path).readline().strip()
-    assert header == "x0,x1,x2,x3,value"
+    with open(path) as handle:
+        assert handle.readline().strip() == "x0,x1,x2,x3,value"
 
 
 def test_parallel_jobs_match_serial(tmp_path):
@@ -199,9 +252,9 @@ def test_parallel_jobs_match_serial(tmp_path):
     out1, out2 = str(tmp_path / "serial"), str(tmp_path / "parallel")
     assert main(["superposition-demo", "--config", cfg, "--out", out1]) == 0
     assert main(["superposition-demo", "--config", cfg, "--out", out2, "--jobs", "2"]) == 0
-    a = open(os.path.join(out1, "report_superposition_demo.json")).read()
-    b = open(os.path.join(out2, "report_superposition_demo.json")).read()
-    assert a == b
+    with open(os.path.join(out1, "report_superposition_demo.json")) as fa, \
+            open(os.path.join(out2, "report_superposition_demo.json")) as fb:
+        assert fa.read() == fb.read()
 
 
 def test_identical_configs_are_byte_identical(tmp_path):
@@ -258,6 +311,25 @@ def test_engine_overflow_exits_1_without_traceback(tmp_path, capsys):
     assert err.startswith("error: ")
     assert "Traceback" not in err
     assert not os.path.exists(tmp_path / "out" / "manifest.json")
+
+
+@pytest.mark.parametrize("command, doc, status, prefix", [
+    ("residuals", {"scenario": {"name": "minkowski-plane-wave", "params": {"k": [1e300]}}},
+     2, "config error: config field 'scenario.params'"),
+    ("hj-verify", {"scenario": {"name": "free-particle-hj", "params": {"m": 1e300}}},
+     1, "error: "),
+])
+def test_numpy_overflow_prints_one_line(tmp_path, command, doc, status, prefix):
+    # a subprocess, so that a numpy warning would reach stderr as it does for a user
+    cfg = write_config(tmp_path, doc)
+    paths = [str(Path(pilotwave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    proc = subprocess.run([sys.executable, "-m", "pilotwave.cli", command, "--config", cfg,
+                           "--out", str(tmp_path / "out")], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == status
+    assert proc.stderr.startswith(prefix)
+    assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
 
 
 @pytest.mark.parametrize("command, doc, field", [

@@ -4,34 +4,43 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pilotwave.errors import NodeEncountered
-from pilotwave.fields import (complex_field, complex_view, polar_compose,
-                              polar_decompose, polar_field, polar_view,
-                              unwrap_phase)
+from pilotwave.fields import (ComplexField, complex_view, polar_field,
+                              polar_view)
 from oracles import nested_gradient
 from conftest import make_wavy_polar
 
 
+def constant_psi(psi):
+    """ComplexField of a constant value on the plane."""
+    return ComplexField(psi=lambda x: psi, dpsi=lambda x: np.zeros(2, complex),
+                        d2psi=lambda x: np.zeros((2, 2), complex))
+
+
 def test_unit_field_composes_to_one():
     f = polar_field(rho=lambda x: 1.0, S=lambda x: 0.0)
-    assert polar_compose(f, np.zeros(2)) == pytest.approx(1.0 + 0.0j)
+    assert complex_view(f).psi(np.zeros(2)) == pytest.approx(1.0 + 0.0j)
 
 
 def test_plane_wave_decomposition():
     p = np.array([-1.3, 0.6])
-    cf = complex_field(psi=lambda x: np.exp(1j * (p @ x)))
+    pf = polar_view(ComplexField(psi=lambda x: np.exp(1j * (p @ x)),
+                                 dpsi=lambda x: 1j * p * np.exp(1j * (p @ x)),
+                                 d2psi=lambda x: -np.outer(p, p) * np.exp(1j * (p @ x))))
     x = np.array([0.4, 0.8])
-    rho, s = polar_decompose(cf, x)
-    assert rho == pytest.approx(1.0, abs=1e-12)
+    assert pf.rho(x) == pytest.approx(1.0, abs=1e-12)
     expected = np.angle(np.exp(1j * (p @ x)))
-    assert s == pytest.approx(expected, abs=1e-12)
+    assert pf.S(x) == pytest.approx(expected, abs=1e-12)
+    assert np.allclose(pf.dS(x), p, atol=1e-12)
+    assert np.allclose(pf.d2S(x), 0.0, atol=1e-12)
 
 
 def test_gaussian_roundtrip_pointwise():
     f = make_wavy_polar(seed=8)
     cf = complex_view(f)
+    pf = polar_view(cf)
     rng = np.random.default_rng(3)
     for x in rng.uniform(-1, 1, size=(20, 2)):
-        rho, s = polar_decompose(cf, x)
+        rho, s = pf.rho(x), pf.S(x)
         assert abs(rho - f.rho(x)) < 1e-12
         rebuilt = np.sqrt(rho) * np.exp(1j * s)
         assert abs(rebuilt - cf.psi(x)) < 1e-12
@@ -40,11 +49,11 @@ def test_gaussian_roundtrip_pointwise():
 @given(st.floats(0.05, 50.0), st.floats(-20.0, 20.0))
 def test_roundtrip_property(rho_val, s_val):
     f = polar_field(rho=lambda x: rho_val, S=lambda x: s_val)
-    psi = polar_compose(f, np.zeros(2))
-    cf = complex_field(psi=lambda x: psi)
-    rho, s = polar_decompose(cf, np.zeros(2))
-    assert rho == pytest.approx(rho_val, rel=1e-12)
-    # phases agree modulo 2 pi
+    pf = polar_view(constant_psi(complex_view(f).psi(np.zeros(2))))
+    assert pf.rho(np.zeros(2)) == pytest.approx(rho_val, rel=1e-12)
+    # phases agree modulo 2 pi, with the view's phase in (-pi, pi]
+    s = pf.S(np.zeros(2))
+    assert -np.pi < s <= np.pi
     assert abs(np.exp(1j * (s - s_val)) - 1.0) < 1e-10
 
 
@@ -84,26 +93,11 @@ def test_fd_fallback_closures():
 
 
 def test_node_raises():
-    cf = complex_field(psi=lambda x: 0.0 + 0.0j)
+    pf = polar_view(constant_psi(0.0 + 0.0j))
     with pytest.raises(NodeEncountered):
-        polar_decompose(cf, np.zeros(2))
+        pf.S(np.zeros(2))
+    with pytest.raises(NodeEncountered):
+        pf.dS(np.zeros(2))
     f = polar_field(rho=lambda x: 0.0, S=lambda x: 0.0)
     with pytest.raises(NodeEncountered):
-        polar_compose(f, np.zeros(2))
-    with pytest.raises(NodeEncountered):
-        polar_view(cf).dS(np.zeros(2))
-
-
-def test_unwrap_phase_continuation():
-    lam = np.linspace(0.0, 6.0, 80)
-    true_phase = 2.5 * lam
-    wrapped = np.angle(np.exp(1j * true_phase))
-    unwrapped = unwrap_phase(wrapped)
-    assert np.max(np.abs(np.diff(unwrapped))) < np.pi
-    assert np.allclose(unwrapped, true_phase, atol=1e-10)
-
-
-def test_unwrap_phase_frozen_example():
-    seq = [3.0, -3.0, 2.9, -2.9]
-    out = unwrap_phase(seq)
-    assert np.allclose(out, [3.0, 2 * np.pi - 3.0, 2.9 + 0.0, 2 * np.pi - 2.9], atol=1e-12)
+        complex_view(f).psi(np.zeros(2))
