@@ -207,15 +207,18 @@ class Run:
 
     def gate(self, report: ResidualReport, check: Check) -> bool:
         """Render ``report`` and gate it by ``check``, whose tolerance the scale
-        multiplies ('max') or divides ('min'); a failure is recorded by name."""
+        multiplies ('max') or divides ('min'); a failure is recorded by name
+        with the limit that was applied."""
         self.add(f"report_{report.name}", report)
         if check.mode == "min":
-            passed = report.max_abs > check.tolerance / self.scale
+            limit = check.tolerance / self.scale
+            passed = report.max_abs > limit
         else:
-            passed = report.max_abs <= check.tolerance * self.scale
+            limit = check.tolerance * self.scale
+            passed = report.max_abs <= limit
         if not passed:
             self.failures.append(f"{report.name} (max_abs={report.max_abs:.3e}, "
-                                 f"tol={check.tolerance:.1e}, mode={check.mode})")
+                                 f"tol={limit:.1e}, mode={check.mode})")
         return passed
 
 

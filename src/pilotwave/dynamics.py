@@ -21,6 +21,7 @@ term (so finite-difference momenta reproduce dS on guidance trajectories).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,14 +33,14 @@ from .field_equations import (hj_expression, momentum_covector, nc_hj_expression
                               quantum_potential_rel)
 from .fields import EPS_NODE, PolarField
 from .geometry import BackgroundRel, check_point, metric_inverse
-from .integrators import integrate_adaptive
+from .integrators import hermite, integrate_adaptive
 from .nc_geometry import NCBackground, derive_nc
 from .report import ResidualReport, format_float
 
 Array = np.ndarray
 
 MASS_FLOOR = 1e-12
-MAX_STEP_FRAC = 1e-2   # largest integrator step, as a fraction of the lambda span
+MAX_STEP_FRAC = 1e-2   # largest node-guard sample gap, as a fraction of the lambda span
 
 
 def guidance_velocity_rel(bg: BackgroundRel, f: PolarField, x) -> Array:
@@ -165,12 +166,16 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
     ``steps`` is the number of output samples (lambda values, uniformly
     spaced, endpoints included).  One adaptive Dormand-Prince call per
     output interval sub-steps between samples with relative/absolute
-    tolerances as given and maximum step MAX_STEP_FRAC * span; each call's
-    first trial step is that maximum, clamped to the interval.  The node
-    guard runs after every accepted step, so a node is seen within one
-    maximum step.  Raises NodeEncountered if the density falls to the node
-    threshold, with the samples before the node attached when there are
-    at least two, and StepFailure if error control cannot proceed.
+    tolerances as given; each call's first trial step is the whole
+    interval, and samples land exactly on the output values.  The node
+    guard runs after every accepted step: it evaluates the density on the
+    step's cubic Hermite interpolant at the step end and at interior points
+    at most MAX_STEP_FRAC * span apart, and bisects on the interpolant
+    between the last sample above the node threshold and the first at or
+    below it.  Raises NodeEncountered if the density falls to the node
+    threshold, carrying the located lambda on ``lam`` and the samples
+    before the node on ``partial`` when there are at least two, and
+    StepFailure if error control cannot proceed.
     """
     bg = gf.background
     x0 = check_point(x0, bg.dim)
@@ -184,19 +189,29 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
     def rhs(_lam, y):
         return gf.velocity(y)
 
-    def node_guard(_lam, y):
-        if float(gf.field.rho(y)) <= EPS_NODE:
-            raise NodeEncountered(f"density hit node threshold at lambda={_lam:.6g}")
+    gap = MAX_STEP_FRAC * (lf - l0)
+
+    def below(y) -> bool:
+        return float(gf.field.rho(y)) <= EPS_NODE
+
+    def node_guard(*step):
+        t0, t1 = step[0], step[3]
+        # n gaps of at most `gap`; the slack keeps round-off in the ratio from adding one
+        lams = np.linspace(t0, t1, max(1, math.ceil((t1 - t0) / gap - 1e-9)) + 1)
+        for lo, hi, y in zip(lams[:-1], lams[1:], hermite(*step, lams[1:])):
+            if below(y):
+                while hi - lo > 1e-12 * max(1.0, abs(hi)):
+                    mid = 0.5 * (lo + hi)
+                    lo, hi = (lo, mid) if below(hermite(*step, [mid])[0]) else (mid, hi)
+                raise NodeEncountered(f"density hit node threshold at lambda={hi:.9g}",
+                                      lam=float(hi))
 
     lambdas = np.linspace(l0, lf, steps)
-    span = lf - l0
     samples = [x0]
     try:
         for k in range(1, steps):
             out = integrate_adaptive(rhs, lambdas[k - 1], samples[-1], lambdas[k:k + 1],
-                                     rtol=rtol, atol=atol,
-                                     max_step=MAX_STEP_FRAC * span,
-                                     step_callback=node_guard)
+                                     rtol=rtol, atol=atol, step_callback=node_guard)
             samples.append(out[0])
     except NodeEncountered as exc:
         if len(samples) >= 2:

@@ -20,13 +20,15 @@ class DegenerateFrame(PilotwaveError):
 class NodeEncountered(PilotwaveError):
     """Density dropped to (or below) the node threshold.
 
-    Carries the partially integrated trajectory on ``partial`` when raised
-    from a trajectory integration.
+    Raised from a trajectory integration, it carries the located parameter
+    value of the node on ``lam`` and the partially integrated trajectory on
+    ``partial``.
     """
 
-    def __init__(self, message, partial=None):
+    def __init__(self, message, partial=None, lam=None):
         super().__init__(message)
         self.partial = partial
+        self.lam = lam
 
 
 class FormMismatch(PilotwaveError):

@@ -35,7 +35,7 @@ def check_point(x, dim: int | None = None) -> Array:
         raise ValueError("points live in spacetime: need at least 2 coordinates")
     if dim is not None and pt.size != dim:
         raise ValueError(f"point has dimension {pt.size}, expected {dim}")
-    if not np.all(np.isfinite(pt)):
+    if not np.isfinite(pt).all():
         raise ValueError("point has non-finite coordinates")
     return pt
 

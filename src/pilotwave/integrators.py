@@ -6,8 +6,10 @@ stored as matrices, so each stage input and both solutions are one product
 with the stacked stage derivatives.  A fixed-step mode drives the same
 stages, which is what the order-measurement tests use.  Output points are
 hit exactly by clamping the step to each requested time, so no interpolation
-error enters sampled trajectories; the first trial step is ``max_step``,
-clamped the same way.
+error enters sampled trajectories; the first trial step is the whole output
+span, clamped the same way.  ``hermite`` evaluates the cubic Hermite
+interpolant of one accepted step, which needs no further RHS evaluation
+because the derivatives at both ends are the step's k1 and its FSAL k7.
 """
 from __future__ import annotations
 
@@ -61,18 +63,30 @@ def integrate_fixed(f, t0, y0, t1, steps):
     return y
 
 
+def hermite(t0, y0, k0, t1, y1, k1, t) -> np.ndarray:
+    """Cubic Hermite interpolant of one step, at the times ``t`` (shape (n,)).
+
+    It matches the states y0, y1 and the derivatives k0, k1 at both ends;
+    the result has shape (n, D) and its row at ``t == t1`` is y1 exactly.
+    """
+    h = t1 - t0
+    s = ((np.asarray(t, dtype=float) - t0) / h)[:, None]
+    return ((1.0 + 2.0 * s) * (1.0 - s) ** 2 * y0 + s * (1.0 - s) ** 2 * h * k0
+            + s**2 * (3.0 - 2.0 * s) * y1 + s**2 * (s - 1.0) * h * k1)
+
+
 def integrate_adaptive(f, t0, y0, t_out, rtol=1e-9, atol=1e-12,
-                       max_step=np.inf, max_steps=1_000_000,
-                       step_callback=None):
+                       max_steps=1_000_000, step_callback=None):
     """Adaptive integration returning the states at every time in t_out.
 
     ``t_out`` must be increasing and start at or after t0.  The first trial
-    step is ``min(max_step, t_out[-1] - t0)``, clamped to the first output
-    time; a rejected trial shrinks like any other.  The controller is the
-    standard PI-free elementary one: accept when the weighted RMS error is
-    at most 1, grow/shrink by err^(-1/5) within [0.2, 5].
-    ``step_callback(t, y)`` runs after every accepted step (used for node
-    detection).
+    step is ``t_out[-1] - t0``, clamped to the first output time; a rejected
+    trial shrinks like any other.  The controller is the standard PI-free
+    elementary one: accept when the weighted RMS error is at most 1,
+    grow/shrink by err^(-1/5) within [0.2, 5].
+    ``step_callback(t0, y0, k1, t1, y1, k7)`` runs after every accepted step
+    with its two ends and the derivatives there (used for node detection on
+    the step's ``hermite`` interpolant).
     """
     t_out = np.asarray(t_out, dtype=float)
     y = np.asarray(y0, dtype=float)
@@ -82,13 +96,13 @@ def integrate_adaptive(f, t0, y0, t_out, rtol=1e-9, atol=1e-12,
     if t_out.size and np.isclose(t_out[0], t, rtol=0.0, atol=1e-14):
         out[0] = y
         idx = 1
-    h = min(max_step, t_out[-1] - t) if t_out.size else 0.0
+    h = t_out[-1] - t if t_out.size else 0.0
     k1 = np.asarray(f(t, y), dtype=float)
     n_steps = 0
     while idx < t_out.size:
         if n_steps >= max_steps:
             raise StepFailure(f"gave up after {max_steps} steps at t = {t:.6g}")
-        h = min(h, max_step, t_out[-1] - t)
+        h = min(h, t_out[-1] - t)
         target = t_out[idx]
         clamped = False
         if t + h >= target - 1e-14 * max(1.0, abs(target)):
@@ -101,11 +115,10 @@ def integrate_adaptive(f, t0, y0, t_out, rtol=1e-9, atol=1e-12,
         err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
         n_steps += 1
         if err_norm <= 1.0:
-            t = target if clamped else t + h
-            y = y_new
-            k1 = k7
+            t_new = target if clamped else t + h
             if step_callback is not None:
-                step_callback(t, y)
+                step_callback(t, y, k1, t_new, y_new, k7)
+            t, y, k1 = t_new, y_new, k7
             if clamped:
                 out[idx] = y
                 idx += 1

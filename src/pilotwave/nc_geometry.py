@@ -145,7 +145,9 @@ class NullLift:
 def derive_nc(nc: NCBackground, x) -> NCDerived:
     """Solve the frame relations at x and build every derived object."""
     pt = check_point(x, nc.dim)
-    frame = nc.frame_at(pt)
+    frame = np.empty((nc.dim, nc.dim))
+    frame[:, 0] = nc.tau(pt)
+    frame[:, 1:] = nc.vierbein(pt)
     det = np.linalg.det(frame)
     if abs(det) < FRAME_DET_FLOOR:
         raise DegenerateFrame(f"|det(tau, e)| = {abs(det):.3e} below {FRAME_DET_FLOOR:.0e}")
@@ -158,11 +160,12 @@ def derive_nc(nc: NCBackground, x) -> NCDerived:
     w = nc.mass - nc.charge * float(nc.phi(pt))
     h_up = e_inv.T @ e_inv
     h_down = vier @ vier.T
-    hbar = h_down - np.outer(tau, m) - np.outer(m, tau)
-    v_hat = v - h_up @ m
+    hbar = h_down - tau[:, None] * m - m[:, None] * tau
+    h_m = h_up @ m
+    v_hat = v - h_m
     m_frame = e_inv @ m
-    e_hat = vier - np.outer(tau, m_frame)
-    phi_pot = float(-v @ m + 0.5 * m @ h_up @ m)
+    e_hat = vier - tau[:, None] * m_frame
+    phi_pot = float(-v @ m + 0.5 * m @ h_m)
     return NCDerived(frame=frame, finv=finv, m=m, w=w, v=v, e_inv=e_inv, h_up=h_up,
                      h_down=h_down, hbar_down=hbar, v_hat=v_hat, e_hat=e_hat, Phi=phi_pot,
                      vol=float(det))

@@ -177,6 +177,21 @@ def test_min_gate_passes_just_above_and_fails_just_below(tmp_path):
                      f"--tolerance-scale={scale!r}"]) == status
 
 
+def test_failure_line_shows_the_applied_limit(tmp_path, capsys):
+    # the floor 1e-2 of the min gate divided by the scale 1e-3, and the
+    # tolerance 1e-30 of the max gate multiplied by the scale 1e-2
+    cfg = write_config(tmp_path, {"scenario": {"name": "minkowski-superposition"}})
+    assert main(["superposition-demo", "--config", cfg, "--out", str(tmp_path / "a"),
+                 "--tolerance-scale", "0.001"]) == 1
+    assert "classical-wave (max_abs=2.755e+00, tol=1.0e+01, mode=min)" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"scenario": {"name": "flat-nc-gaussian-packet"},
+                                  "trajectories": {"steps": 11, "tolerance": 1e-30}},
+                       name="traj.json")
+    assert main(["trajectories", "--config", cfg, "--out", str(tmp_path / "b"),
+                 "--tolerance-scale", "0.01"]) == 1
+    assert "tol=1.0e-32, mode=max)" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--tolerance-scale=0", "--tolerance-scale=-1",
                                   "--tolerance-scale=nan", "--tolerance-scale=inf",
                                   "--jobs=0", "--jobs=-3"])

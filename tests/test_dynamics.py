@@ -114,15 +114,20 @@ class TestIntegrateTrajectory:
         geo = integrate_geodesic(sc.background.metric, x0, u0, traj.lambdas)
         assert np.max(np.abs(traj.points - geo)) < 1e-6
 
+    @staticmethod
+    def _straight_path(rho):
+        # S = -t + 0.9 x on the flat background: X(lambda) = (lambda, 1.45 + 0.9 lambda)
+        f = polar_field(rho=rho, S=lambda x: float(-x[0] + 0.9 * x[1]))
+        return GuidanceField(background=NCBackground.flat(2), field=f, quantum=False)
+
+    @staticmethod
+    def _peak(x):
+        return float(np.exp(-200.0 * (x[1] - 1.5) ** 2) + 0.0)
+
     def test_node_halts_integration(self):
         # the particle crosses the density peak at x = 1.5; behind it rho
         # falls to EPS_NODE near lambda = 0.433 (x = 1.84)
-        def rho(x):
-            return float(np.exp(-200.0 * (x[1] - 1.5) ** 2) + 0.0)
-
-        f = polar_field(rho=rho, S=lambda x: float(-x[0] + 0.9 * x[1]))
-        nc = NCBackground.flat(2)
-        gf = GuidanceField(background=nc, field=f, quantum=False)
+        gf = self._straight_path(self._peak)
         with pytest.raises(NodeEncountered) as info:
             integrate_trajectory(gf, [0.0, 1.45], (0.0, 5.0), steps=11)
         # the node lies inside the first output interval: no sample to keep
@@ -132,12 +137,37 @@ class TestIntegrateTrajectory:
         partial = info.value.partial
         assert partial is not None and len(partial) == 5
         assert partial.lambdas[-1] == 0.4
-        assert rho(partial.points[-1]) > EPS_NODE
+        assert self._peak(partial.points[-1]) > EPS_NODE
+
+    @pytest.mark.parametrize("steps, kept", [(11, None), (51, 5)])
+    def test_node_is_located_on_the_step_interpolant(self, steps, kept):
+        # rho = EPS_NODE where 200 (x - 1.5)^2 = ln 1e10, with x = 1.45 + 0.9 lambda
+        node = (1.5 + np.sqrt(np.log(1e10) / 200.0) - 1.45) / 0.9
+        with pytest.raises(NodeEncountered) as info:
+            integrate_trajectory(self._straight_path(self._peak), [0.0, 1.45], (0.0, 5.0),
+                                 steps=steps)
+        assert abs(info.value.lam - node) <= 1e-6
+        assert f"lambda={info.value.lam:.9g}" in str(info.value)
+        partial = info.value.partial
+        assert (None if partial is None else len(partial)) == kept
+
+    def test_node_inside_one_step_is_seen(self):
+        # rho dips below EPS_NODE only for lambda in (0.42, 0.48), strictly
+        # inside the output interval [0.4, 0.5]: both ends of that interval's
+        # step see rho = 1, so only samples inside the step can find the node
+        def rho(x):
+            return 1e-12 if 0.42 < x[0] < 0.48 else 1.0
+
+        with pytest.raises(NodeEncountered) as info:
+            integrate_trajectory(self._straight_path(rho), [0.0, 1.45], (0.0, 5.0), steps=51)
+        assert abs(info.value.lam - 0.42) <= 1e-6
+        assert len(info.value.partial) == 5
 
     def test_worldline_rhs_rows(self, monkeypatch):
-        # counts, not times: each of the 50 output intervals starts at the
-        # step cap of 0.05, so it takes 2 steps of 6 stages plus one first
-        # evaluation; a cold start at 1e-3 x interval took 1,850 rows
+        # counts, not times: each of the 50 output intervals is one step of
+        # 6 stages plus one first evaluation, since the node guard samples
+        # the step's interpolant rather than capping the step; a step cap of
+        # 0.05 took 650 rows, and a cold start at 1e-3 x interval 1,850
         counts = {"rhs": 0, "adaptive": 0}
         velocity, adaptive = dyn.GuidanceField.velocity, dyn.integrate_adaptive
 
@@ -155,7 +185,7 @@ class TestIntegrateTrajectory:
         gf = GuidanceField(background=sc.background, field=sc.polar)
         traj = integrate_trajectory(gf, sc.default_seeds[0], (0.0, 5.0), steps=51)
         assert len(traj) == 51
-        assert counts == {"rhs": 650, "adaptive": 50}
+        assert counts == {"rhs": 350, "adaptive": 50}
 
     def test_fixed_step_convergence_order_on_guidance(self):
         sc = build("flat-nc-gaussian-packet")

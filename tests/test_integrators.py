@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pilotwave.errors import StepFailure
-from pilotwave.integrators import integrate_adaptive, integrate_fixed, rk45_step
+from pilotwave.integrators import hermite, integrate_adaptive, integrate_fixed, rk45_step
 from oracles import rk4_fixed
 
 
@@ -66,16 +66,39 @@ def _recording(f):
     return wrapped, times
 
 
-@pytest.mark.parametrize("max_step", [0.05, 0.3, np.inf])
-def test_trial_steps_stay_inside_max_step_and_output_span(max_step):
+def test_trial_steps_stay_inside_output_span():
     f, times = _recording(lambda t, y: np.array([np.cos(3.0 * t) * y[0], -y[1]]))
-    first_accept = []
     t0, t_out = 0.2, np.array([0.2, 0.57, 1.3, 2.0])
-    integrate_adaptive(f, t0, np.array([1.0, 2.0]), t_out, max_step=max_step,
-                       step_callback=lambda t, y: first_accept.append(len(times)))
+    integrate_adaptive(f, t0, np.array([1.0, 2.0]), t_out)
     assert max(times) <= t_out[-1]
-    if np.isfinite(max_step):
-        assert max(times[:first_accept[0]]) <= t0 + max_step
+
+
+def test_step_callback_gets_both_ends_of_each_accepted_step():
+    f = lambda t, y: np.array([np.cos(3.0 * t) * y[0], -y[1]])
+    exact = lambda t: np.array([np.exp(np.sin(3.0 * t) / 3.0), 2.0 * np.exp(-t)])
+    steps = []
+    t_out = np.array([0.0, 0.57, 1.3, 2.0])
+    out = integrate_adaptive(f, 0.0, exact(0.0), t_out, rtol=1e-10, atol=1e-13,
+                             step_callback=lambda *step: steps.append(step))
+    assert steps[0][0] == 0.0 and steps[-1][3] == 2.0
+    for (t0, y0, k0, t1, y1, k1), nxt in zip(steps, steps[1:] + [None]):
+        assert np.allclose(k0, f(t0, y0), rtol=1e-14, atol=0.0)
+        assert np.allclose(k1, f(t1, y1), rtol=1e-14, atol=0.0)
+        if nxt is not None:
+            assert nxt[0] == t1 and np.array_equal(nxt[1], y1)
+        mid = hermite(t0, y0, k0, t1, y1, k1, [0.5 * (t0 + t1), t1])
+        assert np.array_equal(mid[1], y1)
+        assert np.max(np.abs(mid[0] - exact(0.5 * (t0 + t1)))) < 1e-5
+    assert np.array_equal(out[1:], [s[4] for s in steps if s[3] in t_out])
+
+
+def test_hermite_is_exact_on_cubics():
+    p = lambda t: np.array([t**3 - 2.0 * t, 0.5 * t**2 + 1.0])
+    dp = lambda t: np.array([3.0 * t**2 - 2.0, t])
+    t0, t1 = 0.3, 1.1
+    t = np.linspace(t0, t1, 9)
+    got = hermite(t0, p(t0), dp(t0), t1, p(t1), dp(t1), t)
+    assert np.allclose(got, np.array([p(v) for v in t]), rtol=0.0, atol=1e-14)
 
 
 # Dormand & Prince (1980), one list per stage, as printed
