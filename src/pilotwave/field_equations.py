@@ -31,11 +31,19 @@ Lorentzian one with g^{MN} -> -h^{mu nu}.  ``hj_expression`` and
 covector.  Each residual has an independent nested-finite-difference oracle
 (evaluate the whole bracket at shifted points) to test against.
 
-Geometry arrives in one bundle per point.  Relativistic residuals read
+Geometry arrives in one bundle per batch of points, not per point.
+Relativistic residuals take one point (D,) or a batch (K, D) and read
 ``geometry.metric_data`` (g^{MN}, sqrt(-g) and their gradients from one
-read of the metric); Newton-Cartan residuals read ``derive_nc`` (the frame,
-its inverse, M, w = m - q phi and every derived object) and, for the
-divergences, ``derive_nc_partials``.
+read of the metric) once for the whole batch; the field closures are read
+one row at a time and stacked, and every kernel runs over the leading axis
+with the stacked products ``np.vecdot``/``np.matvec``/``np.vecmat`` and
+``...`` einsum.  A node check still runs before the division it guards, and
+names the first point at the node.  Newton-Cartan
+residuals read ``derive_nc`` (the frame, its inverse, M, w = m - q phi and
+every derived object) and, for the divergences, ``derive_nc_partials`` at
+one point; the ones the check table names accept a batch too, evaluated one
+row at a time through ``geometry.per_row``, and call the same kernels at
+each point.
 
 The ``*_printed`` variants reproduce equation forms that fail their own
 consistency checks (a factor slip in the relativistic quantum potential's
@@ -47,77 +55,112 @@ forms are the ones that make polar and complex descriptions equivalent.
 """
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import FormMismatch, NodeEncountered
 from .fields import EPS_NODE, ComplexField, PolarField
-from .geometry import BackgroundRel, check_point, metric_data, metric_inverse
+from .geometry import (BackgroundRel, check_point, check_points, metric_data, metric_inverse,
+                       per_row, point_value, raise_at_first)
 from .nc_geometry import NCBackground, derive_nc, derive_nc_partials
 
 Array = np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# shared kernels
+# shared kernels: one point, or a batch along leading axes
 # ---------------------------------------------------------------------------
+# np.vecdot conjugates its first argument, so a real factor goes first; at
+# one point, np.vecdot, np.matvec and np.vecmat give the bits of ``@``.
+
+def _outer(a, b):
+    """a_M b_N at each point."""
+    return a[..., :, None] * b[..., None, :]
+
+
+def _col(s, n=1):
+    """A value per point with n trailing axes added, to scale a row's vector or
+    matrix; one point's scalar is returned as it is."""
+    return s if getattr(s, "ndim", 0) == 0 else s.reshape(s.shape + (1,) * n)
+
 
 def _density_divergence(vol, dvol, up, dup, vec, dvec):
-    """d_M [vol up^{MN} vec_N] by the product rule; dvec[M, N] = d_M vec_N."""
-    return (dvol @ (up @ vec)
-            + vol * np.einsum("mmn,n->", dup, vec)
-            + vol * np.einsum("mn,mn->", up, dvec))
+    """d_M [vol up^{MN} vec_N] by the product rule; dvec[..., M, N] = d_M vec_N."""
+    return (np.vecdot(dvol, np.matvec(up, vec))
+            + vol * np.einsum("...mmn,...n->...", dup, vec)
+            + vol * np.einsum("...mn,...mn->...", up, dvec))
 
 
 def _flow_divergence(vol, dvol, v, dv, s, ds):
-    """d_M [vol s v^M] by the product rule; dv[M, N] = d_M v^N."""
-    return s * (dvol @ v) + vol * (ds @ v) + vol * s * np.trace(dv)
+    """d_M [vol s v^M] by the product rule; dv[..., M, N] = d_M v^N."""
+    return (s * np.vecdot(dvol, v) + vol * np.vecdot(v, ds)
+            + vol * s * np.trace(dv, axis1=-2, axis2=-1))
 
 
 def _gauged_laplacian(vol, dvol, up, dup, a_cov, q, dcov, ddcov):
     """D_M [vol up^{MN} D_N psi] for the covariant derivative D = d - i q A."""
     return (_density_divergence(vol, dvol, up, dup, dcov, ddcov)
-            - 1j * q * (a_cov @ (up @ dcov)) * vol)
+            - 1j * q * np.vecdot(a_cov, np.matvec(up, dcov)) * vol)
 
 
 def _covariant_derivative_data(cf, pt, a_cov, da, q):
     """psi, d psi, D_N psi and d_M (D_N psi) at pt, with D = d - i q A."""
-    psi = complex(cf.psi(pt))
-    dpsi = np.asarray(cf.dpsi(pt), dtype=complex)
-    d2psi = np.asarray(cf.d2psi(pt), dtype=complex)
-    dcov = dpsi - 1j * q * a_cov * psi
+    # Python scalars at one point, whose arithmetic the Newton-Cartan residuals rely on
+    psi = point_value(per_row(cf.psi, pt, complex), pt, complex)
+    dpsi = per_row(cf.dpsi, pt, complex)
+    d2psi = per_row(cf.d2psi, pt, complex)
+    dcov = dpsi - 1j * q * a_cov * _col(psi)
     # d_M (Dpsi)_N = d2psi_MN - i q (dA_MN psi + A_N dpsi_M)
-    ddcov = d2psi - 1j * q * (da * psi + np.outer(dpsi, a_cov))
+    ddcov = d2psi - 1j * q * (da * _col(psi, 2) + _outer(dpsi, a_cov))
     return psi, dpsi, dcov, ddcov
+
+
+_RHO_AT_NODE = f"rho = {{:.3e}} at node threshold {EPS_NODE:.0e}"
+
+
+def _node_check(density, pt, message):
+    """NodeEncountered at the first point where ``density`` is at or below EPS_NODE."""
+    raise_at_first(density <= EPS_NODE, density, pt, NodeEncountered, message)
 
 
 def _quantum_potential(vol, dvol, up, dup, f, pt, bracket_coeff=0.5):
     """-(1/4 rho^2) up drho drho - (1/vol) d_M [vol up^{MN} c drho_N / rho]."""
-    rho = f.rho_checked(pt)
-    drho = np.asarray(f.drho(pt), dtype=float)
-    d2rho = np.asarray(f.d2rho(pt), dtype=float)
-    a = bracket_coeff * drho / rho
-    da = bracket_coeff * (d2rho / rho - np.outer(drho, drho) / rho**2)
-    first = -(drho @ up @ drho) / (4.0 * rho**2)
-    return float(first - _density_divergence(vol, dvol, up, dup, a, da) / vol)
+    # a Python float at one point: float ** 2 and numpy's square can differ in the last bit
+    rho = point_value(per_row(f.rho, pt, float), pt)
+    _node_check(rho, pt, _RHO_AT_NODE)
+    drho = per_row(f.drho, pt, float)
+    d2rho = per_row(f.d2rho, pt, float)
+    rho2 = rho**2
+    a = bracket_coeff * drho / _col(rho)
+    da = bracket_coeff * (d2rho / _col(rho, 2) - _outer(drho, drho) / _col(rho2, 2))
+    first = -np.vecdot(np.vecmat(drho, up), drho) / (4.0 * rho2)
+    return first - _density_divergence(vol, dvol, up, dup, a, da) / vol
+
+
+def _mass_shell(ginv, k, mass):
+    """k g^{-1} k + m^2."""
+    return np.vecdot(np.vecmat(k, ginv), k) + mass**2
 
 
 # ---------------------------------------------------------------------------
-# relativistic backgrounds
+# relativistic backgrounds: x is one point (D,) or a batch (K, D)
 # ---------------------------------------------------------------------------
 
 def momentum_covector(bg: BackgroundRel, f: PolarField, x) -> Array:
     """k_M = d_M S - q A_M."""
-    pt = check_point(x, bg.dim)
-    return np.asarray(f.dS(pt), dtype=float) - bg.charge * bg.gauge_at(pt)
+    pt = check_points(x, bg.dim)
+    return per_row(f.dS, pt, float) - bg.charge * bg.gauge_at(pt)
 
 
-def hj_expression(bg: BackgroundRel, x, k) -> float:
+def hj_expression(bg: BackgroundRel, x, k):
     """k g^{-1} k + m^2 for a kinetic covector k at x."""
-    pt = check_point(x, bg.dim)
-    return float(k @ metric_inverse(bg, pt) @ k + bg.mass**2)
+    pt = check_points(x, bg.dim)
+    return point_value(_mass_shell(metric_inverse(bg, pt), np.asarray(k, dtype=float),
+                                   bg.mass), pt)
 
 
-def classical_hj_residual_rel(bg: BackgroundRel, f: PolarField, x) -> float:
+def classical_hj_residual_rel(bg: BackgroundRel, f: PolarField, x):
     """(dS - qA) g^{-1} (dS - qA) + m^2 at x."""
     return hj_expression(bg, x, momentum_covector(bg, f, x))
 
@@ -125,72 +168,76 @@ def classical_hj_residual_rel(bg: BackgroundRel, f: PolarField, x) -> float:
 def ensemble_current(bg: BackgroundRel, f: PolarField, x) -> Array:
     """J^M = rho sqrt(-g) g^{MN}(d_N S - q A_N)."""
     md = metric_data(bg, x)
-    return float(f.rho(md.pt)) * md.vol * (md.ginv @ momentum_covector(bg, f, md.pt))
+    return (_col(per_row(f.rho, md.pt, float) * md.vol)
+            * np.matvec(md.ginv, momentum_covector(bg, f, md.pt)))
 
 
-def continuity_residual_rel(bg: BackgroundRel, f: PolarField, x) -> float:
+def continuity_residual_rel(bg: BackgroundRel, f: PolarField, x):
     """d_M [sqrt(-g) g^{MN} rho (d_N S - q A_N)]."""
     md = metric_data(bg, x)
     pt = md.pt
     k = momentum_covector(bg, f, pt)
-    rho = float(f.rho(pt))
-    drho = np.asarray(f.drho(pt), dtype=float)
-    dk = np.asarray(f.d2S(pt), dtype=float) - bg.charge * bg.gauge_derivative_at(pt)
-    return float(_density_divergence(md.vol, md.dvol, md.ginv, md.dginv, rho * k,
-                                     np.outer(drho, k) + rho * dk))
+    rho = per_row(f.rho, pt, float)
+    drho = per_row(f.drho, pt, float)
+    dk = per_row(f.d2S, pt, float) - bg.charge * bg.gauge_derivative_at(pt)
+    return point_value(_density_divergence(md.vol, md.dvol, md.ginv, md.dginv, _col(rho) * k,
+                                           _outer(drho, k) + _col(rho, 2) * dk), pt)
 
 
-def quantum_potential_rel(bg: BackgroundRel, f: PolarField, x) -> float:
+def quantum_potential_rel(bg: BackgroundRel, f: PolarField, x):
     """Relativistic quantum potential (variationally consistent form).
 
     Q = -(1/4 rho^2) g drho drho - (1/sqrt(-g)) d[sqrt(-g) g drho/(2 rho)],
     which equals -box(sqrt rho)/sqrt(rho).  Vanishes for constant rho.
     """
     md = metric_data(bg, x)
-    return _quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt)
+    return point_value(_quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt), md.pt)
 
 
-def quantum_potential_rel_printed(bg: BackgroundRel, f: PolarField, x) -> float:
+def quantum_potential_rel_printed(bg: BackgroundRel, f: PolarField, x):
     """Variant with drho/(4 rho) inside the divergence bracket.
 
     Kept for comparison: it breaks the equivalence between the linear wave
     equation and the quantum HJ + continuity pair whenever drho != 0.
     """
     md = metric_data(bg, x)
-    return _quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt,
-                              bracket_coeff=0.25)
+    return point_value(_quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt,
+                                          bracket_coeff=0.25), md.pt)
 
 
-def quantum_hj_residual_rel(bg: BackgroundRel, f: PolarField, x) -> float:
-    """(dS - qA) g^{-1} (dS - qA) + m^2 + Q."""
-    return classical_hj_residual_rel(bg, f, x) + quantum_potential_rel(bg, f, x)
+def quantum_hj_residual_rel(bg: BackgroundRel, f: PolarField, x):
+    """(dS - qA) g^{-1} (dS - qA) + m^2 + Q, from one read of the geometry."""
+    md = metric_data(bg, x)
+    classical = _mass_shell(md.ginv, momentum_covector(bg, f, md.pt), bg.mass)
+    return point_value(classical + _quantum_potential(md.vol, md.dvol, md.ginv, md.dginv,
+                                                      f, md.pt), md.pt)
 
 
 def _rel_wave_data(bg, cf, x):
-    """The leading arguments of _gauged_laplacian, (sqrt(-g), its gradient,
-    g^{-1}, its gradient, A, q), then psi, d psi, D psi and d D psi at x."""
+    """The checked points, the leading arguments of _gauged_laplacian (sqrt(-g),
+    its gradient, g^{-1}, its gradient, A, q), then psi, d psi, D psi and d D psi."""
     md = metric_data(bg, x)
     a_cov = bg.gauge_at(md.pt)
     psi, dpsi, dcov, ddcov = _covariant_derivative_data(
         cf, md.pt, a_cov, bg.gauge_derivative_at(md.pt), bg.charge)
-    return (md.vol, md.dvol, md.ginv, md.dginv, a_cov, bg.charge), psi, dpsi, dcov, ddcov
+    return md.pt, (md.vol, md.dvol, md.ginv, md.dginv, a_cov, bg.charge), psi, dpsi, dcov, ddcov
 
 
-def linear_kg_residual(bg: BackgroundRel, cf: ComplexField, x) -> complex:
+def linear_kg_residual(bg: BackgroundRel, cf: ComplexField, x):
     """(1/sqrt(-g)) D_M [sqrt(-g) g^{MN} D_N psi] - m^2 psi.
 
     Density-normalized so plane-wave checks read the same on any
     background.
     """
-    geo, psi, _, dcov, ddcov = _rel_wave_data(bg, cf, x)
-    return complex(_gauged_laplacian(*geo, dcov, ddcov) / geo[0] - bg.mass**2 * psi)
+    pt, geo, psi, _, dcov, ddcov = _rel_wave_data(bg, cf, x)
+    return point_value(_gauged_laplacian(*geo, dcov, ddcov) / geo[0] - bg.mass**2 * psi,
+                       pt, complex)
 
 
 def _classical_field_terms(bg, cf, x, printed):
-    geo, psi, dpsi, dcov, ddcov = _rel_wave_data(bg, cf, x)
+    pt, geo, psi, dpsi, dcov, ddcov = _rel_wave_data(bg, cf, x)
     vol, _, ginv = geo[:3]
-    if abs(psi) ** 2 <= EPS_NODE:
-        raise NodeEncountered(f"|psi|^2 = {abs(psi)**2:.3e} below node threshold")
+    _node_check(np.abs(psi) ** 2, pt, "|psi|^2 = {:.3e} below node threshold")
     psis = np.conj(psi)
     dcov_c = np.conj(dcov)
     m2 = bg.mass**2
@@ -198,25 +245,25 @@ def _classical_field_terms(bg, cf, x, printed):
     # T1 = (1/2) D_M [sqrt(-g) g^{MN} D_N psi]
     t1 = 0.5 * _gauged_laplacian(*geo, dcov, ddcov)
 
-    t2 = vol / (4.0 * psi) * (dcov @ ginv @ dcov)
+    t2 = vol / (4.0 * psi) * np.vecdot(dcov_c, np.matvec(ginv, dcov))
 
     if printed:
         t3 = m2 * vol * psi
-        t4 = -(vol * psi / (4.0 * psis)) * (dcov_c @ ginv @ dcov_c)
+        t4 = -(vol * psi / (4.0 * psis)) * np.vecdot(dcov, np.matvec(ginv, dcov_c))
     else:
         t3 = -m2 * vol * psi
-        t4 = -(vol * psi / (4.0 * psis**2)) * (dcov_c @ ginv @ dcov_c)
+        t4 = -(vol * psi / (4.0 * psis**2)) * np.vecdot(dcov, np.matvec(ginv, dcov_c))
 
     # T5 = -(1/2) D_M [(psi/psi*) sqrt(-g) g^{MN} (D_N psi)*]
     ratio = psi / psis
-    dratio = dpsi / psis - psi * np.conj(dpsi) / psis**2
+    dratio = dpsi / _col(psis) - _col(psi) * np.conj(dpsi) / _col(psis)**2
     t5 = -0.5 * (ratio * _gauged_laplacian(*geo, dcov_c, np.conj(ddcov))
-                 + dratio @ (vol * (ginv @ dcov_c)))
+                 + np.vecdot(np.conj(dratio), _col(vol) * np.matvec(ginv, dcov_c)))
 
-    return (t1 + t2 + t3 + t4 + t5) / vol
+    return point_value((t1 + t2 + t3 + t4 + t5) / vol, pt, complex)
 
 
-def classical_field_residual(bg: BackgroundRel, cf: ComplexField, x) -> complex:
+def classical_field_residual(bg: BackgroundRel, cf: ComplexField, x):
     """Nonlinear classical wave residual for psi_clas, density-normalized.
 
     Derived term by term from the (rho, S) classical ensemble action, so it
@@ -228,10 +275,10 @@ def classical_field_residual(bg: BackgroundRel, cf: ComplexField, x) -> complex:
     Superpositions of distinct solutions do not satisfy it: the equation is
     not linear.
     """
-    return complex(_classical_field_terms(bg, cf, x, printed=False))
+    return _classical_field_terms(bg, cf, x, printed=False)
 
 
-def classical_field_residual_printed(bg: BackgroundRel, cf: ComplexField, x) -> complex:
+def classical_field_residual_printed(bg: BackgroundRel, cf: ComplexField, x):
     """Literal transcription variant of the nonlinear classical equation.
 
     Differs from classical_field_residual in the sign of the mass term and
@@ -239,7 +286,7 @@ def classical_field_residual_printed(bg: BackgroundRel, cf: ComplexField, x) -> 
     even on single classical solutions.  Exposed so the discrepancy can be
     reported.
     """
-    return complex(_classical_field_terms(bg, cf, x, printed=True))
+    return _classical_field_terms(bg, cf, x, printed=True)
 
 
 def classical_field_equation_report(bg: BackgroundRel, cf: ComplexField, points):
@@ -251,14 +298,13 @@ def classical_field_equation_report(bg: BackgroundRel, cf: ComplexField, points)
     from .report import ResidualReport
 
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    derived = [classical_field_residual(bg, cf, p) for p in pts]
-    printed = [classical_field_residual_printed(bg, cf, p) for p in pts]
-    diff = [abs(a - b) for a, b in zip(printed, derived)]
+    derived = classical_field_residual(bg, cf, pts)
+    printed = classical_field_residual_printed(bg, cf, pts)
     return {
         "derived": ResidualReport.from_samples("classical-field-derived", pts, derived),
         "printed": ResidualReport.from_samples("classical-field-printed", pts, printed),
         "discrepancy": ResidualReport.from_samples("classical-field-printed-discrepancy",
-                                                   pts, diff),
+                                                   pts, np.abs(printed - derived)),
     }
 
 
@@ -267,6 +313,17 @@ def classical_field_equation_report(bg: BackgroundRel, cf: ComplexField, points)
 # ---------------------------------------------------------------------------
 
 FORM_AGREEMENT_TOL = 1e-10
+
+
+def _point_or_rows(residual):
+    """Let a one-point Newton-Cartan residual take a batch (K, D) too, one row at a time."""
+    @functools.wraps(residual)
+    def batched(nc, field, x):
+        pts = np.asarray(x, dtype=float)
+        if pts.ndim == 1:
+            return residual(nc, field, pts)
+        return per_row(lambda p: residual(nc, field, p), pts)
+    return batched
 
 
 def nc_momentum_covector(nc: NCBackground, f: PolarField, x) -> Array:
@@ -312,24 +369,28 @@ def nc_hj_expression(nc: NCBackground, x, k) -> float:
     return vhat_form
 
 
+@_point_or_rows
 def nc_classical_hj_residual(nc: NCBackground, f: PolarField, x) -> float:
     """2 w vhat.k - k h k - 2 w^2 Phi with k = dS - qA, form-checked."""
     return nc_hj_expression(nc, x, nc_momentum_covector(nc, f, x))
 
 
+@_point_or_rows
 def nc_quantum_potential(nc: NCBackground, f: PolarField, x) -> float:
     """Q = (1/4 rho^2) h drho drho + (1/2e) d_mu[(1/rho) e h^{mu nu} d_nu rho]."""
     pt = check_point(x, nc.dim)
     der = derive_nc(nc, pt)
     parts = derive_nc_partials(nc, pt)
-    return _quantum_potential(der.vol, parts["vol"], -der.h_up, -parts["h_up"], f, pt)
+    return float(_quantum_potential(der.vol, parts["vol"], -der.h_up, -parts["h_up"], f, pt))
 
 
+@_point_or_rows
 def nc_quantum_hj_residual(nc: NCBackground, f: PolarField, x) -> float:
     """Classical NC HJ residual plus the quantum potential."""
     return nc_classical_hj_residual(nc, f, x) + nc_quantum_potential(nc, f, x)
 
 
+@_point_or_rows
 def nc_continuity_residual(nc: NCBackground, f: PolarField, x) -> float:
     """d_mu[e w rho vhat^mu] - d_mu[e h^{mu nu} rho k_nu]."""
     pt = check_point(x, nc.dim)
@@ -347,6 +408,7 @@ def nc_continuity_residual(nc: NCBackground, f: PolarField, x) -> float:
     return float(t1 - t2)
 
 
+@_point_or_rows
 def nc_schrodinger_residual(nc: NCBackground, cf: ComplexField, x) -> complex:
     """Variational residual of the quadratic wave action on NC data.
 

@@ -5,9 +5,16 @@ the particle parameters (mass, charge).  Everything is a pure function of
 the coordinate point, so backgrounds are safe to share between workers.
 Signature convention is mostly-plus (-, +, ..., +); units are hbar = c = 1.
 
-``metric_data(bg, x)`` is the per-point geometry bundle every residual
-reads: g^{MN}, sqrt(-g) and their gradients, from one checked read of the
-metric.  ``metric_inverse`` and ``volume_element`` give the single objects.
+``metric_data(bg, x)`` is the geometry bundle every residual reads:
+g^{MN}, sqrt(-g) and their gradients, from one checked read of the metric.
+``metric_inverse`` and ``volume_element`` give the single objects.
+
+Each of them takes one point (D,) or a batch of points (K, D), and returns
+one bundle per batch, not one per point: the closures are read one row at a
+time and stacked, then every check and every product runs as one stacked
+numpy call over the leading axis.  A check that fails names the first
+failing point.  A single point is the K = 1 case of the same code and keeps
+its shapes and Python scalar types.
 """
 from __future__ import annotations
 
@@ -36,8 +43,50 @@ def check_point(x, dim: int | None = None) -> Array:
     if dim is not None and pt.size != dim:
         raise ValueError(f"point has dimension {pt.size}, expected {dim}")
     if not np.isfinite(pt).all():
-        raise ValueError("point has non-finite coordinates")
+        raise ValueError(f"non-finite coordinates at point {pt.tolist()}")
     return pt
+
+
+def check_points(x, dim: int | None = None) -> Array:
+    """Validate one point (D,) or a batch of points (K, D); a float array of the same shape."""
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim != 2:
+        return check_point(pts, dim)
+    check_point(np.zeros(pts.shape[1]), dim)  # the dimension checks of one point
+    bad = ~np.isfinite(pts).all(axis=1)
+    raise_at_first(bad, bad, pts, ValueError, "non-finite coordinates")
+    return pts
+
+
+def raise_at_first(flags, values, pts, error, message: str) -> None:
+    """Raise ``error`` for the first point of ``pts`` whose flag is set.
+
+    ``flags`` and ``values`` hold one entry per point of ``pts`` (one point
+    (D,) or a batch (K, D)); the message is ``message`` formatted with that
+    point's value, followed by the point itself.
+    """
+    if flags is False or flags is np.False_:  # one point that passed: skip the search
+        return
+    hits = np.flatnonzero(flags)
+    if hits.size:
+        i = hits[0]
+        point = np.reshape(pts, (-1, pts.shape[-1]))[i]
+        raise error(f"{message.format(np.ravel(values)[i])} at point {point.tolist()}")
+
+
+def per_row(fn, pts: Array, dtype=None):
+    """fn at one point (D,), or at each row of a batch (K, D) stacked into one array.
+
+    Closures keep their one-point contract; this is the one loop over the
+    rows of a batch.  ``dtype`` converts the result when given.
+    """
+    out = fn(pts) if pts.ndim == 1 else np.array([fn(p) for p in pts])
+    return out if dtype is None else np.asarray(out, dtype=dtype)
+
+
+def point_value(values, pts: Array, kind=float):
+    """``kind(values)`` for one point (D,), the array of values for a batch."""
+    return kind(values) if pts.ndim == 1 else values
 
 
 @dataclass(frozen=True)
@@ -48,7 +97,9 @@ class BackgroundRel:
     covector A_M.  Analytic derivative closures are optional; when absent,
     central differences are used.  Index convention for the derivative
     arrays: axis 0 is the derivative direction, i.e. ``dmetric(x)[M] =
-    d_M g`` and ``dgauge(x)[M, N] = d_M A_N``.
+    d_M g`` and ``dgauge(x)[M, N] = d_M A_N``.  The closures take one point;
+    the ``*_at`` methods take one point (D,) or a batch (K, D), reading the
+    closures one row at a time and stacking the rows along a leading axis.
     """
 
     dim: int
@@ -84,79 +135,87 @@ class BackgroundRel:
                    dmetric=lambda x: zero_dg.copy(), dgauge=lambda x: zero_da.copy())
 
     def metric_at(self, x) -> Array:
-        pt = check_point(x, self.dim)
-        g = np.asarray(self.metric(pt), dtype=float)
-        if g.shape != (self.dim, self.dim):
-            raise ValueError(f"metric has shape {g.shape}, expected {(self.dim, self.dim)}")
-        if np.max(np.abs(g - g.T)) >= SYMMETRY_TOL:
-            raise ValueError("metric is not symmetric at the sampled point")
+        pts = check_points(x, self.dim)
+        g = per_row(self.metric, pts, float)
+        if g.shape != pts.shape[:-1] + (self.dim, self.dim):
+            raise ValueError(f"metric has shape {g.shape}, expected "
+                             f"{pts.shape[:-1] + (self.dim, self.dim)}")
+        asym = np.max(np.abs(g - g.mT), axis=(-2, -1))
+        raise_at_first(asym >= SYMMETRY_TOL, asym, pts, ValueError,
+                       "metric is not symmetric (max |g - g^T| = {:.3e})")
         return g
 
     def gauge_at(self, x) -> Array:
-        pt = check_point(x, self.dim)
-        return np.asarray(self.gauge(pt), dtype=float)
+        return per_row(self.gauge, check_points(x, self.dim), float)
 
     def metric_derivative_at(self, x) -> Array:
-        """Full derivative stack, shape (D, D, D): out[M] = d_M g."""
-        return derivative_or_fd(self.metric, self.dmetric, check_point(x, self.dim))
+        """Full derivative stack, shape (..., D, D, D): out[..., M, :, :] = d_M g."""
+        return per_row(lambda p: derivative_or_fd(self.metric, self.dmetric, p),
+                       check_points(x, self.dim), float)
 
     def gauge_derivative_at(self, x) -> Array:
-        return derivative_or_fd(self.gauge, self.dgauge, check_point(x, self.dim))
+        return per_row(lambda p: derivative_or_fd(self.gauge, self.dgauge, p),
+                       check_points(x, self.dim), float)
 
 
-def _checked_inverse(g: Array) -> tuple[Array, float]:
-    """(g^{MN}, det g) after the checks that ``metric_inverse`` documents."""
+def _checked_inverse(g: Array, pts: Array) -> tuple[Array, Array]:
+    """(g^{MN}, det g) at each point after the checks that ``metric_inverse`` documents."""
     det = np.linalg.det(g)
-    if abs(det) < DET_FLOOR:
-        raise SingularMetric(f"|det g| = {abs(det):.3e} below {DET_FLOOR:.0e}")
-    if int(np.sum(np.linalg.eigvalsh(g) < 0.0)) != 1:
-        raise SignatureViolation("metric must have exactly one negative eigenvalue")
+    raise_at_first(np.abs(det) < DET_FLOOR, np.abs(det), pts, SingularMetric,
+                   f"|det g| = {{:.3e}} below {DET_FLOOR:.0e}")
+    negative = np.sum(np.linalg.eigvalsh(g) < 0.0, axis=-1)
+    raise_at_first(negative != 1, negative, pts, SignatureViolation,
+                   "metric must have exactly one negative eigenvalue, has {}")
     ginv = np.linalg.inv(g)
-    ginv = 0.5 * (ginv + ginv.T)
-    residual = np.max(np.abs(g @ ginv - np.eye(g.shape[0])))
-    if residual >= INVERSE_TOL:
-        raise SingularMetric(f"inverse residual {residual:.3e} exceeds {INVERSE_TOL:.0e}")
+    ginv = 0.5 * (ginv + ginv.mT)
+    residual = np.max(np.abs(g @ ginv - np.eye(g.shape[-1])), axis=(-2, -1))
+    raise_at_first(residual >= INVERSE_TOL, residual, pts, SingularMetric,
+                   f"inverse residual {{:.3e}} exceeds {INVERSE_TOL:.0e}")
     return ginv, det
 
 
 def metric_inverse(bg: BackgroundRel, x) -> Array:
-    """Contravariant metric g^{MN} at x.
+    """Contravariant metric g^{MN} at one point (D, D) or at each point of a batch (K, D, D).
 
     Raises SingularMetric when |det g| is below the floor (or the inverse
     fails its own residual check) and SignatureViolation when the metric
-    does not have exactly one negative eigenvalue.
+    does not have exactly one negative eigenvalue, naming the first such point.
     """
-    return _checked_inverse(bg.metric_at(x))[0]
+    pts = check_points(x, bg.dim)
+    return _checked_inverse(bg.metric_at(pts), pts)[0]
 
 
-def _volume(det: float) -> float:
-    if det >= 0.0:
-        raise SignatureViolation(f"det g = {det:.3e} is not negative")
-    return float(np.sqrt(-det))
+def _volume(det, pts: Array):
+    raise_at_first(det >= 0.0, det, pts, SignatureViolation, "det g = {:.3e} is not negative")
+    return point_value(np.sqrt(-det), pts)
 
 
-def volume_element(bg: BackgroundRel, x) -> float:
-    """sqrt(-det g); requires det g < 0."""
-    return _volume(np.linalg.det(bg.metric_at(x)))
+def volume_element(bg: BackgroundRel, x):
+    """sqrt(-det g), a float at one point and (K,) for a batch; requires det g < 0."""
+    pts = check_points(x, bg.dim)
+    return _volume(np.linalg.det(bg.metric_at(pts)), pts)
 
 
 @dataclass(frozen=True)
 class MetricData:
-    """Lorentzian geometry at one point, shared by every residual."""
+    """Lorentzian geometry at one point, or at each point of a batch along a
+    leading axis, shared by every residual."""
 
-    pt: Array     # the checked point
+    pt: Array     # the checked point (D,) or points (K, D)
     ginv: Array   # g^{MN}
-    dginv: Array  # d_M g^{PQ} = -(g^{-1} d_M g g^{-1}), axis 0 = d_M
-    vol: float    # sqrt(-det g)
+    dginv: Array  # d_M g^{PQ} = -(g^{-1} d_M g g^{-1}), axis -3 = d_M
+    vol: float | Array  # sqrt(-det g): a float at one point, (K,) for a batch
     dvol: Array   # d_M sqrt(-g) = (1/2) sqrt(-g) tr(g^{-1} d_M g)
 
 
 def metric_data(bg: BackgroundRel, x) -> MetricData:
-    """One checked read of the metric at x, inverted, with sqrt(-det g)."""
-    pt = check_point(x, bg.dim)
-    ginv, det = _checked_inverse(bg.metric_at(pt))
-    vol = _volume(det)
-    dg = bg.metric_derivative_at(pt)
-    return MetricData(pt=pt, ginv=ginv,
-                      dginv=-np.einsum("pa,mab,bq->mpq", ginv, dg, ginv),
-                      vol=vol, dvol=0.5 * vol * np.einsum("ab,mba->m", ginv, dg))
+    """One checked read of the metric at x, (D,) or (K, D), inverted, with sqrt(-det g)."""
+    pts = check_points(x, bg.dim)
+    ginv, det = _checked_inverse(bg.metric_at(pts), pts)
+    vol = _volume(det, pts)
+    dg = bg.metric_derivative_at(pts)
+    return MetricData(pt=pts, ginv=ginv,
+                      dginv=-np.einsum("...pa,...mab,...bq->...mpq", ginv, dg, ginv),
+                      vol=vol,
+                      dvol=0.5 * np.asarray(vol)[..., None] * np.einsum("...ab,...mba->...m",
+                                                                          ginv, dg))

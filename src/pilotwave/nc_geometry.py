@@ -92,14 +92,6 @@ class NCBackground:
             dphi=lambda x: np.zeros(dim),
         )
 
-    def frame_at(self, x) -> Array:
-        """D x D matrix with tau as column 0 and the vierbein as columns 1..D-1."""
-        pt = check_point(x, self.dim)
-        f = np.empty((self.dim, self.dim))
-        f[:, 0] = np.asarray(self.tau(pt), dtype=float)
-        f[:, 1:] = np.asarray(self.vierbein(pt), dtype=float)
-        return f
-
     def reduced_gauge_at(self, x) -> Array:
         """Spacetime part of the lifted gauge field: A_mu = Abar_mu - phi M_mu."""
         pt = check_point(x, self.dim)

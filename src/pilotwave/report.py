@@ -7,6 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteResult
+from .geometry import per_row
 
 Array = np.ndarray
 
@@ -105,7 +106,6 @@ class GridSpec:
 
 
 def sweep(name: str, fn, points) -> ResidualReport:
-    """Evaluate a pointwise residual over points into one report."""
+    """Evaluate a one-point function at each of points into one report."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    values = [fn(p) for p in pts]
-    return ResidualReport.from_samples(name, pts, values)
+    return ResidualReport.from_samples(name, pts, per_row(fn, pts))

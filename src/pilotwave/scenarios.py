@@ -22,7 +22,7 @@ from .errors import BadParameter, ConfigError, UnknownScenario
 from .fields import ComplexField, PolarField, polar_field, polar_view
 from .geometry import BackgroundRel
 from .nc_geometry import NCBackground
-from .report import GridSpec, ResidualReport, sweep
+from .report import GridSpec, ResidualReport
 from .stencils import hessian, jacobian
 
 Array = np.ndarray
@@ -60,8 +60,9 @@ class Scenario:
         except KeyError:
             raise UnknownScenario(f"no check named '{name}'")
         # looked up at call time, so a rebound field_equations function is used
-        fn, bg, fld = getattr(feq, fn_name), self.background, getattr(self, field_name)
-        return sweep(name, lambda p: fn(bg, fld, p), points)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        values = getattr(feq, fn_name)(self.background, getattr(self, field_name), pts)
+        return ResidualReport.from_samples(name, pts, values)
 
 
 # check name -> (field_equations residual, scenario field it is evaluated on)
