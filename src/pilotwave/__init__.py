@@ -15,7 +15,7 @@ from .geometry import (BackgroundRel, MetricData, check_point, metric_data,
                        metric_inverse, volume_element)
 from .nc_geometry import (NCBackground, NCDerived, NullLift, derive_nc, null_lift,
                           null_lift_residuals)
-from .report import GridSpec, ResidualReport, sweep
+from .report import GridSpec, ResidualReport
 from .dynamics import (GuidanceField, Trajectory, guidance_velocity_nc,
                        guidance_velocity_rel, hamiltonian_constraint_residual,
                        integrate_trajectory, lagrangian_nc,

@@ -55,7 +55,7 @@ config document (JSON); unknown keys are rejected at every level:
   trajectories.rtol       integrator relative tolerance (default 1e-9)
   trajectories.atol       integrator absolute tolerance (default 1e-12)
   trajectories.tolerance  constraint gate (default: the scenario's)
-  residuals               subset of check names for the residuals command
+  residuals               non-empty subset of check names for the residuals command
   reduce.random_frames    extra random frames to check (default 0)
   reduce.seed             their generator seed (default 0)
   reduce.dim              their dimension, 2..10 (default: the scenario's)

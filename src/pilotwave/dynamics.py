@@ -32,7 +32,7 @@ from .field_equations import (hj_expression, momentum_covector, nc_hj_expression
                               nc_momentum_covector, nc_quantum_potential,
                               quantum_potential_rel)
 from .fields import EPS_NODE, PolarField
-from .geometry import BackgroundRel, check_point, metric_inverse
+from .geometry import BackgroundRel, broadcast_read, check_point, check_points, metric_inverse
 from .integrators import hermite, integrate_adaptive
 from .nc_geometry import NCBackground, derive_nc
 from .report import ResidualReport, format_float
@@ -92,14 +92,15 @@ class GuidanceField:
             return guidance_velocity_rel(self.background, self.field, x)
         return guidance_velocity_nc(self.background, self.field, x)
 
-    def constraint_residual(self, x, p=None) -> float:
+    def constraint_residual(self, x, p=None) -> Array:
         """HJ expression of the kinetic covector p - qA at x, plus Q if quantum.
 
-        The momenta p default to the field's phase gradient dS.
+        x is one point (D,) or a batch (K, D), with momenta p of the same
+        shape; they default to the field's phase gradient dS.
         """
         bg, f = self.background, self.field
-        pt = check_point(x, bg.dim)
-        p = np.asarray(f.dS(pt) if p is None else p, dtype=float)
+        pt = check_points(x, bg.dim)
+        p = broadcast_read(f.dS, pt, 1) if p is None else np.asarray(p, dtype=float)
         if self.kind == "relativistic":
             val = hj_expression(bg, pt, p - bg.charge * bg.gauge_at(pt))
             return val + quantum_potential_rel(bg, f, pt) if self.quantum else val
@@ -222,8 +223,8 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
 
 
 def _assemble_trajectory(gf: GuidanceField, lambdas, points) -> Trajectory:
-    momenta = np.array([gf.field.dS(y) for y in points])
-    constraint = np.array([gf.constraint_residual(y) for y in points])
+    momenta = np.array(broadcast_read(gf.field.dS, points, 1))
+    constraint = gf.constraint_residual(points, momenta)
     return Trajectory(parametrization=gf.parametrization, lambdas=lambdas,
                       points=points, momenta=momenta, constraint=constraint)
 
@@ -321,5 +322,5 @@ def hamiltonian_constraint_residual(traj: Trajectory, gf: GuidanceField) -> Resi
     Newton-Cartan: 2 w vhat.(p - qA) - (p - qA) h (p - qA) - 2 Phi w^2 + Q,
     with p the recorded sample momenta (Q dropped when gf.quantum is off).
     """
-    values = [gf.constraint_residual(pt, p) for pt, p in zip(traj.points, traj.momenta)]
-    return ResidualReport.from_samples("hamiltonian-constraint", traj.points, values)
+    return ResidualReport.from_samples("hamiltonian-constraint", traj.points,
+                                       gf.constraint_residual(traj.points, traj.momenta))

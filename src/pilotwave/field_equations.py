@@ -31,19 +31,18 @@ Lorentzian one with g^{MN} -> -h^{mu nu}.  ``hj_expression`` and
 covector.  Each residual has an independent nested-finite-difference oracle
 (evaluate the whole bracket at shifted points) to test against.
 
-Geometry arrives in one bundle per batch of points, not per point.
-Relativistic residuals take one point (D,) or a batch (K, D) and read
-``geometry.metric_data`` (g^{MN}, sqrt(-g) and their gradients from one
-read of the metric) once for the whole batch; the field closures are read
-one row at a time and stacked, and every kernel runs over the leading axis
-with the stacked products ``np.vecdot``/``np.matvec``/``np.vecmat`` and
-``...`` einsum.  A node check still runs before the division it guards, and
-names the first point at the node.  Newton-Cartan
-residuals read ``derive_nc`` (the frame, its inverse, M, w = m - q phi and
-every derived object) and, for the divergences, ``derive_nc_partials`` at
-one point; the ones the check table names accept a batch too, evaluated one
-row at a time through ``geometry.per_row``, and call the same kernels at
-each point.
+Every public residual takes one point (D,) or a batch (K, D), under the
+batch contract of ``geometry``: it reads each field closure once for the
+whole batch, and every kernel runs over the leading axis with the stacked
+products ``np.vecdot``/``np.matvec``/``np.vecmat`` and ``...`` einsum.  A
+point gives shape-() values.  Geometry arrives in one bundle per batch.
+Relativistic residuals read ``geometry.metric_data`` (g^{MN}, sqrt(-g) and
+their gradients from one read of the metric).  Newton-Cartan residuals read
+``derive_nc`` (the frame, its inverse, M, w = m - q phi and every derived
+object) and, for the divergences, ``derive_nc_partials``; ``_nc_frames``
+still derives the frame one point at a time and stacks the rows.  A node
+check runs before the division it guards, and an error in a batch names
+the first failing point.
 
 The ``*_printed`` variants reproduce equation forms that fail their own
 consistency checks (a factor slip in the relativistic quantum potential's
@@ -55,15 +54,13 @@ forms are the ones that make polar and complex descriptions equivalent.
 """
 from __future__ import annotations
 
-import functools
-
 import numpy as np
 
-from .errors import FormMismatch, NodeEncountered
-from .fields import EPS_NODE, ComplexField, PolarField
-from .geometry import (BackgroundRel, check_point, check_points, metric_data, metric_inverse,
-                       per_row, point_value, raise_at_first)
-from .nc_geometry import NCBackground, derive_nc, derive_nc_partials
+from .errors import FormMismatch
+from .fields import PSI_AT_NODE, ComplexField, PolarField, _outer, node_check
+from .geometry import (BackgroundRel, broadcast_read, check_points, metric_data, metric_inverse,
+                       raise_at_first)
+from .nc_geometry import NCBackground, NCDerived, derive_nc, derive_nc_partials
 
 Array = np.ndarray
 
@@ -74,15 +71,14 @@ Array = np.ndarray
 # np.vecdot conjugates its first argument, so a real factor goes first; at
 # one point, np.vecdot, np.matvec and np.vecmat give the bits of ``@``.
 
-def _outer(a, b):
-    """a_M b_N at each point."""
-    return a[..., :, None] * b[..., None, :]
-
-
 def _col(s, n=1):
-    """A value per point with n trailing axes added, to scale a row's vector or
-    matrix; one point's scalar is returned as it is."""
-    return s if getattr(s, "ndim", 0) == 0 else s.reshape(s.shape + (1,) * n)
+    """A value per point with n trailing axes added, to scale a row's vector or matrix."""
+    return np.reshape(s, np.shape(s) + (1,) * n)
+
+
+def _bilinear(a, m, b):
+    """a_M m^{MN} b_N, conjugating neither vector, summed as ``a @ m @ b`` at one point."""
+    return np.vecdot(np.conj(np.vecmat(np.conj(a), m)), b)
 
 
 def _density_divergence(vol, dvol, up, dup, vec, dvec):
@@ -106,31 +102,19 @@ def _gauged_laplacian(vol, dvol, up, dup, a_cov, q, dcov, ddcov):
 
 def _covariant_derivative_data(cf, pt, a_cov, da, q):
     """psi, d psi, D_N psi and d_M (D_N psi) at pt, with D = d - i q A."""
-    # Python scalars at one point, whose arithmetic the Newton-Cartan residuals rely on
-    psi = point_value(per_row(cf.psi, pt, complex), pt, complex)
-    dpsi = per_row(cf.dpsi, pt, complex)
-    d2psi = per_row(cf.d2psi, pt, complex)
+    psi, dpsi, d2psi = (broadcast_read(fn, pt, axes, complex)
+                        for axes, fn in enumerate((cf.psi, cf.dpsi, cf.d2psi)))
     dcov = dpsi - 1j * q * a_cov * _col(psi)
     # d_M (Dpsi)_N = d2psi_MN - i q (dA_MN psi + A_N dpsi_M)
     ddcov = d2psi - 1j * q * (da * _col(psi, 2) + _outer(dpsi, a_cov))
     return psi, dpsi, dcov, ddcov
 
 
-_RHO_AT_NODE = f"rho = {{:.3e}} at node threshold {EPS_NODE:.0e}"
-
-
-def _node_check(density, pt, message):
-    """NodeEncountered at the first point where ``density`` is at or below EPS_NODE."""
-    raise_at_first(density <= EPS_NODE, density, pt, NodeEncountered, message)
-
-
 def _quantum_potential(vol, dvol, up, dup, f, pt, bracket_coeff=0.5):
     """-(1/4 rho^2) up drho drho - (1/vol) d_M [vol up^{MN} c drho_N / rho]."""
-    # a Python float at one point: float ** 2 and numpy's square can differ in the last bit
-    rho = point_value(per_row(f.rho, pt, float), pt)
-    _node_check(rho, pt, _RHO_AT_NODE)
-    drho = per_row(f.drho, pt, float)
-    d2rho = per_row(f.d2rho, pt, float)
+    rho = node_check(broadcast_read(f.rho, pt), pt)
+    drho = broadcast_read(f.drho, pt, 1)
+    d2rho = broadcast_read(f.d2rho, pt, 2)
     rho2 = rho**2
     a = bracket_coeff * drho / _col(rho)
     da = bracket_coeff * (d2rho / _col(rho, 2) - _outer(drho, drho) / _col(rho2, 2))
@@ -150,14 +134,13 @@ def _mass_shell(ginv, k, mass):
 def momentum_covector(bg: BackgroundRel, f: PolarField, x) -> Array:
     """k_M = d_M S - q A_M."""
     pt = check_points(x, bg.dim)
-    return per_row(f.dS, pt, float) - bg.charge * bg.gauge_at(pt)
+    return broadcast_read(f.dS, pt, 1) - bg.charge * bg.gauge_at(pt)
 
 
 def hj_expression(bg: BackgroundRel, x, k):
     """k g^{-1} k + m^2 for a kinetic covector k at x."""
     pt = check_points(x, bg.dim)
-    return point_value(_mass_shell(metric_inverse(bg, pt), np.asarray(k, dtype=float),
-                                   bg.mass), pt)
+    return _mass_shell(metric_inverse(bg, pt), np.asarray(k, dtype=float), bg.mass)
 
 
 def classical_hj_residual_rel(bg: BackgroundRel, f: PolarField, x):
@@ -168,7 +151,7 @@ def classical_hj_residual_rel(bg: BackgroundRel, f: PolarField, x):
 def ensemble_current(bg: BackgroundRel, f: PolarField, x) -> Array:
     """J^M = rho sqrt(-g) g^{MN}(d_N S - q A_N)."""
     md = metric_data(bg, x)
-    return (_col(per_row(f.rho, md.pt, float) * md.vol)
+    return (_col(broadcast_read(f.rho, md.pt) * md.vol)
             * np.matvec(md.ginv, momentum_covector(bg, f, md.pt)))
 
 
@@ -177,11 +160,11 @@ def continuity_residual_rel(bg: BackgroundRel, f: PolarField, x):
     md = metric_data(bg, x)
     pt = md.pt
     k = momentum_covector(bg, f, pt)
-    rho = per_row(f.rho, pt, float)
-    drho = per_row(f.drho, pt, float)
-    dk = per_row(f.d2S, pt, float) - bg.charge * bg.gauge_derivative_at(pt)
-    return point_value(_density_divergence(md.vol, md.dvol, md.ginv, md.dginv, _col(rho) * k,
-                                           _outer(drho, k) + _col(rho, 2) * dk), pt)
+    rho = broadcast_read(f.rho, pt)
+    drho = broadcast_read(f.drho, pt, 1)
+    dk = broadcast_read(f.d2S, pt, 2) - bg.charge * bg.gauge_derivative_at(pt)
+    return _density_divergence(md.vol, md.dvol, md.ginv, md.dginv, _col(rho) * k,
+                               _outer(drho, k) + _col(rho, 2) * dk)
 
 
 def quantum_potential_rel(bg: BackgroundRel, f: PolarField, x):
@@ -191,7 +174,7 @@ def quantum_potential_rel(bg: BackgroundRel, f: PolarField, x):
     which equals -box(sqrt rho)/sqrt(rho).  Vanishes for constant rho.
     """
     md = metric_data(bg, x)
-    return point_value(_quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt), md.pt)
+    return _quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt)
 
 
 def quantum_potential_rel_printed(bg: BackgroundRel, f: PolarField, x):
@@ -201,16 +184,14 @@ def quantum_potential_rel_printed(bg: BackgroundRel, f: PolarField, x):
     equation and the quantum HJ + continuity pair whenever drho != 0.
     """
     md = metric_data(bg, x)
-    return point_value(_quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt,
-                                          bracket_coeff=0.25), md.pt)
+    return _quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt, bracket_coeff=0.25)
 
 
 def quantum_hj_residual_rel(bg: BackgroundRel, f: PolarField, x):
     """(dS - qA) g^{-1} (dS - qA) + m^2 + Q, from one read of the geometry."""
     md = metric_data(bg, x)
     classical = _mass_shell(md.ginv, momentum_covector(bg, f, md.pt), bg.mass)
-    return point_value(classical + _quantum_potential(md.vol, md.dvol, md.ginv, md.dginv,
-                                                      f, md.pt), md.pt)
+    return classical + _quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt)
 
 
 def _rel_wave_data(bg, cf, x):
@@ -229,15 +210,14 @@ def linear_kg_residual(bg: BackgroundRel, cf: ComplexField, x):
     Density-normalized so plane-wave checks read the same on any
     background.
     """
-    pt, geo, psi, _, dcov, ddcov = _rel_wave_data(bg, cf, x)
-    return point_value(_gauged_laplacian(*geo, dcov, ddcov) / geo[0] - bg.mass**2 * psi,
-                       pt, complex)
+    _, geo, psi, _, dcov, ddcov = _rel_wave_data(bg, cf, x)
+    return _gauged_laplacian(*geo, dcov, ddcov) / geo[0] - bg.mass**2 * psi
 
 
 def _classical_field_terms(bg, cf, x, printed):
     pt, geo, psi, dpsi, dcov, ddcov = _rel_wave_data(bg, cf, x)
     vol, _, ginv = geo[:3]
-    _node_check(np.abs(psi) ** 2, pt, "|psi|^2 = {:.3e} below node threshold")
+    node_check(np.abs(psi) ** 2, pt, PSI_AT_NODE)
     psis = np.conj(psi)
     dcov_c = np.conj(dcov)
     m2 = bg.mass**2
@@ -260,7 +240,7 @@ def _classical_field_terms(bg, cf, x, printed):
     t5 = -0.5 * (ratio * _gauged_laplacian(*geo, dcov_c, np.conj(ddcov))
                  + np.vecdot(np.conj(dratio), _col(vol) * np.matvec(ginv, dcov_c)))
 
-    return point_value((t1 + t2 + t3 + t4 + t5) / vol, pt, complex)
+    return (t1 + t2 + t3 + t4 + t5) / vol
 
 
 def classical_field_residual(bg: BackgroundRel, cf: ComplexField, x):
@@ -315,101 +295,103 @@ def classical_field_equation_report(bg: BackgroundRel, cf: ComplexField, points)
 FORM_AGREEMENT_TOL = 1e-10
 
 
-def _point_or_rows(residual):
-    """Let a one-point Newton-Cartan residual take a batch (K, D) too, one row at a time."""
-    @functools.wraps(residual)
-    def batched(nc, field, x):
-        pts = np.asarray(x, dtype=float)
-        if pts.ndim == 1:
-            return residual(nc, field, pts)
-        return per_row(lambda p: residual(nc, field, p), pts)
-    return batched
+def _nc_frames(nc: NCBackground, pt, partials=False):
+    """``derive_nc`` at each point of pt, (D,) or (K, D), and with ``partials`` also
+    ``derive_nc_partials`` (else None), derived one point at a time; the rows fill
+    preallocated arrays with the leading axes of pt."""
+    rows = np.reshape(pt, (-1, nc.dim))
+    stacks = [{}, {}]
+    for i, row in enumerate(rows):
+        parts = (vars(derive_nc(nc, row)), derive_nc_partials(nc, row) if partials else {})
+        for stack, values in zip(stacks, parts):
+            for key, value in values.items():
+                if i == 0:
+                    stack[key] = np.empty((len(rows),) + np.shape(value))
+                stack[key][i] = value
+    der, dparts = ({key: a.reshape(pt.shape[:-1] + a.shape[1:]) for key, a in stack.items()}
+                   for stack in stacks)
+    return NCDerived(**der), (dparts if partials else None)
 
 
 def nc_momentum_covector(nc: NCBackground, f: PolarField, x) -> Array:
     """k_mu = d_mu S - q A_mu with the reduced gauge field A = Abar - phi M."""
-    pt = check_point(x, nc.dim)
-    return np.asarray(f.dS(pt), dtype=float) - nc.charge * nc.reduced_gauge_at(pt)
+    pt = check_points(x, nc.dim)
+    return broadcast_read(f.dS, pt, 1) - nc.charge * nc.reduced_gauge_at(pt)
 
 
-def _nc_hj_forms(nc: NCBackground, x, k) -> tuple[float, float, float]:
+def _nc_hj_forms(nc: NCBackground, pt, k):
     """Both forms and the largest magnitude among the terms they are summed from."""
-    pt = check_point(x, nc.dim)
-    der = derive_nc(nc, pt)
+    der, _ = _nc_frames(nc, pt)
     w = der.w
-    terms = (2.0 * w * (der.v_hat @ k), k @ der.h_up @ k, 2.0 * w**2 * der.Phi)
+    terms = (2.0 * w * np.vecdot(der.v_hat, k), _bilinear(k, der.h_up, k),
+             2.0 * w**2 * der.Phi)
     vhat_form = terms[0] - terms[1] - terms[2]
     # M is read afresh, not taken from der.m, so the guard also sees a closure
     # whose M disagrees with the one the derived objects were built from
-    big_k = k + w * np.asarray(nc.m_field(pt), dtype=float)
-    terms += (2.0 * w * (der.v @ big_k), big_k @ der.h_up @ big_k)
+    big_k = k + _col(w) * broadcast_read(nc.m_field, pt, 1)
+    terms += (2.0 * w * np.vecdot(der.v, big_k), _bilinear(big_k, der.h_up, big_k))
     vm_form = terms[3] - terms[4]
-    return float(vhat_form), float(vm_form), float(max(map(abs, terms)))
+    return vhat_form, vm_form, np.max(np.abs(terms), axis=0)
 
 
-def nc_classical_hj_forms(nc: NCBackground, f: PolarField, x) -> tuple[float, float]:
+def nc_classical_hj_forms(nc: NCBackground, f: PolarField, x) -> tuple[Array, Array]:
     """Both algebraic forms of the classical HJ expression.
 
     The boost-invariant form uses (vhat, Phi); the frame form uses (v, M)
     with K = k + w M, oriented to match.  They agree identically.
     """
-    return _nc_hj_forms(nc, x, nc_momentum_covector(nc, f, x))[:2]
+    pt = check_points(x, nc.dim)
+    return _nc_hj_forms(nc, pt, nc_momentum_covector(nc, f, pt))[:2]
 
 
-def nc_hj_expression(nc: NCBackground, x, k) -> float:
+def nc_hj_expression(nc: NCBackground, x, k) -> Array:
     """2 w vhat.k - k h k - 2 w^2 Phi for a kinetic covector k at x.
 
     Also evaluates the equivalent (v, M) form and raises FormMismatch if the
     two disagree beyond tolerance, relative to their largest term: the forms
     themselves can cancel to 0 while their terms are large.
     """
-    vhat_form, vm_form, scale = _nc_hj_forms(nc, x, k)
-    if abs(vhat_form - vm_form) > FORM_AGREEMENT_TOL * max(1.0, scale):
-        raise FormMismatch(f"HJ form mismatch: {vhat_form!r} vs {vm_form!r}")
+    pt = check_points(x, nc.dim)
+    vhat_form, vm_form, scale = _nc_hj_forms(nc, pt, np.asarray(k, dtype=float))
+    raise_at_first(np.abs(vhat_form - vm_form) > FORM_AGREEMENT_TOL * np.maximum(1.0, scale),
+                   pt, FormMismatch, "HJ form mismatch: {!r} vs {!r}", vhat_form, vm_form)
     return vhat_form
 
 
-@_point_or_rows
-def nc_classical_hj_residual(nc: NCBackground, f: PolarField, x) -> float:
+def nc_classical_hj_residual(nc: NCBackground, f: PolarField, x) -> Array:
     """2 w vhat.k - k h k - 2 w^2 Phi with k = dS - qA, form-checked."""
     return nc_hj_expression(nc, x, nc_momentum_covector(nc, f, x))
 
 
-@_point_or_rows
-def nc_quantum_potential(nc: NCBackground, f: PolarField, x) -> float:
+def nc_quantum_potential(nc: NCBackground, f: PolarField, x) -> Array:
     """Q = (1/4 rho^2) h drho drho + (1/2e) d_mu[(1/rho) e h^{mu nu} d_nu rho]."""
-    pt = check_point(x, nc.dim)
-    der = derive_nc(nc, pt)
-    parts = derive_nc_partials(nc, pt)
-    return float(_quantum_potential(der.vol, parts["vol"], -der.h_up, -parts["h_up"], f, pt))
+    pt = check_points(x, nc.dim)
+    der, parts = _nc_frames(nc, pt, partials=True)
+    return _quantum_potential(der.vol, parts["vol"], -der.h_up, -parts["h_up"], f, pt)
 
 
-@_point_or_rows
-def nc_quantum_hj_residual(nc: NCBackground, f: PolarField, x) -> float:
+def nc_quantum_hj_residual(nc: NCBackground, f: PolarField, x) -> Array:
     """Classical NC HJ residual plus the quantum potential."""
     return nc_classical_hj_residual(nc, f, x) + nc_quantum_potential(nc, f, x)
 
 
-@_point_or_rows
-def nc_continuity_residual(nc: NCBackground, f: PolarField, x) -> float:
+def nc_continuity_residual(nc: NCBackground, f: PolarField, x) -> Array:
     """d_mu[e w rho vhat^mu] - d_mu[e h^{mu nu} rho k_nu]."""
-    pt = check_point(x, nc.dim)
-    der = derive_nc(nc, pt)
-    parts = derive_nc_partials(nc, pt)
-    rho = float(f.rho(pt))
-    drho = np.asarray(f.drho(pt), dtype=float)
+    pt = check_points(x, nc.dim)
+    der, parts = _nc_frames(nc, pt, partials=True)
+    rho = broadcast_read(f.rho, pt)
+    drho = broadcast_read(f.drho, pt, 1)
     k = nc_momentum_covector(nc, f, pt)
-    dk = np.asarray(f.d2S(pt), dtype=float) - nc.charge * parts["A"]
+    dk = broadcast_read(f.d2S, pt, 2) - nc.charge * parts["A"]
     e, de, w = der.vol, parts["vol"], der.w
     t1 = _flow_divergence(e, de, der.v_hat, parts["v_hat"], w * rho,
-                          parts["w"] * rho + w * drho)
-    t2 = _density_divergence(e, de, der.h_up, parts["h_up"], rho * k,
-                             np.outer(drho, k) + rho * dk)
-    return float(t1 - t2)
+                          parts["w"] * _col(rho) + _col(w) * drho)
+    t2 = _density_divergence(e, de, der.h_up, parts["h_up"], _col(rho) * k,
+                             _outer(drho, k) + _col(rho, 2) * dk)
+    return t1 - t2
 
 
-@_point_or_rows
-def nc_schrodinger_residual(nc: NCBackground, cf: ComplexField, x) -> complex:
+def nc_schrodinger_residual(nc: NCBackground, cf: ComplexField, x) -> Array:
     """Variational residual of the quadratic wave action on NC data.
 
     In flat data with w = m this reduces to 2 i m d_t psi + laplacian(psi),
@@ -417,39 +399,38 @@ def nc_schrodinger_residual(nc: NCBackground, cf: ComplexField, x) -> complex:
     divided by the volume element e so that normalization carries over to
     curved data.  Linear in psi by construction.
     """
-    pt = check_point(x, nc.dim)
-    der = derive_nc(nc, pt)
-    parts = derive_nc_partials(nc, pt)
+    pt = check_points(x, nc.dim)
+    der, parts = _nc_frames(nc, pt, partials=True)
     a_red = nc.reduced_gauge_at(pt)
     q = nc.charge
     psi, dpsi, dcov, ddcov = _covariant_derivative_data(cf, pt, a_red, parts["A"], q)
     e, de, w = der.vol, parts["vol"], der.w
 
     # -i e w vhat^mu D_mu psi
-    r = -1j * e * w * (der.v_hat @ dcov)
+    r = -1j * e * w * np.vecdot(der.v_hat, dcov)
     # -i D_mu[ e w vhat^mu psi ]
     div_evp = _flow_divergence(e, de, der.v_hat, parts["v_hat"], w * psi,
-                               parts["w"] * psi + w * dpsi)
-    r += -1j * div_evp - q * (a_red @ der.v_hat) * e * w * psi
+                               parts["w"] * _col(psi) + _col(w) * dpsi)
+    r += -1j * div_evp - q * np.vecdot(a_red, der.v_hat) * e * w * psi
     # + D_nu[ e h^{nu mu} D_mu psi ]
     r += _gauged_laplacian(e, de, der.h_up, parts["h_up"], a_red, q, dcov, ddcov)
     # - 2 e Phi w^2 psi
     r += -2.0 * e * der.Phi * w**2 * psi
-    return complex(r / e)
+    return r / e
 
 
-def nc_classical_action_density_polar(nc: NCBackground, f: PolarField, x) -> float:
+def nc_classical_action_density_polar(nc: NCBackground, f: PolarField, x) -> Array:
     """Integrand of the classical ensemble action in (rho, S) variables:
     e (2 w rho vhat.k - 2 Phi w^2 rho - rho h k k), i.e. e rho times the HJ
     expression."""
-    pt = check_point(x, nc.dim)
-    der = derive_nc(nc, pt)
+    pt = check_points(x, nc.dim)
+    der, _ = _nc_frames(nc, pt)
     k = nc_momentum_covector(nc, f, pt)
-    return float(der.vol * float(f.rho(pt)) * nc_hj_expression(nc, pt, k))
+    return der.vol * broadcast_read(f.rho, pt) * nc_hj_expression(nc, pt, k)
 
 
 def nc_classical_action_density_complex_printed(nc: NCBackground, cf: ComplexField,
-                                                x) -> complex:
+                                                x) -> Array:
     """Literal complex form of the classical action integrand.
 
     The nonlinear terms carry 1/(psi psi) and 1/(psi* psi*) denominators as
@@ -457,24 +438,23 @@ def nc_classical_action_density_complex_printed(nc: NCBackground, cf: ComplexFie
     a missing |psi|^2 factor in those terms whenever rho != 1 (see
     nc_classical_action_equivalence_report).
     """
-    pt = check_point(x, nc.dim)
-    der = derive_nc(nc, pt)
-    psi = complex(cf.psi(pt))
-    if abs(psi) ** 2 <= EPS_NODE:
-        raise NodeEncountered("node in classical action density")
-    dpsi = np.asarray(cf.dpsi(pt), dtype=complex)
+    pt = check_points(x, nc.dim)
+    der, _ = _nc_frames(nc, pt)
+    psi = broadcast_read(cf.psi, pt, 0, complex)
+    node_check(np.abs(psi) ** 2, pt, PSI_AT_NODE)
+    dpsi = broadcast_read(cf.dpsi, pt, 1, complex)
     a_red = nc.reduced_gauge_at(pt)
     q = nc.charge
-    dcov = dpsi - 1j * q * a_red * psi
+    dcov = dpsi - 1j * q * a_red * _col(psi)
     dcov_c = np.conj(dcov)
     psis = np.conj(psi)
     h, w = der.h_up, der.w
-    val = 1j * w * (der.v_hat @ (psi * dcov_c - psis * dcov))
+    val = 1j * w * np.vecdot(der.v_hat, _col(psi) * dcov_c - _col(psis) * dcov)
     val += -2.0 * der.Phi * w**2 * psi * psis
-    val += -0.5 * (dcov @ h @ dcov_c)
-    val += 0.25 * (dcov @ h @ dcov) / (psi * psi)
-    val += 0.25 * (dcov_c @ h @ dcov_c) / (psis * psis)
-    return complex(der.vol * val)
+    val += -0.5 * _bilinear(dcov, h, dcov_c)
+    val += 0.25 * _bilinear(dcov, h, dcov) / (psi * psi)
+    val += 0.25 * _bilinear(dcov_c, h, dcov_c) / (psis * psis)
+    return der.vol * val
 
 
 def nc_classical_action_equivalence_report(nc: NCBackground, f: PolarField, points):
@@ -484,6 +464,6 @@ def nc_classical_action_equivalence_report(nc: NCBackground, f: PolarField, poin
 
     cf = complex_view(f)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    gaps = [abs(nc_classical_action_density_complex_printed(nc, cf, p)
-                - nc_classical_action_density_polar(nc, f, p)) for p in pts]
+    gaps = np.abs(nc_classical_action_density_complex_printed(nc, cf, pts)
+                  - nc_classical_action_density_polar(nc, f, pts))
     return ResidualReport.from_samples("nc-classical-action-form-gap", pts, gaps)

@@ -6,9 +6,16 @@ other, with first and second derivatives propagated analytically, so a
 field built from closed-form psi exposes closed-form (rho, S) derivatives
 and vice versa.
 
+Every closure keeps the batch contract of ``geometry``: it takes one point
+(D,) or a batch (..., D) and returns the scalar as (...), the gradient as
+(..., D) and the second derivatives as (..., D, D), or anything that
+broadcasts to them.  ``polar_view``, ``complex_view`` and the
+``polar_field`` fallbacks keep the contract, so a residual reads each
+closure once for a whole batch.
+
 Node handling: operations raise NodeEncountered as soon as the density is
-at or below EPS_NODE.  Trajectories never cross nodes, and regularizing
-silently would only hide bugs.
+at or below EPS_NODE, naming the first such point.  Trajectories never
+cross nodes, and regularizing silently would only hide bugs.
 
 ``polar_view`` gives (rho, S) = (|psi|^2, arg psi) of a complex field, with
 S in (-pi, pi]; ``np.unwrap`` continues such a phase along a sampled path.
@@ -22,39 +29,52 @@ from typing import Callable
 import numpy as np
 
 from .errors import NodeEncountered
+from .geometry import broadcast_read, raise_at_first
 from .stencils import hessian, jacobian
 
 Array = np.ndarray
 
 EPS_NODE = 1e-10
+RHO_AT_NODE = f"rho = {{:.3e}} at node threshold {EPS_NODE:.0e}"
+PSI_AT_NODE = "|psi|^2 = {:.3e} below node threshold"
+
+
+def node_check(density, pts, message=RHO_AT_NODE):
+    """``density``, unless it is at or below EPS_NODE at a point of pts: NodeEncountered."""
+    raise_at_first(density <= EPS_NODE, pts, NodeEncountered, message, density)
+    return density
+
+
+def _outer(a, b):
+    """a_M b_N at each point."""
+    return a[..., :, None] * b[..., None, :]
 
 
 @dataclass(frozen=True)
 class PolarField:
     """Real field pair (rho, S) with first and second derivatives.
 
-    ``drho``/``dS`` return shape (D,), ``d2rho``/``d2S`` shape (D, D).
+    At one point ``rho``/``S`` return a scalar, ``drho``/``dS`` shape (D,) and
+    ``d2rho``/``d2S`` shape (D, D); a batch adds its leading axes.
     """
 
-    rho: Callable[[Array], float]
-    S: Callable[[Array], float]
+    rho: Callable[[Array], Array]
+    S: Callable[[Array], Array]
     drho: Callable[[Array], Array]
     d2rho: Callable[[Array], Array]
     dS: Callable[[Array], Array]
     d2S: Callable[[Array], Array]
 
-    def rho_checked(self, x) -> float:
-        r = float(self.rho(np.asarray(x, dtype=float)))
-        if r <= EPS_NODE:
-            raise NodeEncountered(f"rho = {r:.3e} at node threshold {EPS_NODE:.0e}")
-        return r
+    def rho_checked(self, x) -> Array:
+        pts = np.asarray(x, dtype=float)
+        return node_check(broadcast_read(self.rho, pts), pts)
 
 
 @dataclass(frozen=True)
 class ComplexField:
     """Complex field psi with first and second derivatives."""
 
-    psi: Callable[[Array], complex]
+    psi: Callable[[Array], Array]
     dpsi: Callable[[Array], Array]
     d2psi: Callable[[Array], Array]
 
@@ -80,35 +100,37 @@ def polar_view(cf: ComplexField) -> PolarField:
         d2S    = Im(d2psi / psi - dpsi (x) dpsi / psi^2)
     """
 
-    def _psi_checked(x):
-        psi = complex(cf.psi(x))
-        if abs(psi) ** 2 <= EPS_NODE:
-            raise NodeEncountered(f"|psi|^2 = {abs(psi)**2:.3e} below node threshold")
-        return psi
+    def _read(x, n, checked=True):
+        """psi and its first n - 1 derivatives at x; psi is node-checked unless told not to."""
+        x = np.asarray(x, dtype=float)
+        psi, *rest = [broadcast_read(fn, x, axes, complex)
+                      for axes, fn in enumerate((cf.psi, cf.dpsi, cf.d2psi)[:n])]
+        if checked:
+            node_check(np.abs(psi) ** 2, x, PSI_AT_NODE)
+        return psi, *rest
 
     def rho(x):
-        return abs(complex(cf.psi(x))) ** 2
+        return np.abs(_read(x, 1, False)[0]) ** 2
 
     def S(x):
-        return float(np.angle(_psi_checked(x)))
+        return np.angle(_read(x, 1)[0])
 
     def drho(x):
-        psi = complex(cf.psi(x))
-        return 2.0 * np.real(np.conj(psi) * cf.dpsi(x))
+        psi, dp = _read(x, 2, False)
+        return 2.0 * np.real(np.conj(psi)[..., None] * dp)
 
     def d2rho(x):
-        psi = complex(cf.psi(x))
-        dp = cf.dpsi(x)
-        return 2.0 * np.real(np.outer(np.conj(dp), dp) + np.conj(psi) * cf.d2psi(x))
+        psi, dp, d2p = _read(x, 3, False)
+        return 2.0 * np.real(_outer(np.conj(dp), dp) + np.conj(psi)[..., None, None] * d2p)
 
     def dS(x):
-        psi = _psi_checked(x)
-        return np.imag(cf.dpsi(x) / psi)
+        psi, dp = _read(x, 2)
+        return np.imag(dp / psi[..., None])
 
     def d2S(x):
-        psi = _psi_checked(x)
-        dp = cf.dpsi(x)
-        return np.imag(cf.d2psi(x) / psi - np.outer(dp, dp) / psi**2)
+        psi, dp, d2p = _read(x, 3)
+        psi = psi[..., None, None]
+        return np.imag(d2p / psi - _outer(dp, dp) / psi**2)
 
     return PolarField(rho=rho, S=S, drho=drho, d2rho=d2rho, dS=dS, d2S=d2S)
 
@@ -117,22 +139,23 @@ def complex_view(pf: PolarField) -> ComplexField:
     """psi view of a polar field with analytic derivative closures."""
 
     def psi(x):
-        return complex(np.sqrt(pf.rho_checked(x)) * np.exp(1j * pf.S(x)))
+        return np.sqrt(pf.rho_checked(x)) * np.exp(1j * broadcast_read(pf.S, x))
 
     def _log_derivative(x):
         # d log psi = drho/(2 rho) + i dS
-        r = pf.rho_checked(x)
-        return pf.drho(x) / (2.0 * r) + 1j * pf.dS(x)
+        r = pf.rho_checked(x)[..., None]
+        return broadcast_read(pf.drho, x, 1) / (2.0 * r) + 1j * broadcast_read(pf.dS, x, 1)
 
     def dpsi(x):
-        return _log_derivative(x) * psi(x)
+        return _log_derivative(x) * psi(x)[..., None]
 
     def d2psi(x):
-        r = pf.rho_checked(x)
-        dr = pf.drho(x)
+        r = pf.rho_checked(x)[..., None, None]
+        dr = broadcast_read(pf.drho, x, 1)
         ld = _log_derivative(x)
         # d(d log psi) = d2rho/(2 rho) - drho x drho/(2 rho^2) + i d2S
-        dld = pf.d2rho(x) / (2.0 * r) - np.outer(dr, dr) / (2.0 * r**2) + 1j * pf.d2S(x)
-        return (np.outer(ld, ld) + dld) * psi(x)
+        dld = (broadcast_read(pf.d2rho, x, 2) / (2.0 * r) - _outer(dr, dr) / (2.0 * r**2)
+               + 1j * broadcast_read(pf.d2S, x, 2))
+        return (_outer(ld, ld) + dld) * psi(x)[..., None, None]
 
     return ComplexField(psi=psi, dpsi=dpsi, d2psi=d2psi)

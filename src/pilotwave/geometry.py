@@ -9,12 +9,15 @@ Signature convention is mostly-plus (-, +, ..., +); units are hbar = c = 1.
 g^{MN}, sqrt(-g) and their gradients, from one checked read of the metric.
 ``metric_inverse`` and ``volume_element`` give the single objects.
 
-Each of them takes one point (D,) or a batch of points (K, D), and returns
-one bundle per batch, not one per point: the closures are read one row at a
-time and stacked, then every check and every product runs as one stacked
-numpy call over the leading axis.  A check that fails names the first
-failing point.  A single point is the K = 1 case of the same code and keeps
-its shapes and Python scalar types.
+One batch contract runs through the package.  Every closure, here and in
+``fields`` and ``nc_geometry``, takes one point (D,) or a batch (..., D) and
+returns an array that broadcasts to (..., shape), so a constant closure may
+return its bare constant; ``broadcast_read`` reads it at the points.  Every
+function of this module takes one point (D,) or a batch (K, D), reads each
+closure once for the whole batch and runs every check and every product as
+one stacked numpy call over the leading axis.  A check that fails names the
+first failing point.  A point is a batch without the leading axis: a scalar
+comes back as a shape-() numpy value.
 """
 from __future__ import annotations
 
@@ -33,60 +36,51 @@ DET_FLOOR = 1e-14
 INVERSE_TOL = 1e-10
 
 
-def check_point(x, dim: int | None = None) -> Array:
-    """Validate a coordinate point and return it as a float array."""
-    pt = np.asarray(x, dtype=float)
-    if pt.ndim != 1:
-        raise ValueError(f"point must be one-dimensional, got shape {pt.shape}")
-    if pt.size < 2:
-        raise ValueError("points live in spacetime: need at least 2 coordinates")
-    if dim is not None and pt.size != dim:
-        raise ValueError(f"point has dimension {pt.size}, expected {dim}")
-    if not np.isfinite(pt).all():
-        raise ValueError(f"non-finite coordinates at point {pt.tolist()}")
-    return pt
-
-
 def check_points(x, dim: int | None = None) -> Array:
     """Validate one point (D,) or a batch of points (K, D); a float array of the same shape."""
     pts = np.asarray(x, dtype=float)
-    if pts.ndim != 2:
-        return check_point(pts, dim)
-    check_point(np.zeros(pts.shape[1]), dim)  # the dimension checks of one point
-    bad = ~np.isfinite(pts).all(axis=1)
-    raise_at_first(bad, bad, pts, ValueError, "non-finite coordinates")
+    if pts.ndim not in (1, 2):
+        raise ValueError(f"points must have shape (D,) or (K, D), got {pts.shape}")
+    if pts.shape[-1] < 2:
+        raise ValueError("points live in spacetime: need at least 2 coordinates")
+    if dim is not None and pts.shape[-1] != dim:
+        raise ValueError(f"point has dimension {pts.shape[-1]}, expected {dim}")
+    if not np.isfinite(pts).all():
+        raise_at_first(~np.isfinite(pts).all(axis=-1), pts, ValueError, "non-finite coordinates")
     return pts
 
 
-def raise_at_first(flags, values, pts, error, message: str) -> None:
+def check_point(x, dim: int | None = None) -> Array:
+    """Validate a coordinate point and return it as a float array."""
+    if np.ndim(x) != 1:
+        raise ValueError(f"point must be one-dimensional, got shape {np.shape(x)}")
+    return check_points(x, dim)
+
+
+def raise_at_first(flags, pts, error, message: str, *values) -> None:
     """Raise ``error`` for the first point of ``pts`` whose flag is set.
 
-    ``flags`` and ``values`` hold one entry per point of ``pts`` (one point
-    (D,) or a batch (K, D)); the message is ``message`` formatted with that
-    point's value, followed by the point itself.
+    ``flags`` and each of ``values`` hold one entry per point of ``pts`` (one
+    point (D,) or a batch (K, D)); the message is ``message`` formatted with
+    that point's entries of ``values``, followed by the point itself.
     """
-    if flags is False or flags is np.False_:  # one point that passed: skip the search
-        return
-    hits = np.flatnonzero(flags)
-    if hits.size:
-        i = hits[0]
+    if np.count_nonzero(flags):  # the cheapest test of a clean batch
+        i = np.flatnonzero(flags)[0]
         point = np.reshape(pts, (-1, pts.shape[-1]))[i]
-        raise error(f"{message.format(np.ravel(values)[i])} at point {point.tolist()}")
+        found = (np.ravel(v)[i].item() for v in values)
+        raise error(f"{message.format(*found)} at point {point.tolist()}")
 
 
-def per_row(fn, pts: Array, dtype=None):
-    """fn at one point (D,), or at each row of a batch (K, D) stacked into one array.
+def broadcast_read(fn, pts: Array, axes: int = 0, dtype=float) -> Array:
+    """A closure's value at pts, (D,) or (K, D), as shape pts.shape[:-1] + (D,) * axes.
 
-    Closures keep their one-point contract; this is the one loop over the
-    rows of a batch.  ``dtype`` converts the result when given.
+    A closure may return anything that broadcasts to that shape, such as its
+    bare constant; the result may then be a read-only broadcast view.
     """
-    out = fn(pts) if pts.ndim == 1 else np.array([fn(p) for p in pts])
-    return out if dtype is None else np.asarray(out, dtype=dtype)
-
-
-def point_value(values, pts: Array, kind=float):
-    """``kind(values)`` for one point (D,), the array of values for a batch."""
-    return kind(values) if pts.ndim == 1 else values
+    pts = np.asarray(pts, dtype=float)
+    out = np.asarray(fn(pts), dtype=dtype)
+    shape = pts.shape[:-1] + pts.shape[-1:] * axes
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 @dataclass(frozen=True)
@@ -97,9 +91,9 @@ class BackgroundRel:
     covector A_M.  Analytic derivative closures are optional; when absent,
     central differences are used.  Index convention for the derivative
     arrays: axis 0 is the derivative direction, i.e. ``dmetric(x)[M] =
-    d_M g`` and ``dgauge(x)[M, N] = d_M A_N``.  The closures take one point;
-    the ``*_at`` methods take one point (D,) or a batch (K, D), reading the
-    closures one row at a time and stacking the rows along a leading axis.
+    d_M g`` and ``dgauge(x)[M, N] = d_M A_N``, with the point axes leading.
+    The ``*_at`` methods read a closure once at one point (D,) or a batch
+    (K, D).
     """
 
     dim: int
@@ -136,41 +130,41 @@ class BackgroundRel:
 
     def metric_at(self, x) -> Array:
         pts = check_points(x, self.dim)
-        g = per_row(self.metric, pts, float)
-        if g.shape != pts.shape[:-1] + (self.dim, self.dim):
-            raise ValueError(f"metric has shape {g.shape}, expected "
-                             f"{pts.shape[:-1] + (self.dim, self.dim)}")
+        g = np.asarray(self.metric(pts), dtype=float)
+        if g.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"metric has shape {g.shape}, expected (..., {self.dim}, {self.dim})")
+        g = broadcast_read(lambda _: g, pts, 2)
         asym = np.max(np.abs(g - g.mT), axis=(-2, -1))
-        raise_at_first(asym >= SYMMETRY_TOL, asym, pts, ValueError,
-                       "metric is not symmetric (max |g - g^T| = {:.3e})")
+        raise_at_first(asym >= SYMMETRY_TOL, pts, ValueError,
+                       "metric is not symmetric (max |g - g^T| = {:.3e})", asym)
         return g
 
     def gauge_at(self, x) -> Array:
-        return per_row(self.gauge, check_points(x, self.dim), float)
+        return broadcast_read(self.gauge, check_points(x, self.dim), 1)
 
     def metric_derivative_at(self, x) -> Array:
         """Full derivative stack, shape (..., D, D, D): out[..., M, :, :] = d_M g."""
-        return per_row(lambda p: derivative_or_fd(self.metric, self.dmetric, p),
-                       check_points(x, self.dim), float)
+        return broadcast_read(lambda p: derivative_or_fd(self.metric, self.dmetric, p),
+                              check_points(x, self.dim), 3)
 
     def gauge_derivative_at(self, x) -> Array:
-        return per_row(lambda p: derivative_or_fd(self.gauge, self.dgauge, p),
-                       check_points(x, self.dim), float)
+        return broadcast_read(lambda p: derivative_or_fd(self.gauge, self.dgauge, p),
+                              check_points(x, self.dim), 2)
 
 
 def _checked_inverse(g: Array, pts: Array) -> tuple[Array, Array]:
     """(g^{MN}, det g) at each point after the checks that ``metric_inverse`` documents."""
     det = np.linalg.det(g)
-    raise_at_first(np.abs(det) < DET_FLOOR, np.abs(det), pts, SingularMetric,
-                   f"|det g| = {{:.3e}} below {DET_FLOOR:.0e}")
+    raise_at_first(np.abs(det) < DET_FLOOR, pts, SingularMetric,
+                   f"|det g| = {{:.3e}} below {DET_FLOOR:.0e}", np.abs(det))
     negative = np.sum(np.linalg.eigvalsh(g) < 0.0, axis=-1)
-    raise_at_first(negative != 1, negative, pts, SignatureViolation,
-                   "metric must have exactly one negative eigenvalue, has {}")
+    raise_at_first(negative != 1, pts, SignatureViolation,
+                   "metric must have exactly one negative eigenvalue, has {}", negative)
     ginv = np.linalg.inv(g)
     ginv = 0.5 * (ginv + ginv.mT)
     residual = np.max(np.abs(g @ ginv - np.eye(g.shape[-1])), axis=(-2, -1))
-    raise_at_first(residual >= INVERSE_TOL, residual, pts, SingularMetric,
-                   f"inverse residual {{:.3e}} exceeds {INVERSE_TOL:.0e}")
+    raise_at_first(residual >= INVERSE_TOL, pts, SingularMetric,
+                   f"inverse residual {{:.3e}} exceeds {INVERSE_TOL:.0e}", residual)
     return ginv, det
 
 
@@ -186,12 +180,12 @@ def metric_inverse(bg: BackgroundRel, x) -> Array:
 
 
 def _volume(det, pts: Array):
-    raise_at_first(det >= 0.0, det, pts, SignatureViolation, "det g = {:.3e} is not negative")
-    return point_value(np.sqrt(-det), pts)
+    raise_at_first(det >= 0.0, pts, SignatureViolation, "det g = {:.3e} is not negative", det)
+    return np.sqrt(-det)
 
 
 def volume_element(bg: BackgroundRel, x):
-    """sqrt(-det g), a float at one point and (K,) for a batch; requires det g < 0."""
+    """sqrt(-det g), shape () at one point and (K,) for a batch; requires det g < 0."""
     pts = check_points(x, bg.dim)
     return _volume(np.linalg.det(bg.metric_at(pts)), pts)
 
@@ -204,7 +198,7 @@ class MetricData:
     pt: Array     # the checked point (D,) or points (K, D)
     ginv: Array   # g^{MN}
     dginv: Array  # d_M g^{PQ} = -(g^{-1} d_M g g^{-1}), axis -3 = d_M
-    vol: float | Array  # sqrt(-det g): a float at one point, (K,) for a batch
+    vol: Array    # sqrt(-det g)
     dvol: Array   # d_M sqrt(-g) = (1/2) sqrt(-g) tr(g^{-1} d_M g)
 
 
@@ -214,8 +208,6 @@ def metric_data(bg: BackgroundRel, x) -> MetricData:
     ginv, det = _checked_inverse(bg.metric_at(pts), pts)
     vol = _volume(det, pts)
     dg = bg.metric_derivative_at(pts)
-    return MetricData(pt=pts, ginv=ginv,
+    return MetricData(pt=pts, ginv=ginv, vol=vol,
                       dginv=-np.einsum("...pa,...mab,...bq->...mpq", ginv, dg, ginv),
-                      vol=vol,
-                      dvol=0.5 * np.asarray(vol)[..., None] * np.einsum("...ab,...mba->...m",
-                                                                          ginv, dg))
+                      dvol=0.5 * vol[..., None] * np.einsum("...ab,...mba->...m", ginv, dg))

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateFrame
-from .geometry import check_point
+from .geometry import broadcast_read, check_point, check_points
 from .stencils import derivative_or_fd
 
 Array = np.ndarray
@@ -36,10 +36,13 @@ FRAME_DET_FLOOR = 1e-12
 class NCBackground:
     """Newton-Cartan background data with derivative providers.
 
-    Callables take a D-dimensional point.  ``vierbein(x)`` has shape
+    Callables keep the batch contract of ``geometry``: they take one point
+    (D,) or a batch (..., D).  At one point ``vierbein(x)`` has shape
     (D, D-1); column a is e_mu^a.  Derivative closures follow the axis-0
     convention of the rest of the package, e.g. ``dtau(x)[mu, nu] =
     d_mu tau_nu``; central differences are used when they are omitted.
+    ``derive_nc`` and ``derive_nc_partials`` still read the frame one point
+    at a time.
     None of the data may depend on the null coordinate u by construction.
     """
 
@@ -48,7 +51,7 @@ class NCBackground:
     vierbein: Callable[[Array], Array]
     m_field: Callable[[Array], Array]
     gauge_bar: Callable[[Array], Array]
-    phi: Callable[[Array], float]
+    phi: Callable[[Array], Array]
     mass: float = 1.0
     charge: float = 0.0
     dtau: Callable[[Array], Array] | None = None
@@ -93,10 +96,10 @@ class NCBackground:
         )
 
     def reduced_gauge_at(self, x) -> Array:
-        """Spacetime part of the lifted gauge field: A_mu = Abar_mu - phi M_mu."""
-        pt = check_point(x, self.dim)
-        return (np.asarray(self.gauge_bar(pt), dtype=float)
-                - float(self.phi(pt)) * np.asarray(self.m_field(pt), dtype=float))
+        """A_mu = Abar_mu - phi M_mu, the spacetime part of the lifted gauge field."""
+        pts = check_points(x, self.dim)
+        return (broadcast_read(self.gauge_bar, pts, 1)
+                - broadcast_read(self.phi, pts)[..., None] * broadcast_read(self.m_field, pts, 1))
 
     def data_derivatives_at(self, x):
         """(dtau, dvierbein, dM, dAbar, dphi) with axis 0 the derivative index."""
@@ -108,12 +111,12 @@ class NCBackground:
 
 @dataclass(frozen=True)
 class NCDerived:
-    """The frame at one point and every object derived from it."""
+    """The frame at one point and every object derived from it, or their rows stacked."""
 
     frame: Array      # (tau, e): tau as column 0, the vierbein as columns 1..D-1
     finv: Array       # inverse frame: row 0 is -v, rows 1..D-1 are e^mu_a
     m: Array          # mass gauge field M_mu
-    w: float          # effective mass m - q phi
+    w: float | Array  # effective mass m - q phi
     v: Array          # temporal vector v^mu
     e_inv: Array      # inverse vierbein e^mu_a, shape (D-1, D), row a
     h_up: Array       # h^{mu nu}
@@ -121,8 +124,8 @@ class NCDerived:
     hbar_down: Array  # h_{mu nu} - tau_mu M_nu - tau_nu M_mu
     v_hat: Array      # v^mu - h^{mu nu} M_nu
     e_hat: Array      # e_mu^a - M_nu e^nu_b delta^{ba} tau_mu, shape (D, D-1)
-    Phi: float        # -v.M + (1/2) M h M
-    vol: float        # det(tau, e)
+    Phi: float | Array  # -v.M + (1/2) M h M
+    vol: float | Array  # det(tau, e)
 
 
 @dataclass(frozen=True)
@@ -142,13 +145,14 @@ def derive_nc(nc: NCBackground, x) -> NCDerived:
     frame[:, 1:] = nc.vierbein(pt)
     det = np.linalg.det(frame)
     if abs(det) < FRAME_DET_FLOOR:
-        raise DegenerateFrame(f"|det(tau, e)| = {abs(det):.3e} below {FRAME_DET_FLOOR:.0e}")
+        raise DegenerateFrame(f"|det(tau, e)| = {abs(det):.3e} below {FRAME_DET_FLOOR:.0e} "
+                              f"at point {pt.tolist()}")
     finv = np.linalg.inv(frame)
     v = -finv[0, :]
     e_inv = finv[1:, :]
     vier = frame[:, 1:]
     tau = frame[:, 0]
-    m = np.asarray(nc.m_field(pt), dtype=float)
+    m = broadcast_read(nc.m_field, pt, 1)
     w = nc.mass - nc.charge * float(nc.phi(pt))
     h_up = e_inv.T @ e_inv
     h_down = vier @ vier.T

@@ -7,7 +7,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteResult
-from .geometry import per_row
 
 Array = np.ndarray
 
@@ -104,8 +103,3 @@ class GridSpec:
             return False
         return all(lo <= c <= hi for c, (lo, hi) in zip(p, self.bounds))
 
-
-def sweep(name: str, fn, points) -> ResidualReport:
-    """Evaluate a one-point function at each of points into one report."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    return ResidualReport.from_samples(name, pts, per_row(fn, pts))

@@ -139,11 +139,11 @@ KINDS = {
 def check_value(field: str, value, kind, error=ConfigError):
     """Return ``value`` if it is of ``kind``, else raise ``error(field, ...)``.
 
-    A kind is a name in KINDS, a one-element list ``[kind]`` for a list of
-    such values, or a tuple of the allowed values.
+    A kind is a name in KINDS, a one-element list ``[kind]`` for a non-empty
+    list of such values, or a tuple of the allowed values.
     """
     if isinstance(kind, list):
-        ok, want = isinstance(value, list), "a list"
+        ok, want = isinstance(value, list) and len(value) > 0, "a non-empty list"
     elif isinstance(kind, tuple):
         ok, want = value in kind, "one of " + ", ".join(kind)
     else:
@@ -180,12 +180,20 @@ def _require(cond, key, message):
 # relativistic scenarios
 # ---------------------------------------------------------------------------
 
+def _components(x, *entries):
+    """The entries at each point of x: a vector of D, or a D x D matrix of D^2 row by row."""
+    out = np.empty(x.shape[:-1] + (len(entries),))
+    for i, entry in enumerate(entries):
+        out[..., i] = entry
+    return out if len(entries) == x.shape[-1] else out.reshape(x.shape + x.shape[-1:])
+
+
 def _plane_wave_field(p_total: Array) -> PolarField:
     """rho = 1, S = p.x with constant covector p (derivatives exact)."""
     d = p_total.size
     return polar_field(
         rho=lambda x: 1.0,
-        S=lambda x, pv=p_total: float(pv @ x),
+        S=lambda x, pv=p_total: np.vecdot(x, pv),
         drho=lambda x: np.zeros(d),
         d2rho=lambda x: np.zeros((d, d)),
         dS=lambda x, pv=p_total: pv.copy(),
@@ -239,20 +247,22 @@ def build_minkowski_plane_wave(params) -> Scenario:
 
 
 def _superposition_psi(amps, momenta) -> ComplexField:
+    """psi = sum_n a_n exp(i p_n.x), summed over the mode axis at each point."""
     amps = np.asarray(amps, dtype=complex)
-    momenta = [np.asarray(pc, dtype=float) for pc in momenta]
-    d = momenta[0].size
+    momenta = np.asarray(momenta, dtype=float)          # (modes, D)
+
+    def waves(x):
+        return np.exp(1j * np.vecdot(np.asarray(x)[..., None, :], momenta))
 
     def psi(x):
-        return complex(sum(a * np.exp(1j * (pc @ x)) for a, pc in zip(amps, momenta)))
+        return np.sum(amps * waves(x), axis=-1)
 
     def dpsi(x):
-        return sum(1j * a * pc * np.exp(1j * (pc @ x)) for a, pc in zip(amps, momenta)) \
-            + np.zeros(d, dtype=complex)
+        return np.sum((1j * amps)[:, None] * momenta * waves(x)[..., None], axis=-2)
 
     def d2psi(x):
-        return sum(-a * np.outer(pc, pc) * np.exp(1j * (pc @ x))
-                   for a, pc in zip(amps, momenta)) + np.zeros((d, d), dtype=complex)
+        pp = momenta[:, :, None] * momenta[:, None, :]
+        return np.sum(-amps[:, None, None] * pp * waves(x)[..., None, None], axis=-3)
 
     return ComplexField(psi=psi, dpsi=dpsi, d2psi=d2psi)
 
@@ -307,11 +317,11 @@ def build_curved_diagonal(params) -> Scenario:
     eta = np.diag([-1.0, 1.0])
 
     def omega2(x):
-        return 1.0 + a * x[1]
+        return 1.0 + a * x[..., 1]
 
     bg = BackgroundRel(
         dim=2,
-        metric=lambda x: omega2(x) * eta,
+        metric=lambda x: omega2(x)[..., None, None] * eta,
         gauge=lambda x: np.zeros(2),
         mass=m, charge=0.0,
         dmetric=lambda x: np.stack([np.zeros((2, 2)), a * eta]),
@@ -336,22 +346,22 @@ def build_curved_diagonal(params) -> Scenario:
         # rho = 1/W': the static current (rho E, rho W') is divergence-free
         half_ma = 0.5 * m**2 * a
         rho_fns = dict(
-            rho=lambda x: float(1.0 / wprime(x[1])),
-            drho=lambda x: np.array([0.0, half_ma / wprime(x[1]) ** 3]),
-            d2rho=lambda x: np.array([[0.0, 0.0],
-                                      [0.0, 3.0 * half_ma**2 / wprime(x[1]) ** 5]]))
+            rho=lambda x: 1.0 / wprime(x[..., 1]),
+            drho=lambda x: _components(x, 0.0, half_ma / wprime(x[..., 1]) ** 3),
+            d2rho=lambda x: _components(x, 0.0, 0.0,
+                                        0.0, 3.0 * half_ma**2 / wprime(x[..., 1]) ** 5))
         checks = (Check("classical-hj", 1e-8),
                   Check("continuity", 1e-8))
 
     pf = polar_field(
-        S=lambda x: float(-energy * x[0] + w_val(x[1])),
-        dS=lambda x: np.array([-energy, wprime(x[1])]),
-        d2S=lambda x: np.array([[0.0, 0.0], [0.0, -m**2 * a / (2.0 * wprime(x[1]))]]),
+        S=lambda x: -energy * x[..., 0] + w_val(x[..., 1]),
+        dS=lambda x: _components(x, -energy, wprime(x[..., 1])),
+        d2S=lambda x: _components(x, 0.0, 0.0, 0.0, -m**2 * a / (2.0 * wprime(x[..., 1]))),
         **rho_fns,
     )
 
     def velocity(x):
-        return np.array([energy, wprime(x[1])]) / (omega2(x) * m)
+        return _components(x, energy, wprime(x[..., 1])) / (omega2(x)[..., None] * m)
 
     return Scenario(
         name="curved-diagonal", kind="relativistic", params=p,
@@ -416,19 +426,19 @@ def build_flat_nc_gaussian_packet(params) -> Scenario:
         return beta, 1.0 + beta**2
 
     def rho(x):
-        t, xx = x[0], x[1]
+        t, xx = x[..., 0], x[..., 1]
         beta, u = _beta_u(t)
-        return float((2.0 * np.pi * s0**2 * u) ** -0.5 * np.exp(-xx**2 / (2.0 * s0**2 * u)))
+        return (2.0 * np.pi * s0**2 * u) ** -0.5 * np.exp(-xx**2 / (2.0 * s0**2 * u))
 
     def drho(x):
-        t, xx = x[0], x[1]
+        t, xx = x[..., 0], x[..., 1]
         beta, u = _beta_u(t)
         r = rho(x)
         f_t = beta * b * (xx**2 / (s0**2 * u**2) - 1.0 / u)
-        return np.array([r * f_t, r * (-xx / (s0**2 * u))])
+        return _components(x, r * f_t, r * (-xx / (s0**2 * u)))
 
     def d2rho(x):
-        t, xx = x[0], x[1]
+        t, xx = x[..., 0], x[..., 1]
         beta, u = _beta_u(t)
         r = rho(x)
         g_x = -xx / (s0**2 * u)
@@ -438,27 +448,27 @@ def build_flat_nc_gaussian_packet(params) -> Scenario:
         rtt = r * (f_t**2 + df_t)
         rtx = r * g_x * f_t + r * (2.0 * beta * b * xx / (s0**2 * u**2))
         rxx = r * (g_x**2 - 1.0 / (s0**2 * u))
-        return np.array([[rtt, rtx], [rtx, rxx]])
+        return _components(x, rtt, rtx, rtx, rxx)
 
     def s_fun(x):
-        t, xx = x[0], x[1]
+        t, xx = x[..., 0], x[..., 1]
         beta, u = _beta_u(t)
-        return float(c * xx**2 * beta / u - 0.5 * np.arctan(beta))
+        return c * xx**2 * beta / u - 0.5 * np.arctan(beta)
 
     def ds_fun(x):
-        t, xx = x[0], x[1]
+        t, xx = x[..., 0], x[..., 1]
         beta, u = _beta_u(t)
         st = c * xx**2 * b * (1.0 - beta**2) / u**2 - b / (2.0 * u)
         sx = 2.0 * c * xx * beta / u
-        return np.array([st, sx])
+        return _components(x, st, sx)
 
     def d2s_fun(x):
-        t, xx = x[0], x[1]
+        t, xx = x[..., 0], x[..., 1]
         beta, u = _beta_u(t)
         stt = -c * xx**2 * 2.0 * beta * b**2 * (3.0 - beta**2) / u**3 + beta * b**2 / u**2
         stx = 2.0 * c * xx * b * (1.0 - beta**2) / u**2
         sxx = 2.0 * c * beta / u
-        return np.array([[stt, stx], [stx, sxx]])
+        return _components(x, stt, stx, stx, sxx)
 
     pf = polar_field(rho=rho, S=s_fun, drho=drho, d2rho=d2rho, dS=ds_fun, d2S=d2s_fun)
     from .fields import complex_view
@@ -632,21 +642,16 @@ def validate_derivatives(sc: Scenario, n_points: int = 50, seed: int = 0) -> dic
     lo = bounds[:, 0] + 0.1 * span
     hi = bounds[:, 1] - 0.1 * span
     pts = lo + rng.random((n_points, bounds.shape[0])) * (hi - lo)
-    worst: dict[str, float] = {}
-
-    def track(key, err):
-        worst[key] = max(worst.get(key, 0.0), float(err))
-
-    for x in pts:
-        if sc.polar is not None:
-            track("drho", np.max(np.abs(sc.polar.drho(x) - jacobian(sc.polar.rho, x))))
-            track("d2rho", np.max(np.abs(sc.polar.d2rho(x) - hessian(sc.polar.rho, x))))
-            track("dS", np.max(np.abs(sc.polar.dS(x) - jacobian(sc.polar.S, x))))
-            track("d2S", np.max(np.abs(sc.polar.d2S(x) - hessian(sc.polar.S, x))))
-        if sc.psi is not None:
-            track("dpsi", np.max(np.abs(sc.psi.dpsi(x) - jacobian(sc.psi.psi, x))))
-            track("d2psi", np.max(np.abs(sc.psi.d2psi(x) - hessian(sc.psi.psi, x))))
-        bg = sc.background
-        if isinstance(bg, BackgroundRel) and bg.dmetric is not None:
-            track("dmetric", np.max(np.abs(bg.dmetric(x) - jacobian(bg.metric, x))))
-    return worst
+    pairs = []
+    if sc.polar is not None:
+        pf = sc.polar
+        pairs += [("drho", pf.drho, jacobian(pf.rho, pts)),
+                  ("d2rho", pf.d2rho, hessian(pf.rho, pts)),
+                  ("dS", pf.dS, jacobian(pf.S, pts)), ("d2S", pf.d2S, hessian(pf.S, pts))]
+    if sc.psi is not None:
+        pairs += [("dpsi", sc.psi.dpsi, jacobian(sc.psi.psi, pts)),
+                  ("d2psi", sc.psi.d2psi, hessian(sc.psi.psi, pts))]
+    bg = sc.background
+    if isinstance(bg, BackgroundRel) and bg.dmetric is not None:
+        pairs.append(("dmetric", bg.dmetric, jacobian(bg.metric, pts)))
+    return {key: float(np.max(np.abs(analytic(pts) - fd))) for key, analytic, fd in pairs}

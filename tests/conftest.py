@@ -12,6 +12,9 @@ settings.register_profile(
 settings.load_profile("suite")
 
 
+# Every closure takes one point (D,) or a batch (..., D): a phase w.x is
+# np.vecdot(x, w), which gives each row the bits of w @ x at one point.
+
 def make_wavy_rel(dim=2, eps=0.08, seed=3, mass=1.0, charge=0.3):
     """Smooth non-flat Lorentzian background with analytic derivatives."""
     rng = np.random.default_rng(seed)
@@ -25,22 +28,23 @@ def make_wavy_rel(dim=2, eps=0.08, seed=3, mass=1.0, charge=0.3):
     a_vec = rng.normal(size=dim)
 
     def metric(x):
-        g = eta.copy()
+        g = eta
         for c, w, ph in zip(cs, ws, phases):
-            g = g + eps * c * np.sin(w @ x + ph)
+            g = g + eps * c * np.sin(np.vecdot(x, w) + ph)[..., None, None]
         return g
 
     def dmetric(x):
         out = np.zeros((dim, dim, dim))
         for c, w, ph in zip(cs, ws, phases):
-            out += eps * np.einsum("m,ab->mab", w, c) * np.cos(w @ x + ph)
+            out = out + eps * np.einsum("m,ab->mab", w, c) * np.cos(np.vecdot(x, w) + ph)[
+                ..., None, None, None]
         return out
 
     def gauge(x):
-        return a_amp * np.cos(a_vec @ x)
+        return a_amp * np.cos(np.vecdot(x, a_vec))[..., None]
 
     def dgauge(x):
-        return -np.outer(a_vec, a_amp) * np.sin(a_vec @ x)
+        return -np.outer(a_vec, a_amp) * np.sin(np.vecdot(x, a_vec))[..., None, None]
 
     return BackgroundRel(dim=dim, metric=metric, gauge=gauge, mass=mass,
                          charge=charge, dmetric=dmetric, dgauge=dgauge)
@@ -55,27 +59,27 @@ def make_wavy_polar(dim=2, seed=5):
     a, b = 0.3, 0.25
 
     def g_fun(x):
-        return a * np.sin(r_vec @ x + 0.4)
+        return a * np.sin(np.vecdot(x, r_vec) + 0.4)
 
     def rho(x):
-        return float(np.exp(g_fun(x)))
+        return np.exp(g_fun(x))
 
     def drho(x):
-        return rho(x) * a * np.cos(r_vec @ x + 0.4) * r_vec
+        return (rho(x) * a * np.cos(np.vecdot(x, r_vec) + 0.4))[..., None] * r_vec
 
     def d2rho(x):
-        dg = a * np.cos(r_vec @ x + 0.4) * r_vec
-        d2g = -a * np.sin(r_vec @ x + 0.4) * np.outer(r_vec, r_vec)
-        return rho(x) * (np.outer(dg, dg) + d2g)
+        dg = (a * np.cos(np.vecdot(x, r_vec) + 0.4))[..., None] * r_vec
+        d2g = (-a * np.sin(np.vecdot(x, r_vec) + 0.4))[..., None, None] * np.outer(r_vec, r_vec)
+        return rho(x)[..., None, None] * (dg[..., :, None] * dg[..., None, :] + d2g)
 
     def s_fun(x):
-        return float(p_vec @ x + b * np.cos(u_vec @ x))
+        return np.vecdot(x, p_vec) + b * np.cos(np.vecdot(x, u_vec))
 
     def ds_fun(x):
-        return p_vec - b * np.sin(u_vec @ x) * u_vec
+        return p_vec - (b * np.sin(np.vecdot(x, u_vec)))[..., None] * u_vec
 
     def d2s_fun(x):
-        return -b * np.cos(u_vec @ x) * np.outer(u_vec, u_vec)
+        return (-b * np.cos(np.vecdot(x, u_vec)))[..., None, None] * np.outer(u_vec, u_vec)
 
     return polar_field(rho=rho, S=s_fun, drho=drho, d2rho=d2rho,
                        dS=ds_fun, d2S=d2s_fun)
@@ -89,26 +93,27 @@ def make_wavy_nc(dim=2, seed=7, mass=1.0, charge=0.4):
     w3 = rng.normal(size=dim)
 
     def tau(x):
-        t = np.zeros(dim)
-        t[0] = 1.0 + 0.1 * np.sin(w1 @ x)
-        t[1] = 0.05 * np.cos(w2 @ x)
+        t = np.zeros(x.shape[:-1] + (dim,))
+        t[..., 0] = 1.0 + 0.1 * np.sin(np.vecdot(x, w1))
+        t[..., 1] = 0.05 * np.cos(np.vecdot(x, w2))
         return t
 
     def vierbein(x):
-        v = np.zeros((dim, dim - 1))
+        v = np.zeros(x.shape[:-1] + (dim, dim - 1))
         for a in range(dim - 1):
-            v[0, a] = 0.06 * np.sin(w2 @ x + a)
-            v[1 + a, a] = 1.0 + 0.1 * np.cos(w3 @ x + a)
+            v[..., 0, a] = 0.06 * np.sin(np.vecdot(x, w2) + a)
+            v[..., 1 + a, a] = 1.0 + 0.1 * np.cos(np.vecdot(x, w3) + a)
         return v
 
     def m_field(x):
-        return 0.2 * np.sin(w3 @ x) * np.ones(dim) * np.linspace(1.0, 0.5, dim)
+        return ((0.2 * np.sin(np.vecdot(x, w3)))[..., None] * np.ones(dim)
+                * np.linspace(1.0, 0.5, dim))
 
     def gauge_bar(x):
-        return 0.15 * np.cos(w1 @ x) * np.linspace(0.5, 1.0, dim)
+        return (0.15 * np.cos(np.vecdot(x, w1)))[..., None] * np.linspace(0.5, 1.0, dim)
 
     def phi(x):
-        return 0.1 * np.sin(w2 @ x + 0.3)
+        return 0.1 * np.sin(np.vecdot(x, w2) + 0.3)
 
     return NCBackground(dim=dim, tau=tau, vierbein=vierbein, m_field=m_field,
                         gauge_bar=gauge_bar, phi=phi, mass=mass, charge=charge)

@@ -1,50 +1,68 @@
-"""One batched relativistic path: a (K, D) call equals the K point calls.
+"""One batch contract for both halves: a (K, D) call equals the K point calls.
 
-The Lorentzian geometry and every relativistic residual take one point
+Every closure takes one point (D,) or a batch (..., D), and every public
+residual of the relativistic and the Newton-Cartan half takes one point
 (D,) or a batch (K, D).  A batch must reproduce its point calls to
-1e-13 max(1, |v|), a single point must keep its Python type or array
-shape, a bad row must raise the point call's error naming that row's
-point, and a check must read the geometry once for the whole grid.
+1e-13 max(1, |v|), a single point gives shape-() values, a bad row must
+raise the point call's error naming that row's point, and a check must
+read the geometry and each field closure the same number of times
+whatever the size of its grid.
 """
+import dataclasses
+import itertools
 import json
 import re
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
 
 import pilotwave.field_equations as feq
-import pilotwave.geometry as geo
+import pilotwave.scenarios as scen
 from pilotwave import cli
-from pilotwave.errors import NodeEncountered, SignatureViolation, SingularMetric
+from pilotwave.errors import (DegenerateFrame, FormMismatch, NodeEncountered,
+                              SignatureViolation, SingularMetric)
 from pilotwave.fields import EPS_NODE, ComplexField, complex_view, polar_field
 from pilotwave.geometry import BackgroundRel, metric_data, metric_inverse, volume_element
+from pilotwave.nc_geometry import NCBackground
 from pilotwave.scenarios import CHECK_EVALUATORS, build
+from pilotwave.stencils import jacobian
 from conftest import make_wavy_nc, make_wavy_polar, make_wavy_rel
 
 REL_TOL = 1e-13
 
-# relativistic residual -> (field it reads, Python type or shape of one point's value)
+# public residual -> (field it reads, dtype and number of axes of one point's value)
 POLAR, COMPLEX = "polar", "psi"
 REL_RESIDUALS = {
-    "momentum_covector": (POLAR, "vector"),
-    "classical_hj_residual_rel": (POLAR, float),
-    "ensemble_current": (POLAR, "vector"),
-    "continuity_residual_rel": (POLAR, float),
-    "quantum_potential_rel": (POLAR, float),
-    "quantum_potential_rel_printed": (POLAR, float),
-    "quantum_hj_residual_rel": (POLAR, float),
-    "linear_kg_residual": (COMPLEX, complex),
-    "classical_field_residual": (COMPLEX, complex),
-    "classical_field_residual_printed": (COMPLEX, complex),
+    "momentum_covector": (POLAR, float, 1),
+    "classical_hj_residual_rel": (POLAR, float, 0),
+    "ensemble_current": (POLAR, float, 1),
+    "continuity_residual_rel": (POLAR, float, 0),
+    "quantum_potential_rel": (POLAR, float, 0),
+    "quantum_potential_rel_printed": (POLAR, float, 0),
+    "quantum_hj_residual_rel": (POLAR, float, 0),
+    "linear_kg_residual": (COMPLEX, complex, 0),
+    "classical_field_residual": (COMPLEX, complex, 0),
+    "classical_field_residual_printed": (COMPLEX, complex, 0),
 }
-METRIC_DATA_SHAPES = {"pt": 1, "ginv": 2, "dginv": 3, "dvol": 1}
+NC_RESIDUALS = {
+    "nc_momentum_covector": (POLAR, float, 1),
+    "nc_classical_hj_residual": (POLAR, float, 0),
+    "nc_quantum_potential": (POLAR, float, 0),
+    "nc_quantum_hj_residual": (POLAR, float, 0),
+    "nc_continuity_residual": (POLAR, float, 0),
+    "nc_classical_action_density_polar": (POLAR, float, 0),
+    "nc_schrodinger_residual": (COMPLEX, complex, 0),
+    "nc_classical_action_density_complex_printed": (COMPLEX, complex, 0),
+}
+METRIC_DATA_SHAPES = {"pt": 1, "ginv": 2, "dginv": 3, "vol": 0, "dvol": 1}
 
 
-def _wavy_case(dim):
+def _wavy_case(dim, background=make_wavy_rel):
     polar = make_wavy_polar(dim=dim)
     pts = np.random.default_rng(dim).uniform(-0.8, 0.8, size=(9, dim))
-    return make_wavy_rel(dim=dim, charge=0.3), {POLAR: polar, COMPLEX: complex_view(polar)}, pts
+    return background(dim=dim), {POLAR: polar, COMPLEX: complex_view(polar)}, pts
 
 
 def _registry_case(name):
@@ -53,8 +71,11 @@ def _registry_case(name):
 
 
 CASES = {"wavy-2": lambda: _wavy_case(2), "wavy-3": lambda: _wavy_case(3),
+         "nc-wavy-2": lambda: _wavy_case(2, make_wavy_nc),
+         "nc-wavy-3": lambda: _wavy_case(3, make_wavy_nc),
          **{name: (lambda name=name: _registry_case(name))
-            for name in ("minkowski-plane-wave", "minkowski-superposition", "curved-diagonal")}}
+            for name in ("minkowski-plane-wave", "minkowski-superposition", "curved-diagonal",
+                         "flat-nc-plane-wave", "flat-nc-gaussian-packet", "nc-nontrivial-M")}}
 
 
 def _assert_rows_match(batch, points):
@@ -64,46 +85,64 @@ def _assert_rows_match(batch, points):
     assert np.all(gap <= REL_TOL * np.maximum(1.0, np.abs(points))), gap.max()
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_batch_equals_point_calls(case):
-    bg, fields, pts = CASES[case]()
+def _assert_batch_equals_points(bg, fields, pts):
+    """Every public residual on the batch pts equals its point calls at every row;
+    on a grid of more than 200 rows the point calls sample 100, the last one included."""
+    rows = (np.arange(len(pts)) if len(pts) <= 200
+            else np.unique(np.linspace(0, len(pts) - 1, 100).astype(int)))
+    nc = isinstance(bg, NCBackground)
     checked = 0
-    for name, (field, _) in REL_RESIDUALS.items():
+    for name, (field, _, _) in (NC_RESIDUALS if nc else REL_RESIDUALS).items():
         if fields[field] is None:
             continue
         fn = getattr(feq, name)
-        _assert_rows_match(fn(bg, fields[field], pts),
-                           [fn(bg, fields[field], p) for p in pts])
+        _assert_rows_match(fn(bg, fields[field], pts)[rows],
+                           [fn(bg, fields[field], p) for p in pts[rows]])
         checked += 1
     assert checked >= len(REL_RESIDUALS) - 3
+    if nc:
+        forms = np.stack(feq.nc_classical_hj_forms(bg, fields[POLAR], pts), axis=-1)
+        _assert_rows_match(forms[rows], [feq.nc_classical_hj_forms(bg, fields[POLAR], p)
+                                         for p in pts[rows]])
+        k = feq.nc_momentum_covector(bg, fields[POLAR], pts)
+        _assert_rows_match(feq.nc_hj_expression(bg, pts, k)[rows],
+                           [feq.nc_hj_expression(bg, pts[i], k[i]) for i in rows])
+        return
     k = feq.momentum_covector(bg, fields[POLAR], pts)
-    _assert_rows_match(feq.hj_expression(bg, pts, k),
-                       [feq.hj_expression(bg, p, kp) for p, kp in zip(pts, k)])
-    _assert_rows_match(metric_inverse(bg, pts), [metric_inverse(bg, p) for p in pts])
-    _assert_rows_match(volume_element(bg, pts), [volume_element(bg, p) for p in pts])
+    _assert_rows_match(feq.hj_expression(bg, pts, k)[rows],
+                       [feq.hj_expression(bg, pts[i], k[i]) for i in rows])
+    for fn in (metric_inverse, volume_element):
+        _assert_rows_match(fn(bg, pts)[rows], [fn(bg, p) for p in pts[rows]])
     batch = metric_data(bg, pts)
-    singles = [metric_data(bg, p) for p in pts]
-    for field in ("pt", "ginv", "dginv", "vol", "dvol"):
-        _assert_rows_match(getattr(batch, field), [getattr(md, field) for md in singles])
+    singles = [metric_data(bg, p) for p in pts[rows]]
+    for field in METRIC_DATA_SHAPES:
+        _assert_rows_match(getattr(batch, field)[rows], [getattr(md, field) for md in singles])
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_batch_equals_point_calls(case):
+    bg, fields, pts = CASES[case]()
+    _assert_batch_equals_points(bg, fields, pts)
+    # a batch of K = D rows: a closure that sums w @ x over the rows keeps its shape
+    _assert_batch_equals_points(bg, fields, pts[:bg.dim])
 
 
 def test_one_point_keeps_its_types_and_shapes():
     dim = 3
-    bg, fields, pts = _wavy_case(dim)
+    for background, table in ((make_wavy_rel, REL_RESIDUALS), (make_wavy_nc, NC_RESIDUALS)):
+        bg, fields, pts = _wavy_case(dim, background)
+        x = pts[0]
+        for name, (field, dtype, axes) in table.items():
+            value = getattr(feq, name)(bg, fields[field], x)
+            assert np.shape(value) == (dim,) * axes and value.dtype == dtype, name
+    bg, _, pts = _wavy_case(dim)
     x = pts[0]
-    for name, (field, kind) in REL_RESIDUALS.items():
-        value = getattr(feq, name)(bg, fields[field], x)
-        if kind == "vector":
-            assert isinstance(value, np.ndarray) and value.shape == (dim,), name
-        else:
-            assert type(value) is kind, name
-    assert type(feq.hj_expression(bg, x, np.ones(dim))) is float
+    assert np.shape(feq.hj_expression(bg, x, np.ones(dim))) == ()
     assert metric_inverse(bg, x).shape == (dim, dim)
-    assert type(volume_element(bg, x)) is float
+    assert np.shape(volume_element(bg, x)) == ()
     md = metric_data(bg, x)
-    assert type(md.vol) is float
     for field, ndim in METRIC_DATA_SHAPES.items():
-        assert getattr(md, field).shape == (dim,) * ndim, field
+        assert np.shape(getattr(md, field)) == (dim,) * ndim, field
 
 
 def test_newton_cartan_residuals_take_a_batch_row_by_row():
@@ -115,6 +154,22 @@ def test_newton_cartan_residuals_take_a_batch_row_by_row():
             fn = getattr(feq, fn_name)
             batch = fn(nc, fields[field], pts)
             assert np.array_equal(batch, [fn(nc, fields[field], p) for p in pts]), fn_name
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_jacobian_is_second_order(dim):
+    """With the analytic derivatives withheld, the stacked central differences
+    of each wavy closure lose a factor 4 of error per halving of the step, on
+    every row of a batch: a shift stacked onto the wrong row or axis would not."""
+    bg, polar = make_wavy_rel(dim=dim), make_wavy_polar(dim=dim)
+    pts = np.random.default_rng(dim).uniform(-0.8, 0.8, size=(7, dim))
+    steps = 1e-2 / 2.0 ** np.arange(4)
+    for f, df in ((bg.metric, bg.dmetric), (bg.gauge, bg.dgauge), (polar.rho, polar.drho),
+                  (polar.S, polar.dS), (polar.drho, polar.d2rho), (polar.dS, polar.d2S)):
+        exact = df(pts)
+        errors = np.array([np.max(np.abs(jacobian(f, pts, h) - exact).reshape(len(pts), -1),
+                                  axis=1) for h in steps])
+        assert np.all(np.abs(errors[:-1] / errors[1:] - 4.0) < 0.05)
 
 
 # ---------------------------------------------------------------------------
@@ -138,12 +193,21 @@ def _point_and_batch_raise(error, call):
     call(GOOD)
 
 
-def _node_polar():
-    """Unit density except at the bad point, where it is below the node threshold."""
-    return polar_field(rho=lambda x: 0.1 * EPS_NODE if np.array_equal(x, BAD) else 1.0,
-                       S=lambda x: 0.0, drho=lambda x: np.zeros(2),
+def _at_bad(x):
+    """True at each point of x, (D,) or (..., D), that is BAD."""
+    return np.all(x == BAD, axis=-1)
+
+
+def _unit_polar(rho=lambda x: 1.0):
+    """Unit density, or the density given, and the phase gradient (-1, 0)."""
+    return polar_field(rho=rho, S=lambda x: 0.0, drho=lambda x: np.zeros(2),
                        d2rho=lambda x: np.zeros((2, 2)), dS=lambda x: np.array([-1.0, 0.0]),
                        d2S=lambda x: np.zeros((2, 2)))
+
+
+def _node_polar():
+    """Unit density except at the bad point, where it is below the node threshold."""
+    return _unit_polar(lambda x: np.where(_at_bad(x), 0.1 * EPS_NODE, 1.0))
 
 
 def test_density_at_a_node_names_its_point():
@@ -151,15 +215,50 @@ def test_density_at_a_node_names_its_point():
     for fn in (feq.quantum_potential_rel, feq.quantum_potential_rel_printed,
                feq.quantum_hj_residual_rel):
         _point_and_batch_raise(NodeEncountered, lambda x, fn=fn: fn(bg, _node_polar(), x))
+    nc = NCBackground.flat(2)
+    for fn in (feq.nc_quantum_potential, feq.nc_quantum_hj_residual):
+        _point_and_batch_raise(NodeEncountered, lambda x, fn=fn: fn(nc, _node_polar(), x))
 
 
 def test_wave_at_a_node_names_its_point():
     bg = BackgroundRel.minkowski(2)
-    amp = lambda x: 1e-6 if np.array_equal(x, BAD) else 1.0  # |psi|^2 = 1e-12 at BAD
-    cf = ComplexField(psi=lambda x: complex(amp(x)), dpsi=lambda x: np.zeros(2, dtype=complex),
+    cf = ComplexField(psi=lambda x: np.where(_at_bad(x), 1e-6 + 0j, 1.0),  # |psi|^2 = 1e-12
+                      dpsi=lambda x: np.zeros(2, dtype=complex),
                       d2psi=lambda x: np.zeros((2, 2), dtype=complex))
     for fn in (feq.classical_field_residual, feq.classical_field_residual_printed):
         _point_and_batch_raise(NodeEncountered, lambda x, fn=fn: fn(bg, cf, x))
+    nc = NCBackground.flat(2)
+    printed = feq.nc_classical_action_density_complex_printed
+    _point_and_batch_raise(NodeEncountered, lambda x: printed(nc, cf, x))
+
+
+def _degenerate_frame():
+    """The flat frame, with tau = 0 at the bad point."""
+    return dataclasses.replace(NCBackground.flat(2),
+                               tau=lambda x: np.where(_at_bad(x)[..., None], 0.0, [1.0, 0.0]))
+
+
+def _drifting_mass_field():
+    """The flat frame, whose M at the bad point changes on every read that includes it."""
+    reads = itertools.count(1)
+
+    def m_field(x):
+        drift = 0.3 * next(reads) if _at_bad(x).any() else 0.0
+        return np.where(_at_bad(x)[..., None], [0.0, drift], 0.0)
+
+    return dataclasses.replace(NCBackground.flat(2), m_field=m_field)
+
+
+def test_bad_frame_names_its_point():
+    fields = {POLAR: _unit_polar(), COMPLEX: complex_view(_unit_polar())}
+    nc = _degenerate_frame()
+    for name, (field, _, _) in NC_RESIDUALS.items():
+        fn = getattr(feq, name)
+        if name != "nc_momentum_covector":  # reads no frame
+            _point_and_batch_raise(DegenerateFrame, lambda x, fn=fn: fn(nc, fields[field], x))
+    nc = _drifting_mass_field()
+    _point_and_batch_raise(FormMismatch,
+                           lambda x: feq.nc_classical_hj_residual(nc, fields[POLAR], x))
 
 
 def test_non_finite_coordinate_names_its_point():
@@ -169,7 +268,8 @@ def test_non_finite_coordinate_names_its_point():
     batch[2, 1] = np.nan
     for call in (lambda x: metric_inverse(bg, x), lambda x: metric_data(bg, x),
                  lambda x: feq.classical_hj_residual_rel(bg, polar, x),
-                 lambda x: feq.continuity_residual_rel(bg, polar, x)):
+                 lambda x: feq.continuity_residual_rel(bg, polar, x),
+                 lambda x: feq.nc_continuity_residual(NCBackground.flat(2), polar, x)):
         with pytest.raises(ValueError):
             call(batch[2])
         with pytest.raises(ValueError, match=r"non-finite coordinates at point \[0\.2, nan\]"):
@@ -183,17 +283,19 @@ def test_non_finite_coordinate_names_its_point():
 ])
 def test_bad_metric_names_its_point(g_bad, error):
     eta = np.diag([-1.0, 1.0])
-    bg = BackgroundRel(dim=2, metric=lambda x: g_bad if np.array_equal(x, BAD) else eta,
+    bg = BackgroundRel(dim=2, metric=lambda x: np.where(_at_bad(x)[..., None, None], g_bad, eta),
                        gauge=lambda x: np.zeros(2))
-    polar = polar_field(rho=lambda x: 1.0, S=lambda x: 0.0, drho=lambda x: np.zeros(2),
-                        d2rho=lambda x: np.zeros((2, 2)), dS=lambda x: np.array([-1.0, 0.0]),
-                        d2S=lambda x: np.zeros((2, 2)))
+    polar = _unit_polar()
     for call in (lambda x: metric_inverse(bg, x), lambda x: metric_data(bg, x),
                  lambda x: feq.classical_hj_residual_rel(bg, polar, x),
                  lambda x: feq.quantum_hj_residual_rel(bg, polar, x),
                  lambda x: feq.continuity_residual_rel(bg, polar, x)):
         _point_and_batch_raise(error, call)
 
+
+# the bad point is the third of the 2 x 2 grid
+BAD_GRID = {"bounds": [[-0.8, 0.2], [0.7, 1.7]], "samples": [2, 2]}
+BAD_AT = r"at point \[0\.2, 0\.7\]$"
 
 # each bad input through the CLI: its exit code and one stderr line, no traceback
 CLI_FAILURES = {
@@ -211,12 +313,27 @@ CLI_FAILURES = {
     "non-finite": ({"scenario": {"name": "curved-diagonal"},
                     "grid": {"bounds": [[0.0, 1.0], [-1.7e308, 1.7e308]], "samples": [2, 3]}},
                    1, r"^error: check on 'curved-diagonal': FloatingPointError: overflow"),
+    # the packet's density underflows the node threshold far from its centre
+    "nc-node": ({"scenario": {"name": "flat-nc-gaussian-packet"},
+                 "grid": {"bounds": [[0.0, 1.0], [-10.0, 10.0]], "samples": [2, 3]}},
+                1, r"^error: rho = .* at node threshold 1e-10 at point \[0\.0, -10\.0\]$"),
+    # flat-nc-plane-wave on the backgrounds above, which go bad at one point
+    "nc-degenerate-frame": ({"scenario": {"name": "flat-nc-plane-wave"}, "grid": BAD_GRID},
+                            1, r"^error: \|det\(tau, e\)\| = 0\.000e\+00 below 1e-12 " + BAD_AT),
+    "nc-form-mismatch": ({"scenario": {"name": "flat-nc-plane-wave"}, "grid": BAD_GRID},
+                         1, r"^error: HJ form mismatch: .* vs .* " + BAD_AT),
 }
+CLI_BACKGROUNDS = {"nc-degenerate-frame": _degenerate_frame,
+                   "nc-form-mismatch": _drifting_mass_field}
 
 
 @pytest.mark.parametrize("case", sorted(CLI_FAILURES))
-def test_bad_row_through_the_cli(tmp_path, capsys, case):
+def test_bad_row_through_the_cli(tmp_path, capsys, monkeypatch, case):
     doc, code, line = CLI_FAILURES[case]
+    if case in CLI_BACKGROUNDS:
+        plane_wave, background = scen.REGISTRY["flat-nc-plane-wave"], CLI_BACKGROUNDS[case]()
+        monkeypatch.setitem(scen.REGISTRY, "flat-nc-plane-wave", lambda params: (
+            dataclasses.replace(plane_wave(params), background=background)))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
     assert cli.main(["check", "--config", str(config), "--out", str(tmp_path / "out")]) == code
@@ -226,33 +343,62 @@ def test_bad_row_through_the_cli(tmp_path, capsys, case):
 
 
 # ---------------------------------------------------------------------------
-# one geometry read per check, whatever the grid
+# one geometry read per check, and as many field closure reads, whatever the grid
 # ---------------------------------------------------------------------------
 
-def _geometry_reads(monkeypatch, tmp_path, samples):
-    """metric_data and metric_inverse calls, at every module binding, of one
-    ``check curved-diagonal`` run on a samples x samples grid."""
-    reads = {"metric_data": 0, "metric_inverse": 0}
-    for name in reads:
-        original = getattr(geo, name)
+FIELD_CLOSURES = {POLAR: ("rho", "S", "drho", "d2rho", "dS", "d2S"),
+                  COMPLEX: ("psi", "dpsi", "d2psi")}
 
-        def counted(*args, _name=name, _original=original):
-            reads[_name] += 1
-            return _original(*args)
 
-        for module in [m for n, m in sys.modules.items() if n.startswith("pilotwave")]:
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, counted)
-    doc = {"scenario": {"name": "curved-diagonal"},
-           "grid": {"bounds": [[0.0, 5.0], [-2.4, 2.4]], "samples": [samples, samples]}}
+def _counted_check(monkeypatch, tmp_path, name, samples, functions):
+    """Calls of the named pilotwave functions, counted at every module binding,
+    and of each field closure of the scenario, in one ``check`` of scenario
+    ``name`` on a samples x samples grid over its default bounds."""
+    calls = Counter()
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+        return wrapper
+
+    modules = [m for n, m in sys.modules.items() if n.startswith("pilotwave")]
+    for fn_name, original in functions.items():
+        for module in modules:
+            if getattr(module, fn_name, None) is original:
+                monkeypatch.setattr(module, fn_name, counted(fn_name, original))
+    builder = scen.REGISTRY[name]
+
+    def counted_build(params):
+        sc = builder(params)
+        fields = {attr: dataclasses.replace(getattr(sc, attr), **{
+                      c: counted(f"{attr}.{c}", getattr(getattr(sc, attr), c)) for c in closures})
+                  for attr, closures in FIELD_CLOSURES.items() if getattr(sc, attr) is not None}
+        return dataclasses.replace(sc, **fields)
+
+    monkeypatch.setitem(scen.REGISTRY, name, counted_build)
+    doc = {"scenario": {"name": name},
+           "grid": {"bounds": [list(b) for b in build(name).default_grid.bounds],
+                    "samples": [samples, samples]}}
     status = cli.run("check", cli.RunConfig.from_dict(doc), out_dir=str(tmp_path / str(samples)))
     assert status == 0
     monkeypatch.undo()
-    return reads
+    return calls
 
 
 def test_the_grid_is_not_split_into_points(monkeypatch, tmp_path):
-    small = _geometry_reads(monkeypatch, tmp_path, 4)
-    large = _geometry_reads(monkeypatch, tmp_path, 8)
+    import pilotwave.geometry as geo
+    import pilotwave.nc_geometry as ncg
+
+    geometry = {"metric_data": geo.metric_data, "metric_inverse": geo.metric_inverse}
+    small, large = (_counted_check(monkeypatch, tmp_path, "curved-diagonal", n, geometry)
+                    for n in (4, 8))
     assert small == large
-    assert sum(small.values()) <= len(build("curved-diagonal").checks)
+    assert small["metric_data"] + small["metric_inverse"] <= len(build("curved-diagonal").checks)
+    assert small["polar.rho"] > 0
+
+    small, large = (_counted_check(monkeypatch, tmp_path, "flat-nc-gaussian-packet", n,
+                                   {"derive_nc": ncg.derive_nc}) for n in (4, 8))
+    # the Newton-Cartan frame is still derived point by point, 11 times per point
+    assert small.pop("derive_nc") == 11 * 4 * 4 and large.pop("derive_nc") == 11 * 8 * 8
+    assert small == large and small["polar.rho"] > 0 and small["psi.psi"] > 0

@@ -396,6 +396,8 @@ def test_numpy_overflow_prints_one_line(tmp_path, command, doc, status, prefix):
                    "grid": {"bounds": [[0.6, 1.5], [0.8, 1.7]], "samples": [2, 2]}}, "grid"),
     ("reduce", {"scenario": {"name": PLANE}, "reduce": {"random_frames": 1, "dim": 11}},
      "reduce.dim"),
+    # an empty subset would run no check and pass
+    ("residuals", {"scenario": {"name": "flat-nc-plane-wave"}, "residuals": []}, "residuals"),
 ])
 def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, doc, field):
     cfg = write_config(tmp_path, doc)

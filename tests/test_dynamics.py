@@ -117,12 +117,12 @@ class TestIntegrateTrajectory:
     @staticmethod
     def _straight_path(rho):
         # S = -t + 0.9 x on the flat background: X(lambda) = (lambda, 1.45 + 0.9 lambda)
-        f = polar_field(rho=rho, S=lambda x: float(-x[0] + 0.9 * x[1]))
+        f = polar_field(rho=rho, S=lambda x: -x[..., 0] + 0.9 * x[..., 1])
         return GuidanceField(background=NCBackground.flat(2), field=f, quantum=False)
 
     @staticmethod
     def _peak(x):
-        return float(np.exp(-200.0 * (x[1] - 1.5) ** 2) + 0.0)
+        return np.exp(-200.0 * (x[..., 1] - 1.5) ** 2)
 
     def test_node_halts_integration(self):
         # the particle crosses the density peak at x = 1.5; behind it rho
@@ -156,7 +156,7 @@ class TestIntegrateTrajectory:
         # inside the output interval [0.4, 0.5]: both ends of that interval's
         # step see rho = 1, so only samples inside the step can find the node
         def rho(x):
-            return 1e-12 if 0.42 < x[0] < 0.48 else 1.0
+            return np.where((0.42 < x[..., 0]) & (x[..., 0] < 0.48), 1e-12, 1.0)
 
         with pytest.raises(NodeEncountered) as info:
             integrate_trajectory(self._straight_path(rho), [0.0, 1.45], (0.0, 5.0), steps=51)
@@ -311,7 +311,7 @@ class TestHamiltonianConstraint:
         # constant density, deliberately off-shell phase
         bg = BackgroundRel.minkowski(4, mass=1.0)
         p = np.array([-1.5, 0.6, 0.0, 0.0])
-        f = polar_field(rho=lambda x: 1.0, S=lambda x: float(p @ x),
+        f = polar_field(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
                         drho=lambda x: np.zeros(4), d2rho=lambda x: np.zeros((4, 4)),
                         dS=lambda x: p.copy(), d2S=lambda x: np.zeros((4, 4)))
         gf = GuidanceField(background=bg, field=f, quantum=False)

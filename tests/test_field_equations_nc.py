@@ -18,7 +18,7 @@ X2 = np.array([0.4, 0.2])
 
 def nc_plane_field(energy, k):
     p = np.array([-energy, k])
-    return polar_field(rho=lambda x: 1.0, S=lambda x: float(p @ x),
+    return polar_field(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
                        drho=lambda x: np.zeros(2), d2rho=lambda x: np.zeros((2, 2)),
                        dS=lambda x: p.copy(), d2S=lambda x: np.zeros((2, 2)))
 
@@ -41,7 +41,7 @@ class TestClassicalHJ:
         rng = np.random.default_rng(seed)
         nc = random_frame_background(rng, 3, charge=0.7)
         p = rng.normal(size=3)
-        f = polar_field(rho=lambda x: 1.0, S=lambda x: float(p @ x),
+        f = polar_field(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
                         drho=lambda x: np.zeros(3), d2rho=lambda x: np.zeros((3, 3)),
                         dS=lambda x: p.copy(), d2S=lambda x: np.zeros((3, 3)))
         vhat_form, vm_form = feq.nc_classical_hj_forms(nc, f, np.zeros(3))
@@ -74,13 +74,22 @@ class TestQuantumPotential:
     def test_flat_gaussian_hand_value(self):
         # rho = exp(-x^2/2): Q = rho''/(2 rho) - (rho'/rho)^2/4 = x^2/4 - 1/2
         nc = NCBackground.flat(2)
-        f = polar_field(
-            rho=lambda x: float(np.exp(-x[1] ** 2 / 2)),
-            S=lambda x: 0.0,
-            drho=lambda x: np.array([0.0, -x[1] * np.exp(-x[1] ** 2 / 2)]),
-            d2rho=lambda x: np.array([[0.0, 0.0],
-                                      [0.0, (x[1] ** 2 - 1.0) * np.exp(-x[1] ** 2 / 2)]]),
-            dS=lambda x: np.zeros(2), d2S=lambda x: np.zeros((2, 2)))
+
+        def rho(x):
+            return np.exp(-x[..., 1] ** 2 / 2)
+
+        def drho(x):
+            out = np.zeros(x.shape)
+            out[..., 1] = -x[..., 1] * rho(x)
+            return out
+
+        def d2rho(x):
+            out = np.zeros(x.shape + (2,))
+            out[..., 1, 1] = (x[..., 1] ** 2 - 1.0) * rho(x)
+            return out
+
+        f = polar_field(rho=rho, S=lambda x: 0.0, drho=drho, d2rho=d2rho,
+                        dS=lambda x: np.zeros(2), d2S=lambda x: np.zeros((2, 2)))
         assert feq.nc_quantum_potential(nc, f, np.array([0.0, 0.3])) == \
             pytest.approx(0.3**2 / 4 - 0.5, abs=1e-13)
         assert feq.nc_quantum_potential(nc, f, np.zeros(2)) == pytest.approx(-0.5, abs=1e-13)

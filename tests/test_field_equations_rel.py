@@ -13,7 +13,7 @@ from oracles import nested_divergence
 def plane_wave_field(p):
     p = np.asarray(p, dtype=float)
     d = p.size
-    return polar_field(rho=lambda x: 1.0, S=lambda x: float(p @ x),
+    return polar_field(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
                        drho=lambda x: np.zeros(d), d2rho=lambda x: np.zeros((d, d)),
                        dS=lambda x: p.copy(), d2S=lambda x: np.zeros((d, d)))
 
@@ -77,12 +77,19 @@ class TestContinuity:
         # rho = 1 + 0.1 sin(k2 y) with p having no y component: k.p = 0
         p = np.array([-np.sqrt(1.36), 0.6, 0.0, 0.0])
         k2 = 0.9
-        f = polar_field(
-            rho=lambda x: 1.0 + 0.1 * np.sin(k2 * x[2]),
-            S=lambda x: float(p @ x),
-            drho=lambda x: np.array([0.0, 0.0, 0.1 * k2 * np.cos(k2 * x[2]), 0.0]),
-            d2rho=lambda x: np.diag([0.0, 0.0, -0.1 * k2**2 * np.sin(k2 * x[2]), 0.0]),
-            dS=lambda x: p.copy(), d2S=lambda x: np.zeros((4, 4)))
+        def drho(x):
+            out = np.zeros(x.shape)
+            out[..., 2] = 0.1 * k2 * np.cos(k2 * x[..., 2])
+            return out
+
+        def d2rho(x):
+            out = np.zeros(x.shape + (4,))
+            out[..., 2, 2] = -0.1 * k2**2 * np.sin(k2 * x[..., 2])
+            return out
+
+        f = polar_field(rho=lambda x: 1.0 + 0.1 * np.sin(k2 * x[..., 2]),
+                        S=lambda x: np.vecdot(x, p), drho=drho, d2rho=d2rho,
+                        dS=lambda x: p.copy(), d2S=lambda x: np.zeros((4, 4)))
         bg = BackgroundRel.minkowski(4)
         assert abs(feq.continuity_residual_rel(bg, f, X4)) < 1e-14
 
@@ -105,13 +112,22 @@ class TestQuantumPotential:
         # D = 2 Minkowski, rho = exp(-x^2):  at x = 0 the operating form
         # gives -(1/2) rho''/rho = 1.0 and the literal variant half of it.
         bg = BackgroundRel.minkowski(2)
-        f = polar_field(
-            rho=lambda x: float(np.exp(-x[1] ** 2)),
-            S=lambda x: 0.0,
-            drho=lambda x: np.array([0.0, -2.0 * x[1] * np.exp(-x[1] ** 2)]),
-            d2rho=lambda x: np.array([[0.0, 0.0],
-                                      [0.0, (4.0 * x[1] ** 2 - 2.0) * np.exp(-x[1] ** 2)]]),
-            dS=lambda x: np.zeros(2), d2S=lambda x: np.zeros((2, 2)))
+
+        def rho(x):
+            return np.exp(-x[..., 1] ** 2)
+
+        def drho(x):
+            out = np.zeros(x.shape)
+            out[..., 1] = -2.0 * x[..., 1] * rho(x)
+            return out
+
+        def d2rho(x):
+            out = np.zeros(x.shape + (2,))
+            out[..., 1, 1] = (4.0 * x[..., 1] ** 2 - 2.0) * rho(x)
+            return out
+
+        f = polar_field(rho=rho, S=lambda x: 0.0, drho=drho, d2rho=d2rho,
+                        dS=lambda x: np.zeros(2), d2S=lambda x: np.zeros((2, 2)))
         origin = np.zeros(2)
         assert feq.quantum_potential_rel(bg, f, origin) == pytest.approx(1.0, abs=1e-12)
         assert feq.quantum_potential_rel_printed(bg, f, origin) == pytest.approx(0.5, abs=1e-12)

@@ -23,9 +23,9 @@ def test_unit_field_composes_to_one():
 
 def test_plane_wave_decomposition():
     p = np.array([-1.3, 0.6])
-    pf = polar_view(ComplexField(psi=lambda x: np.exp(1j * (p @ x)),
-                                 dpsi=lambda x: 1j * p * np.exp(1j * (p @ x)),
-                                 d2psi=lambda x: -np.outer(p, p) * np.exp(1j * (p @ x))))
+    wave = lambda x: np.exp(1j * np.vecdot(x, p))
+    pf = polar_view(ComplexField(psi=wave, dpsi=lambda x: 1j * p * wave(x)[..., None],
+                                 d2psi=lambda x: -np.outer(p, p) * wave(x)[..., None, None]))
     x = np.array([0.4, 0.8])
     assert pf.rho(x) == pytest.approx(1.0, abs=1e-12)
     expected = np.angle(np.exp(1j * (p @ x)))
@@ -84,8 +84,8 @@ def test_complex_view_derivatives_match_fd():
 
 
 def test_fd_fallback_closures():
-    f = polar_field(rho=lambda x: float(np.exp(-x[1] ** 2)),
-                    S=lambda x: float(0.3 * x[0] * x[1]))
+    f = polar_field(rho=lambda x: np.exp(-x[..., 1] ** 2),
+                    S=lambda x: 0.3 * x[..., 0] * x[..., 1])
     x = np.array([0.5, 0.2])
     assert np.max(np.abs(f.drho(x) - np.array([0.0, -0.4 * f.rho(x)]))) < 1e-8
     assert np.max(np.abs(f.dS(x) - np.array([0.06, 0.15]))) < 1e-9

@@ -68,7 +68,8 @@ def test_metric_derivative_flat_is_zero():
 def test_metric_derivative_hand_value():
     # g_00 = -(1 + 0.1 x^1)^2, rest flat: d_1 g_00 at x^1 = 0 is -0.2
     def metric(x):
-        g = np.diag([-(1.0 + 0.1 * x[1]) ** 2, 1.0, 1.0, 1.0])
+        g = np.broadcast_to(np.eye(4), x.shape[:-1] + (4, 4)).copy()
+        g[..., 0, 0] = -(1.0 + 0.1 * x[..., 1]) ** 2
         return g
 
     bg = BackgroundRel(dim=4, metric=metric, gauge=lambda x: np.zeros(4))
@@ -139,6 +140,14 @@ def test_asymmetric_metric_rejected():
     bg.metric_at(np.zeros(4))
     with pytest.raises(ValueError):
         bg_bad.metric_at(np.zeros(4))
+
+
+@pytest.mark.parametrize("value", [-1.0, np.ones(4), np.ones((1, 4))])
+def test_metric_of_wrong_shape_is_a_shape_error(value):
+    bg = BackgroundRel(dim=4, metric=lambda x: value, gauge=lambda x: np.zeros(4))
+    for x in (np.zeros(4), np.zeros((3, 4))):
+        with pytest.raises(ValueError, match="metric has shape"):
+            bg.metric_at(x)
 
 
 def test_check_point_validation():

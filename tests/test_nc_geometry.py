@@ -8,7 +8,7 @@ from pilotwave.nc_geometry import (NCBackground, derive_nc, derive_nc_partials,
                                    ehat_identity_residual, frame_identity_residuals,
                                    null_lift, null_lift_residuals,
                                    random_frame_background)
-from pilotwave.report import sweep
+from pilotwave.report import ResidualReport
 
 X2 = np.zeros(2)
 
@@ -55,7 +55,9 @@ def test_ehat_identity_flat_and_nontrivial():
     nc = NCBackground.constant(tau=[1.0, 0.2], vierbein=[[0.1], [0.9]],
                                m_field=[0.4, -0.3])
     assert ehat_identity_residual(nc, X2) < 1e-10
-    report = sweep("ehat-identity", lambda x: ehat_identity_residual(nc, x), [X2, X2 + 1.0])
+    points = [X2, X2 + 1.0]
+    report = ResidualReport.from_samples(
+        "ehat-identity", points, [ehat_identity_residual(nc, x) for x in points])
     assert report.max_abs < 1e-10
 
 

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pilotwave.errors import NonFiniteResult
-from pilotwave.report import GridSpec, ResidualReport, format_float, sweep
+from pilotwave.report import GridSpec, ResidualReport, format_float
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
@@ -72,7 +72,3 @@ def test_grid_validation():
     with pytest.raises(ValueError):
         GridSpec(bounds=((0.0, 1.0), (0.0, 1.0)), samples=(2,))
 
-
-def test_sweep_collects_pointwise_values():
-    rep = sweep("norm", lambda p: float(p @ p), [[1.0, 0.0], [1.0, 1.0]])
-    assert rep.values.tolist() == [1.0, 2.0]
