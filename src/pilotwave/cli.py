@@ -199,17 +199,18 @@ class Run:
     jobs: int
     files: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
+    point_text: dict = field(default_factory=dict)  # grid -> sample text, shared by reports
 
-    def add(self, stem: str, artifact) -> None:
+    def add(self, stem: str, artifact, *json_args) -> None:
         """Render a report or trajectory as ``<stem>.<fmt>``."""
         self.files[f"{stem}.{self.fmt}"] = (artifact.to_csv() if self.fmt == "csv"
-                                            else artifact.to_json())
+                                            else artifact.to_json(*json_args))
 
     def gate(self, report: ResidualReport, check: Check) -> bool:
         """Render ``report`` and gate it by ``check``, whose tolerance the scale
         multiplies ('max') or divides ('min'); a failure is recorded by name
         with the limit that was applied."""
-        self.add(f"report_{report.name}", report)
+        self.add(f"report_{report.name}", report, self.point_text)
         if check.mode == "min":
             limit = check.tolerance / self.scale
             passed = report.max_abs > limit

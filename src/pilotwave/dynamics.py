@@ -35,7 +35,7 @@ from .fields import EPS_NODE, PolarField
 from .geometry import BackgroundRel, broadcast_read, check_point, check_points, metric_inverse
 from .integrators import hermite, integrate_adaptive
 from .nc_geometry import NCBackground, derive_nc
-from .report import ResidualReport, format_float
+from .report import ResidualReport, _json_floats, _json_list, format_float
 
 Array = np.ndarray
 
@@ -147,17 +147,13 @@ class Trajectory:
             lines.append(",".join(format_float(v) for v in row))
         return "\n".join(lines) + "\n"
 
-    def to_json_dict(self) -> dict:
-        return {
-            "parametrization": self.parametrization,
-            "lambda": [float(v) for v in self.lambdas],
-            "X": [[float(c) for c in p] for p in self.points],
-            "p": [[float(c) for c in p] for p in self.momenta],
-            "constraint_residual": [float(v) for v in self.constraint],
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
+        """The trajectory as json.dumps(..., sort_keys=True, indent=1) would write it."""
+        arrays = {"X": self.points, "constraint_residual": self.constraint,
+                  "lambda": self.lambdas, "p": self.momenta}
+        body = "".join(f' "{key}": {_json_list(_json_floats(a, 1), 1)},\n'
+                       for key, a in arrays.items())
+        return "{\n" + body + f' "parametrization": {json.dumps(self.parametrization)}\n}}'
 
 
 def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,

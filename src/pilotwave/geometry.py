@@ -209,5 +209,5 @@ def metric_data(bg: BackgroundRel, x) -> MetricData:
     vol = _volume(det, pts)
     dg = bg.metric_derivative_at(pts)
     return MetricData(pt=pts, ginv=ginv, vol=vol,
-                      dginv=-np.einsum("...pa,...mab,...bq->...mpq", ginv, dg, ginv),
+                      dginv=-(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :]),
                       dvol=0.5 * vol[..., None] * np.einsum("...ab,...mba->...m", ginv, dg))

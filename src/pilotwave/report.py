@@ -11,6 +11,20 @@ from .errors import NonFiniteResult
 Array = np.ndarray
 
 
+def _json_list(items: list, depth: int) -> str:
+    """Rendered items as a JSON list nested ``depth`` deep, laid out as json's indent=1."""
+    pad = "\n" + " " * (depth + 1)
+    return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]" if items else "[]"
+
+
+def _json_floats(a, depth: int) -> list:
+    """The entries (1-D) or rows (2-D) of a float array as items of a JSON list nested
+    ``depth`` deep, each from one ``%r`` template: repr of a float is what json writes."""
+    a = np.asarray(a, dtype=float)
+    template = "%r" if a.ndim == 1 else _json_list(["%r"] * a.shape[1], depth + 1)
+    return [template % row for row in (a.tolist() if a.ndim == 1 else map(tuple, a.tolist()))]
+
+
 def format_float(v: float) -> str:
     """Fixed 17-significant-digit rendering used in CSV output."""
     return f"{float(v):.17g}"
@@ -51,19 +65,18 @@ class ResidualReport:
     def mean_abs(self) -> float:
         return float(np.mean(self.values)) if self.values.size else 0.0
 
-    def to_json_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "max_abs": self.max_abs,
-            "mean_abs": self.mean_abs,
-            "samples": [
-                {"point": list(map(float, p)), "value": float(v)}
-                for p, v in zip(self.points, self.values)
-            ],
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=1)
+    def to_json(self, point_text: dict | None = None) -> str:
+        """The report as json.dumps(..., sort_keys=True, indent=1) would write it.
+        Reports that share ``point_text`` render each grid, keyed by its bytes, once."""
+        pts = np.asarray(self.points, dtype=float)
+        cache, grid = {} if point_text is None else point_text, (pts.shape, pts.tobytes())
+        if grid not in cache:
+            cache[grid] = ['{\n   "point": ' + row + ',\n   "value": '
+                           for row in _json_floats(pts, 2)]
+        samples = [pt + v + "\n  }" for pt, v in zip(cache[grid], _json_floats(self.values, 1))]
+        body = "".join(f' "{key}": {json.dumps(getattr(self, key))},\n'
+                       for key in ("max_abs", "mean_abs", "name"))
+        return "{\n" + body + f' "samples": {_json_list(samples, 1)}\n}}'
 
     def to_csv(self) -> str:
         dim = self.points.shape[1]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
+from hypothesis import strategies as st
 
 from pilotwave.fields import polar_field
 from pilotwave.geometry import BackgroundRel
@@ -10,6 +11,13 @@ settings.register_profile(
     "suite", max_examples=25, deadline=None, derandomize=True,
     suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
+
+# finite doubles, with the ones whose JSON text and repr could disagree on
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e16, 1e22,
+                  -1e22, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0,
+                  2.0 ** 53, 0.1]
+FINITE_FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS),
+                          st.floats(allow_nan=False, allow_infinity=False))
 
 
 # Every closure takes one point (D,) or a batch (..., D): a phase w.x is

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pilotwave.dynamics as dyn
 import pilotwave.field_equations as feq
@@ -16,6 +20,7 @@ from pilotwave.geometry import BackgroundRel
 from pilotwave.integrators import integrate_fixed
 from pilotwave.nc_geometry import NCBackground
 from pilotwave.scenarios import build
+from conftest import FINITE_FLOATS
 from oracles import integrate_geodesic, rk4_path
 
 X4 = np.array([0.3, 0.1, -0.2, 0.5])
@@ -319,3 +324,26 @@ class TestHamiltonianConstraint:
         rep = hamiltonian_constraint_residual(traj, gf)
         expect = abs(feq.classical_hj_residual_rel(bg, f, np.zeros(4)))
         assert rep.values[0] == pytest.approx(expect, rel=1e-12)
+
+
+@st.composite
+def trajectories(draw):
+    k, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    lambdas = sorted(set(draw(st.lists(FINITE_FLOATS, min_size=k, max_size=k))))
+    k = len(lambdas)
+    rows = st.lists(st.lists(FINITE_FLOATS, min_size=d, max_size=d), min_size=k, max_size=k)
+    with np.errstate(over="ignore"):  # lambda steps may exceed 1.8e308
+        return Trajectory(draw(st.sampled_from(["proper_time", "coordinate_time"])),
+                          np.array(lambdas), np.array(draw(rows)), np.array(draw(rows)),
+                          np.array(draw(st.lists(FINITE_FLOATS, min_size=k, max_size=k))))
+
+
+@settings(max_examples=80)
+@given(trajectories())
+def test_trajectory_json_is_byte_identical_to_json_dumps(traj):
+    doc = {"parametrization": traj.parametrization,
+           "lambda": [float(v) for v in traj.lambdas],
+           "X": [[float(c) for c in p] for p in traj.points],
+           "p": [[float(c) for c in p] for p in traj.momenta],
+           "constraint_residual": [float(v) for v in traj.constraint]}
+    assert traj.to_json() == json.dumps(doc, sort_keys=True, indent=1)

@@ -106,6 +106,34 @@ def test_inverse_metric_derivative_matches_fd(wavy_rel):
         assert np.max(np.abs(metric_data(wavy_rel, x).dginv - fd)) < 1e-8
 
 
+def _einsum_dginv(bg, pts):
+    """d_M g^{PQ} as metric_data computed it before the stacked matmul."""
+    ginv = metric_inverse(bg, pts)
+    return -np.einsum("...pa,...mab,...bq->...mpq", ginv, bg.metric_derivative_at(pts), ginv)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_dginv_matches_the_einsum_it_replaced(dim):
+    # the matmul sums in another order: at most 1e-15 * max(1, |v|) on a wavy metric
+    bg = make_wavy_rel(dim)
+    pts = np.random.default_rng(dim).uniform(-1.0, 1.0, size=(200, dim))
+    for x in (pts, pts[7]):
+        ref = _einsum_dginv(bg, x)
+        dginv = metric_data(bg, x).dginv
+        assert dginv.shape == ref.shape
+        assert np.all(np.abs(dginv - ref) <= 1e-15 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_dginv_is_bit_identical_on_the_curved_diagonal_grid():
+    from pilotwave.report import GridSpec
+    from pilotwave.scenarios import build
+    sc = build("curved-diagonal")
+    for grid in (sc.default_grid, GridSpec(((0.0, 5.0), (-2.4, 2.4)), (50, 50))):
+        pts = grid.points()
+        assert np.array_equal(metric_data(sc.background, pts).dginv,
+                              _einsum_dginv(sc.background, pts))
+
+
 def test_metric_data_reads_the_metric_once(wavy_rel):
     reads = []
     bg = dataclasses.replace(wavy_rel, metric=lambda x: reads.append(1) or wavy_rel.metric(x))

@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import FINITE_FLOATS
 from pilotwave.errors import NonFiniteResult
 from pilotwave.report import GridSpec, ResidualReport, format_float
 
@@ -37,6 +38,56 @@ def test_json_roundtrip_fields():
     assert doc["mean_abs"] == pytest.approx(0.375)
     assert doc["samples"][1]["point"] == [2.0, 3.0]
     assert doc["samples"][1]["value"] == pytest.approx(0.25)
+
+
+def _reference_json(rep) -> str:
+    """The report as the writer laid it out before it rendered from its arrays."""
+    doc = {"name": rep.name, "max_abs": rep.max_abs, "mean_abs": rep.mean_abs,
+           "samples": [{"point": list(map(float, p)), "value": float(v)}
+                       for p, v in zip(rep.points, rep.values)]}
+    return json.dumps(doc, sort_keys=True, indent=1)
+
+
+@st.composite
+def reports(draw):
+    k, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    pts = draw(st.lists(st.lists(FINITE_FLOATS, min_size=d, max_size=d), min_size=k, max_size=k))
+    vals = draw(st.lists(FINITE_FLOATS, min_size=k, max_size=k))
+    return ResidualReport(draw(st.text(max_size=6)), np.array(pts), np.array(vals))
+
+
+@settings(max_examples=80)
+@given(reports())
+def test_json_is_byte_identical_to_json_dumps(rep):
+    # a mean over values near +-1.8e308 may overflow to inf (or, cancelling, to nan)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert rep.to_json() == _reference_json(rep)
+        assert rep.to_json({}) == _reference_json(rep)
+
+
+def test_point_text_is_shared_by_grid_bytes():
+    pts = GridSpec(bounds=((-1.0, 1.0), (0.0, 2.0)), samples=(3, 4)).points()
+    assert pts[4, 0] == 0.0 and not np.signbit(pts[4, 0])
+    text = {}
+
+    def render(points, name, seed):
+        values = np.random.default_rng(seed).normal(size=len(points))
+        rep = ResidualReport.from_samples(name, points, values)
+        assert rep.to_json(text) == _reference_json(rep)
+
+    render(pts, "a", 0)
+    render(pts, "b", 1)                      # a second report on one grid
+    render(GridSpec(bounds=((-1.0, 1.0), (0.0, 2.0)), samples=(3, 4)).points(), "c", 2)
+    assert len(text) == 1                    # the rebuilt equal grid reuses the text
+    signed = pts.copy()
+    signed[4, 0] = -0.0                      # equal under ==, not under repr
+    render(signed, "d", 3)
+    assert len(text) == 2
+    rep = ResidualReport.from_samples("e", pts, np.ones(len(pts)))
+    assert rep.to_json(text) == _reference_json(rep)
+    pts[2, 1] += 0.5                         # edited in place between two renders
+    assert rep.to_json(text) == _reference_json(rep)
+    assert f"    -1.0,\n    {pts[2, 1].item()!r}\n" in rep.to_json(text)
 
 
 def test_csv_layout_and_precision():
