@@ -232,24 +232,19 @@ def _run_field_checks(sc, cfg, run, names=None):
             run.gate(_evaluate_check(sc, check.name, pts, run.jobs), check)
 
 
-_NC_IDENTITIES = ("frame-identities", "ehat-identity", "null-lift-inverse", "null-lift-volume")
-
-
-def _identity_values(nc, x) -> tuple:
-    """The Newton-Cartan identity defects at x, in the order of _NC_IDENTITIES."""
+def _identity_values(nc, x) -> dict:
+    """The Newton-Cartan identity defects at x, one point or a batch, by gate name."""
     lift = null_lift_residuals(nc, x)
-    return (max(frame_identity_residuals(nc, x).values()), ehat_identity_residual(nc, x),
-            max(lift["product"], lift["inverse_gap"]), lift["volume_gap"])
+    return {"frame-identities": np.max(list(frame_identity_residuals(nc, x).values()), axis=0),
+            "ehat-identity": ehat_identity_residual(nc, x),
+            "null-lift-inverse": np.maximum(lift["product"], lift["inverse_gap"]),
+            "null-lift-volume": lift["volume_gap"]}
 
 
 def _gate_nc_identities(sc, cfg, run):
     """Frame, ehat and null-lift identity reports over the grid."""
     points = _grid_points(sc, cfg)
-    columns = [[] for _ in _NC_IDENTITIES]
-    for p in points:
-        for column, value in zip(columns, _identity_values(sc.background, p)):
-            column.append(value)
-    for name, values in zip(_NC_IDENTITIES, columns):
+    for name, values in _identity_values(sc.background, points).items():
         run.gate(ResidualReport.from_samples(name, points, values), COMMAND_GATES[name])
 
 
@@ -296,9 +291,11 @@ def cmd_reduce(sc, cfg, run):
     if n_random > 0:
         rng = np.random.default_rng(cfg.reduce["seed"])
         dim = cfg.reduce["dim"] or sc.background.dim
-        x = np.zeros(dim)
-        vals = [max(_identity_values(random_frame_background(rng, dim), x)[:3])
-                for _ in range(n_random)]
+        vals = []
+        for _ in range(n_random):
+            ids = _identity_values(random_frame_background(rng, dim), np.zeros(dim))
+            vals.append(max(ids["frame-identities"], ids["ehat-identity"],
+                            ids["null-lift-inverse"]))
         rep = ResidualReport.from_samples("random-frame-identities",
                                           np.zeros((n_random, dim)), vals)
         run.gate(rep, COMMAND_GATES[rep.name])

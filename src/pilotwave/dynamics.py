@@ -35,7 +35,7 @@ from .fields import EPS_NODE, PolarField
 from .geometry import BackgroundRel, broadcast_read, check_point, check_points, metric_inverse
 from .integrators import hermite, integrate_adaptive
 from .nc_geometry import NCBackground, derive_nc
-from .report import ResidualReport, _json_floats, _json_list, format_float
+from .report import ResidualReport, _csv, _json_floats, _json_list
 
 Array = np.ndarray
 
@@ -141,11 +141,7 @@ class Trajectory:
         d = self.dim
         header = ["lambda"] + [f"X{i}" for i in range(d)] \
             + [f"p{i}" for i in range(d)] + ["constraint_residual"]
-        lines = [",".join(header)]
-        for k in range(len(self)):
-            row = [self.lambdas[k], *self.points[k], *self.momenta[k], self.constraint[k]]
-            lines.append(",".join(format_float(v) for v in row))
-        return "\n".join(lines) + "\n"
+        return _csv(header, self.lambdas, self.points, self.momenta, self.constraint)
 
     def to_json(self) -> str:
         """The trajectory as json.dumps(..., sort_keys=True, indent=1) would write it."""

@@ -39,10 +39,10 @@ point gives shape-() values.  Geometry arrives in one bundle per batch.
 Relativistic residuals read ``geometry.metric_data`` (g^{MN}, sqrt(-g) and
 their gradients from one read of the metric).  Newton-Cartan residuals read
 ``derive_nc`` (the frame, its inverse, M, w = m - q phi and every derived
-object) and, for the divergences, ``derive_nc_partials``; ``_nc_frames``
-still derives the frame one point at a time and stacks the rows.  A node
-check runs before the division it guards, and an error in a batch names
-the first failing point.
+object) and, for the divergences, ``derive_nc_partials``, through
+``nc_geometry._nc_frames``, which derives the frame one point at a time
+and stacks the rows.  A node check runs before the division it guards, and
+an error in a batch names the first failing point.
 
 The ``*_printed`` variants reproduce equation forms that fail their own
 consistency checks (a factor slip in the relativistic quantum potential's
@@ -60,7 +60,7 @@ from .errors import FormMismatch
 from .fields import PSI_AT_NODE, ComplexField, PolarField, _outer, node_check
 from .geometry import (BackgroundRel, broadcast_read, check_points, metric_data, metric_inverse,
                        raise_at_first)
-from .nc_geometry import NCBackground, NCDerived, derive_nc, derive_nc_partials
+from .nc_geometry import NCBackground, _nc_frames
 
 Array = np.ndarray
 
@@ -293,24 +293,6 @@ def classical_field_equation_report(bg: BackgroundRel, cf: ComplexField, points)
 # ---------------------------------------------------------------------------
 
 FORM_AGREEMENT_TOL = 1e-10
-
-
-def _nc_frames(nc: NCBackground, pt, partials=False):
-    """``derive_nc`` at each point of pt, (D,) or (K, D), and with ``partials`` also
-    ``derive_nc_partials`` (else None), derived one point at a time; the rows fill
-    preallocated arrays with the leading axes of pt."""
-    rows = np.reshape(pt, (-1, nc.dim))
-    stacks = [{}, {}]
-    for i, row in enumerate(rows):
-        parts = (vars(derive_nc(nc, row)), derive_nc_partials(nc, row) if partials else {})
-        for stack, values in zip(stacks, parts):
-            for key, value in values.items():
-                if i == 0:
-                    stack[key] = np.empty((len(rows),) + np.shape(value))
-                stack[key][i] = value
-    der, dparts = ({key: a.reshape(pt.shape[:-1] + a.shape[1:]) for key, a in stack.items()}
-                   for stack in stacks)
-    return NCDerived(**der), (dparts if partials else None)
 
 
 def nc_momentum_covector(nc: NCBackground, f: PolarField, x) -> Array:

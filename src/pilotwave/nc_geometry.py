@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateFrame
-from .geometry import broadcast_read, check_point, check_points
+from .geometry import broadcast_read, check_point, check_points, raise_at_first
 from .stencils import derivative_or_fd
 
 Array = np.ndarray
@@ -42,7 +42,8 @@ class NCBackground:
     convention of the rest of the package, e.g. ``dtau(x)[mu, nu] =
     d_mu tau_nu``; central differences are used when they are omitted.
     ``derive_nc`` and ``derive_nc_partials`` still read the frame one point
-    at a time.
+    at a time; ``_nc_frames`` stacks their rows for a batch, and the
+    identity checks take one point or a batch through it.
     None of the data may depend on the null coordinate u by construction.
     """
 
@@ -130,9 +131,10 @@ class NCDerived:
 
 @dataclass(frozen=True)
 class NullLift:
-    """Lifted (D+1)-metric with null coordinate u ordered last."""
+    """Lifted (D+1)-metric with null coordinate u ordered last, at one point or,
+    from the rows ``_nc_frames`` stacks, with the leading axis of a batch."""
 
-    gamma: Array       # (D+1, D+1)
+    gamma: Array       # (..., D+1, D+1)
     gamma_inv: Array   # closed-form inverse
     gauge_lift: Array  # A_A = (Abar_mu - phi M_mu, phi)
 
@@ -210,71 +212,93 @@ def derive_nc_partials(nc: NCBackground, x):
             "hbar_down": dhbar, "v_hat": dv_hat, "Phi": dPhi, "vol": dvol, "w": dw, "A": da}
 
 
+def _nc_frames(nc: NCBackground, pt, partials=False):
+    """``derive_nc`` at each point of pt, (D,) or (K, D), and with ``partials`` also
+    ``derive_nc_partials`` (else None): the one loop over rows of the Newton-Cartan half.
+    Each row fills preallocated arrays with the leading axes of pt, so one row's objects
+    are alive at a time (lists of every row's, stacked, cost a 2,500-point check 9 MB)."""
+    rows = np.reshape(pt, (-1, nc.dim))
+    stacks = [{}, {}]
+    for i, row in enumerate(rows):
+        parts = (vars(derive_nc(nc, row)), derive_nc_partials(nc, row) if partials else {})
+        for stack, values in zip(stacks, parts):
+            for key, value in values.items():
+                if i == 0:
+                    stack[key] = np.empty((len(rows),) + np.shape(value))
+                stack[key][i] = value
+    der, dparts = ({key: a.reshape(pt.shape[:-1] + a.shape[1:]) for key, a in stack.items()}
+                   for stack in stacks)
+    return NCDerived(**der), (dparts if partials else None)
+
+
+def _max_abs(a, axes=1):
+    """max |a| over its trailing ``axes`` axes: one value per point."""
+    return np.max(np.abs(a), axis=tuple(range(-axes, 0)))
+
+
 def null_lift(nc: NCBackground, x) -> NullLift:
     """Assemble the lifted metric, its closed-form inverse and the gauge lift."""
-    pt = check_point(x, nc.dim)
-    der = derive_nc(nc, pt)
+    pt = check_points(x, nc.dim)
+    der, _ = _nc_frames(nc, pt)
     d = nc.dim
-    tau = der.frame[:, 0]
-    gamma = np.zeros((d + 1, d + 1))
-    gamma[:d, :d] = der.hbar_down
-    gamma[:d, d] = tau
-    gamma[d, :d] = tau
-    gamma_inv = np.zeros((d + 1, d + 1))
-    gamma_inv[:d, :d] = der.h_up
-    gamma_inv[:d, d] = -der.v_hat
-    gamma_inv[d, :d] = -der.v_hat
-    gamma_inv[d, d] = 2.0 * der.Phi
-    gauge = np.empty(d + 1)
-    gauge[:d] = nc.reduced_gauge_at(pt)
-    gauge[d] = float(nc.phi(pt))
-    residual = np.max(np.abs(gamma @ gamma_inv - np.eye(d + 1)))
-    if residual >= 1e-10:
-        raise DegenerateFrame(f"lift inverse residual {residual:.3e} exceeds 1e-10")
+    tau = der.frame[..., 0]
+    gamma = np.zeros(pt.shape[:-1] + (d + 1, d + 1))
+    gamma[..., :d, :d] = der.hbar_down
+    gamma[..., :d, d] = tau
+    gamma[..., d, :d] = tau
+    gamma_inv = np.zeros_like(gamma)
+    gamma_inv[..., :d, :d] = der.h_up
+    gamma_inv[..., :d, d] = -der.v_hat
+    gamma_inv[..., d, :d] = -der.v_hat
+    gamma_inv[..., d, d] = 2.0 * der.Phi
+    gauge = np.concatenate([nc.reduced_gauge_at(pt), broadcast_read(nc.phi, pt)[..., None]],
+                           axis=-1)
+    residual = _max_abs(gamma @ gamma_inv - np.eye(d + 1), 2)
+    raise_at_first(residual >= 1e-10, pt, DegenerateFrame,
+                   "lift inverse residual {:.3e} exceeds 1e-10", residual)
     return NullLift(gamma=gamma, gamma_inv=gamma_inv, gauge_lift=gauge)
 
 
-def frame_identity_residuals(nc: NCBackground, x) -> dict[str, float]:
+def frame_identity_residuals(nc: NCBackground, x) -> dict[str, Array]:
     """Max-norm defects of the defining frame relations at x."""
-    pt = check_point(x, nc.dim)
-    der = derive_nc(nc, pt)
-    tau, vier = der.frame[:, 0], der.frame[:, 1:]
-    dm1 = nc.dim - 1
+    pt = check_points(x, nc.dim)
+    der, _ = _nc_frames(nc, pt)
+    tau, vier = der.frame[..., 0], der.frame[..., 1:]
     return {
-        "v_dot_tau": abs(float(der.v @ tau) + 1.0),
-        "v_dot_vierbein": float(np.max(np.abs(der.v @ vier))) if dm1 else 0.0,
-        "tau_dot_einv": float(np.max(np.abs(der.e_inv @ tau))) if dm1 else 0.0,
-        "einv_vierbein": float(np.max(np.abs(der.e_inv @ vier - np.eye(dm1)))),
-        "hup_tau": float(np.max(np.abs(der.h_up @ tau))),
+        "v_dot_tau": np.abs(np.vecdot(der.v, tau) + 1.0),
+        "v_dot_vierbein": _max_abs(np.vecmat(der.v, vier)),
+        "tau_dot_einv": _max_abs(np.matvec(der.e_inv, tau)),
+        "einv_vierbein": _max_abs(der.e_inv @ vier - np.eye(nc.dim - 1), 2),
+        "hup_tau": _max_abs(np.matvec(der.h_up, tau)),
     }
 
 
-def ehat_identity_residual(nc: NCBackground, x) -> float:
-    """Defect of ehat.delta.ehat = hbar + 2 Phi tau tau at one point."""
-    pt = check_point(x, nc.dim)
-    der = derive_nc(nc, pt)
-    tau = der.frame[:, 0]
-    lhs = der.e_hat @ der.e_hat.T
-    rhs = der.hbar_down + 2.0 * der.Phi * np.outer(tau, tau)
-    return float(np.max(np.abs(lhs - rhs)))
+def ehat_identity_residual(nc: NCBackground, x) -> Array:
+    """Defect of ehat.delta.ehat = hbar + 2 Phi tau tau at x."""
+    pt = check_points(x, nc.dim)
+    der, _ = _nc_frames(nc, pt)
+    tau = der.frame[..., 0]
+    lhs = der.e_hat @ der.e_hat.mT
+    rhs = der.hbar_down + 2.0 * der.Phi[..., None, None] * (tau[..., :, None] * tau[..., None, :])
+    return _max_abs(lhs - rhs, 2)
 
 
-def null_lift_residuals(nc: NCBackground, x) -> dict[str, float]:
+def null_lift_residuals(nc: NCBackground, x) -> dict[str, Array]:
     """Consistency defects of the lifted metric at x.
 
     product:     max |gamma gamma_inv - 1| for the closed-form inverse
     inverse_gap: max |gamma_inv - inv(gamma)| against numerical inversion
     volume_gap:  relative gap between sqrt(-det gamma) and |det(tau, e)|
     """
-    lift = null_lift(nc, x)
-    der = derive_nc(nc, x)
-    dsize = nc.dim + 1
-    product = float(np.max(np.abs(lift.gamma @ lift.gamma_inv - np.eye(dsize))))
-    inverse_gap = float(np.max(np.abs(lift.gamma_inv - np.linalg.inv(lift.gamma))))
+    pt = check_points(x, nc.dim)
+    lift = null_lift(nc, pt)
+    der, _ = _nc_frames(nc, pt)
+    product = _max_abs(lift.gamma @ lift.gamma_inv - np.eye(nc.dim + 1), 2)
+    inverse_gap = _max_abs(lift.gamma_inv - np.linalg.inv(lift.gamma), 2)
     det = np.linalg.det(lift.gamma)
-    if det >= 0.0:
-        raise DegenerateFrame(f"lifted metric determinant {det:.3e} is not negative")
-    volume_gap = float(abs(np.sqrt(-det) - abs(der.vol)) / abs(der.vol))
+    raise_at_first(det >= 0.0, pt, DegenerateFrame,
+                   "lifted metric determinant {:.3e} is not negative", det)
+    volume_gap = np.abs(np.sqrt(-det) - np.abs(der.vol)) / np.abs(der.vol)
     return {"product": product, "inverse_gap": inverse_gap, "volume_gap": volume_gap}
 
 

@@ -1,4 +1,4 @@
-"""Named residual samples with JSON and CSV serialization."""
+"""Named residual samples with JSON and CSV serialization, rendered from their arrays."""
 from __future__ import annotations
 
 import json
@@ -25,9 +25,12 @@ def _json_floats(a, depth: int) -> list:
     return [template % row for row in (a.tolist() if a.ndim == 1 else map(tuple, a.tolist()))]
 
 
-def format_float(v: float) -> str:
-    """Fixed 17-significant-digit rendering used in CSV output."""
-    return f"{float(v):.17g}"
+def _csv(header: list, *columns) -> str:
+    """The header line, then one line per row of the stacked columns, each float
+    written with 17 significant digits by one ``%.17g`` template per row."""
+    template = ",".join(["%.17g"] * len(header))
+    rows = [template % row for row in map(tuple, np.column_stack(columns).tolist())]
+    return "\n".join([",".join(header)] + rows) + "\n"
 
 
 @dataclass(frozen=True)
@@ -79,12 +82,8 @@ class ResidualReport:
         return "{\n" + body + f' "samples": {_json_list(samples, 1)}\n}}'
 
     def to_csv(self) -> str:
-        dim = self.points.shape[1]
-        header = ",".join([f"x{i}" for i in range(dim)] + ["value"])
-        lines = [header]
-        for p, v in zip(self.points, self.values):
-            lines.append(",".join([format_float(c) for c in p] + [format_float(v)]))
-        return "\n".join(lines) + "\n"
+        header = [f"x{i}" for i in range(self.points.shape[1])] + ["value"]
+        return _csv(header, self.points, self.values)
 
 
 @dataclass(frozen=True)

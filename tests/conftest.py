@@ -3,6 +3,7 @@ import pytest
 from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
+from pilotwave.dynamics import Trajectory
 from pilotwave.fields import polar_field
 from pilotwave.geometry import BackgroundRel
 from pilotwave.nc_geometry import NCBackground
@@ -18,6 +19,19 @@ SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1
                   2.0 ** 53, 0.1]
 FINITE_FLOATS = st.one_of(st.sampled_from(SPECIAL_FLOATS),
                           st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def trajectories(draw):
+    """A Trajectory of K = 1..40 samples in D = 1..5, every float from FINITE_FLOATS."""
+    k, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
+    lambdas = sorted(set(draw(st.lists(FINITE_FLOATS, min_size=k, max_size=k))))
+    k = len(lambdas)
+    rows = st.lists(st.lists(FINITE_FLOATS, min_size=d, max_size=d), min_size=k, max_size=k)
+    with np.errstate(over="ignore"):  # lambda steps may exceed 1.8e308
+        return Trajectory(draw(st.sampled_from(["proper_time", "coordinate_time"])),
+                          np.array(lambdas), np.array(draw(rows)), np.array(draw(rows)),
+                          np.array(draw(st.lists(FINITE_FLOATS, min_size=k, max_size=k))))
 
 
 # Every closure takes one point (D,) or a batch (..., D): a phase w.x is

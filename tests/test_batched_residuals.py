@@ -1,12 +1,13 @@
 """One batch contract for both halves: a (K, D) call equals the K point calls.
 
 Every closure takes one point (D,) or a batch (..., D), and every public
-residual of the relativistic and the Newton-Cartan half takes one point
-(D,) or a batch (K, D).  A batch must reproduce its point calls to
-1e-13 max(1, |v|), a single point gives shape-() values, a bad row must
-raise the point call's error naming that row's point, and a check must
-read the geometry and each field closure the same number of times
-whatever the size of its grid.
+residual of the relativistic and the Newton-Cartan half, and every
+Newton-Cartan identity, takes one point (D,) or a batch (K, D).  A batch
+must reproduce its point calls to 1e-13 max(1, |v|), a single point gives
+shape-() values, a bad row must raise the point call's error naming that
+row's point, and a check must read the geometry, call each identity and
+read each field closure the same number of times whatever the size of its
+grid.
 """
 import dataclasses
 import itertools
@@ -19,6 +20,7 @@ import numpy as np
 import pytest
 
 import pilotwave.field_equations as feq
+import pilotwave.nc_geometry as ncg
 import pilotwave.scenarios as scen
 from pilotwave import cli
 from pilotwave.errors import (DegenerateFrame, FormMismatch, NodeEncountered,
@@ -56,6 +58,15 @@ NC_RESIDUALS = {
     "nc_schrodinger_residual": (COMPLEX, complex, 0),
     "nc_classical_action_density_complex_printed": (COMPLEX, complex, 0),
 }
+# identity of nc_geometry -> the keys (dict) or attributes (NullLift) of its result, or
+# None for an array
+NC_IDENTITIES = {
+    "frame_identity_residuals": ("v_dot_tau", "v_dot_vierbein", "tau_dot_einv",
+                                 "einv_vierbein", "hup_tau"),
+    "ehat_identity_residual": None,
+    "null_lift": ("gamma", "gamma_inv", "gauge_lift"),
+    "null_lift_residuals": ("product", "inverse_gap", "volume_gap"),
+}
 METRIC_DATA_SHAPES = {"pt": 1, "ginv": 2, "dginv": 3, "vol": 0, "dvol": 1}
 
 
@@ -85,9 +96,17 @@ def _assert_rows_match(batch, points):
     assert np.all(gap <= REL_TOL * np.maximum(1.0, np.abs(points))), gap.max()
 
 
+def _entries(result, keys):
+    """The arrays of an identity's result, in the order of its NC_IDENTITIES entry."""
+    if keys is None:
+        return [result]
+    return [result[k] if isinstance(result, dict) else getattr(result, k) for k in keys]
+
+
 def _assert_batch_equals_points(bg, fields, pts):
-    """Every public residual on the batch pts equals its point calls at every row;
-    on a grid of more than 200 rows the point calls sample 100, the last one included."""
+    """Every public residual (and on a Newton-Cartan background every identity) on the
+    batch pts equals its point calls at every row; on a grid of more than 200 rows the
+    point calls sample 100, the last one included."""
     rows = (np.arange(len(pts)) if len(pts) <= 200
             else np.unique(np.linspace(0, len(pts) - 1, 100).astype(int)))
     nc = isinstance(bg, NCBackground)
@@ -107,6 +126,11 @@ def _assert_batch_equals_points(bg, fields, pts):
         k = feq.nc_momentum_covector(bg, fields[POLAR], pts)
         _assert_rows_match(feq.nc_hj_expression(bg, pts, k)[rows],
                            [feq.nc_hj_expression(bg, pts[i], k[i]) for i in rows])
+        for name, keys in NC_IDENTITIES.items():
+            fn = getattr(ncg, name)
+            singles = [_entries(fn(bg, p), keys) for p in pts[rows]]
+            for j, batch in enumerate(_entries(fn(bg, pts), keys)):
+                _assert_rows_match(batch[rows], [single[j] for single in singles])
         return
     k = feq.momentum_covector(bg, fields[POLAR], pts)
     _assert_rows_match(feq.hj_expression(bg, pts, k)[rows],
@@ -238,6 +262,15 @@ def _degenerate_frame():
                                tau=lambda x: np.where(_at_bad(x)[..., None], 0.0, [1.0, 0.0]))
 
 
+def _ill_conditioned_frame():
+    """The flat frame with M = (0, 0.2), whose vierbein at the bad point is nearly tau:
+    the frame passes its determinant floor, the lifted metric's closed-form inverse
+    does not pass its check."""
+    flat = NCBackground.constant([1.0, 0.0], [[0.0], [1.0]], m_field=[0.0, 0.2])
+    return dataclasses.replace(flat, vierbein=lambda x: np.where(
+        _at_bad(x)[..., None, None], [[1.0], [1e-8]], [[0.0], [1.0]]))
+
+
 def _drifting_mass_field():
     """The flat frame, whose M at the bad point changes on every read that includes it."""
     reads = itertools.count(1)
@@ -256,6 +289,13 @@ def test_bad_frame_names_its_point():
         fn = getattr(feq, name)
         if name != "nc_momentum_covector":  # reads no frame
             _point_and_batch_raise(DegenerateFrame, lambda x, fn=fn: fn(nc, fields[field], x))
+    for name in NC_IDENTITIES:
+        _point_and_batch_raise(DegenerateFrame, lambda x, fn=getattr(ncg, name): fn(nc, x))
+    nc = _ill_conditioned_frame()
+    for fn in (ncg.null_lift, ncg.null_lift_residuals):
+        with pytest.raises(DegenerateFrame, match=r"^lift inverse residual .* exceeds 1e-10"):
+            fn(nc, BAD)
+        _point_and_batch_raise(DegenerateFrame, lambda x, fn=fn: fn(nc, x))
     nc = _drifting_mass_field()
     _point_and_batch_raise(FormMismatch,
                            lambda x: feq.nc_classical_hj_residual(nc, fields[POLAR], x))
@@ -322,8 +362,14 @@ CLI_FAILURES = {
                             1, r"^error: \|det\(tau, e\)\| = 0\.000e\+00 below 1e-12 " + BAD_AT),
     "nc-form-mismatch": ({"scenario": {"name": "flat-nc-plane-wave"}, "grid": BAD_GRID},
                          1, r"^error: HJ form mismatch: .* vs .* " + BAD_AT),
+    # the identity gates of reduce, on the degenerate frame
+    "nc-degenerate-frame-reduce": ({"scenario": {"name": "flat-nc-plane-wave"},
+                                    "command": "reduce", "grid": BAD_GRID},
+                                   1, r"^error: \|det\(tau, e\)\| = 0\.000e\+00 below 1e-12 "
+                                      + BAD_AT),
 }
 CLI_BACKGROUNDS = {"nc-degenerate-frame": _degenerate_frame,
+                   "nc-degenerate-frame-reduce": _degenerate_frame,
                    "nc-form-mismatch": _drifting_mass_field}
 
 
@@ -336,7 +382,8 @@ def test_bad_row_through_the_cli(tmp_path, capsys, monkeypatch, case):
             dataclasses.replace(plane_wave(params), background=background)))
     config = tmp_path / "config.json"
     config.write_text(json.dumps(doc))
-    assert cli.main(["check", "--config", str(config), "--out", str(tmp_path / "out")]) == code
+    command = doc.get("command", "check")
+    assert cli.main([command, "--config", str(config), "--out", str(tmp_path / "out")]) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert re.match(line, err), err
@@ -388,7 +435,6 @@ def _counted_check(monkeypatch, tmp_path, name, samples, functions):
 
 def test_the_grid_is_not_split_into_points(monkeypatch, tmp_path):
     import pilotwave.geometry as geo
-    import pilotwave.nc_geometry as ncg
 
     geometry = {"metric_data": geo.metric_data, "metric_inverse": geo.metric_inverse}
     small, large = (_counted_check(monkeypatch, tmp_path, "curved-diagonal", n, geometry)
@@ -397,8 +443,10 @@ def test_the_grid_is_not_split_into_points(monkeypatch, tmp_path):
     assert small["metric_data"] + small["metric_inverse"] <= len(build("curved-diagonal").checks)
     assert small["polar.rho"] > 0
 
-    small, large = (_counted_check(monkeypatch, tmp_path, "flat-nc-gaussian-packet", n,
-                                   {"derive_nc": ncg.derive_nc}) for n in (4, 8))
+    counted = {name: getattr(ncg, name) for name in ("derive_nc", *NC_IDENTITIES)}
+    small, large = (_counted_check(monkeypatch, tmp_path, "flat-nc-gaussian-packet", n, counted)
+                    for n in (4, 8))
     # the Newton-Cartan frame is still derived point by point, 11 times per point
     assert small.pop("derive_nc") == 11 * 4 * 4 and large.pop("derive_nc") == 11 * 8 * 8
     assert small == large and small["polar.rho"] > 0 and small["psi.psi"] > 0
+    assert all(small[name] > 0 for name in NC_IDENTITIES)

@@ -3,12 +3,10 @@ import json
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import pilotwave.dynamics as dyn
 import pilotwave.field_equations as feq
-from pilotwave.dynamics import (GuidanceField, Trajectory, guidance_velocity_nc,
-                                guidance_velocity_rel,
+from pilotwave.dynamics import (GuidanceField, guidance_velocity_nc, guidance_velocity_rel,
                                 hamiltonian_constraint_residual,
                                 integrate_trajectory, lagrangian_nc,
                                 lagrangian_quantum_rel, momentum_nc_classical,
@@ -20,7 +18,7 @@ from pilotwave.geometry import BackgroundRel
 from pilotwave.integrators import integrate_fixed
 from pilotwave.nc_geometry import NCBackground
 from pilotwave.scenarios import build
-from conftest import FINITE_FLOATS
+from conftest import trajectories
 from oracles import integrate_geodesic, rk4_path
 
 X4 = np.array([0.3, 0.1, -0.2, 0.5])
@@ -324,18 +322,6 @@ class TestHamiltonianConstraint:
         rep = hamiltonian_constraint_residual(traj, gf)
         expect = abs(feq.classical_hj_residual_rel(bg, f, np.zeros(4)))
         assert rep.values[0] == pytest.approx(expect, rel=1e-12)
-
-
-@st.composite
-def trajectories(draw):
-    k, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
-    lambdas = sorted(set(draw(st.lists(FINITE_FLOATS, min_size=k, max_size=k))))
-    k = len(lambdas)
-    rows = st.lists(st.lists(FINITE_FLOATS, min_size=d, max_size=d), min_size=k, max_size=k)
-    with np.errstate(over="ignore"):  # lambda steps may exceed 1.8e308
-        return Trajectory(draw(st.sampled_from(["proper_time", "coordinate_time"])),
-                          np.array(lambdas), np.array(draw(rows)), np.array(draw(rows)),
-                          np.array(draw(st.lists(FINITE_FLOATS, min_size=k, max_size=k))))
 
 
 @settings(max_examples=80)

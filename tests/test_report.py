@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import FINITE_FLOATS
+from conftest import FINITE_FLOATS, trajectories
 from pilotwave.errors import NonFiniteResult
-from pilotwave.report import GridSpec, ResidualReport, format_float
+from pilotwave.report import GridSpec, ResidualReport
 
 
 @given(st.lists(st.floats(-1e6, 1e6), min_size=1, max_size=40))
@@ -94,8 +94,30 @@ def test_csv_layout_and_precision():
     rep = ResidualReport.from_samples("demo", [[0.1, 0.2]], [1.0 / 3.0])
     lines = rep.to_csv().strip().split("\n")
     assert lines[0] == "x0,x1,value"
-    assert lines[1].split(",")[2] == format_float(1.0 / 3.0)
+    assert lines[1].split(",")[2] == "0.33333333333333331"
     assert len(lines[1].split(",")[2]) >= 17
+
+
+def _reference_csv(header, rows) -> str:
+    """The CSV as the writers laid it out when they formatted one float at a time."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{float(v):.17g}" for v in row))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=80)
+@given(reports(), trajectories())
+def test_csv_is_byte_identical_to_the_per_float_writer(rep, traj):
+    dim = rep.points.shape[1]
+    assert rep.to_csv() == _reference_csv([f"x{i}" for i in range(dim)] + ["value"],
+                                          ([*p, v] for p, v in zip(rep.points, rep.values)))
+    dim = traj.dim
+    header = (["lambda"] + [f"X{i}" for i in range(dim)] + [f"p{i}" for i in range(dim)]
+              + ["constraint_residual"])
+    rows = ([lam, *x, *p, c] for lam, x, p, c in zip(traj.lambdas, traj.points, traj.momenta,
+                                                      traj.constraint))
+    assert traj.to_csv() == _reference_csv(header, rows)
 
 
 def test_grid_points_order_deterministic():
