@@ -12,7 +12,10 @@ nodal momenta p_i = dL/dXdot.  Newton drives max|R| below tolerance.
 
 L is pointwise, so the Newton Jacobian J = Lxx + Lxv D - D (Lvx + Lvv D),
 restricted to the interior, is assembled from per-node second partials of L
-and kept as a chord Jacobian while full Newton steps are accepted.
+and kept as a chord Jacobian while full Newton steps are accepted (the chord
+or Shamanskii method; Kelley, Iterative Methods for Linear and Nonlinear
+Equations, SIAM 1995).  The chord is inverted once, when it is assembled,
+and every step is a product with the stored inverse.
 
 Endpoint derivatives of the extremal action are the content of the
 Hamilton-Jacobi relations:
@@ -21,16 +24,18 @@ Hamilton-Jacobi relations:
 
 verified here by re-extremizing at displaced endpoints, with one Richardson
 extrapolation step on the central differences.  The displaced problems start
-from the base problem's Jacobian and each iterates to tolerance on its own.
+from the base problem's chord inverse and each iterates to tolerance on its
+own.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
-from .errors import NoConvergence
+from .errors import NoConvergence, NonFiniteResult
 from .report import ResidualReport
 
 Array = np.ndarray
@@ -90,29 +95,49 @@ class BoundaryValueProblem:
 class DiscretizedPath:
     """Uniformly sampled trajectory with nodal velocities.
 
-    ``jacobian`` is the Newton Jacobian ``extremize`` last used, if any.
+    ``jacobian`` is the chord Jacobian ``extremize`` last used, if any, and
+    ``chord_inverse`` its inverse, which is what the Newton steps apply.
     """
 
     lambdas: Array   # (n,)
     points: Array    # (n, dim)
     velocities: Array
     jacobian: Array | None = field(default=None, compare=False, repr=False)
+    chord_inverse: Array | None = field(default=None, compare=False, repr=False)
 
     @property
     def intervals(self) -> int:
         return int(self.lambdas.size - 1)
 
 
-def differentiation_matrix(n: int, dl: float) -> Array:
-    """Fourth-order first-derivative matrix on a uniform n-point grid."""
-    if n < 5:
-        raise ValueError("need at least 5 nodes for the fourth-order stencils")
+@lru_cache(maxsize=None)
+def _integer_stencil(n: int) -> Array:
+    """12 dl times the differentiation matrix on n nodes, read-only."""
     d = np.zeros((n, n))
     d[:2, :5] = FORWARD_STENCILS
     rows = np.arange(2, n - 2)[:, None]
     d[rows, rows + np.arange(-2, 3)] = CENTRAL_STENCIL
     d[n - 2:, n - 5:] = -FORWARD_STENCILS[::-1, ::-1]
-    return d / (12.0 * dl)
+    d.flags.writeable = False
+    return d
+
+
+def differentiation_matrix(n: int, dl: float) -> Array:
+    """Fourth-order first-derivative matrix on a uniform n-point grid."""
+    if n < 5:
+        raise ValueError("need at least 5 nodes for the fourth-order stencils")
+    return _integer_stencil(n) / (12.0 * dl)
+
+
+@lru_cache(maxsize=None)
+def _shift_offsets(dim: int, step: float) -> tuple[Array, Array]:
+    """X and V offsets (4 dim, 1, dim) of the stacked copies: +X, -X, +V, -V."""
+    e = step * np.eye(dim)[:, None, :]
+    zero = np.zeros_like(e)
+    offsets = np.concatenate([e, -e, zero, zero]), np.concatenate([zero, zero, e, -e])
+    for a in offsets:
+        a.flags.writeable = False
+    return offsets
 
 
 def _central_differences(f, X, V, lam, step):
@@ -122,20 +147,19 @@ def _central_differences(f, X, V, lam, step):
     the result has shape (n, ..., 2 dim): X axes first, then V axes.
     """
     n, dim = X.shape
-    e = step * np.eye(dim)[:, None, :]                  # (dim, 1, dim)
-    X_, V_ = (np.broadcast_to(a, (dim, n, dim)) for a in (X, V))
-    xs = np.concatenate([X_ + e, X_ - e, X_, X_])       # (4 dim, n, dim)
-    vs = np.concatenate([V_, V_, V_ + e, V_ - e])
-    vals = f(xs.reshape(-1, dim), vs.reshape(-1, dim), np.tile(lam, 4 * dim))
-    vals = np.asarray(vals).reshape(4, dim, n, *np.shape(vals)[1:])
-    diff = np.concatenate([vals[0] - vals[1], vals[2] - vals[3]]) / (2 * step)
-    return np.moveaxis(diff, 0, -1)
+    x_off, v_off = _shift_offsets(dim, step)
+    vals = np.asarray(f((X + x_off).reshape(-1, dim), (V + v_off).reshape(-1, dim),
+                        np.concatenate((lam,) * (4 * dim))))
+    vals = vals.reshape(2, 2, dim, n, *vals.shape[1:])
+    diff = ((vals[:, 0] - vals[:, 1]) / (2 * step)).reshape(2 * dim, n, *vals.shape[4:])
+    return diff.transpose(*range(1, diff.ndim), 0)
 
 
 def _nodal_partials(sys: LagrangianSystem, X, V, lam):
     """dL/dX and dL/dV at every node, (n, dim) each, from one Lagrangian call."""
     grad = _central_differences(sys.lagrangian, X, V, lam, ARG_STEP)
-    return np.split(grad, 2, axis=-1)
+    dim = X.shape[1]
+    return grad[..., :dim], grad[..., dim:]
 
 
 def euler_lagrange_residual(sys: LagrangianSystem, path: DiscretizedPath) -> Array:
@@ -180,21 +204,32 @@ def _assembled_jacobian(sys, dmat, X, V, lam):
     return jac[1:-1, :, 1:-1, :].reshape(m, m)
 
 
+def _inverted_chord(sys, dmat, X, V, lam, best):
+    """The assembled Jacobian at (X, V) and its inverse, shared by every chord step."""
+    jac = _assembled_jacobian(sys, dmat, X, V, lam)
+    try:
+        return jac, np.linalg.inv(jac)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"singular Newton system: {exc}", best_residual=best)
+
+
 def extremize(sys: LagrangianSystem, bvp: BoundaryValueProblem,
               initial: Array | None = None,
-              jacobian: Array | None = None) -> DiscretizedPath:
+              chord: DiscretizedPath | None = None) -> DiscretizedPath:
     """Damped-Newton solve of the collocated stationarity conditions.
 
     ``initial`` may supply a full (n, dim) starting path (endpoints are
-    overwritten); the default is the straight line.  ``jacobian`` may supply
-    a starting chord Jacobian, for example the ``jacobian`` of the path of a
-    nearby problem on the same grid; by default it is assembled at the
-    starting path.  The chord Jacobian is kept while full steps are
-    accepted; it is rebuilt at the current iterate after a damped step, and
-    once when the line search stalls.  The returned path carries the
-    Jacobian last used (given or, if the start was already stationary,
-    assembled at the solution).  Raises NoConvergence with the best
-    residual reached when the iteration stalls.
+    overwritten); the default is the straight line.  ``chord`` may supply
+    the solved path of a nearby problem on the same grid, whose chord
+    Jacobian and inverse start the iteration; by default the Jacobian is
+    assembled and inverted at the starting path.  The chord is kept while
+    full steps are accepted, and each step is its stored inverse times the
+    residual; it is rebuilt and inverted again at the current iterate after
+    a damped step, and once when the line search stalls.  The returned path
+    carries the chord last used (given or, if the start was already
+    stationary, assembled and inverted at the solution).  Raises
+    NoConvergence with the best residual reached when the iteration stalls
+    or a chord Jacobian is singular.
     """
     lam = bvp.grid()
     n = lam.size
@@ -209,19 +244,16 @@ def extremize(sys: LagrangianSystem, bvp: BoundaryValueProblem,
     u = init_path[1:-1].ravel().copy()
 
     r, X, V = _residual_from_interior(sys, bvp, dmat, lam, u)
-    best = float(np.max(np.abs(r))) if r.size else 0.0
-    jac = jacobian
-    rebuild = jac is None
+    res = best = float(abs(r).max())
+    jac, inv = (None, None) if chord is None else (chord.jacobian, chord.chord_inverse)
+    rebuild = inv is None
     refreshed = False
     for _ in range(MAX_NEWTON_ITER):
-        if np.max(np.abs(r)) < NEWTON_TOL:
+        if res < NEWTON_TOL:
             break
         if rebuild:
-            jac = _assembled_jacobian(sys, dmat, X, V, lam)
-        try:
-            step = np.linalg.solve(jac, -r)
-        except np.linalg.LinAlgError as exc:
-            raise NoConvergence(f"singular Newton system: {exc}", best_residual=best)
+            jac, inv = _inverted_chord(sys, dmat, X, V, lam, best)
+        step = -(inv @ r)
         norm0 = float(r @ r)
         alpha = 1.0
         accepted = None
@@ -234,19 +266,21 @@ def extremize(sys: LagrangianSystem, bvp: BoundaryValueProblem,
         if accepted is None:
             if refreshed:
                 raise NoConvergence("line search stalled", best_residual=best)
-            rebuild = refreshed = True  # stale chord Jacobian: rebuild once and retry
+            rebuild = refreshed = True  # stale chord: rebuild once and retry
             continue
         refreshed = False
         u = u + alpha * step
         r, X, V = accepted
-        best = min(best, float(np.max(np.abs(r))))
+        res = float(abs(r).max())
+        best = min(best, res)
         rebuild = alpha < 1.0
     else:
         raise NoConvergence(f"no convergence after {MAX_NEWTON_ITER} iterations",
                             best_residual=best)
-    if jac is None:  # the start was stationary: nearby problems still get a chord
-        jac = _assembled_jacobian(sys, dmat, X, V, lam)
-    return DiscretizedPath(lambdas=lam, points=X, velocities=V, jacobian=jac)
+    if inv is None:  # the start was stationary: nearby problems still get a chord
+        jac, inv = _inverted_chord(sys, dmat, X, V, lam, best)
+    return DiscretizedPath(lambdas=lam, points=X, velocities=V, jacobian=jac,
+                           chord_inverse=inv)
 
 
 def action_value(sys: LagrangianSystem, path: DiscretizedPath) -> float:
@@ -295,13 +329,13 @@ def endpoint_derivatives(sys: LagrangianSystem, bvp: BoundaryValueProblem,
 
     Central differences at steps fd_step and fd_step/2 combined by one
     Richardson extrapolation; each displaced problem is re-extremized to
-    tolerance, warm-started from the base extremal and its Jacobian.
+    tolerance, warm-started from the base extremal and its chord inverse.
     """
     base = extremize(sys, bvp)
     dim = bvp.x0.size
 
     def displaced(bvp_d, initial):
-        return action_value(sys, extremize(sys, bvp_d, initial=initial, jacobian=base.jacobian))
+        return action_value(sys, extremize(sys, bvp_d, initial=initial, chord=base))
 
     def slope_x(d, delta):
         e = np.zeros(dim)
@@ -339,19 +373,26 @@ def verify_hj_relations(sys: LagrangianSystem, bvps,
     Returns reports keyed 'momentum' (max |dS/dX_f - p_f| per problem),
     'energy' (|dS/dlambda_f + H_f|), and, when the system carries an
     analytic Hamiltonian, 'pde' (|dS/dlambda_f + H(X_f, dS/dX_f)|), each
-    sampled at the point (X_f..., lambda_f).
+    sampled at the point (X_f..., lambda_f).  A NoConvergence, or an
+    ArithmeticError (raised as NonFiniteResult), names the problem's point.
     """
     if isinstance(bvps, BoundaryValueProblem):
         bvps = [bvps]
     pts, vals_p, vals_h, vals_pde = [], [], [], []
     for bvp in bvps:
-        der = endpoint_derivatives(sys, bvp, fd_step=fd_step)
+        where = f"endpoint problem at (X_f, lambda_f) = ({bvp.xf.tolist()}, {bvp.lambdaf!r})"
+        try:
+            der = endpoint_derivatives(sys, bvp, fd_step=fd_step)
+            vals_p.append(np.max(np.abs(der.dS_dXf - der.p_f)))
+            vals_h.append(abs(der.dS_dlambdaf + der.H_f))
+            if sys.hamiltonian is not None:
+                vals_pde.append(abs(der.dS_dlambdaf
+                                    + float(sys.hamiltonian(bvp.xf, der.dS_dXf))))
+        except NoConvergence as exc:
+            raise NoConvergence(f"{where}: {exc}", best_residual=exc.best_residual) from exc
+        except ArithmeticError as exc:
+            raise NonFiniteResult(f"{where}: {type(exc).__name__}: {exc}") from exc
         pts.append(np.concatenate([bvp.xf, [bvp.lambdaf]]))
-        vals_p.append(np.max(np.abs(der.dS_dXf - der.p_f)))
-        vals_h.append(abs(der.dS_dlambdaf + der.H_f))
-        if sys.hamiltonian is not None:
-            vals_pde.append(abs(der.dS_dlambdaf
-                                + float(sys.hamiltonian(bvp.xf, der.dS_dXf))))
     out = {
         "momentum": ResidualReport.from_samples("hj-endpoint-momentum", pts, vals_p),
         "energy": ResidualReport.from_samples("hj-endpoint-energy", pts, vals_h),

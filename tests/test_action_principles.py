@@ -12,7 +12,7 @@ from pilotwave.action_principles import (CENTRAL_STENCIL, FORWARD_STENCILS,
                                          euler_lagrange_residual, extremize,
                                          hermite_resample, stationarity_probe,
                                          verify_hj_relations)
-from pilotwave.errors import NoConvergence
+from pilotwave.errors import NoConvergence, NonFiniteResult
 from pilotwave.scenarios import build
 
 from oracles import _colored_jacobian
@@ -261,9 +261,10 @@ def test_hj_oscillator_grid_matches_closed_form():
 
 @pytest.mark.parametrize("name", ["harmonic-oscillator-hj", "free-particle-hj"])
 def test_endpoint_derivatives_reuse_one_jacobian(monkeypatch, name):
-    # counts, not times: 9 solves share one assembled Jacobian; measured
-    # Lagrangian calls are 35 (oscillator) and 31 (free particle)
-    counts = {"lagrangian": 0, "jacobian": 0, "extremize": 0}
+    # counts, not times: 9 solves share one assembled Jacobian and its one
+    # inverse, and no step refactors it; measured Lagrangian calls are 35
+    # (oscillator) and 31 (free particle)
+    counts = {"lagrangian": 0, "jacobian": 0, "extremize": 0, "inv": 0, "solve": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -276,7 +277,41 @@ def test_endpoint_derivatives_reuse_one_jacobian(monkeypatch, name):
                                  lagrangian=counted("lagrangian", sc.system.lagrangian))
     monkeypatch.setattr(ap, "_assembled_jacobian", counted("jacobian", ap._assembled_jacobian))
     monkeypatch.setattr(ap, "extremize", counted("extremize", ap.extremize))
+    monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
+    monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
     endpoint_derivatives(system, sc.bvp)
     assert counts["extremize"] == 9
     assert counts["jacobian"] <= 1
+    assert counts["inv"] <= 1
+    assert counts["solve"] == 0
     assert counts["lagrangian"] <= 40
+
+
+def test_verify_hj_relations_names_the_failing_problem():
+    # omega T = pi with incompatible endpoints: the second problem has no extremal
+    bvps = [BoundaryValueProblem(x0=[0.0], xf=[1.0], lambda0=0.0, lambdaf=lf)
+            for lf in (1.5, np.pi)]
+    with pytest.raises(NoConvergence) as info:
+        verify_hj_relations(ho_system(), bvps)
+    assert str(info.value).startswith(
+        f"endpoint problem at (X_f, lambda_f) = ([1.0], {np.pi!r}): ")
+    assert info.value.best_residual > 0
+
+
+def test_verify_hj_relations_names_an_arithmetic_error():
+    def overflowing(X, V, lam):
+        return 0.5 * np.sum(V**2, axis=1) * np.exp(800.0 * X[:, 0])
+
+    sys = LagrangianSystem(dim=1, lagrangian=overflowing)
+    bvp = BoundaryValueProblem(x0=[0.0], xf=[1.0], lambda0=0.0, lambdaf=1.0)
+    with np.errstate(over="raise"), pytest.raises(NonFiniteResult) as info:
+        verify_hj_relations(sys, bvp)
+    assert str(info.value).startswith(
+        "endpoint problem at (X_f, lambda_f) = ([1.0], 1.0): FloatingPointError: ")
+
+
+def test_differentiation_matrix_returns_a_fresh_array():
+    d = differentiation_matrix(11, 0.1)
+    expect = d.copy()
+    d[:] = 7.0
+    assert np.array_equal(differentiation_matrix(11, 0.1), expect)

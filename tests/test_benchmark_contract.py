@@ -4,8 +4,8 @@ Each workload runs once, shrunk (small grids, one trajectory seed, a 2x2
 hj grid), under the benchmark's own tracer.  Every per-layer counter the
 benchmark requires for that workload must be nonzero, derive_nc must run
 the number of times per grid point that perfbench/selftest.py pins,
-integrate_adaptive the number of times per trajectory sample it pins, and
-tracing must leave every pilotwave binding as it found it.  The bounds the
+integrate_adaptive the number of times per trajectory sample it pins,
+extremize the number of times per endpoint problem it pins, and tracing must leave every pilotwave binding as it found it.  The bounds the
 benchmark re-checks its artifacts against are those of the CLI gate table
 and of the configs test.
 """
@@ -74,9 +74,10 @@ def test_traced_workload_keeps_the_benchmark_contract(tmp_path, name):
     if name == "nc-sweep":
         for counter, expected in selftest.STRUCTURAL[name].items():
             assert metrics[counter] == expected, counter
-    if name == "worldlines":
-        # one integrate_adaptive call per output interval: the pin scales
-        # with the samples the shrunk run keeps (102 of 306)
+    if name in ("worldlines", "hj-endpoint"):
+        # one integrate_adaptive call per output interval, and 9 extremize
+        # calls per endpoint problem: the pin scales with the samples or
+        # problems the shrunk run keeps (102 of 306, 4 of 100)
         for counter, expected in selftest.STRUCTURAL[name].items():
             assert metrics[counter] == expected * workload.units / full.units, counter
 

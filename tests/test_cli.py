@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import re
 import subprocess
@@ -228,6 +229,19 @@ def test_hj_verify_small_grid(tmp_path):
     assert main(["hj-verify", "--config", cfg, "--out", out]) == 0
     with open(os.path.join(out, "report_hj-endpoint-momentum.json")) as handle:
         assert json.load(handle)["max_abs"] < 5e-5
+
+
+def test_hj_verify_names_the_failing_endpoint_problem(tmp_path, capsys):
+    # omega lambda_f = pi at the grid's lambda_f = 1.7: a conjugate point
+    cfg = write_config(tmp_path, {
+        "scenario": {"name": "harmonic-oscillator-hj", "params": {"omega": math.pi / 1.7}},
+        "grid": {"bounds": [[0.2, 1.1], [0.8, 1.7]], "samples": [2, 2]},
+    })
+    assert main(["hj-verify", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: endpoint problem at (X_f, lambda_f) = ([0.2], 1.7): ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert not os.path.exists(tmp_path / "out" / "manifest.json")
 
 
 def test_check_delegates_for_hj_scenarios(tmp_path):
