@@ -23,13 +23,13 @@ Hamilton-Jacobi relations:
     dS/dX_f = p(lambda_f),      dS/dlambda_f = -H(lambda_f),
 
 verified here by re-extremizing at displaced endpoints, with one Richardson
-extrapolation step on the central differences.  The displaced problems start
-from the base problem's chord inverse and each iterates to tolerance on its
-own.
+extrapolation step on the central differences.  Each displaced problem starts
+from the base extremal, moved onto its own grid and endpoint, and from the
+base problem's chord inverse, and iterates to tolerance on its own.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
 
@@ -95,14 +95,13 @@ class BoundaryValueProblem:
 class DiscretizedPath:
     """Uniformly sampled trajectory with nodal velocities.
 
-    ``jacobian`` is the chord Jacobian ``extremize`` last used, if any, and
-    ``chord_inverse`` its inverse, which is what the Newton steps apply.
+    ``chord_inverse`` is the inverse of the chord Jacobian ``extremize`` last
+    applied, if any; a nearby problem's solve can start from it.
     """
 
     lambdas: Array   # (n,)
     points: Array    # (n, dim)
     velocities: Array
-    jacobian: Array | None = field(default=None, compare=False, repr=False)
     chord_inverse: Array | None = field(default=None, compare=False, repr=False)
 
     @property
@@ -205,54 +204,55 @@ def _assembled_jacobian(sys, dmat, X, V, lam):
 
 
 def _inverted_chord(sys, dmat, X, V, lam, best):
-    """The assembled Jacobian at (X, V) and its inverse, shared by every chord step."""
+    """The inverse of the Jacobian assembled at (X, V), shared by every chord step."""
     jac = _assembled_jacobian(sys, dmat, X, V, lam)
     try:
-        return jac, np.linalg.inv(jac)
+        return np.linalg.inv(jac)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"singular Newton system: {exc}", best_residual=best)
 
 
 def extremize(sys: LagrangianSystem, bvp: BoundaryValueProblem,
-              initial: Array | None = None,
-              chord: DiscretizedPath | None = None) -> DiscretizedPath:
+              near: DiscretizedPath | None = None) -> DiscretizedPath:
     """Damped-Newton solve of the collocated stationarity conditions.
 
-    ``initial`` may supply a full (n, dim) starting path (endpoints are
-    overwritten); the default is the straight line.  ``chord`` may supply
-    the solved path of a nearby problem on the same grid, whose chord
-    Jacobian and inverse start the iteration; by default the Jacobian is
-    assembled and inverted at the starting path.  The chord is kept while
-    full steps are accepted, and each step is its stored inverse times the
-    residual; it is rebuilt and inverted again at the current iterate after
-    a damped step, and once when the line search stalls.  The returned path
-    carries the chord last used (given or, if the start was already
-    stationary, assembled and inverted at the solution).  Raises
-    NoConvergence with the best residual reached when the iteration stalls
-    or a chord Jacobian is singular.
+    Without ``near`` the iteration starts from the straight line, with the
+    Jacobian assembled and inverted there.  ``near`` may be the solved path
+    of a nearby problem with the same node count: the start is then that
+    path interpolated onto this problem's grid plus the linear ramp that
+    moves its end onto ``bvp.xf``, with its chord inverse.  The chord is
+    kept while full steps are accepted, and each step is its stored inverse
+    times the residual; it is rebuilt and inverted again at the current
+    iterate after a damped step, and once when the line search stalls.  The
+    returned path carries the chord inverse last used (given or, if the
+    start was already stationary, assembled and inverted at the solution).
+    Raises NoConvergence with the best residual reached when the iteration
+    stalls or a chord Jacobian is singular.
     """
     lam = bvp.grid()
     n = lam.size
-    dim = bvp.x0.size
     dl = (bvp.lambdaf - bvp.lambda0) / bvp.intervals
     dmat = differentiation_matrix(n, dl)
-    if initial is None:
-        frac = (lam - bvp.lambda0) / (bvp.lambdaf - bvp.lambda0)
-        init_path = bvp.x0[None, :] + frac[:, None] * (bvp.xf - bvp.x0)[None, :]
+    frac = ((lam - bvp.lambda0) / (bvp.lambdaf - bvp.lambda0))[:, None]
+    if near is None:
+        start, inv = bvp.x0 + frac * (bvp.xf - bvp.x0), None
+    elif near.lambdas.size != n:
+        raise ValueError(f"near path has {near.lambdas.size} nodes, the problem {n}")
     else:
-        init_path = np.asarray(initial, dtype=float).reshape(n, dim)
-    u = init_path[1:-1].ravel().copy()
+        start = np.stack([np.interp(lam, near.lambdas, col) for col in near.points.T], axis=1)
+        start += frac * (bvp.xf - near.points[-1])
+        inv = near.chord_inverse
+    u = start[1:-1].ravel()
 
     r, X, V = _residual_from_interior(sys, bvp, dmat, lam, u)
     res = best = float(abs(r).max())
-    jac, inv = (None, None) if chord is None else (chord.jacobian, chord.chord_inverse)
     rebuild = inv is None
     refreshed = False
     for _ in range(MAX_NEWTON_ITER):
         if res < NEWTON_TOL:
             break
         if rebuild:
-            jac, inv = _inverted_chord(sys, dmat, X, V, lam, best)
+            inv = _inverted_chord(sys, dmat, X, V, lam, best)
         step = -(inv @ r)
         norm0 = float(r @ r)
         alpha = 1.0
@@ -278,9 +278,8 @@ def extremize(sys: LagrangianSystem, bvp: BoundaryValueProblem,
         raise NoConvergence(f"no convergence after {MAX_NEWTON_ITER} iterations",
                             best_residual=best)
     if inv is None:  # the start was stationary: nearby problems still get a chord
-        jac, inv = _inverted_chord(sys, dmat, X, V, lam, best)
-    return DiscretizedPath(lambdas=lam, points=X, velocities=V, jacobian=jac,
-                           chord_inverse=inv)
+        inv = _inverted_chord(sys, dmat, X, V, lam, best)
+    return DiscretizedPath(lambdas=lam, points=X, velocities=V, chord_inverse=inv)
 
 
 def action_value(sys: LagrangianSystem, path: DiscretizedPath) -> float:
@@ -303,15 +302,6 @@ def endpoint_state(sys: LagrangianSystem, path: DiscretizedPath):
     return p, float(p @ v[0] - sys.lagrangian(x, v, lam)[0])
 
 
-def _ramp_guess(base: DiscretizedPath, delta: Array) -> Array:
-    frac = (base.lambdas - base.lambdas[0]) / (base.lambdas[-1] - base.lambdas[0])
-    return base.points + frac[:, None] * delta[None, :]
-
-
-def _rescale_guess(base: DiscretizedPath, new_lam: Array) -> Array:
-    return np.stack([np.interp(new_lam, base.lambdas, col) for col in base.points.T], axis=1)
-
-
 @dataclass(frozen=True)
 class EndpointDerivatives:
     """Endpoint sensitivities of the extremal action at one boundary datum."""
@@ -327,42 +317,31 @@ def endpoint_derivatives(sys: LagrangianSystem, bvp: BoundaryValueProblem,
                          fd_step: float = 1e-4) -> EndpointDerivatives:
     """Finite-difference endpoint derivatives of the extremal action.
 
-    Central differences at steps fd_step and fd_step/2 combined by one
-    Richardson extrapolation; each displaced problem is re-extremized to
-    tolerance, warm-started from the base extremal and its chord inverse.
+    Along each endpoint coordinate (X_f..., lambda_f), central differences
+    at steps fd_step and fd_step/2 are combined by one Richardson
+    extrapolation; each displaced problem is re-extremized to tolerance,
+    warm-started from the base extremal (``extremize(..., near=base)``).
     """
     base = extremize(sys, bvp)
-    dim = bvp.x0.size
+    end = np.append(bvp.xf, bvp.lambdaf)
 
-    def displaced(bvp_d, initial):
-        return action_value(sys, extremize(sys, bvp_d, initial=initial, chord=base))
+    def action_at(axis, shift):
+        moved = end.copy()
+        moved[axis] += shift
+        moved_bvp = BoundaryValueProblem(bvp.x0, moved[:-1], bvp.lambda0, float(moved[-1]),
+                                         bvp.intervals)
+        return action_value(sys, extremize(sys, moved_bvp, near=base))
 
-    def slope_x(d, delta):
-        e = np.zeros(dim)
-        e[d] = delta
-        sp = displaced(replace(bvp, xf=bvp.xf + e), _ramp_guess(base, e))
-        sm = displaced(replace(bvp, xf=bvp.xf - e), _ramp_guess(base, -e))
-        return (sp - sm) / (2 * delta)
+    def slope(axis, delta):
+        return (action_at(axis, delta) - action_at(axis, -delta)) / (2 * delta)
 
-    ds_dx = np.empty(dim)
-    for d in range(dim):
-        coarse = slope_x(d, fd_step)
-        fine = slope_x(d, fd_step / 2)
-        ds_dx[d] = (4.0 * fine - coarse) / 3.0
+    def richardson(axis):
+        coarse = slope(axis, fd_step)
+        return (4.0 * slope(axis, fd_step / 2) - coarse) / 3.0
 
-    def slope_lam(delta):
-        bp = replace(bvp, lambdaf=bvp.lambdaf + delta)
-        bm = replace(bvp, lambdaf=bvp.lambdaf - delta)
-        sp = displaced(bp, _rescale_guess(base, bp.grid()))
-        sm = displaced(bm, _rescale_guess(base, bm.grid()))
-        return (sp - sm) / (2 * delta)
-
-    coarse = slope_lam(fd_step)
-    fine = slope_lam(fd_step / 2)
-    ds_dl = (4.0 * fine - coarse) / 3.0
-
+    ds = np.array([richardson(axis) for axis in range(end.size)])
     p_f, h_f = endpoint_state(sys, base)
-    return EndpointDerivatives(dS_dXf=ds_dx, p_f=p_f, dS_dlambdaf=float(ds_dl),
+    return EndpointDerivatives(dS_dXf=ds[:-1], p_f=p_f, dS_dlambdaf=float(ds[-1]),
                                H_f=h_f, action=action_value(sys, base))
 
 

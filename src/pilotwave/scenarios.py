@@ -12,7 +12,7 @@ import math
 import numbers
 import reprlib
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -380,29 +380,12 @@ def build_curved_diagonal(params) -> Scenario:
 # ---------------------------------------------------------------------------
 
 def build_flat_nc_plane_wave(params) -> Scenario:
+    """``nc-nontrivial-M`` at M = q = phi = 0: the free plane wave, E = k^2/(2m)."""
     p = _resolve(params, {"m": 1.0, "k": 0.7}, positive=("m",))
-    m = float(p["m"])
-    k = float(p["k"])
-    energy = k**2 / (2.0 * m)
-    nc = NCBackground.flat(dim=2, mass=m)
-    p_cov = np.array([-energy, k])
-    pf = _plane_wave_field(p_cov)
-    psi = _superposition_psi(np.array([1.0]), [p_cov])
-    return Scenario(
-        name="flat-nc-plane-wave", kind="newton-cartan", params=p,
-        background=nc, polar=pf, psi=psi,
-        oracle={"E": energy, "velocity": k / m},
-        default_grid=GridSpec(((0.0, 2.0), (-1.0, 1.0)), (5, 5)),
-        default_seeds=((0.0, 0.0),),
-        default_span=(0.0, 5.0),
-        trajectory_tolerance=1e-9,
-        checks=(
-            Check("nc-classical-hj", 1e-9),
-            Check("nc-quantum-hj", 1e-9),
-            Check("nc-continuity", 1e-9),
-            Check("nc-schrodinger", 1e-9),
-        ),
-    )
+    m, k = float(p["m"]), float(p["k"])
+    sc = build_nc_nontrivial_m({"m": m, "k": k, "M_t": 0.0})
+    return replace(sc, name="flat-nc-plane-wave", params=p,
+                   oracle={"E": sc.oracle["E"], "velocity": k / m})
 
 
 def build_flat_nc_gaussian_packet(params) -> Scenario:
@@ -502,8 +485,9 @@ def build_nc_nontrivial_m(params) -> Scenario:
 
     Exercises Phi = M_t + M_x^2/2 and vhat = v - h M; the plane-wave phase
     is placed on shell through the closed-form dispersion relation
-    E = q phi M_t + M_x kappa_x + (kappa_x^2 + 2 w^2 Phi)/(2 w) with
-    kappa_x = k + q phi M_x and w = m - q phi.
+    E = q phi M_t + M_x kappa_x + kappa_x^2/(2 w) + w Phi with
+    kappa_x = k + q phi M_x and w = m - q phi; w enters unsquared, so a
+    mass near the float limit does not overflow the build.
     """
     p = _resolve(params, {"m": 1.0, "q": 0.0, "phi": 0.0, "M_t": 0.3, "M_x": 0.0,
                           "k": 0.7}, positive=("m",))
@@ -514,7 +498,7 @@ def build_nc_nontrivial_m(params) -> Scenario:
                                m_field=[m_t, m_x], phi=phi, mass=m, charge=q)
     phi_pot = m_t + 0.5 * m_x**2
     kappa_x = k + q * phi * m_x
-    energy = q * phi * m_t + m_x * kappa_x + (kappa_x**2 + 2.0 * w**2 * phi_pot) / (2.0 * w)
+    energy = q * phi * m_t + m_x * kappa_x + kappa_x**2 / (2.0 * w) + w * phi_pot
     p_cov = np.array([-energy, k])
     pf = _plane_wave_field(p_cov)
     psi = _superposition_psi(np.array([1.0]), [p_cov])
@@ -544,7 +528,7 @@ def build_free_particle_hj(params) -> Scenario:
     m = float(p["m"])
     sys = LagrangianSystem(
         dim=1,
-        lagrangian=lambda X, V, lam: 0.5 * m * np.sum(V**2, axis=1),
+        lagrangian=lambda X, V, lam: 0.5 * m * (V * V).sum(axis=1),
         hamiltonian=lambda x, pp: float(np.sum(np.asarray(pp)**2) / (2.0 * m)),
         momentum=lambda x, v: m * np.asarray(v, dtype=float),
     )
@@ -570,8 +554,8 @@ def build_harmonic_oscillator_hj(params) -> Scenario:
     omega = float(p["omega"])
     sys = LagrangianSystem(
         dim=1,
-        lagrangian=lambda X, V, lam: 0.5 * m * np.sum(V**2, axis=1)
-        - 0.5 * m * omega**2 * np.sum(X**2, axis=1),
+        lagrangian=lambda X, V, lam: 0.5 * m * (V * V).sum(axis=1)
+        - 0.5 * m * omega**2 * (X * X).sum(axis=1),
         hamiltonian=lambda x, pp: float(np.sum(np.asarray(pp)**2) / (2.0 * m)
                                         + 0.5 * m * omega**2 * np.sum(np.asarray(x)**2)),
         momentum=lambda x, v: m * np.asarray(v, dtype=float),

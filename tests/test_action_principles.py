@@ -262,9 +262,9 @@ def test_hj_oscillator_grid_matches_closed_form():
 @pytest.mark.parametrize("name", ["harmonic-oscillator-hj", "free-particle-hj"])
 def test_endpoint_derivatives_reuse_one_jacobian(monkeypatch, name):
     # counts, not times: 9 solves share one assembled Jacobian and its one
-    # inverse, and no step refactors it; measured Lagrangian calls are 35
-    # (oscillator) and 31 (free particle)
-    counts = {"lagrangian": 0, "jacobian": 0, "extremize": 0, "inv": 0, "solve": 0}
+    # inverse, no step refactors it, and each solve builds its grid once
+    counts = {"lagrangian": 0, "jacobian": 0, "extremize": 0, "inv": 0, "solve": 0,
+              "linspace": 0}
 
     def counted(key, fn):
         def wrapper(*args, **kwargs):
@@ -279,12 +279,39 @@ def test_endpoint_derivatives_reuse_one_jacobian(monkeypatch, name):
     monkeypatch.setattr(ap, "extremize", counted("extremize", ap.extremize))
     monkeypatch.setattr(np.linalg, "inv", counted("inv", np.linalg.inv))
     monkeypatch.setattr(np.linalg, "solve", counted("solve", np.linalg.solve))
+    monkeypatch.setattr(np, "linspace", counted("linspace", np.linspace))
     endpoint_derivatives(system, sc.bvp)
     assert counts["extremize"] == 9
-    assert counts["jacobian"] <= 1
-    assert counts["inv"] <= 1
+    assert counts["jacobian"] == 1
+    assert counts["inv"] == 1
     assert counts["solve"] == 0
-    assert counts["lagrangian"] <= 40
+    assert counts["linspace"] == 9
+    assert counts["lagrangian"] == {"harmonic-oscillator-hj": 35, "free-particle-hj": 31}[name]
+
+
+@pytest.mark.parametrize("shift", [{"xf": [1.0 + 1e-4]}, {"lambdaf": 1.5 - 1e-4}])
+def test_near_start_reaches_the_cold_solution(monkeypatch, shift):
+    # a displaced endpoint problem solved from the base extremal and its chord
+    # inverse lands on the path a cold solve from the straight line finds
+    sc = build("harmonic-oscillator-hj")
+    base = extremize(sc.system, sc.bvp)
+    moved = dataclasses.replace(sc.bvp, **shift)
+    cold = extremize(sc.system, moved)
+    # measured gaps: 6.8e-12 (X_f shift) and 2.4e-13 (lambda_f shift)
+    assembled, real = [], ap._assembled_jacobian
+    monkeypatch.setattr(ap, "_assembled_jacobian", lambda *args: assembled.append(1) or real(*args))
+    warm = extremize(sc.system, moved, near=base)
+    assert assembled == []
+    assert warm.chord_inverse is base.chord_inverse
+    assert np.array_equal(warm.lambdas, cold.lambdas)
+    assert np.max(np.abs(warm.points - cold.points)) <= 1e-9
+
+
+def test_near_path_must_share_the_node_count():
+    sc = build("harmonic-oscillator-hj")
+    base = extremize(sc.system, sc.bvp)
+    with pytest.raises(ValueError):
+        extremize(sc.system, dataclasses.replace(sc.bvp, intervals=32), near=base)
 
 
 def test_verify_hj_relations_names_the_failing_problem():

@@ -333,13 +333,15 @@ PLANE = "flat-nc-plane-wave"
 
 
 def test_engine_overflow_exits_1_without_traceback(tmp_path, capsys):
-    # w**2 overflows a Python float in the Newton-Cartan HJ expression
-    cfg = write_config(tmp_path, {"scenario": {"name": PLANE, "params": {"m": 1.5e154}}})
-    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ")
-    assert "Traceback" not in err
-    assert not os.path.exists(tmp_path / "out" / "manifest.json")
+    # w**2 overflows in the Newton-Cartan HJ expression, not in the build,
+    # which computes E without squaring w
+    for name in (PLANE, "nc-nontrivial-M"):
+        cfg = write_config(tmp_path, {"scenario": {"name": name, "params": {"m": 1.5e154}}})
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / name)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "Traceback" not in err
+        assert not os.path.exists(tmp_path / name / "manifest.json")
 
 
 @pytest.mark.parametrize("command, doc, status, prefix", [
