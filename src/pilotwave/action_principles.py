@@ -161,15 +161,6 @@ def _nodal_partials(sys: LagrangianSystem, X, V, lam):
     return grad[..., :dim], grad[..., dim:]
 
 
-def euler_lagrange_residual(sys: LagrangianSystem, path: DiscretizedPath) -> Array:
-    """Collocated stationarity residual at the interior nodes, (n-2, dim)."""
-    n = path.lambdas.size
-    dl = (path.lambdas[-1] - path.lambdas[0]) / (n - 1)
-    dmat = differentiation_matrix(n, dl)
-    lx, lv = _nodal_partials(sys, path.points, path.velocities, path.lambdas)
-    return (lx - dmat @ lv)[1:-1]
-
-
 def _residual_from_interior(sys, bvp, dmat, lam, interior):
     n = lam.size
     dim = bvp.x0.size
@@ -379,58 +370,3 @@ def verify_hj_relations(sys: LagrangianSystem, bvps,
     if vals_pde:
         out["pde"] = ResidualReport.from_samples("hj-pde", pts, vals_pde)
     return out
-
-
-def hermite_resample(path: DiscretizedPath, refine: int) -> DiscretizedPath:
-    """Piecewise cubic Hermite refinement of a path (nodes plus velocities)."""
-    lam = path.lambdas
-    n = lam.size
-    new_lam = np.linspace(lam[0], lam[-1], (n - 1) * refine + 1)
-    dl = lam[1] - lam[0]
-    idx = np.minimum(((new_lam - lam[0]) / dl).astype(int), n - 2)
-    t = ((new_lam - lam[idx]) / dl)[:, None]
-    p0, p1 = path.points[idx], path.points[idx + 1]
-    v0, v1 = path.velocities[idx] * dl, path.velocities[idx + 1] * dl
-    h00 = 2 * t**3 - 3 * t**2 + 1
-    h10 = t**3 - 2 * t**2 + t
-    h01 = -2 * t**3 + 3 * t**2
-    h11 = t**3 - t**2
-    pts = h00 * p0 + h10 * v0 + h01 * p1 + h11 * v1
-    vel = (6 * t**2 - 6 * t) / dl * p0 + (3 * t**2 - 4 * t + 1) * v0 / dl \
-        + (6 * t - 6 * t**2) / dl * p1 + (3 * t**2 - 2 * t) * v1 / dl
-    return DiscretizedPath(lambdas=new_lam, points=pts, velocities=vel)
-
-
-def stationarity_probe(sys: LagrangianSystem, path: DiscretizedPath,
-                       directions: int = 5) -> float:
-    """Largest |directional derivative| of the action at the path.
-
-    Directions are smooth low-order Fourier modes vanishing at the
-    endpoints, drawn from a generator of seed 0 and stepped by 1e-4; the
-    action is evaluated on an 8-times Hermite-refined grid so the probe
-    sees the functional rather than quadrature-node noise.
-    """
-    eps = 1e-4
-    rng = np.random.default_rng(0)
-    dense = hermite_resample(path, 8)
-    frac = (dense.lambdas - dense.lambdas[0]) / (dense.lambdas[-1] - dense.lambdas[0])
-    span = dense.lambdas[-1] - dense.lambdas[0]
-    worst = 0.0
-    for _ in range(directions):
-        coeffs = rng.normal(size=(3, path.points.shape[1]))
-        xi = np.zeros_like(dense.points)
-        dxi = np.zeros_like(dense.points)
-        for k in range(3):
-            phase = (k + 1) * np.pi * frac
-            xi += coeffs[k] * np.sin(phase)[:, None]
-            dxi += coeffs[k] * ((k + 1) * np.pi / span) * np.cos(phase)[:, None]
-        norm = np.max(np.abs(xi))
-        xi /= norm
-        dxi /= norm
-        plus = DiscretizedPath(dense.lambdas, dense.points + eps * xi,
-                               dense.velocities + eps * dxi)
-        minus = DiscretizedPath(dense.lambdas, dense.points - eps * xi,
-                                dense.velocities - eps * dxi)
-        slope = (action_value(sys, plus) - action_value(sys, minus)) / (2 * eps)
-        worst = max(worst, abs(slope))
-    return worst

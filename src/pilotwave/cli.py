@@ -25,14 +25,15 @@ import json
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from . import scenarios as scen
 from .dynamics import GuidanceField, integrate_trajectory
 from .errors import ConfigError, NonFiniteResult, PilotwaveError
+from .geometry import BackgroundRel, MetricData, evaluate_named, metric_data
 from .nc_geometry import (NCBackground, ehat_identity_residual,
                           frame_identity_residuals, null_lift_residuals,
                           random_frame_background)
@@ -163,16 +164,19 @@ def _worker_check(args):
     return list(map(float, rep.values))
 
 
-def _evaluate_check(sc: Scenario, check_name: str, points, jobs: int) -> ResidualReport:
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if jobs <= 1 or pts.shape[0] < 4 * jobs:
-        return sc.run_check(check_name, pts)
-    chunks = np.array_split(np.arange(pts.shape[0]), jobs)
-    payload = [(sc.name, sc.params, check_name, pts[idx].tolist()) for idx in chunks]
+def _evaluate_check(sc: Scenario, check_name: str, grid, jobs: int) -> ResidualReport:
+    """One check over a grid's points (K, D), split over ``jobs`` worker processes,
+    or over a Lorentzian grid's bundle, which is evaluated in this process."""
+    if jobs <= 1 or isinstance(grid, MetricData) or grid.shape[0] < 4 * jobs:
+        return sc.run_check(check_name, grid)
+    from concurrent.futures import ProcessPoolExecutor
+
+    chunks = np.array_split(np.arange(grid.shape[0]), jobs)
+    payload = [(sc.name, sc.params, check_name, grid[idx].tolist()) for idx in chunks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         results = list(pool.map(_worker_check, payload))
     values = [v for chunk in results for v in chunk]
-    return ResidualReport.from_samples(check_name, pts, values)
+    return ResidualReport.from_samples(check_name, grid, values)
 
 
 def _grid_points(sc: Scenario, cfg: RunConfig):
@@ -185,14 +189,22 @@ def _grid_points(sc: Scenario, cfg: RunConfig):
     return grid.points()
 
 
+def _grid_geometry(sc: Scenario, pts):
+    """What the checks of a grid read: the one MetricData bundle of a Lorentzian
+    grid, shared by every check, or else the points."""
+    if not isinstance(sc.background, BackgroundRel):
+        return pts
+    return evaluate_named("geometry bundle", partial(metric_data, sc.background), pts)
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each renders its artifacts into, and gates them through, one Run
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Run:
-    """One command's settings (format, tolerance scale, worker processes) and
-    results (filename -> text, one line per failed gate)."""
+    """One command's settings (format, tolerance scale, worker processes for
+    Newton-Cartan checks) and results (filename -> text, one line per failed gate)."""
 
     fmt: str
     scale: float
@@ -227,9 +239,10 @@ def _run_field_checks(sc, cfg, run, names=None):
     pts = _grid_points(sc, cfg)
     for name in names or ():
         scen.check_value("residuals", name, tuple(c.name for c in sc.checks))
+    grid = _grid_geometry(sc, pts)
     for check in sc.checks:
         if names is None or check.name in names:
-            run.gate(_evaluate_check(sc, check.name, pts, run.jobs), check)
+            run.gate(_evaluate_check(sc, check.name, grid, run.jobs), check)
 
 
 def _identity_values(nc, x) -> dict:
@@ -323,8 +336,8 @@ def cmd_superposition_demo(sc, cfg, run):
         raise ConfigError("scenario.name",
                           "superposition-demo needs a relativistic complex field")
     pts = _grid_points(sc, cfg)
-    linear = _evaluate_check(sc, "linear-wave", pts, run.jobs)
-    classical = _evaluate_check(sc, "classical-wave", pts, run.jobs)
+    grid = _grid_geometry(sc, pts)
+    linear, classical = sc.run_check("linear-wave", grid), sc.run_check("classical-wave", grid)
     linear_gate, classical_gate = COMMAND_GATES["linear-wave"], COMMAND_GATES["classical-wave"]
     linear_ok = run.gate(linear, linear_gate)
     classical_ok = run.gate(classical, classical_gate)
@@ -389,7 +402,8 @@ def run(command: str, cfg: RunConfig, out_dir: str | None = None,
     ``out_dir`` and ``fmt`` fall back to the config's own 'out'/'format'
     fields, whose defaults are 'out' and 'json'.  A numpy overflow, division
     by zero or invalid operation raises where it happens and ends as a
-    BadParameter while the scenario is built, a NonFiniteResult after.
+    BadParameter while the scenario is built, a NonFiniteResult after; in a
+    check or a grid's geometry bundle, one that names the first failing point.
     """
     if cfg.command is not None and cfg.command != command:
         raise ConfigError("command", f"config says '{cfg.command}', invoked '{command}'")
@@ -419,7 +433,8 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None,
                         help="output directory (default: config 'out' or ./out)")
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps, >= 1")
+    parser.add_argument("--jobs", type=int, default=1,
+                        help="worker processes for Newton-Cartan sweeps, >= 1")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--tolerance-scale", type=float, default=1.0,
                         help="positive tolerance relaxation factor for exploratory runs")

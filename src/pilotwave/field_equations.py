@@ -36,13 +36,17 @@ batch contract of ``geometry``: it reads each field closure once for the
 whole batch, and every kernel runs over the leading axis with the stacked
 products ``np.vecdot``/``np.matvec``/``np.vecmat`` and ``...`` einsum.  A
 point gives shape-() values.  Geometry arrives in one bundle per batch.
-Relativistic residuals read ``geometry.metric_data`` (g^{MN}, sqrt(-g) and
-their gradients from one read of the metric).  Newton-Cartan residuals read
-``derive_nc`` (the frame, its inverse, M, w = m - q phi and every derived
-object) and, for the divergences, ``derive_nc_partials``, through
-``nc_geometry._nc_frames``, which derives the frame one point at a time
-and stacks the rows.  A node check runs before the division it guards, and
-an error in a batch names the first failing point.
+A relativistic residual takes either the points or their
+``geometry.metric_data`` bundle (g^{MN}, sqrt(-g) and their gradients from
+one read of the metric), so every check of one grid reads one bundle; given
+points, it builds their bundle itself.  ``classical_hj_residual_rel`` needs
+no gradients and reads ``metric_inverse`` at the bundle's points.
+Newton-Cartan residuals read ``derive_nc`` (the frame, its inverse, M,
+w = m - q phi and every derived object) and, for the divergences,
+``derive_nc_partials``, through ``nc_geometry._nc_frames``, which derives
+the frame one point at a time and stacks the rows.  A node check runs
+before the division it guards, and an error in a batch names the first
+failing point.
 
 The ``*_printed`` variants reproduce equation forms that fail their own
 consistency checks (a factor slip in the relativistic quantum potential's
@@ -58,8 +62,8 @@ import numpy as np
 
 from .errors import FormMismatch
 from .fields import PSI_AT_NODE, ComplexField, PolarField, _outer, node_check
-from .geometry import (BackgroundRel, broadcast_read, check_points, metric_data, metric_inverse,
-                       raise_at_first)
+from .geometry import (BackgroundRel, MetricData, broadcast_read, check_points, metric_data,
+                       metric_inverse, raise_at_first)
 from .nc_geometry import NCBackground, _nc_frames
 
 Array = np.ndarray
@@ -128,8 +132,17 @@ def _mass_shell(ginv, k, mass):
 
 
 # ---------------------------------------------------------------------------
-# relativistic backgrounds: x is one point (D,) or a batch (K, D)
+# relativistic backgrounds: x is one point (D,), a batch (K, D) or the
+# MetricData bundle of either
 # ---------------------------------------------------------------------------
+
+def _bundle(bg: BackgroundRel, x) -> MetricData:
+    """x itself when it is a bundle of bg's dimension, else the bundle of the points x."""
+    if not isinstance(x, MetricData):
+        return metric_data(bg, x)
+    check_points(x.pt, bg.dim)
+    return x
+
 
 def momentum_covector(bg: BackgroundRel, f: PolarField, x) -> Array:
     """k_M = d_M S - q A_M."""
@@ -144,20 +157,21 @@ def hj_expression(bg: BackgroundRel, x, k):
 
 
 def classical_hj_residual_rel(bg: BackgroundRel, f: PolarField, x):
-    """(dS - qA) g^{-1} (dS - qA) + m^2 at x."""
-    return hj_expression(bg, x, momentum_covector(bg, f, x))
+    """(dS - qA) g^{-1} (dS - qA) + m^2 at x, read from metric_inverse at its points."""
+    pt = x.pt if isinstance(x, MetricData) else x
+    return hj_expression(bg, pt, momentum_covector(bg, f, pt))
 
 
 def ensemble_current(bg: BackgroundRel, f: PolarField, x) -> Array:
     """J^M = rho sqrt(-g) g^{MN}(d_N S - q A_N)."""
-    md = metric_data(bg, x)
+    md = _bundle(bg, x)
     return (_col(broadcast_read(f.rho, md.pt) * md.vol)
             * np.matvec(md.ginv, momentum_covector(bg, f, md.pt)))
 
 
 def continuity_residual_rel(bg: BackgroundRel, f: PolarField, x):
     """d_M [sqrt(-g) g^{MN} rho (d_N S - q A_N)]."""
-    md = metric_data(bg, x)
+    md = _bundle(bg, x)
     pt = md.pt
     k = momentum_covector(bg, f, pt)
     rho = broadcast_read(f.rho, pt)
@@ -173,7 +187,7 @@ def quantum_potential_rel(bg: BackgroundRel, f: PolarField, x):
     Q = -(1/4 rho^2) g drho drho - (1/sqrt(-g)) d[sqrt(-g) g drho/(2 rho)],
     which equals -box(sqrt rho)/sqrt(rho).  Vanishes for constant rho.
     """
-    md = metric_data(bg, x)
+    md = _bundle(bg, x)
     return _quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt)
 
 
@@ -183,13 +197,13 @@ def quantum_potential_rel_printed(bg: BackgroundRel, f: PolarField, x):
     Kept for comparison: it breaks the equivalence between the linear wave
     equation and the quantum HJ + continuity pair whenever drho != 0.
     """
-    md = metric_data(bg, x)
+    md = _bundle(bg, x)
     return _quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt, bracket_coeff=0.25)
 
 
 def quantum_hj_residual_rel(bg: BackgroundRel, f: PolarField, x):
     """(dS - qA) g^{-1} (dS - qA) + m^2 + Q, from one read of the geometry."""
-    md = metric_data(bg, x)
+    md = _bundle(bg, x)
     classical = _mass_shell(md.ginv, momentum_covector(bg, f, md.pt), bg.mass)
     return classical + _quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt)
 
@@ -197,7 +211,7 @@ def quantum_hj_residual_rel(bg: BackgroundRel, f: PolarField, x):
 def _rel_wave_data(bg, cf, x):
     """The checked points, the leading arguments of _gauged_laplacian (sqrt(-g),
     its gradient, g^{-1}, its gradient, A, q), then psi, d psi, D psi and d D psi."""
-    md = metric_data(bg, x)
+    md = _bundle(bg, x)
     a_cov = bg.gauge_at(md.pt)
     psi, dpsi, dcov, ddcov = _covariant_derivative_data(
         cf, md.pt, a_cov, bg.gauge_derivative_at(md.pt), bg.charge)

@@ -7,7 +7,9 @@ Signature convention is mostly-plus (-, +, ..., +); units are hbar = c = 1.
 
 ``metric_data(bg, x)`` is the geometry bundle every residual reads:
 g^{MN}, sqrt(-g) and their gradients, from one checked read of the metric.
-``metric_inverse`` and ``volume_element`` give the single objects.
+``metric_inverse`` and ``volume_element`` give the single objects.  A
+relativistic residual takes either the points or the bundle of those
+points, so the checks of one grid share one bundle.
 
 One batch contract runs through the package.  Every closure, here and in
 ``fields`` and ``nc_geometry``, takes one point (D,) or a batch (..., D) and
@@ -26,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import SignatureViolation, SingularMetric
+from .errors import NonFiniteResult, SignatureViolation, SingularMetric
 from .stencils import derivative_or_fd
 
 Array = np.ndarray
@@ -69,6 +71,26 @@ def raise_at_first(flags, pts, error, message: str, *values) -> None:
         point = np.reshape(pts, (-1, pts.shape[-1]))[i]
         found = (np.ravel(v)[i].item() for v in values)
         raise error(f"{message.format(*found)} at point {point.tolist()}")
+
+
+def evaluate_named(where: str, fn, x):
+    """fn(x) for a batch of points x (K, D) or their MetricData bundle.
+
+    An ArithmeticError becomes a NonFiniteResult that names ``where`` and the
+    first point at which fn, evaluated one row at a time, raises one too.
+    The rows are evaluated only on this error path.
+    """
+    try:
+        return fn(x)
+    except ArithmeticError as exc:
+        message = f"{where}: {type(exc).__name__}: {exc}"
+        for row in (x.pt if isinstance(x, MetricData) else x):
+            try:
+                fn(row[None])
+            except ArithmeticError:
+                message += f" at point {row.tolist()}"
+                break
+        raise NonFiniteResult(message) from exc
 
 
 def broadcast_read(fn, pts: Array, axes: int = 0, dtype=float) -> Array:

@@ -13,6 +13,7 @@ import numbers
 import reprlib
 import sys
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +21,7 @@ from . import field_equations as feq
 from .action_principles import BoundaryValueProblem, LagrangianSystem
 from .errors import BadParameter, ConfigError, UnknownScenario
 from .fields import ComplexField, PolarField, polar_field, polar_view
-from .geometry import BackgroundRel
+from .geometry import BackgroundRel, MetricData, evaluate_named
 from .nc_geometry import NCBackground
 from .report import GridSpec, ResidualReport
 from .stencils import hessian, jacobian
@@ -55,14 +56,23 @@ class Scenario:
     checks: tuple = ()
 
     def run_check(self, name: str, points) -> ResidualReport:
+        """The report of check ``name`` at points (K, D), or at the points of their
+        MetricData bundle, which a relativistic residual then reads in place of its own.
+
+        An ArithmeticError becomes a NonFiniteResult naming the report and the
+        first failing point (``geometry.evaluate_named``).
+        """
         try:
             fn_name, field_name = CHECK_EVALUATORS[name]
         except KeyError:
             raise UnknownScenario(f"no check named '{name}'")
+        if not isinstance(points, MetricData):
+            points = np.atleast_2d(np.asarray(points, dtype=float))
         # looked up at call time, so a rebound field_equations function is used
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        values = getattr(feq, fn_name)(self.background, getattr(self, field_name), pts)
-        return ResidualReport.from_samples(name, pts, values)
+        residual = partial(getattr(feq, fn_name), self.background, getattr(self, field_name))
+        values = evaluate_named(f"report '{name}'", residual, points)
+        return ResidualReport.from_samples(
+            name, points.pt if isinstance(points, MetricData) else points, values)
 
 
 # check name -> (field_equations residual, scenario field it is evaluated on)

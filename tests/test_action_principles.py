@@ -8,14 +8,13 @@ from pilotwave.action_principles import (CENTRAL_STENCIL, FORWARD_STENCILS,
                                          BoundaryValueProblem, DiscretizedPath,
                                          LagrangianSystem, action_value,
                                          differentiation_matrix,
-                                         endpoint_derivatives,
-                                         euler_lagrange_residual, extremize,
-                                         hermite_resample, stationarity_probe,
+                                         endpoint_derivatives, extremize,
                                          verify_hj_relations)
 from pilotwave.errors import NoConvergence, NonFiniteResult
 from pilotwave.scenarios import build
 
-from oracles import _colored_jacobian
+from oracles import (_colored_jacobian, euler_lagrange_residual, hermite_resample,
+                     stationarity_probe)
 
 
 def free_system(m=1.0):

@@ -7,7 +7,9 @@ must reproduce its point calls to 1e-13 max(1, |v|), a single point gives
 shape-() values, a bad row must raise the point call's error naming that
 row's point, and a check must read the geometry, call each identity and
 read each field closure the same number of times whatever the size of its
-grid.
+grid.  A relativistic residual given the MetricData bundle of its points
+returns exactly its value at the points, and a Lorentzian grid's checks
+share one bundle.
 """
 import dataclasses
 import itertools
@@ -149,6 +151,26 @@ def test_batch_equals_point_calls(case):
     _assert_batch_equals_points(bg, fields, pts)
     # a batch of K = D rows: a closure that sums w @ x over the rows keeps its shape
     _assert_batch_equals_points(bg, fields, pts[:bg.dim])
+
+
+# the relativistic residuals that take the MetricData bundle of their points in their place
+BUNDLE_RESIDUALS = [name for name in REL_RESIDUALS if name != "momentum_covector"]
+
+
+@pytest.mark.parametrize("case", ["wavy-2", "wavy-3", "minkowski-plane-wave",
+                                  "minkowski-superposition", "curved-diagonal"])
+def test_a_bundle_stands_for_its_points(case):
+    bg, fields, pts = CASES[case]()
+    bundle = metric_data(bg, pts)
+    other_dim = 3 if bg.dim == 2 else 2
+    other = metric_data(make_wavy_rel(dim=other_dim), np.zeros((2, other_dim)))
+    for name in BUNDLE_RESIDUALS:
+        fn, field = getattr(feq, name), fields[REL_RESIDUALS[name][0]]
+        if field is None:
+            continue
+        assert np.array_equal(fn(bg, field, bundle), fn(bg, field, pts)), name
+        with pytest.raises(ValueError, match="dimension"):
+            fn(bg, field, other)
 
 
 def test_one_point_keeps_its_types_and_shapes():
@@ -353,6 +375,22 @@ CLI_FAILURES = {
     "non-finite": ({"scenario": {"name": "curved-diagonal"},
                     "grid": {"bounds": [[0.0, 1.0], [-1.7e308, 1.7e308]], "samples": [2, 3]}},
                    1, r"^error: check on 'curved-diagonal': FloatingPointError: overflow"),
+    # W' = sqrt(E^2 - m^2 (1 + a x)) is not real beyond x = 8.8; the first row past it
+    "invalid-in-a-check": ({"scenario": {"name": "curved-diagonal"},
+                            "grid": {"bounds": [[0, 5], [-2, 30]], "samples": [4, 4]}},
+                           1, r"^error: report 'classical-hj': FloatingPointError: invalid value "
+                              r"encountered in sqrt at point \[0\.0, 19\.333333333333332\]$"),
+    # det g = -(1 + a x)^2 overflows in the bundle the grid's checks share
+    "overflow-in-the-bundle": ({"scenario": {"name": "curved-diagonal"},
+                                "grid": {"bounds": [[0.0, 1.0], [-1e200, -1e199]],
+                                         "samples": [2, 3]}},
+                               1, r"^error: geometry bundle: FloatingPointError: overflow "
+                                  r"encountered in det at point \[0\.0, -1e\+200\]$"),
+    "nc-invalid-in-a-check": ({"scenario": {"name": "flat-nc-gaussian-packet",
+                                            "params": {"sigma0": 1e-160}},
+                               "grid": {"bounds": [[0, 1], [-1, 1]], "samples": [2, 3]}},
+                              1, r"^error: report 'nc-quantum-hj': FloatingPointError: invalid "
+                                 r"value encountered in multiply at point \[0\.0, -1\.0\]$"),
     # the packet's density underflows the node threshold far from its centre
     "nc-node": ({"scenario": {"name": "flat-nc-gaussian-packet"},
                  "grid": {"bounds": [[0.0, 1.0], [-10.0, 10.0]], "samples": [2, 3]}},
@@ -390,7 +428,7 @@ def test_bad_row_through_the_cli(tmp_path, capsys, monkeypatch, case):
 
 
 # ---------------------------------------------------------------------------
-# one geometry read per check, and as many field closure reads, whatever the grid
+# one geometry bundle per grid, and as many field closure reads, whatever the grid
 # ---------------------------------------------------------------------------
 
 FIELD_CLOSURES = {POLAR: ("rho", "S", "drho", "d2rho", "dS", "d2S"),
@@ -424,9 +462,9 @@ def _counted_check(monkeypatch, tmp_path, name, samples, functions):
         return dataclasses.replace(sc, **fields)
 
     monkeypatch.setitem(scen.REGISTRY, name, counted_build)
+    bounds = build(name).default_grid.bounds
     doc = {"scenario": {"name": name},
-           "grid": {"bounds": [list(b) for b in build(name).default_grid.bounds],
-                    "samples": [samples, samples]}}
+           "grid": {"bounds": [list(b) for b in bounds], "samples": [samples] * len(bounds)}}
     status = cli.run("check", cli.RunConfig.from_dict(doc), out_dir=str(tmp_path / str(samples)))
     assert status == 0
     monkeypatch.undo()
@@ -437,11 +475,14 @@ def test_the_grid_is_not_split_into_points(monkeypatch, tmp_path):
     import pilotwave.geometry as geo
 
     geometry = {"metric_data": geo.metric_data, "metric_inverse": geo.metric_inverse}
-    small, large = (_counted_check(monkeypatch, tmp_path, "curved-diagonal", n, geometry)
-                    for n in (4, 8))
-    assert small == large
-    assert small["metric_data"] + small["metric_inverse"] <= len(build("curved-diagonal").checks)
-    assert small["polar.rho"] > 0
+    for name in ("curved-diagonal", "minkowski-superposition"):
+        small, large = (_counted_check(monkeypatch, tmp_path, name, n, geometry)
+                        for n in (4, 8))
+        # one bundle per grid, shared by every check; classical-hj reads metric_inverse
+        assert small == large and small["metric_data"] == 1
+        checks = [c.name for c in build(name).checks]
+        assert small["metric_inverse"] == checks.count("classical-hj")
+        assert small["polar.rho"] + small["psi.psi"] > 0
 
     counted = {name: getattr(ncg, name) for name in ("derive_nc", *NC_IDENTITIES)}
     small, large = (_counted_check(monkeypatch, tmp_path, "flat-nc-gaussian-packet", n, counted)

@@ -286,6 +286,55 @@ def test_parallel_jobs_match_serial(tmp_path):
         assert fa.read() == fb.read()
 
 
+def _files(out_dir):
+    return {name: (Path(out_dir) / name).read_bytes() for name in os.listdir(out_dir)}
+
+
+def test_jobs_split_only_newton_cartan_checks(tmp_path, monkeypatch):
+    import concurrent.futures
+
+    pool_class, pools = concurrent.futures.ProcessPoolExecutor, []
+
+    def counted_pool(max_workers):
+        pools.append(max_workers)
+        return pool_class(max_workers)
+
+    packet = "flat-nc-gaussian-packet"
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
+    grids = {"curved-diagonal": {"bounds": [[0, 5], [-2.4, 2.4]], "samples": [6, 8]},
+             packet: {"bounds": [[0, 5], [-3, 3]], "samples": [6, 6]}}
+    for name, grid in grids.items():
+        cfg = write_config(tmp_path, {"scenario": {"name": name}, "grid": grid})
+        serial, parallel = tmp_path / f"{name}-1", tmp_path / f"{name}-2"
+        assert main(["check", "--config", cfg, "--out", str(serial)]) == 0
+        assert main(["check", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == 0
+        assert _files(serial) == _files(parallel)
+    # the Lorentzian checks read their grid's one bundle here; the packet's three go to a pool
+    assert pools == [2] * len(build(packet).checks)
+
+
+def test_an_error_in_a_worker_names_its_point(tmp_path, capsys):
+    doc = {"scenario": {"name": "flat-nc-gaussian-packet", "params": {"sigma0": 1e-160}},
+           "grid": {"bounds": [[1, 2], [-1, 1]], "samples": [3, 3]}}
+    cfg = write_config(tmp_path, doc)
+    lines = []
+    for jobs in ("1", "2"):
+        assert main(["check", "--config", cfg, "--out", str(tmp_path / jobs), "--jobs", jobs]) == 1
+        lines.append(capsys.readouterr().err)
+    assert lines[0] == lines[1] == ("error: report 'nc-quantum-hj': FloatingPointError: invalid "
+                                    "value encountered in multiply at point [1.0, -1.0]\n")
+
+
+def test_importing_the_cli_starts_no_pool_machinery():
+    paths = [str(Path(pilotwave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    code = ("import sys, pilotwave.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
 def test_identical_configs_are_byte_identical(tmp_path):
     doc = {"scenario": {"name": "flat-nc-gaussian-packet"},
            "grid": {"bounds": [[0, 5], [-3, 3]], "samples": [6, 6]}}
