@@ -257,7 +257,8 @@ def _identity_values(nc, x) -> dict:
 def _gate_nc_identities(sc, cfg, run):
     """Frame, ehat and null-lift identity reports over the grid."""
     points = _grid_points(sc, cfg)
-    for name, values in _identity_values(sc.background, points).items():
+    identities = evaluate_named("identity gates", partial(_identity_values, sc.background), points)
+    for name, values in identities.items():
         run.gate(ResidualReport.from_samples(name, points, values), COMMAND_GATES[name])
 
 
@@ -288,8 +289,11 @@ def cmd_trajectories(sc, cfg, run):
     gf = GuidanceField(background=sc.background, field=sc.polar)
     worst = []
     for k, seed in enumerate(seeds):
-        traj = integrate_trajectory(gf, seed, span, steps=tcfg["steps"], rtol=tcfg["rtol"],
-                                    atol=tcfg["atol"])
+        try:
+            traj = integrate_trajectory(gf, seed, span, steps=tcfg["steps"], rtol=tcfg["rtol"],
+                                        atol=tcfg["atol"])
+        except NonFiniteResult as exc:
+            raise NonFiniteResult(f"trajectory {k} from {seed}: {exc}") from exc
         run.add(f"traj_{k}", traj)
         worst.append(float(np.max(np.abs(traj.constraint))))
     summary = ResidualReport.from_samples("trajectory-constraint", seeds, worst)

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (DegenerateVelocity, ImaginaryMass, MassSingular,
-                     NodeEncountered, TachyonicInput)
+                     NodeEncountered, NonFiniteResult, TachyonicInput)
 from .field_equations import (hj_expression, momentum_covector, nc_hj_expression,
                               nc_momentum_covector, nc_quantum_potential,
                               quantum_potential_rel)
@@ -58,12 +58,11 @@ def guidance_velocity_nc(nc: NCBackground, f: PolarField, x) -> Array:
     Proportional to w vhat^mu - h^{mu nu} k_nu; the normalization factor is
     -1/w, so Xdot = -vhat + h k / w.
     """
-    pt = check_point(x, nc.dim)
-    der = derive_nc(nc, pt)
+    der = derive_nc(nc, x)
     w = der.w
     if abs(w) <= MASS_FLOOR:
         raise MassSingular(f"effective mass m - q phi = {w:.3e} vanishes")
-    k = nc_momentum_covector(nc, f, pt)
+    k = nc_momentum_covector(nc, f, x)
     return -der.v_hat + der.h_up @ k / w
 
 
@@ -167,8 +166,9 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
     between the last sample above the node threshold and the first at or
     below it.  Raises NodeEncountered if the density falls to the node
     threshold, carrying the located lambda on ``lam`` and the samples
-    before the node on ``partial`` when there are at least two, and
-    StepFailure if error control cannot proceed.
+    before the node on ``partial`` when there are at least two,
+    StepFailure if error control cannot proceed, and NonFiniteResult, naming
+    the end of the last accepted step, for an ArithmeticError.
     """
     bg = gf.background
     x0 = check_point(x0, bg.dim)
@@ -183,6 +183,7 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
         return gf.velocity(y)
 
     gap = MAX_STEP_FRAC * (lf - l0)
+    reached = [l0]  # the end of the last accepted step
 
     def below(y) -> bool:
         return float(gf.field.rho(y)) <= EPS_NODE
@@ -198,6 +199,7 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
                     lo, hi = (lo, mid) if below(hermite(*step, [mid])[0]) else (mid, hi)
                 raise NodeEncountered(f"density hit node threshold at lambda={hi:.9g}",
                                       lam=float(hi))
+        reached[0] = t1
 
     lambdas = np.linspace(l0, lf, steps)
     samples = [x0]
@@ -211,6 +213,8 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
             done = len(samples)
             exc.partial = _assemble_trajectory(gf, lambdas[:done], np.array(samples))
         raise
+    except ArithmeticError as exc:
+        raise NonFiniteResult(f"{type(exc).__name__}: {exc} after lambda={reached[0]:.9g}") from exc
     return _assemble_trajectory(gf, lambdas, np.array(samples))
 
 

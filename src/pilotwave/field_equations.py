@@ -42,11 +42,11 @@ one read of the metric), so every check of one grid reads one bundle; given
 points, it builds their bundle itself.  ``classical_hj_residual_rel`` needs
 no gradients and reads ``metric_inverse`` at the bundle's points.
 Newton-Cartan residuals read ``derive_nc`` (the frame, its inverse, M,
-w = m - q phi and every derived object) and, for the divergences,
-``derive_nc_partials``, through ``nc_geometry._nc_frames``, which derives
-the frame one point at a time and stacks the rows.  A node check runs
-before the division it guards, and an error in a batch names the first
-failing point.
+w = m - q phi and every derived object) through ``nc_geometry._nc_frames``,
+which derives the frame one point at a time and stacks the rows, and, for
+the divergences, one stacked ``derive_nc_partials`` per batch.  A node
+check runs before the division it guards, and an error in a batch names the
+first failing point.
 
 The ``*_printed`` variants reproduce equation forms that fail their own
 consistency checks (a factor slip in the relativistic quantum potential's
@@ -64,7 +64,7 @@ from .errors import FormMismatch
 from .fields import PSI_AT_NODE, ComplexField, PolarField, _outer, node_check
 from .geometry import (BackgroundRel, MetricData, broadcast_read, check_points, metric_data,
                        metric_inverse, raise_at_first)
-from .nc_geometry import NCBackground, _nc_frames
+from .nc_geometry import NCBackground, _nc_frames, derive_nc_partials
 
 Array = np.ndarray
 
@@ -317,7 +317,7 @@ def nc_momentum_covector(nc: NCBackground, f: PolarField, x) -> Array:
 
 def _nc_hj_forms(nc: NCBackground, pt, k):
     """Both forms and the largest magnitude among the terms they are summed from."""
-    der, _ = _nc_frames(nc, pt)
+    der = _nc_frames(nc, pt)
     w = der.w
     terms = (2.0 * w * np.vecdot(der.v_hat, k), _bilinear(k, der.h_up, k),
              2.0 * w**2 * der.Phi)
@@ -362,7 +362,7 @@ def nc_classical_hj_residual(nc: NCBackground, f: PolarField, x) -> Array:
 def nc_quantum_potential(nc: NCBackground, f: PolarField, x) -> Array:
     """Q = (1/4 rho^2) h drho drho + (1/2e) d_mu[(1/rho) e h^{mu nu} d_nu rho]."""
     pt = check_points(x, nc.dim)
-    der, parts = _nc_frames(nc, pt, partials=True)
+    der, parts = _nc_frames(nc, pt), derive_nc_partials(nc, pt)
     return _quantum_potential(der.vol, parts["vol"], -der.h_up, -parts["h_up"], f, pt)
 
 
@@ -374,7 +374,7 @@ def nc_quantum_hj_residual(nc: NCBackground, f: PolarField, x) -> Array:
 def nc_continuity_residual(nc: NCBackground, f: PolarField, x) -> Array:
     """d_mu[e w rho vhat^mu] - d_mu[e h^{mu nu} rho k_nu]."""
     pt = check_points(x, nc.dim)
-    der, parts = _nc_frames(nc, pt, partials=True)
+    der, parts = _nc_frames(nc, pt), derive_nc_partials(nc, pt)
     rho = broadcast_read(f.rho, pt)
     drho = broadcast_read(f.drho, pt, 1)
     k = nc_momentum_covector(nc, f, pt)
@@ -396,7 +396,7 @@ def nc_schrodinger_residual(nc: NCBackground, cf: ComplexField, x) -> Array:
     curved data.  Linear in psi by construction.
     """
     pt = check_points(x, nc.dim)
-    der, parts = _nc_frames(nc, pt, partials=True)
+    der, parts = _nc_frames(nc, pt), derive_nc_partials(nc, pt)
     a_red = nc.reduced_gauge_at(pt)
     q = nc.charge
     psi, dpsi, dcov, ddcov = _covariant_derivative_data(cf, pt, a_red, parts["A"], q)
@@ -420,7 +420,7 @@ def nc_classical_action_density_polar(nc: NCBackground, f: PolarField, x) -> Arr
     e (2 w rho vhat.k - 2 Phi w^2 rho - rho h k k), i.e. e rho times the HJ
     expression."""
     pt = check_points(x, nc.dim)
-    der, _ = _nc_frames(nc, pt)
+    der = _nc_frames(nc, pt)
     k = nc_momentum_covector(nc, f, pt)
     return der.vol * broadcast_read(f.rho, pt) * nc_hj_expression(nc, pt, k)
 
@@ -435,7 +435,7 @@ def nc_classical_action_density_complex_printed(nc: NCBackground, cf: ComplexFie
     nc_classical_action_equivalence_report).
     """
     pt = check_points(x, nc.dim)
-    der, _ = _nc_frames(nc, pt)
+    der = _nc_frames(nc, pt)
     psi = broadcast_read(cf.psi, pt, 0, complex)
     node_check(np.abs(psi) ** 2, pt, PSI_AT_NODE)
     dpsi = broadcast_read(cf.dpsi, pt, 1, complex)

@@ -15,6 +15,11 @@ The null lift assembles the (D+1)-dimensional Lorentzian metric
 
 whose closed-form inverse has gamma^{uu} = 2 Phi, gamma^{u mu} = -vhat^mu
 and gamma^{mu nu} = h^{mu nu}.  The extra null coordinate u is ordered last.
+
+``derive_nc`` derives the frame at one point.  The other functions of a
+point take one point (D,) or a batch (K, D): ``_nc_frames`` stacks the
+frames of a batch, and the algebra on them, the frame partials included,
+runs once over the leading axis.
 """
 from __future__ import annotations
 
@@ -41,9 +46,10 @@ class NCBackground:
     (D, D-1); column a is e_mu^a.  Derivative closures follow the axis-0
     convention of the rest of the package, e.g. ``dtau(x)[mu, nu] =
     d_mu tau_nu``; central differences are used when they are omitted.
-    ``derive_nc`` and ``derive_nc_partials`` still read the frame one point
-    at a time; ``_nc_frames`` stacks their rows for a batch, and the
-    identity checks take one point or a batch through it.
+    ``derive_nc`` still derives the frame one point at a time, and
+    ``_nc_frames`` stacks its rows for a batch; ``data_derivatives_at`` reads
+    the derivatives once per batch, so ``derive_nc_partials`` and the
+    identity checks take one point or a batch.
     None of the data may depend on the null coordinate u by construction.
     """
 
@@ -103,11 +109,15 @@ class NCBackground:
                 - broadcast_read(self.phi, pts)[..., None] * broadcast_read(self.m_field, pts, 1))
 
     def data_derivatives_at(self, x):
-        """(dtau, dvierbein, dM, dAbar, dphi) with axis 0 the derivative index."""
-        pt = check_point(x, self.dim)
-        return tuple(derivative_or_fd(f, d, pt) for f, d in (
-            (self.tau, self.dtau), (self.vierbein, self.dvierbein), (self.m_field, self.dm_field),
-            (self.gauge_bar, self.dgauge_bar), (self.phi, self.dphi)))
+        """(dtau, dvierbein, dM, dAbar, dphi) at one point (D,) or a batch (K, D): the
+        batch axis first, then the derivative index, each closure read once."""
+        pts = check_points(x, self.dim)
+        d = self.dim
+        return tuple(np.broadcast_to(derivative_or_fd(f, df, pts), pts.shape[:-1] + shape)
+                     for f, df, shape in (
+            (self.tau, self.dtau, (d, d)), (self.vierbein, self.dvierbein, (d, d, d - 1)),
+            (self.m_field, self.dm_field, (d, d)), (self.gauge_bar, self.dgauge_bar, (d, d)),
+            (self.phi, self.dphi, (d,))))
 
 
 @dataclass(frozen=True)
@@ -150,85 +160,77 @@ def derive_nc(nc: NCBackground, x) -> NCDerived:
         raise DegenerateFrame(f"|det(tau, e)| = {abs(det):.3e} below {FRAME_DET_FLOOR:.0e} "
                               f"at point {pt.tolist()}")
     finv = np.linalg.inv(frame)
-    v = -finv[0, :]
-    e_inv = finv[1:, :]
-    vier = frame[:, 1:]
-    tau = frame[:, 0]
+    tau, vier, v, e_inv = frame[:, 0], frame[:, 1:], -finv[0], finv[1:]
     m = broadcast_read(nc.m_field, pt, 1)
     w = nc.mass - nc.charge * float(nc.phi(pt))
     h_up = e_inv.T @ e_inv
     h_down = vier @ vier.T
     hbar = h_down - tau[:, None] * m - m[:, None] * tau
     h_m = h_up @ m
-    v_hat = v - h_m
-    m_frame = e_inv @ m
-    e_hat = vier - tau[:, None] * m_frame
-    phi_pot = float(-v @ m + 0.5 * m @ h_m)
+    e_hat = vier - tau[:, None] * (e_inv @ m)
     return NCDerived(frame=frame, finv=finv, m=m, w=w, v=v, e_inv=e_inv, h_up=h_up,
-                     h_down=h_down, hbar_down=hbar, v_hat=v_hat, e_hat=e_hat, Phi=phi_pot,
-                     vol=float(det))
+                     h_down=h_down, hbar_down=hbar, v_hat=v - h_m, e_hat=e_hat,
+                     Phi=float((0.5 * h_m - v) @ m), vol=float(det))
 
 
 def derive_nc_partials(nc: NCBackground, x):
-    """Coordinate derivatives of the derived objects, axis 0 = d_mu.
+    """Coordinate derivatives of the derived objects at one point (D,) or a batch
+    (K, D): the batch axis first, then d_mu.
 
-    Uses d(F^{-1}) = -F^{-1} (dF) F^{-1} and d(det F) = det F tr(F^{-1} dF),
-    so analytic frame derivatives propagate exactly.
+    The frames come from ``_nc_frames``, one ``derive_nc`` per row; the data
+    derivatives are read once for the batch, and the algebra below runs once
+    over the leading axis.  Uses d(F^{-1}) = -F^{-1} (dF) F^{-1} and
+    d(det F) = det F tr(F^{-1} dF), so analytic frame derivatives propagate
+    exactly.
 
     Returns a dict with keys v, e_inv, h_up, h_down, hbar_down, v_hat, Phi,
     vol, w (the effective mass m - q phi) and A (the reduced gauge field
     Abar - phi M).
     """
-    pt = check_point(x, nc.dim)
-    der = derive_nc(nc, pt)
+    pt = check_points(x, nc.dim)
+    der = _nc_frames(nc, pt)
     finv, m, e_inv = der.finv, der.m, der.e_inv
-    tau, vier = der.frame[:, 0], der.frame[:, 1:]
+    tau, vier = der.frame[..., 0], der.frame[..., 1:]
     dtau, dvier, dm, dabar, dphi = nc.data_derivatives_at(pt)
-    d = nc.dim
 
-    dframe = np.empty((d, d, d))
-    dframe[:, :, 0] = dtau
-    dframe[:, :, 1:] = dvier
-    dfinv = -np.einsum("ab,mbc,cd->mad", finv, dframe, finv)
+    # every object without the derivative axis gains it, to broadcast over d_mu
+    dframe = np.concatenate([dtau[..., None], dvier], axis=-1)
+    finv_mu, m_mu = finv[..., None, :, :], m[..., None, :]
+    dfinv = -(finv_mu @ dframe @ finv_mu)
+    dv = -dfinv[..., 0, :]
+    de_inv = dfinv[..., 1:, :]
 
-    dv = -dfinv[:, 0, :]
-    de_inv = dfinv[:, 1:, :]
-
-    dh_up = (np.einsum("mac,ad->mcd", de_inv, e_inv)
-             + np.einsum("ac,mad->mcd", e_inv, de_inv))
-    dh_down = (np.einsum("mca,da->mcd", dvier, vier)
-               + np.einsum("ca,mda->mcd", vier, dvier))
-    dhbar = (dh_down
-             - np.einsum("mc,d->mcd", dtau, m) - np.einsum("c,md->mcd", tau, dm)
-             - np.einsum("mc,d->mcd", dm, tau) - np.einsum("c,md->mcd", m, dtau))
-    dv_hat = dv - np.einsum("mcd,d->mc", dh_up, m) - np.einsum("cd,md->mc", der.h_up, dm)
-    dPhi = (-np.einsum("mc,c->m", dv, m) - np.einsum("c,mc->m", der.v, dm)
-            + np.einsum("c,cd,md->m", m, der.h_up, dm)
-            + 0.5 * np.einsum("c,mcd,d->m", m, dh_up, m))
-    dvol = der.vol * np.einsum("ab,mba->m", finv, dframe)
-    dw = -nc.charge * dphi
-    da = dabar - np.outer(dphi, m) - float(nc.phi(pt)) * dm
+    dh_up = de_inv.mT @ e_inv[..., None, :, :]
+    dh_up = dh_up + dh_up.mT
+    dh_down = dvier @ vier.mT[..., None, :, :]
+    dh_down = dh_down + dh_down.mT
+    dtau_m = dtau[..., None] * m[..., None, None, :]
+    tau_dm = tau[..., None, :, None] * dm[..., None, :]
+    dhbar = dh_down - dtau_m - tau_dm - tau_dm.mT - dtau_m.mT
+    dv_hat = dv - np.matvec(dh_up, m_mu) - np.matvec(der.h_up[..., None, :, :], dm)
+    dPhi = (-np.matvec(dv, m) - np.matvec(dm, der.v) + np.matvec(dm, np.vecmat(m, der.h_up))
+            + 0.5 * np.vecdot(np.vecmat(m_mu, dh_up), m_mu))
+    dvol = der.vol[..., None] * np.einsum("...ab,...mba->...m", finv, dframe)
+    phi = broadcast_read(nc.phi, pt)
+    da = dabar - dphi[..., None] * m_mu - phi[..., None, None] * dm
     return {"v": dv, "e_inv": de_inv, "h_up": dh_up, "h_down": dh_down,
-            "hbar_down": dhbar, "v_hat": dv_hat, "Phi": dPhi, "vol": dvol, "w": dw, "A": da}
+            "hbar_down": dhbar, "v_hat": dv_hat, "Phi": dPhi, "vol": dvol,
+            "w": -nc.charge * dphi, "A": da}
 
 
-def _nc_frames(nc: NCBackground, pt, partials=False):
-    """``derive_nc`` at each point of pt, (D,) or (K, D), and with ``partials`` also
-    ``derive_nc_partials`` (else None): the one loop over rows of the Newton-Cartan half.
-    Each row fills preallocated arrays with the leading axes of pt, so one row's objects
-    are alive at a time (lists of every row's, stacked, cost a 2,500-point check 9 MB)."""
+def _nc_frames(nc: NCBackground, pt) -> NCDerived:
+    """``derive_nc`` at each point of pt, (D,) or (K, D), stacked: the one loop over rows
+    of the Newton-Cartan half.  Each row fills preallocated arrays with the leading axes
+    of pt, so one row's objects are alive at a time (lists of every row's, stacked, cost
+    a 2,500-point check 9 MB)."""
     rows = np.reshape(pt, (-1, nc.dim))
-    stacks = [{}, {}]
+    stack = {}
     for i, row in enumerate(rows):
-        parts = (vars(derive_nc(nc, row)), derive_nc_partials(nc, row) if partials else {})
-        for stack, values in zip(stacks, parts):
-            for key, value in values.items():
-                if i == 0:
-                    stack[key] = np.empty((len(rows),) + np.shape(value))
-                stack[key][i] = value
-    der, dparts = ({key: a.reshape(pt.shape[:-1] + a.shape[1:]) for key, a in stack.items()}
-                   for stack in stacks)
-    return NCDerived(**der), (dparts if partials else None)
+        for key, value in vars(derive_nc(nc, row)).items():
+            if i == 0:
+                stack[key] = np.empty((len(rows),) + np.shape(value))
+            stack[key][i] = value
+    return NCDerived(**{key: a.reshape(pt.shape[:-1] + a.shape[1:]) for key, a in stack.items()})
 
 
 def _max_abs(a, axes=1):
@@ -239,7 +241,7 @@ def _max_abs(a, axes=1):
 def null_lift(nc: NCBackground, x) -> NullLift:
     """Assemble the lifted metric, its closed-form inverse and the gauge lift."""
     pt = check_points(x, nc.dim)
-    der, _ = _nc_frames(nc, pt)
+    der = _nc_frames(nc, pt)
     d = nc.dim
     tau = der.frame[..., 0]
     gamma = np.zeros(pt.shape[:-1] + (d + 1, d + 1))
@@ -262,7 +264,7 @@ def null_lift(nc: NCBackground, x) -> NullLift:
 def frame_identity_residuals(nc: NCBackground, x) -> dict[str, Array]:
     """Max-norm defects of the defining frame relations at x."""
     pt = check_points(x, nc.dim)
-    der, _ = _nc_frames(nc, pt)
+    der = _nc_frames(nc, pt)
     tau, vier = der.frame[..., 0], der.frame[..., 1:]
     return {
         "v_dot_tau": np.abs(np.vecdot(der.v, tau) + 1.0),
@@ -276,7 +278,7 @@ def frame_identity_residuals(nc: NCBackground, x) -> dict[str, Array]:
 def ehat_identity_residual(nc: NCBackground, x) -> Array:
     """Defect of ehat.delta.ehat = hbar + 2 Phi tau tau at x."""
     pt = check_points(x, nc.dim)
-    der, _ = _nc_frames(nc, pt)
+    der = _nc_frames(nc, pt)
     tau = der.frame[..., 0]
     lhs = der.e_hat @ der.e_hat.mT
     rhs = der.hbar_down + 2.0 * der.Phi[..., None, None] * (tau[..., :, None] * tau[..., None, :])
@@ -292,7 +294,7 @@ def null_lift_residuals(nc: NCBackground, x) -> dict[str, Array]:
     """
     pt = check_points(x, nc.dim)
     lift = null_lift(nc, pt)
-    der, _ = _nc_frames(nc, pt)
+    der = _nc_frames(nc, pt)
     product = _max_abs(lift.gamma @ lift.gamma_inv - np.eye(nc.dim + 1), 2)
     inverse_gap = _max_abs(lift.gamma_inv - np.linalg.inv(lift.gamma), 2)
     det = np.linalg.det(lift.gamma)

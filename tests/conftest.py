@@ -141,6 +141,42 @@ def make_wavy_nc(dim=2, seed=7, mass=1.0, charge=0.4):
                         gauge_bar=gauge_bar, phi=phi, mass=mass, charge=charge)
 
 
+def wavy_nc_derivatives(dim=2, seed=7):
+    """Closed-form (dtau, dvierbein, dM, dAbar, dphi) of make_wavy_nc(dim, seed), the
+    derivative index first after the point axes: the derivatives it withholds."""
+    rng = np.random.default_rng(seed)
+    w1, w2, w3 = (rng.normal(size=dim) for _ in range(3))
+
+    def along(scale, w):
+        """scale (...,) times w: the gradient of a function of x.w, shape (..., D)."""
+        return scale[..., None] * w
+
+    def dtau(x):
+        out = np.zeros(x.shape[:-1] + (dim, dim))
+        out[..., 0] = along(0.1 * np.cos(np.vecdot(x, w1)), w1)
+        out[..., 1] = along(-0.05 * np.sin(np.vecdot(x, w2)), w2)
+        return out
+
+    def dvierbein(x):
+        out = np.zeros(x.shape[:-1] + (dim, dim, dim - 1))
+        for a in range(dim - 1):
+            out[..., 0, a] = along(0.06 * np.cos(np.vecdot(x, w2) + a), w2)
+            out[..., 1 + a, a] = along(-0.1 * np.sin(np.vecdot(x, w3) + a), w3)
+        return out
+
+    def dm_field(x):
+        return along(0.2 * np.cos(np.vecdot(x, w3)), w3)[..., None] * np.linspace(1.0, 0.5, dim)
+
+    def dgauge_bar(x):
+        return (along(-0.15 * np.sin(np.vecdot(x, w1)), w1)[..., None]
+                * np.linspace(0.5, 1.0, dim))
+
+    def dphi(x):
+        return along(0.1 * np.cos(np.vecdot(x, w2) + 0.3), w2)
+
+    return dtau, dvierbein, dm_field, dgauge_bar, dphi
+
+
 @pytest.fixture
 def wavy_rel():
     return make_wavy_rel()

@@ -1,15 +1,17 @@
 """One batch contract for both halves: a (K, D) call equals the K point calls.
 
 Every closure takes one point (D,) or a batch (..., D), and every public
-residual of the relativistic and the Newton-Cartan half, and every
-Newton-Cartan identity, takes one point (D,) or a batch (K, D).  A batch
+residual of the relativistic and the Newton-Cartan half, every
+Newton-Cartan identity and the Newton-Cartan frame partials take one point
+(D,) or a batch (K, D).  A batch
 must reproduce its point calls to 1e-13 max(1, |v|), a single point gives
 shape-() values, a bad row must raise the point call's error naming that
 row's point, and a check must read the geometry, call each identity and
 read each field closure the same number of times whatever the size of its
 grid.  A relativistic residual given the MetricData bundle of its points
 returns exactly its value at the points, and a Lorentzian grid's checks
-share one bundle.
+share one bundle; a Newton-Cartan grid's checks derive their frame partials
+once per residual that takes a divergence, whatever the size of the grid.
 """
 import dataclasses
 import itertools
@@ -32,7 +34,7 @@ from pilotwave.geometry import BackgroundRel, metric_data, metric_inverse, volum
 from pilotwave.nc_geometry import NCBackground
 from pilotwave.scenarios import CHECK_EVALUATORS, build
 from pilotwave.stencils import jacobian
-from conftest import make_wavy_nc, make_wavy_polar, make_wavy_rel
+from conftest import make_wavy_nc, make_wavy_polar, make_wavy_rel, wavy_nc_derivatives
 
 REL_TOL = 1e-13
 
@@ -218,6 +220,55 @@ def test_stacked_jacobian_is_second_order(dim):
         assert np.all(np.abs(errors[:-1] / errors[1:] - 4.0) < 0.05)
 
 
+# one point's shapes of derive_nc_partials (axis 0 = d_mu) and of data_derivatives_at, in D
+PARTIAL_SHAPES = {"v": lambda d: (d, d), "e_inv": lambda d: (d, d - 1, d),
+                  "h_up": lambda d: (d, d, d), "h_down": lambda d: (d, d, d),
+                  "hbar_down": lambda d: (d, d, d), "v_hat": lambda d: (d, d),
+                  "Phi": lambda d: (d,), "vol": lambda d: (d,), "w": lambda d: (d,),
+                  "A": lambda d: (d, d)}
+DATA_DERIVATIVE_SHAPES = (lambda d: (d, d), lambda d: (d, d, d - 1), lambda d: (d, d),
+                          lambda d: (d, d), lambda d: (d,))
+
+
+@pytest.mark.parametrize("case", ["nc-wavy-2", "nc-wavy-3", "flat-nc-plane-wave",
+                                  "flat-nc-gaussian-packet", "nc-nontrivial-M"])
+def test_partials_batch_equals_point_calls(case):
+    """The stacked partials and data derivatives of a batch equal their point calls,
+    with the finite-difference fallback (wavy) and with analytic closures (registry)."""
+    bg, _, pts = CASES[case]()
+    d = bg.dim
+    rows = np.unique(np.linspace(0, len(pts) - 1, min(len(pts), 100)).astype(int))
+    singles = [ncg.derive_nc_partials(bg, p) for p in pts[rows]]
+    batch = ncg.derive_nc_partials(bg, pts)
+    assert sorted(batch) == sorted(PARTIAL_SHAPES)
+    for key, shape in PARTIAL_SHAPES.items():
+        assert singles[0][key].shape == shape(d) and batch[key].shape == (len(pts),) + shape(d)
+        _assert_rows_match(batch[key][rows], [single[key] for single in singles])
+    singles = [bg.data_derivatives_at(p) for p in pts[rows]]
+    for j, (value, shape) in enumerate(zip(bg.data_derivatives_at(pts), DATA_DERIVATIVE_SHAPES)):
+        assert singles[0][j].shape == shape(d) and value.shape == (len(pts),) + shape(d)
+        _assert_rows_match(value[rows], [single[j] for single in singles])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_fd_fallback_is_second_order_on_wavy_nc(dim):
+    """make_wavy_nc has no derivative closures, so data_derivatives_at takes the stacked
+    central differences of ``jacobian``.  Against the closed forms, their error on a
+    (K, D) batch falls by 4 per halving of the step on every row, over three halvings:
+    a shift stacked onto the wrong row or axis would not."""
+    nc = make_wavy_nc(dim=dim)
+    exact = wavy_nc_derivatives(dim=dim)
+    pts = np.random.default_rng(dim).uniform(-0.8, 0.8, size=(7, dim))
+    closures = (nc.tau, nc.vierbein, nc.m_field, nc.gauge_bar, nc.phi)
+    steps = 1e-2 / 2.0 ** np.arange(4)
+    for f, df, fallback in zip(closures, exact, nc.data_derivatives_at(pts)):
+        assert np.array_equal(fallback, jacobian(f, pts))
+        assert np.max(np.abs(fallback - df(pts))) < 1e-9
+        errors = np.array([np.max(np.abs(jacobian(f, pts, h) - df(pts)).reshape(len(pts), -1),
+                                  axis=1) for h in steps])
+        assert np.all(np.abs(errors[:-1] / errors[1:] - 4.0) < 0.5), errors
+
+
 # ---------------------------------------------------------------------------
 # a bad row in a batch
 # ---------------------------------------------------------------------------
@@ -284,6 +335,14 @@ def _degenerate_frame():
                                tau=lambda x: np.where(_at_bad(x)[..., None], 0.0, [1.0, 0.0]))
 
 
+def _overflowing_frame():
+    """The flat frame, scaled by 1e200 at the bad point, where det(tau, e) overflows."""
+    flat = NCBackground.flat(2)
+    scale = lambda x: np.where(_at_bad(x), 1e200, 1.0)
+    return dataclasses.replace(flat, tau=lambda x: scale(x)[..., None] * flat.tau(x),
+                               vierbein=lambda x: scale(x)[..., None, None] * flat.vierbein(x))
+
+
 def _ill_conditioned_frame():
     """The flat frame with M = (0, 0.2), whose vierbein at the bad point is nearly tau:
     the frame passes its determinant floor, the lifted metric's closed-form inverse
@@ -311,7 +370,7 @@ def test_bad_frame_names_its_point():
         fn = getattr(feq, name)
         if name != "nc_momentum_covector":  # reads no frame
             _point_and_batch_raise(DegenerateFrame, lambda x, fn=fn: fn(nc, fields[field], x))
-    for name in NC_IDENTITIES:
+    for name in (*NC_IDENTITIES, "derive_nc_partials"):
         _point_and_batch_raise(DegenerateFrame, lambda x, fn=getattr(ncg, name): fn(nc, x))
     nc = _ill_conditioned_frame()
     for fn in (ncg.null_lift, ncg.null_lift_residuals):
@@ -400,6 +459,17 @@ CLI_FAILURES = {
                             1, r"^error: \|det\(tau, e\)\| = 0\.000e\+00 below 1e-12 " + BAD_AT),
     "nc-form-mismatch": ({"scenario": {"name": "flat-nc-plane-wave"}, "grid": BAD_GRID},
                          1, r"^error: HJ form mismatch: .* vs .* " + BAD_AT),
+    # W' is not real beyond x = 8.8, which the worldline from x = 8.7 reaches
+    "invalid-in-a-trajectory": ({"scenario": {"name": "curved-diagonal"},
+                                 "command": "trajectories",
+                                 "trajectories": {"seeds": [[0.0, 8.7]], "span": [0, 5]}},
+                                1, r"^error: trajectory 0 from \[0\.0, 8\.7\]: FloatingPointError: "
+                                   r"invalid value encountered in sqrt after lambda=[0-9.e+-]+$"),
+    # det(tau, e) = 1e400 overflows in the identity gates of reduce
+    "nc-overflow-in-the-identities": ({"scenario": {"name": "flat-nc-plane-wave"},
+                                       "command": "reduce", "grid": BAD_GRID},
+                                      1, r"^error: identity gates: FloatingPointError: overflow "
+                                         r"encountered in det " + BAD_AT),
     # the identity gates of reduce, on the degenerate frame
     "nc-degenerate-frame-reduce": ({"scenario": {"name": "flat-nc-plane-wave"},
                                     "command": "reduce", "grid": BAD_GRID},
@@ -408,6 +478,7 @@ CLI_FAILURES = {
 }
 CLI_BACKGROUNDS = {"nc-degenerate-frame": _degenerate_frame,
                    "nc-degenerate-frame-reduce": _degenerate_frame,
+                   "nc-overflow-in-the-identities": _overflowing_frame,
                    "nc-form-mismatch": _drifting_mass_field}
 
 
@@ -436,9 +507,10 @@ FIELD_CLOSURES = {POLAR: ("rho", "S", "drho", "d2rho", "dS", "d2S"),
 
 
 def _counted_check(monkeypatch, tmp_path, name, samples, functions):
-    """Calls of the named pilotwave functions, counted at every module binding,
-    and of each field closure of the scenario, in one ``check`` of scenario
-    ``name`` on a samples x samples grid over its default bounds."""
+    """Calls of the named pilotwave functions, counted at every module binding
+    (a name ``Class.method`` at that class of ``nc_geometry``), and of each
+    field closure of the scenario, in one ``check`` of scenario ``name`` on a
+    samples x samples grid over its default bounds."""
     calls = Counter()
 
     def counted(key, fn):
@@ -449,9 +521,10 @@ def _counted_check(monkeypatch, tmp_path, name, samples, functions):
 
     modules = [m for n, m in sys.modules.items() if n.startswith("pilotwave")]
     for fn_name, original in functions.items():
-        for module in modules:
-            if getattr(module, fn_name, None) is original:
-                monkeypatch.setattr(module, fn_name, counted(fn_name, original))
+        owner, _, attr = fn_name.rpartition(".")
+        for module in [getattr(ncg, owner)] if owner else modules:
+            if getattr(module, attr, None) is original:
+                monkeypatch.setattr(module, attr, counted(fn_name, original))
     builder = scen.REGISTRY[name]
 
     def counted_build(params):
@@ -484,10 +557,14 @@ def test_the_grid_is_not_split_into_points(monkeypatch, tmp_path):
         assert small["metric_inverse"] == checks.count("classical-hj")
         assert small["polar.rho"] + small["psi.psi"] > 0
 
-    counted = {name: getattr(ncg, name) for name in ("derive_nc", *NC_IDENTITIES)}
+    counted = {name: getattr(ncg, name)
+               for name in ("derive_nc", "derive_nc_partials", *NC_IDENTITIES)}
+    counted["NCBackground.data_derivatives_at"] = ncg.NCBackground.data_derivatives_at
     small, large = (_counted_check(monkeypatch, tmp_path, "flat-nc-gaussian-packet", n, counted)
                     for n in (4, 8))
-    # the Newton-Cartan frame is still derived point by point, 11 times per point
+    # the Newton-Cartan frame is still derived point by point, 11 times per point; its
+    # partials run once per residual that takes a divergence, on the whole grid
     assert small.pop("derive_nc") == 11 * 4 * 4 and large.pop("derive_nc") == 11 * 8 * 8
+    assert small["derive_nc_partials"] == small["NCBackground.data_derivatives_at"] == 3
     assert small == large and small["polar.rho"] > 0 and small["psi.psi"] > 0
     assert all(small[name] > 0 for name in NC_IDENTITIES)
