@@ -33,7 +33,7 @@ import numpy as np
 from . import scenarios as scen
 from .dynamics import GuidanceField, integrate_trajectory
 from .errors import ConfigError, NonFiniteResult, PilotwaveError
-from .geometry import BackgroundRel, MetricData, evaluate_named, metric_data
+from .geometry import BackgroundRel, evaluate_named, metric_data
 from .nc_geometry import (NCBackground, ehat_identity_residual,
                           frame_identity_residuals, null_lift_residuals,
                           random_frame_background)
@@ -71,7 +71,11 @@ significant digits.  See FORMATS.md.
 gates the commands apply on top of the scenario's checks, one per report name
 (--tolerance-scale relaxes them):
 """ + "".join(f"  {c.name:<24}max_abs {'>' if c.mode == 'min' else '<='} {c.tolerance!r}\n"
-              for c in COMMAND_GATES.values())
+              for c in COMMAND_GATES.values()) + """\
+null-lift-inverse gates max |gamma gamma_inv - 1| and the gap to a numerical
+inverse, max |gamma_inv - inv(gamma)|, divided by max(1, max |gamma_inv|) at
+each point.
+"""
 
 # Every config field: a section maps key -> (kind, default), and a nested
 # dict is a sub-section.  Kinds are those of ``scenarios.check_value``; a
@@ -156,29 +160,6 @@ class RunConfig:
 # evaluation helpers
 # ---------------------------------------------------------------------------
 
-def _worker_check(args):
-    name, params, check_name, pts = args
-    with np.errstate(over="raise", divide="raise", invalid="raise"):
-        sc = scen.build(name, params)
-        rep = sc.run_check(check_name, np.asarray(pts))
-    return list(map(float, rep.values))
-
-
-def _evaluate_check(sc: Scenario, check_name: str, grid, jobs: int) -> ResidualReport:
-    """One check over a grid's points (K, D), split over ``jobs`` worker processes,
-    or over a Lorentzian grid's bundle, which is evaluated in this process."""
-    if jobs <= 1 or isinstance(grid, MetricData) or grid.shape[0] < 4 * jobs:
-        return sc.run_check(check_name, grid)
-    from concurrent.futures import ProcessPoolExecutor
-
-    chunks = np.array_split(np.arange(grid.shape[0]), jobs)
-    payload = [(sc.name, sc.params, check_name, grid[idx].tolist()) for idx in chunks]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        results = list(pool.map(_worker_check, payload))
-    values = [v for chunk in results for v in chunk]
-    return ResidualReport.from_samples(check_name, grid, values)
-
-
 def _grid_points(sc: Scenario, cfg: RunConfig):
     grid = cfg.grid if cfg.grid is not None else sc.default_grid
     if grid is None:
@@ -203,12 +184,11 @@ def _grid_geometry(sc: Scenario, pts):
 
 @dataclass
 class Run:
-    """One command's settings (format, tolerance scale, worker processes for
-    Newton-Cartan checks) and results (filename -> text, one line per failed gate)."""
+    """One command's settings (format, tolerance scale) and results (filename ->
+    text, one line per failed gate)."""
 
     fmt: str
     scale: float
-    jobs: int
     files: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
     point_text: dict = field(default_factory=dict)  # grid -> sample text, shared by reports
@@ -236,13 +216,15 @@ class Run:
 
 
 def _run_field_checks(sc, cfg, run, names=None):
+    """Gate the scenario's checks (or the named subset) on its grid, each one
+    residual call on the grid's points or on its Lorentzian geometry bundle."""
     pts = _grid_points(sc, cfg)
     for name in names or ():
         scen.check_value("residuals", name, tuple(c.name for c in sc.checks))
     grid = _grid_geometry(sc, pts)
     for check in sc.checks:
         if names is None or check.name in names:
-            run.gate(_evaluate_check(sc, check.name, grid, run.jobs), check)
+            run.gate(sc.run_check(check.name, grid), check)
 
 
 def _identity_values(nc, x) -> dict:
@@ -271,6 +253,9 @@ def cmd_check(sc, cfg, run):
 
 
 def cmd_residuals(sc, cfg, run):
+    if not sc.checks:
+        raise ConfigError("scenario.name", f"residuals needs a scenario with field checks; "
+                                           f"'{sc.name}' has none")
     _run_field_checks(sc, cfg, run, names=cfg.residuals)
 
 
@@ -401,20 +386,26 @@ def _write_outputs(out_dir: str, command: str, cfg: RunConfig, files: dict) -> N
 
 def run(command: str, cfg: RunConfig, out_dir: str | None = None,
         fmt: str | None = None, jobs: int = 1, tolerance_scale: float = 1.0) -> int:
-    """Dispatch one command; returns the process exit status.
+    """Dispatch one command in this process; returns the process exit status.
 
     ``out_dir`` and ``fmt`` fall back to the config's own 'out'/'format'
     fields, whose defaults are 'out' and 'json'.  A numpy overflow, division
     by zero or invalid operation raises where it happens and ends as a
     BadParameter while the scenario is built, a NonFiniteResult after; in a
     check or a grid's geometry bundle, one that names the first failing point.
+
+    Every check runs in this process.  ``jobs`` accepts only 1 (anything else
+    is a ConfigError naming '--jobs'); the keyword stays only because
+    ``perfbench/run.py`` passes ``jobs=1``, and goes once the benchmark stops
+    passing it (ROADMAP item 1).
     """
     if cfg.command is not None and cfg.command != command:
         raise ConfigError("command", f"config says '{cfg.command}', invoked '{command}'")
     scen.check_value("--tolerance-scale", tolerance_scale, "positive")
-    scen.check_value("--jobs", jobs, "workers")
+    if jobs != 1:
+        raise ConfigError("--jobs", f"{jobs!r} is not 1: every check runs in this process")
     out_dir = out_dir if out_dir is not None else cfg.out
-    state = Run(fmt if fmt is not None else cfg.format, tolerance_scale, jobs)
+    state = Run(fmt if fmt is not None else cfg.format, tolerance_scale)
     with np.errstate(over="raise", divide="raise", invalid="raise"):
         sc = scen.build(cfg.scenario_name, cfg.scenario_params)
         try:
@@ -437,8 +428,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None,
                         help="output directory (default: config 'out' or ./out)")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for Newton-Cartan sweeps, >= 1")
     parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--tolerance-scale", type=float, default=1.0,
                         help="positive tolerance relaxation factor for exploratory runs")
@@ -454,7 +443,7 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = RunConfig.from_dict(doc)
-        return run(args.command, cfg, args.out, fmt=args.format, jobs=args.jobs,
+        return run(args.command, cfg, args.out, fmt=args.format,
                    tolerance_scale=args.tolerance_scale)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

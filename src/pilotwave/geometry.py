@@ -2,7 +2,7 @@
 
 A background packages the covariant metric g_MN, the gauge covector A_M and
 the particle parameters (mass, charge).  Everything is a pure function of
-the coordinate point, so backgrounds are safe to share between workers.
+the coordinate point, so a background keeps no state between reads.
 Signature convention is mostly-plus (-, +, ..., +); units are hbar = c = 1.
 
 ``metric_data(bg, x)`` is the geometry bundle every residual reads:

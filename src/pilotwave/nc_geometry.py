@@ -289,14 +289,17 @@ def null_lift_residuals(nc: NCBackground, x) -> dict[str, Array]:
     """Consistency defects of the lifted metric at x.
 
     product:     max |gamma gamma_inv - 1| for the closed-form inverse
-    inverse_gap: max |gamma_inv - inv(gamma)| against numerical inversion
+    inverse_gap: max |gamma_inv - inv(gamma)| against numerical inversion,
+                 divided by max(1, max |gamma_inv|), so that round-off at a
+                 large potential (gamma^{uu} = 2 Phi) is not a defect
     volume_gap:  relative gap between sqrt(-det gamma) and |det(tau, e)|
     """
     pt = check_points(x, nc.dim)
     lift = null_lift(nc, pt)
     der = _nc_frames(nc, pt)
     product = _max_abs(lift.gamma @ lift.gamma_inv - np.eye(nc.dim + 1), 2)
-    inverse_gap = _max_abs(lift.gamma_inv - np.linalg.inv(lift.gamma), 2)
+    inverse_gap = (_max_abs(lift.gamma_inv - np.linalg.inv(lift.gamma), 2)
+                   / np.maximum(1.0, _max_abs(lift.gamma_inv, 2)))
     det = np.linalg.det(lift.gamma)
     raise_at_first(det >= 0.0, pt, DegenerateFrame,
                    "lifted metric determinant {:.3e} is not negative", det)

@@ -96,6 +96,7 @@ COMMAND_GATES = {c.name: c for c in (
     # check and reduce on a Newton-Cartan scenario, at every grid point
     Check("frame-identities", 1e-10),
     Check("ehat-identity", 1e-9),
+    # max |gamma gamma_inv - 1| and max |gamma_inv - inv(gamma)| / max(1, max |gamma_inv|)
     Check("null-lift-inverse", 1e-10),
     Check("null-lift-volume", 1e-10),
     # reduce with reduce.random_frames > 0
@@ -135,7 +136,6 @@ KINDS = {
     "positive": (lambda v: is_finite_real(v) and v > 0, "a positive finite number"),
     "count": (_integer(2), "an integer >= 2"),
     "index": (_integer(0), "an integer >= 0"),
-    "workers": (_integer(1), "an integer >= 1"),
     # random_frame_background rejection-samples; its acceptance falls fast with dim
     "frame-dim": (_integer(2, 10), "an integer from 2 to 10"),
     "string": (lambda v: isinstance(v, str), "a string"),

@@ -14,7 +14,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pilotwave
-from pilotwave.cli import FIELDS, main
+from pilotwave.cli import FIELDS, RunConfig, main, run
+from pilotwave.errors import ConfigError
 from pilotwave.scenarios import COMMAND_GATES, build
 
 
@@ -194,8 +195,7 @@ def test_failure_line_shows_the_applied_limit(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag", ["--tolerance-scale=0", "--tolerance-scale=-1",
-                                  "--tolerance-scale=nan", "--tolerance-scale=inf",
-                                  "--jobs=0", "--jobs=-3"])
+                                  "--tolerance-scale=nan", "--tolerance-scale=inf"])
 def test_bad_flag_value_exits_2_naming_flag(tmp_path, capsys, flag):
     cfg = write_config(tmp_path, {"scenario": {"name": "minkowski-plane-wave"}})
     assert main(["check", "--config", cfg, "--out", str(tmp_path / "out"), flag]) == 2
@@ -213,6 +213,16 @@ def test_reduce_reports_identities(tmp_path):
         doc = json.load(handle)
     assert doc["max_abs"] < 1e-9
     assert len(doc["samples"]) == 25
+
+
+@pytest.mark.parametrize("params", [{"M_t": 1e300}, {"M_t": -1e300}, {"M_x": 1e5}])
+def test_null_lift_gate_passes_at_large_scales(tmp_path, params):
+    # gamma^{uu} = 2 Phi grows with M; inv(gamma) then differs from the closed
+    # form by round-off of that size, which the gate divides out
+    cfg = write_config(tmp_path, {"scenario": {"name": "nc-nontrivial-M", "params": params}})
+    out = str(tmp_path / "out")
+    assert main(["reduce", "--config", cfg, "--out", out]) == 0
+    assert read_report(out, "null-lift-inverse")["max_abs"] < 1e-15
 
 
 def test_reduce_rejects_relativistic_scenario(tmp_path):
@@ -273,66 +283,39 @@ def test_csv_format_output(tmp_path):
         assert handle.readline().strip() == "x0,x1,x2,x3,value"
 
 
-def test_parallel_jobs_match_serial(tmp_path):
-    doc = {"scenario": {"name": "minkowski-superposition"},
-           "grid": {"bounds": [[0, 3], [0, 3], [-0.5, 0.5], [-0.5, 0.5]],
-                    "samples": [4, 4, 2, 2]}}
-    cfg = write_config(tmp_path, doc)
-    out1, out2 = str(tmp_path / "serial"), str(tmp_path / "parallel")
-    assert main(["superposition-demo", "--config", cfg, "--out", out1]) == 0
-    assert main(["superposition-demo", "--config", cfg, "--out", out2, "--jobs", "2"]) == 0
-    with open(os.path.join(out1, "report_superposition_demo.json")) as fa, \
-            open(os.path.join(out2, "report_superposition_demo.json")) as fb:
-        assert fa.read() == fb.read()
-
-
-def _files(out_dir):
-    return {name: (Path(out_dir) / name).read_bytes() for name in os.listdir(out_dir)}
-
-
-def test_jobs_split_only_newton_cartan_checks(tmp_path, monkeypatch):
-    import concurrent.futures
-
-    pool_class, pools = concurrent.futures.ProcessPoolExecutor, []
-
-    def counted_pool(max_workers):
-        pools.append(max_workers)
-        return pool_class(max_workers)
-
-    packet = "flat-nc-gaussian-packet"
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", counted_pool)
-    grids = {"curved-diagonal": {"bounds": [[0, 5], [-2.4, 2.4]], "samples": [6, 8]},
-             packet: {"bounds": [[0, 5], [-3, 3]], "samples": [6, 6]}}
-    for name, grid in grids.items():
-        cfg = write_config(tmp_path, {"scenario": {"name": name}, "grid": grid})
-        serial, parallel = tmp_path / f"{name}-1", tmp_path / f"{name}-2"
-        assert main(["check", "--config", cfg, "--out", str(serial)]) == 0
-        assert main(["check", "--config", cfg, "--out", str(parallel), "--jobs", "2"]) == 0
-        assert _files(serial) == _files(parallel)
-    # the Lorentzian checks read their grid's one bundle here; the packet's three go to a pool
-    assert pools == [2] * len(build(packet).checks)
-
-
-def test_an_error_in_a_worker_names_its_point(tmp_path, capsys):
-    doc = {"scenario": {"name": "flat-nc-gaussian-packet", "params": {"sigma0": 1e-160}},
-           "grid": {"bounds": [[1, 2], [-1, 1]], "samples": [3, 3]}}
-    cfg = write_config(tmp_path, doc)
-    lines = []
-    for jobs in ("1", "2"):
-        assert main(["check", "--config", cfg, "--out", str(tmp_path / jobs), "--jobs", jobs]) == 1
-        lines.append(capsys.readouterr().err)
-    assert lines[0] == lines[1] == ("error: report 'nc-quantum-hj': FloatingPointError: invalid "
-                                    "value encountered in multiply at point [1.0, -1.0]\n")
+def run_python(*args):
+    """The interpreter in a subprocess with pilotwave importable, as a user runs it."""
+    paths = [str(Path(pilotwave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=env, timeout=120)
 
 
 def test_importing_the_cli_starts_no_pool_machinery():
-    paths = [str(Path(pilotwave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
     code = ("import sys, pilotwave.cli; "
             "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = run_python("-c", code)
     assert proc.returncode == 0 and proc.stdout == "[]\n", proc.stderr
+
+
+def test_jobs_flag_is_gone(tmp_path):
+    cfg = write_config(tmp_path, {"scenario": {"name": PACKET}})
+    proc = run_python("-m", "pilotwave.cli", "check", "--config", cfg,
+                      "--out", str(tmp_path / "out"), "--jobs", "2")
+    assert proc.returncode == 2
+    assert "error: unrecognized arguments: --jobs 2" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not os.path.exists(tmp_path / "out")
+
+
+def test_run_accepts_only_one_job(tmp_path):
+    cfg = RunConfig.from_dict({"scenario": {"name": PLANE},
+                               "grid": {"bounds": [[0, 1], [0, 1]], "samples": [2, 2]}})
+    for jobs in (2, 0):
+        with pytest.raises(ConfigError, match="config field '--jobs'"):
+            run("check", cfg, out_dir=str(tmp_path / "out"), jobs=jobs)
+    assert not os.path.exists(tmp_path / "out")
+    assert run("check", cfg, out_dir=str(tmp_path / "out"), jobs=1) == 0
 
 
 def test_identical_configs_are_byte_identical(tmp_path):
@@ -402,11 +385,8 @@ def test_engine_overflow_exits_1_without_traceback(tmp_path, capsys):
 def test_numpy_overflow_prints_one_line(tmp_path, command, doc, status, prefix):
     # a subprocess, so that a numpy warning would reach stderr as it does for a user
     cfg = write_config(tmp_path, doc)
-    paths = [str(Path(pilotwave.__file__).parents[1]), os.environ.get("PYTHONPATH")]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
-    proc = subprocess.run([sys.executable, "-m", "pilotwave.cli", command, "--config", cfg,
-                           "--out", str(tmp_path / "out")], capture_output=True, text=True,
-                          env=env, timeout=120)
+    proc = run_python("-m", "pilotwave.cli", command, "--config", cfg,
+                      "--out", str(tmp_path / "out"))
     assert proc.returncode == status
     assert proc.stderr.startswith(prefix)
     assert proc.stderr.count("\n") == 1 and proc.stderr.endswith("\n")
@@ -463,6 +443,10 @@ def test_numpy_overflow_prints_one_line(tmp_path, command, doc, status, prefix):
      "reduce.dim"),
     # an empty subset would run no check and pass
     ("residuals", {"scenario": {"name": "flat-nc-plane-wave"}, "residuals": []}, "residuals"),
+    # so would a scenario without field checks, with or without a subset
+    ("residuals", {"scenario": {"name": "free-particle-hj"}}, "scenario.name"),
+    ("residuals", {"scenario": {"name": "harmonic-oscillator-hj"},
+                   "residuals": ["classical-hj"]}, "scenario.name"),
 ])
 def test_bad_config_value_exits_2_naming_field(tmp_path, capsys, command, doc, field):
     cfg = write_config(tmp_path, doc)
@@ -489,6 +473,16 @@ def test_help_epilog_lists_every_declared_field(capsys):
         main(["--help"])
     block = capsys.readouterr().out.split("config document (JSON)")[1].split("\n\n")[0]
     assert sorted(re.findall(r"^  (\S+)", block, re.M)) == PATHS
+
+
+def test_readme_synopsis_lists_every_option(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    options = capsys.readouterr().out.split("config document (JSON)")[0]
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    synopsis = readme.split("## Command line")[1].split("```")[1]
+    flag = r"(?<![\w-])--[a-z][\w-]*"
+    assert set(re.findall(flag, synopsis)) == set(re.findall(flag, options)) - {"--help"}
 
 
 def test_help_epilog_lists_every_command_gate(capsys):
@@ -528,6 +522,8 @@ JSON_VALUES = st.recursive(
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
                                                                 max_size=2),
     max_leaves=6)
+# how json.dumps, repr and %g spell a non-finite float
+NON_FINITE = re.compile(r"\b(Infinity|NaN|inf|nan)\b")
 SECTIONS = ("<root>", "scenario", "scenario.params", "grid", "trajectories", "reduce", "hj")
 
 
@@ -570,9 +566,12 @@ def test_cli_contract_under_mutated_configs(tmp_path_factory, data):
         target[path[-1]] = value
     else:
         doc = value
-    status, err = run_main(tmp_path_factory.mktemp("fuzz"), command, doc)
+    tmp = tmp_path_factory.mktemp("fuzz")
+    status, err = run_main(tmp, command, doc)
     assert status in (0, 1, 2)
     assert "Traceback" not in err
+    for path in (tmp / "out").glob("*"):
+        assert not NON_FINITE.search(path.read_text()), path.name
     if mutation != "value":
         assert status == 2 and f"config field '{expected}'" in err
     elif status == 2:
