@@ -191,7 +191,7 @@ class Run:
     scale: float
     files: dict = field(default_factory=dict)
     failures: list = field(default_factory=list)
-    point_text: dict = field(default_factory=dict)  # grid -> sample text, shared by reports
+    point_text: dict = field(default_factory=dict)  # grid -> point text, shared by reports
 
     def add(self, stem: str, artifact, *json_args) -> None:
         """Render a report or trajectory as ``<stem>.<fmt>``."""

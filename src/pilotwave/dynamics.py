@@ -158,17 +158,18 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
     ``steps`` is the number of output samples (lambda values, uniformly
     spaced, endpoints included).  One adaptive Dormand-Prince call per
     output interval sub-steps between samples with relative/absolute
-    tolerances as given; each call's first trial step is the whole
-    interval, and samples land exactly on the output values.  The node
-    guard runs after every accepted step: it evaluates the density on the
-    step's cubic Hermite interpolant at the step end and at interior points
-    at most MAX_STEP_FRAC * span apart, and bisects on the interpolant
-    between the last sample above the node threshold and the first at or
-    below it.  Raises NodeEncountered if the density falls to the node
-    threshold, carrying the located lambda on ``lam`` and the samples
-    before the node on ``partial`` when there are at least two,
-    StepFailure if error control cannot proceed, and NonFiniteResult, naming
-    the end of the last accepted step, for an ArithmeticError.
+    tolerances as given; each call's first trial step is the whole interval,
+    each interval after the first starts from the previous interval's final
+    derivative (FSAL k7), and samples land exactly on the output values.
+    The node guard runs after every accepted step: it evaluates the density
+    on the step's cubic Hermite interpolant at the step end and at interior
+    points at most MAX_STEP_FRAC * span apart, and bisects on the
+    interpolant between the last sample above the node threshold and the
+    first at or below it.  Raises NodeEncountered if the density falls to
+    the node threshold, carrying the located lambda on ``lam`` and the
+    samples before the node on ``partial`` when there are at least two,
+    StepFailure if error control cannot proceed, and NonFiniteResult,
+    naming the end of the last accepted step, for an ArithmeticError.
     """
     bg = gf.background
     x0 = check_point(x0, bg.dim)
@@ -183,7 +184,7 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
         return gf.velocity(y)
 
     gap = MAX_STEP_FRAC * (lf - l0)
-    reached = [l0]  # the end of the last accepted step
+    reached = [l0, None]  # the end of the last accepted step and the derivative there
 
     def below(y) -> bool:
         return float(gf.field.rho(y)) <= EPS_NODE
@@ -199,14 +200,14 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
                     lo, hi = (lo, mid) if below(hermite(*step, [mid])[0]) else (mid, hi)
                 raise NodeEncountered(f"density hit node threshold at lambda={hi:.9g}",
                                       lam=float(hi))
-        reached[0] = t1
+        reached[:] = t1, step[5]
 
     lambdas = np.linspace(l0, lf, steps)
     samples = [x0]
     try:
         for k in range(1, steps):
             out = integrate_adaptive(rhs, lambdas[k - 1], samples[-1], lambdas[k:k + 1],
-                                     rtol=rtol, atol=atol, step_callback=node_guard)
+                                     rtol, atol, step_callback=node_guard, k1=reached[1])
             samples.append(out[0])
     except NodeEncountered as exc:
         if len(samples) >= 2:

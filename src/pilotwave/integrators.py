@@ -76,7 +76,7 @@ def hermite(t0, y0, k0, t1, y1, k1, t) -> np.ndarray:
 
 
 def integrate_adaptive(f, t0, y0, t_out, rtol=1e-9, atol=1e-12,
-                       max_steps=1_000_000, step_callback=None):
+                       max_steps=1_000_000, step_callback=None, k1=None):
     """Adaptive integration returning the states at every time in t_out.
 
     ``t_out`` must be increasing and start at or after t0.  The first trial
@@ -85,8 +85,8 @@ def integrate_adaptive(f, t0, y0, t_out, rtol=1e-9, atol=1e-12,
     elementary one: accept when the weighted RMS error is at most 1,
     grow/shrink by err^(-1/5) within [0.2, 5].
     ``step_callback(t0, y0, k1, t1, y1, k7)`` runs after every accepted step
-    with its two ends and the derivatives there (used for node detection on
-    the step's ``hermite`` interpolant).
+    with its two ends and the derivatives there, for node detection on the
+    step's ``hermite`` interpolant.  ``k1``, if given, stands for f(t0, y0).
     """
     t_out = np.asarray(t_out, dtype=float)
     y = np.asarray(y0, dtype=float)
@@ -97,7 +97,7 @@ def integrate_adaptive(f, t0, y0, t_out, rtol=1e-9, atol=1e-12,
         out[0] = y
         idx = 1
     h = t_out[-1] - t if t_out.size else 0.0
-    k1 = np.asarray(f(t, y), dtype=float)
+    k1 = np.asarray(f(t, y) if k1 is None else k1, dtype=float)
     n_steps = 0
     while idx < t_out.size:
         if n_steps >= max_steps:

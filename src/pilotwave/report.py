@@ -1,4 +1,5 @@
-"""Named residual samples with JSON and CSV serialization, rendered from their arrays."""
+"""Named residual samples with JSON and CSV serialization, rendered from their arrays:
+each column's distinct values are formatted once and gathered back, byte for byte."""
 from __future__ import annotations
 
 import json
@@ -17,20 +18,36 @@ def _json_list(items: list, depth: int) -> str:
     return "[" + pad + ("," + pad).join(items) + "\n" + " " * depth + "]" if items else "[]"
 
 
+def _columns(fmt: str, *arrays) -> tuple:
+    """Each column of the arrays (1-D: one column) as a row-template slot and its entries: ``%s``
+    and the ``fmt`` texts of its distinct bit patterns (-0.0 keeps its sign), or ``fmt``."""
+    slots, cols = [], []
+    for a in arrays:
+        for col in np.atleast_2d(np.asarray(a, dtype=float).T):
+            if 2 * np.count_nonzero(np.diff(np.sort(col.view(np.uint64)))) >= col.size:
+                slots.append(fmt)  # mostly distinct: the row template formats each float
+                cols.append(col.tolist())
+            else:
+                bits, inv = np.unique(col.view(np.uint64), return_inverse=True)
+                slots.append("%s")  # each distinct value formatted once, gathered to its rows
+                texts = np.array([fmt % v for v in bits.view(float).tolist()], dtype=object)
+                cols.append(texts[inv].tolist())
+    return slots, cols
+
+
 def _json_floats(a, depth: int) -> list:
     """The entries (1-D) or rows (2-D) of a float array as items of a JSON list nested
-    ``depth`` deep, each from one ``%r`` template: repr of a float is what json writes."""
-    a = np.asarray(a, dtype=float)
-    template = "%r" if a.ndim == 1 else _json_list(["%r"] * a.shape[1], depth + 1)
-    return [template % row for row in (a.tolist() if a.ndim == 1 else map(tuple, a.tolist()))]
+    ``depth`` deep, each from one row template: repr of a float is what json writes."""
+    slots, cols = _columns("%r", a)
+    if np.ndim(a) > 1:
+        return list(map(_json_list(slots, depth + 1).__mod__, zip(*cols)))
+    return cols[0] if slots[0] == "%s" else ["%r" % v for v in cols[0]]
 
 
 def _csv(header: list, *columns) -> str:
-    """The header line, then one line per row of the stacked columns, each float
-    written with 17 significant digits by one ``%.17g`` template per row."""
-    template = ",".join(["%.17g"] * len(header))
-    rows = [template % row for row in map(tuple, np.column_stack(columns).tolist())]
-    return "\n".join([",".join(header)] + rows) + "\n"
+    """The header line, then one line per row of the stacked columns, floats as ``%.17g``."""
+    slots, cols = _columns("%.17g", *columns)
+    return "\n".join([",".join(header), *map(",".join(slots).__mod__, zip(*cols))]) + "\n"
 
 
 @dataclass(frozen=True)
@@ -73,13 +90,15 @@ class ResidualReport:
         Reports that share ``point_text`` render each grid, keyed by its bytes, once."""
         pts = np.asarray(self.points, dtype=float)
         cache, grid = {} if point_text is None else point_text, (pts.shape, pts.tobytes())
-        if grid not in cache:
-            cache[grid] = ['{\n   "point": ' + row + ',\n   "value": '
+        if grid not in cache:  # sample text to its value, after the last's 8-character close
+            cache[grid] = ['\n  },\n  {\n   "point": ' + row + ',\n   "value": '
                            for row in _json_floats(pts, 2)]
-        samples = [pt + v + "\n  }" for pt, v in zip(cache[grid], _json_floats(self.values, 1))]
+        parts = cache[grid] * 2
+        parts[::2], parts[1::2] = cache[grid], _json_floats(self.values, 1)
+        samples = "[\n  " + "".join(parts)[8:] + "\n  }\n ]" if parts else "[]"
         body = "".join(f' "{key}": {json.dumps(getattr(self, key))},\n'
                        for key in ("max_abs", "mean_abs", "name"))
-        return "{\n" + body + f' "samples": {_json_list(samples, 1)}\n}}'
+        return "{\n" + body + f' "samples": {samples}\n}}'
 
     def to_csv(self) -> str:
         header = [f"x{i}" for i in range(self.points.shape[1])] + ["value"]

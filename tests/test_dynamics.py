@@ -168,9 +168,10 @@ class TestIntegrateTrajectory:
 
     def test_worldline_rhs_rows(self, monkeypatch):
         # counts, not times: each of the 50 output intervals is one step of
-        # 6 stages plus one first evaluation, since the node guard samples
-        # the step's interpolant rather than capping the step; a step cap of
-        # 0.05 took 650 rows, and a cold start at 1e-3 x interval 1,850
+        # 6 stages, since the node guard samples the step's interpolant rather
+        # than capping the step, and only the first interval evaluates its k1;
+        # a fresh k1 per interval took 350 rows, a step cap of 0.05 650, and a
+        # cold start at 1e-3 x interval 1,850
         counts = {"rhs": 0, "adaptive": 0}
         velocity, adaptive = dyn.GuidanceField.velocity, dyn.integrate_adaptive
 
@@ -188,7 +189,25 @@ class TestIntegrateTrajectory:
         gf = GuidanceField(background=sc.background, field=sc.polar)
         traj = integrate_trajectory(gf, sc.default_seeds[0], (0.0, 5.0), steps=51)
         assert len(traj) == 51
-        assert counts == {"rhs": 350, "adaptive": 50}
+        assert counts == {"rhs": 301, "adaptive": 50}
+
+    @pytest.mark.parametrize("name", ["flat-nc-gaussian-packet", "curved-diagonal"])
+    def test_carried_derivative_is_a_fresh_one(self, name, monkeypatch):
+        # the k1 an interval carries from the last one is the velocity at its
+        # start to the bit, which keeps trajectory files byte-identical
+        starts, adaptive = [], dyn.integrate_adaptive
+
+        def recording_adaptive(f, t0, y0, *args, **kwargs):
+            starts.append((y0, kwargs["k1"]))
+            return adaptive(f, t0, y0, *args, **kwargs)
+
+        monkeypatch.setattr(dyn, "integrate_adaptive", recording_adaptive)
+        sc = build(name)
+        gf = GuidanceField(background=sc.background, field=sc.polar)
+        integrate_trajectory(gf, sc.default_seeds[0], sc.default_span, steps=51)
+        assert len(starts) == 50 and starts[0][1] is None
+        for y0, k1 in starts[1:]:
+            assert k1.tobytes() == np.asarray(gf.velocity(y0), dtype=float).tobytes()
 
     def test_fixed_step_convergence_order_on_guidance(self):
         sc = build("flat-nc-gaussian-packet")

@@ -50,10 +50,14 @@ def _reference_json(rep) -> str:
 
 @st.composite
 def reports(draw):
+    """A report of K = 1..40 points in D = 1..5.  Each column is drawn from FINITE_FLOATS
+    or from a pool of six values, so that columns repeat values and mix 0.0 and -0.0."""
     k, d = draw(st.integers(1, 40)), draw(st.integers(1, 5))
-    pts = draw(st.lists(st.lists(FINITE_FLOATS, min_size=d, max_size=d), min_size=k, max_size=k))
-    vals = draw(st.lists(FINITE_FLOATS, min_size=k, max_size=k))
-    return ResidualReport(draw(st.text(max_size=6)), np.array(pts), np.array(vals))
+    pool = st.sampled_from([0.0, -0.0, 5e-324, 1e16, 0.1, draw(FINITE_FLOATS)])
+    cols = [draw(st.lists(draw(st.sampled_from([FINITE_FLOATS, pool])), min_size=k, max_size=k))
+            for _ in range(d + 1)]
+    return ResidualReport(draw(st.text(max_size=6)), np.column_stack(cols[:d]),
+                          np.array(cols[d]))
 
 
 @settings(max_examples=80)
