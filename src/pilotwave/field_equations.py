@@ -41,10 +41,11 @@ A relativistic residual takes either the points or their
 one read of the metric), so every check of one grid reads one bundle; given
 points, it builds their bundle itself.  ``classical_hj_residual_rel`` needs
 no gradients and reads ``metric_inverse`` at the bundle's points.
-Newton-Cartan residuals read ``derive_nc`` (the frame, its inverse, M,
-w = m - q phi and every derived object) through ``nc_geometry._nc_frames``,
-which derives the frame one point at a time and stacks the rows, and, for
-the divergences, one stacked ``derive_nc_partials`` per batch.  A node
+Newton-Cartan residuals read ``nc_geometry._nc_frames``, which solves the
+frame one point at a time through ``derive_nc`` and stacks the solves (the
+frame, its inverse, M, w = m - q phi and the volume); each derived object
+is a property of those stacks, computed once per batch when read.  For the
+divergences they read one stacked ``derive_nc_partials`` per batch.  A node
 check runs before the division it guards, and an error in a batch names the
 first failing point.
 
@@ -311,8 +312,8 @@ FORM_AGREEMENT_TOL = 1e-10
 
 def nc_momentum_covector(nc: NCBackground, f: PolarField, x) -> Array:
     """k_mu = d_mu S - q A_mu with the reduced gauge field A = Abar - phi M."""
-    pt = check_points(x, nc.dim)
-    return broadcast_read(f.dS, pt, 1) - nc.charge * nc.reduced_gauge_at(pt)
+    a_red = nc.reduced_gauge_at(x)  # checks x for both reads
+    return broadcast_read(f.dS, x, 1) - nc.charge * a_red
 
 
 def _nc_hj_forms(nc: NCBackground, pt, k):

@@ -4,7 +4,8 @@ The frame data is a clock form tau_mu, a spatial vierbein e_mu^a
 (a = 1 .. D-1), a mass gauge field M_mu, a reduced gauge field Abar_mu and
 a scalar potential phi.  All derived objects (v^mu, inverse vierbein,
 spatial metrics, hatted boost-invariant combinations, the potential Phi and
-the volume element) follow from the frame by linear algebra:
+the volume element) follow from the frame solve (tau, e)^{-1} and M by
+linear algebra:
 
     v^mu tau_mu = -1,   v^mu e_mu^a = 0,   tau_mu e^mu_a = 0,
     e^mu_a e_mu^b = delta_a^b.
@@ -16,10 +17,12 @@ The null lift assembles the (D+1)-dimensional Lorentzian metric
 whose closed-form inverse has gamma^{uu} = 2 Phi, gamma^{u mu} = -vhat^mu
 and gamma^{mu nu} = h^{mu nu}.  The extra null coordinate u is ordered last.
 
-``derive_nc`` derives the frame at one point.  The other functions of a
-point take one point (D,) or a batch (K, D): ``_nc_frames`` stacks the
-frames of a batch, and the algebra on them, the frame partials included,
-runs once over the leading axis.
+``derive_nc`` solves the frame at one point and stores only that solve in
+an ``NCDerived``; the derived objects are its properties, written over
+leading axes.  The other functions of a point take one point (D,) or a
+batch (K, D): ``_nc_frames`` stacks the frame solves of a batch, and the
+algebra on them, the derived objects and the frame partials included, runs
+once over the leading axis.
 """
 from __future__ import annotations
 
@@ -122,21 +125,63 @@ class NCBackground:
 
 @dataclass(frozen=True)
 class NCDerived:
-    """The frame at one point and every object derived from it, or their rows stacked."""
+    """The frame solve at one point, or its rows stacked along leading axes.
+
+    Only the solve is stored; every other object is a property, a few products
+    of ``finv`` and ``m`` written once over the leading axes, so it serves one
+    point and a stacked batch alike and runs once per batch when read.
+    """
 
     frame: Array      # (tau, e): tau as column 0, the vierbein as columns 1..D-1
     finv: Array       # inverse frame: row 0 is -v, rows 1..D-1 are e^mu_a
     m: Array          # mass gauge field M_mu
     w: float | Array  # effective mass m - q phi
-    v: Array          # temporal vector v^mu
-    e_inv: Array      # inverse vierbein e^mu_a, shape (D-1, D), row a
-    h_up: Array       # h^{mu nu}
-    h_down: Array     # h_{mu nu}
-    hbar_down: Array  # h_{mu nu} - tau_mu M_nu - tau_nu M_mu
-    v_hat: Array      # v^mu - h^{mu nu} M_nu
-    e_hat: Array      # e_mu^a - M_nu e^nu_b delta^{ba} tau_mu, shape (D, D-1)
-    Phi: float | Array  # -v.M + (1/2) M h M
     vol: float | Array  # det(tau, e)
+
+    @property
+    def v(self) -> Array:
+        """Temporal vector v^mu."""
+        return -self.finv[..., 0, :]
+
+    @property
+    def e_inv(self) -> Array:
+        """Inverse vierbein e^mu_a, shape (D-1, D), row a."""
+        return self.finv[..., 1:, :]
+
+    @property
+    def h_up(self) -> Array:
+        """h^{mu nu} = e^mu_a e^nu_a."""
+        e_inv = self.e_inv
+        return e_inv.mT @ e_inv
+
+    @property
+    def h_down(self) -> Array:
+        """h_{mu nu} = e_mu^a e_nu^a."""
+        vier = self.frame[..., 1:]
+        return vier @ vier.mT
+
+    @property
+    def hbar_down(self) -> Array:
+        """h_{mu nu} - tau_mu M_nu - tau_nu M_mu."""
+        tau, m = self.frame[..., 0], self.m
+        return (self.h_down - tau[..., :, None] * m[..., None, :]
+                - m[..., :, None] * tau[..., None, :])
+
+    @property
+    def v_hat(self) -> Array:
+        """v^mu - h^{mu nu} M_nu."""
+        return self.v - np.matvec(self.h_up, self.m)
+
+    @property
+    def e_hat(self) -> Array:
+        """e_mu^a - M_nu e^nu_b delta^{ba} tau_mu, shape (D, D-1)."""
+        return (self.frame[..., 1:]
+                - self.frame[..., :, :1] * np.matvec(self.e_inv, self.m)[..., None, :])
+
+    @property
+    def Phi(self) -> float | Array:
+        """-v.M + (1/2) M h M."""
+        return np.vecdot(0.5 * np.matvec(self.h_up, self.m) - self.v, self.m)
 
 
 @dataclass(frozen=True)
@@ -150,7 +195,8 @@ class NullLift:
 
 
 def derive_nc(nc: NCBackground, x) -> NCDerived:
-    """Solve the frame relations at x and build every derived object."""
+    """Solve the frame relations at x: the frame, its inverse, M, w and the volume.
+    The derived objects are properties of the result."""
     pt = check_point(x, nc.dim)
     frame = np.empty((nc.dim, nc.dim))
     frame[:, 0] = nc.tau(pt)
@@ -159,18 +205,8 @@ def derive_nc(nc: NCBackground, x) -> NCDerived:
     if abs(det) < FRAME_DET_FLOOR:
         raise DegenerateFrame(f"|det(tau, e)| = {abs(det):.3e} below {FRAME_DET_FLOOR:.0e} "
                               f"at point {pt.tolist()}")
-    finv = np.linalg.inv(frame)
-    tau, vier, v, e_inv = frame[:, 0], frame[:, 1:], -finv[0], finv[1:]
-    m = broadcast_read(nc.m_field, pt, 1)
-    w = nc.mass - nc.charge * float(nc.phi(pt))
-    h_up = e_inv.T @ e_inv
-    h_down = vier @ vier.T
-    hbar = h_down - tau[:, None] * m - m[:, None] * tau
-    h_m = h_up @ m
-    e_hat = vier - tau[:, None] * (e_inv @ m)
-    return NCDerived(frame=frame, finv=finv, m=m, w=w, v=v, e_inv=e_inv, h_up=h_up,
-                     h_down=h_down, hbar_down=hbar, v_hat=v - h_m, e_hat=e_hat,
-                     Phi=float((0.5 * h_m - v) @ m), vol=float(det))
+    return NCDerived(frame=frame, finv=np.linalg.inv(frame), m=broadcast_read(nc.m_field, pt, 1),
+                     w=nc.mass - nc.charge * float(nc.phi(pt)), vol=float(det))
 
 
 def derive_nc_partials(nc: NCBackground, x):
@@ -220,9 +256,10 @@ def derive_nc_partials(nc: NCBackground, x):
 
 def _nc_frames(nc: NCBackground, pt) -> NCDerived:
     """``derive_nc`` at each point of pt, (D,) or (K, D), stacked: the one loop over rows
-    of the Newton-Cartan half.  Each row fills preallocated arrays with the leading axes
-    of pt, so one row's objects are alive at a time (lists of every row's, stacked, cost
-    a 2,500-point check 9 MB)."""
+    of the Newton-Cartan half.  Each row copies its five stored fields into preallocated
+    arrays with the leading axes of pt, so one row's solve is alive at a time (lists of
+    every row's, stacked, cost a 2,500-point check 2 MB); the derived objects are then
+    read once from the stacks."""
     rows = np.reshape(pt, (-1, nc.dim))
     stack = {}
     for i, row in enumerate(rows):

@@ -11,7 +11,8 @@ read each field closure the same number of times whatever the size of its
 grid.  A relativistic residual given the MetricData bundle of its points
 returns exactly its value at the points, and a Lorentzian grid's checks
 share one bundle; a Newton-Cartan grid's checks derive their frame partials
-once per residual that takes a divergence, whatever the size of the grid.
+once per residual that takes a divergence, and reads each object derived
+from the frame as often, whatever the size of the grid.
 """
 import dataclasses
 import itertools
@@ -248,6 +249,37 @@ def test_partials_batch_equals_point_calls(case):
     for j, (value, shape) in enumerate(zip(bg.data_derivatives_at(pts), DATA_DERIVATIVE_SHAPES)):
         assert singles[0][j].shape == shape(d) and value.shape == (len(pts),) + shape(d)
         _assert_rows_match(value[rows], [single[j] for single in singles])
+
+
+# one point's shape of every NCDerived name, stored field or derived property, in D
+NC_DERIVED_SHAPES = {"frame": lambda d: (d, d), "finv": lambda d: (d, d),
+                     "m": lambda d: (d,), "w": lambda d: (), "vol": lambda d: (),
+                     "v": lambda d: (d,), "e_inv": lambda d: (d - 1, d),
+                     "h_up": lambda d: (d, d), "h_down": lambda d: (d, d),
+                     "hbar_down": lambda d: (d, d), "v_hat": lambda d: (d,),
+                     "e_hat": lambda d: (d, d - 1), "Phi": lambda d: ()}
+NC_DERIVED_PROPERTIES = [name for name, value in vars(ncg.NCDerived).items()
+                         if isinstance(value, property)]
+
+
+@pytest.mark.parametrize("case", ["nc-wavy-2", "nc-wavy-3", "flat-nc-plane-wave",
+                                  "flat-nc-gaussian-packet", "nc-nontrivial-M"])
+def test_stacked_frames_equal_point_frames(case):
+    """Every NCDerived name read from the stacked frames of a batch equals its
+    ``derive_nc`` at each row, with a point's shapes behind the batch axis: the
+    derived objects are written once over leading axes for both."""
+    bg, _, pts = CASES[case]()
+    d = bg.dim
+    rows = np.unique(np.linspace(0, len(pts) - 1, min(len(pts), 100)).astype(int))
+    names = [f.name for f in dataclasses.fields(ncg.NCDerived)] + NC_DERIVED_PROPERTIES
+    assert sorted(names) == sorted(NC_DERIVED_SHAPES)
+    batch = ncg._nc_frames(bg, pts)
+    singles = [ncg.derive_nc(bg, p) for p in pts[rows]]
+    for name, shape in NC_DERIVED_SHAPES.items():
+        assert np.shape(getattr(singles[0], name)) == shape(d), name
+        value = getattr(batch, name)
+        assert value.shape == (len(pts),) + shape(d), name
+        _assert_rows_match(value[rows], [getattr(single, name) for single in singles])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -508,9 +540,10 @@ FIELD_CLOSURES = {POLAR: ("rho", "S", "drho", "d2rho", "dS", "d2S"),
 
 def _counted_check(monkeypatch, tmp_path, name, samples, functions):
     """Calls of the named pilotwave functions, counted at every module binding
-    (a name ``Class.method`` at that class of ``nc_geometry``), and of each
-    field closure of the scenario, in one ``check`` of scenario ``name`` on a
-    samples x samples grid over its default bounds."""
+    (a name ``Class.method`` at that class of ``nc_geometry``, where a property
+    counts its reads), and of each field closure of the scenario, in one
+    ``check`` of scenario ``name`` on a samples x samples grid over its default
+    bounds."""
     calls = Counter()
 
     def counted(key, fn):
@@ -524,7 +557,9 @@ def _counted_check(monkeypatch, tmp_path, name, samples, functions):
         owner, _, attr = fn_name.rpartition(".")
         for module in [getattr(ncg, owner)] if owner else modules:
             if getattr(module, attr, None) is original:
-                monkeypatch.setattr(module, attr, counted(fn_name, original))
+                monkeypatch.setattr(module, attr, property(counted(fn_name, original.fget))
+                                    if isinstance(original, property)
+                                    else counted(fn_name, original))
     builder = scen.REGISTRY[name]
 
     def counted_build(params):
@@ -560,11 +595,14 @@ def test_the_grid_is_not_split_into_points(monkeypatch, tmp_path):
     counted = {name: getattr(ncg, name)
                for name in ("derive_nc", "derive_nc_partials", *NC_IDENTITIES)}
     counted["NCBackground.data_derivatives_at"] = ncg.NCBackground.data_derivatives_at
+    derived = {f"NCDerived.{name}": getattr(ncg.NCDerived, name) for name in NC_DERIVED_PROPERTIES}
+    counted.update(derived)
     small, large = (_counted_check(monkeypatch, tmp_path, "flat-nc-gaussian-packet", n, counted)
                     for n in (4, 8))
-    # the Newton-Cartan frame is still derived point by point, 11 times per point; its
-    # partials run once per residual that takes a divergence, on the whole grid
+    # the Newton-Cartan frame is still solved point by point, 11 times per point; the
+    # objects derived from it are read from the stacked solves, and its partials run
+    # once per residual that takes a divergence, both on the whole grid
     assert small.pop("derive_nc") == 11 * 4 * 4 and large.pop("derive_nc") == 11 * 8 * 8
     assert small["derive_nc_partials"] == small["NCBackground.data_derivatives_at"] == 3
     assert small == large and small["polar.rho"] > 0 and small["psi.psi"] > 0
-    assert all(small[name] > 0 for name in NC_IDENTITIES)
+    assert all(small[name] > 0 for name in (*NC_IDENTITIES, *derived))
