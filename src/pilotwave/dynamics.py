@@ -17,6 +17,12 @@ eliminating the constraint multiplier from the quantum Hamiltonian gives a
 unit coefficient on the relativistic square root (so Q = 0 recovers
 -m sqrt(-Xdot.g.Xdot)) and Q tau.Xdot/(2w) on the Newton-Cartan quantum
 term (so finite-difference momenta reproduce dS on guidance trajectories).
+
+A velocity row is one point, and it checks that point and reads each
+closure it needs once: on Newton-Cartan data tau, e, M and phi through one
+``derive_nc``, then Abar and dS, with h^{mu nu} formed once; on Lorentzian
+data g (through the checks of ``metric_inverse``), then A and dS, with two
+point checks.
 """
 from __future__ import annotations
 
@@ -32,7 +38,8 @@ from .field_equations import (hj_expression, momentum_covector, nc_hj_expression
                               nc_momentum_covector, nc_quantum_potential,
                               quantum_potential_rel)
 from .fields import EPS_NODE, PolarField
-from .geometry import BackgroundRel, broadcast_read, check_point, check_points, metric_inverse
+from .geometry import (BackgroundRel, _checked_inverse, broadcast_read, check_point,
+                       check_points)
 from .integrators import hermite, integrate_adaptive
 from .nc_geometry import NCBackground, derive_nc
 from .report import ResidualReport, _csv, _json_floats, _json_list
@@ -48,7 +55,7 @@ def guidance_velocity_rel(bg: BackgroundRel, f: PolarField, x) -> Array:
     if bg.mass <= MASS_FLOOR:
         raise MassSingular("relativistic guidance needs a positive mass")
     pt = check_point(x, bg.dim)
-    ginv = metric_inverse(bg, pt)
+    ginv = _checked_inverse(bg._metric(pt), pt)[0]  # metric_inverse, without a second check
     return ginv @ momentum_covector(bg, f, pt) / bg.mass
 
 
@@ -56,13 +63,14 @@ def guidance_velocity_nc(nc: NCBackground, f: PolarField, x) -> Array:
     """NC guidance velocity normalized to absolute time, tau.Xdot = 1.
 
     Proportional to w vhat^mu - h^{mu nu} k_nu; the normalization factor is
-    -1/w, so Xdot = -vhat + h k / w.
+    -1/w, so Xdot = -vhat + h k / w.  The point, the frame, M and phi come
+    from one ``derive_nc``, and k from its bundle.
     """
     der = derive_nc(nc, x)
     w = der.w
     if abs(w) <= MASS_FLOOR:
         raise MassSingular(f"effective mass m - q phi = {w:.3e} vanishes")
-    k = nc_momentum_covector(nc, f, x)
+    k = nc_momentum_covector(nc, f, der)
     return -der.v_hat + der.h_up @ k / w
 
 
@@ -161,8 +169,8 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
     tolerances as given; each call's first trial step is the whole interval,
     each interval after the first starts from the previous interval's final
     derivative (FSAL k7), and samples land exactly on the output values.
-    The node guard runs after every accepted step: it evaluates the density
-    on the step's cubic Hermite interpolant at the step end and at interior
+    The node guard runs after every accepted step: it reads the density once
+    on the step's cubic Hermite interpolant, at the step end and at interior
     points at most MAX_STEP_FRAC * span apart, and bisects on the
     interpolant between the last sample above the node threshold and the
     first at or below it.  Raises NodeEncountered if the density falls to
@@ -186,20 +194,23 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
     gap = MAX_STEP_FRAC * (lf - l0)
     reached = [l0, None]  # the end of the last accepted step and the derivative there
 
-    def below(y) -> bool:
-        return float(gf.field.rho(y)) <= EPS_NODE
-
     def node_guard(*step):
+        def below(lams):
+            """Whether the density on the step's interpolant is at the node threshold at
+            each of lams, read once for all of them."""
+            return broadcast_read(gf.field.rho, hermite(*step, lams)) <= EPS_NODE
+
         t0, t1 = step[0], step[3]
         # n gaps of at most `gap`; the slack keeps round-off in the ratio from adding one
         lams = np.linspace(t0, t1, max(1, math.ceil((t1 - t0) / gap - 1e-9)) + 1)
-        for lo, hi, y in zip(lams[:-1], lams[1:], hermite(*step, lams[1:])):
-            if below(y):
-                while hi - lo > 1e-12 * max(1.0, abs(hi)):
-                    mid = 0.5 * (lo + hi)
-                    lo, hi = (lo, mid) if below(hermite(*step, [mid])[0]) else (mid, hi)
-                raise NodeEncountered(f"density hit node threshold at lambda={hi:.9g}",
-                                      lam=float(hi))
+        hits = np.flatnonzero(below(lams[1:]))
+        if hits.size:
+            lo, hi = lams[hits[0]], lams[hits[0] + 1]
+            while hi - lo > 1e-12 * max(1.0, abs(hi)):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (lo, mid) if below([mid])[0] else (mid, hi)
+            raise NodeEncountered(f"density hit node threshold at lambda={hi:.9g}",
+                                  lam=float(hi))
         reached[:] = t1, step[5]
 
     lambdas = np.linspace(l0, lf, steps)

@@ -43,11 +43,13 @@ points, it builds their bundle itself.  ``classical_hj_residual_rel`` needs
 no gradients and reads ``metric_inverse`` at the bundle's points.
 Newton-Cartan residuals read ``nc_geometry._nc_frames``, which solves the
 frame one point at a time through ``derive_nc`` and stacks the solves (the
-frame, its inverse, M, w = m - q phi and the volume); each derived object
-is a property of those stacks, computed once per batch when read.  For the
-divergences they read one stacked ``derive_nc_partials`` per batch.  A node
-check runs before the division it guards, and an error in a batch names the
-first failing point.
+frame, its inverse, M, w = m - q phi and the volume) with the points and
+phi; each derived object is computed from those stacks at its first read,
+once per batch.  ``nc_momentum_covector`` also takes a single-point
+``NCDerived`` in place of its point and uses its M and phi, so a guidance
+row reads each closure once.  For the divergences they read one stacked
+``derive_nc_partials`` per batch.  A node check runs before the division it
+guards, and an error in a batch names the first failing point.
 
 The ``*_printed`` variants reproduce equation forms that fail their own
 consistency checks (a factor slip in the relativistic quantum potential's
@@ -65,7 +67,7 @@ from .errors import FormMismatch
 from .fields import PSI_AT_NODE, ComplexField, PolarField, _outer, node_check
 from .geometry import (BackgroundRel, MetricData, broadcast_read, check_points, metric_data,
                        metric_inverse, raise_at_first)
-from .nc_geometry import NCBackground, _nc_frames, derive_nc_partials
+from .nc_geometry import NCBackground, NCDerived, _nc_frames, derive_nc_partials
 
 Array = np.ndarray
 
@@ -146,9 +148,9 @@ def _bundle(bg: BackgroundRel, x) -> MetricData:
 
 
 def momentum_covector(bg: BackgroundRel, f: PolarField, x) -> Array:
-    """k_M = d_M S - q A_M."""
+    """k_M = d_M S - q A_M, from one check of the points x and one read of dS and A."""
     pt = check_points(x, bg.dim)
-    return broadcast_read(f.dS, pt, 1) - bg.charge * bg.gauge_at(pt)
+    return broadcast_read(f.dS, pt, 1) - bg.charge * broadcast_read(bg.gauge, pt, 1)
 
 
 def hj_expression(bg: BackgroundRel, x, k):
@@ -311,9 +313,10 @@ FORM_AGREEMENT_TOL = 1e-10
 
 
 def nc_momentum_covector(nc: NCBackground, f: PolarField, x) -> Array:
-    """k_mu = d_mu S - q A_mu with the reduced gauge field A = Abar - phi M."""
-    a_red = nc.reduced_gauge_at(x)  # checks x for both reads
-    return broadcast_read(f.dS, x, 1) - nc.charge * a_red
+    """k_mu = d_mu S - q A_mu with the reduced gauge field A = Abar - phi M, at points
+    x or at the points of an NCDerived bundle x, whose phi and M it takes."""
+    a_red = nc.reduced_gauge_at(x)  # checks points x for both reads
+    return broadcast_read(f.dS, x.pt if isinstance(x, NCDerived) else x, 1) - nc.charge * a_red
 
 
 def _nc_hj_forms(nc: NCBackground, pt, k):

@@ -151,12 +151,15 @@ class BackgroundRel:
                    dmetric=lambda x: zero_dg.copy(), dgauge=lambda x: zero_da.copy())
 
     def metric_at(self, x) -> Array:
-        pts = check_points(x, self.dim)
+        return self._metric(check_points(x, self.dim))
+
+    def _metric(self, pts: Array) -> Array:
+        """g_MN at points that are already checked, its shape and symmetry checked."""
         g = np.asarray(self.metric(pts), dtype=float)
         if g.shape[-2:] != (self.dim, self.dim):
             raise ValueError(f"metric has shape {g.shape}, expected (..., {self.dim}, {self.dim})")
         g = broadcast_read(lambda _: g, pts, 2)
-        asym = np.max(np.abs(g - g.mT), axis=(-2, -1))
+        asym = np.abs(g - g.mT).max(axis=(-2, -1))
         raise_at_first(asym >= SYMMETRY_TOL, pts, ValueError,
                        "metric is not symmetric (max |g - g^T| = {:.3e})", asym)
         return g
@@ -179,12 +182,12 @@ def _checked_inverse(g: Array, pts: Array) -> tuple[Array, Array]:
     det = np.linalg.det(g)
     raise_at_first(np.abs(det) < DET_FLOOR, pts, SingularMetric,
                    f"|det g| = {{:.3e}} below {DET_FLOOR:.0e}", np.abs(det))
-    negative = np.sum(np.linalg.eigvalsh(g) < 0.0, axis=-1)
+    negative = (np.linalg.eigvalsh(g) < 0.0).sum(axis=-1)
     raise_at_first(negative != 1, pts, SignatureViolation,
                    "metric must have exactly one negative eigenvalue, has {}", negative)
     ginv = np.linalg.inv(g)
     ginv = 0.5 * (ginv + ginv.mT)
-    residual = np.max(np.abs(g @ ginv - np.eye(g.shape[-1])), axis=(-2, -1))
+    residual = np.abs(g @ ginv - np.eye(g.shape[-1])).max(axis=(-2, -1))
     raise_at_first(residual >= INVERSE_TOL, pts, SingularMetric,
                    f"inverse residual {{:.3e}} exceeds {INVERSE_TOL:.0e}", residual)
     return ginv, det

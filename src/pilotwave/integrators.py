@@ -13,6 +13,8 @@ because the derivatives at both ends are the step's k1 and its FSAL k7.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import StepFailure
@@ -93,7 +95,7 @@ def integrate_adaptive(f, t0, y0, t_out, rtol=1e-9, atol=1e-12,
     t = float(t0)
     out = np.empty((t_out.size, y.size))
     idx = 0
-    if t_out.size and np.isclose(t_out[0], t, rtol=0.0, atol=1e-14):
+    if t_out.size and abs(t_out[0] - t) <= 1e-14:
         out[0] = y
         idx = 1
     h = t_out[-1] - t if t_out.size else 0.0
@@ -112,7 +114,9 @@ def integrate_adaptive(f, t0, y0, t_out, rtol=1e-9, atol=1e-12,
             raise StepFailure(f"step underflow at t = {t:.6g}")
         y_new, err, k7 = rk45_step(f, t, y, h, k1)
         scale = atol + rtol * np.maximum(np.abs(y), np.abs(y_new))
-        err_norm = float(np.sqrt(np.mean((err / scale) ** 2)))
+        # the RMS as np.mean forms it (a sum, then one division), without its wrapper
+        sq = (err / scale) ** 2
+        err_norm = math.sqrt(float(np.add.reduce(sq)) / sq.size)
         n_steps += 1
         if err_norm <= 1.0:
             t_new = target if clamped else t + h

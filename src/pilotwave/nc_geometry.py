@@ -17,12 +17,16 @@ The null lift assembles the (D+1)-dimensional Lorentzian metric
 whose closed-form inverse has gamma^{uu} = 2 Phi, gamma^{u mu} = -vhat^mu
 and gamma^{mu nu} = h^{mu nu}.  The extra null coordinate u is ordered last.
 
-``derive_nc`` solves the frame at one point and stores only that solve in
-an ``NCDerived``; the derived objects are its properties, written over
-leading axes.  The other functions of a point take one point (D,) or a
-batch (K, D): ``_nc_frames`` stacks the frame solves of a batch, and the
-algebra on them, the derived objects and the frame partials included, runs
-once over the leading axis.
+``derive_nc`` checks one point, reads tau, e, M and phi there once and
+solves the frame, and stores the point, the solve, M and phi in an
+``NCDerived``; each derived object is computed from them at its first read
+and kept, once per bundle, written over leading axes.  A single-point row,
+such as a guidance velocity, takes everything it needs from that one
+bundle (``reduced_gauge_at`` takes its M and phi and reads only Abar): one
+point check and one read of each closure.  The other functions of a point
+take one point (D,) or a batch (K, D): ``_nc_frames`` stacks the frame
+solves of a batch, and the algebra on them, the derived objects and the
+frame partials included, runs once over the leading axis.
 """
 from __future__ import annotations
 
@@ -50,9 +54,11 @@ class NCBackground:
     convention of the rest of the package, e.g. ``dtau(x)[mu, nu] =
     d_mu tau_nu``; central differences are used when they are omitted.
     ``derive_nc`` still derives the frame one point at a time, and
-    ``_nc_frames`` stacks its rows for a batch; ``data_derivatives_at`` reads
-    the derivatives once per batch, so ``derive_nc_partials`` and the
-    identity checks take one point or a batch.
+    ``_nc_frames`` stacks its rows for a batch; ``reduced_gauge_at`` takes
+    points or the ``NCDerived`` of points, whose M and phi it uses in place
+    of reading them again; ``data_derivatives_at`` reads the derivatives
+    once per batch, so ``derive_nc_partials`` and the identity checks take
+    one point or a batch.
     None of the data may depend on the null coordinate u by construction.
     """
 
@@ -106,10 +112,14 @@ class NCBackground:
         )
 
     def reduced_gauge_at(self, x) -> Array:
-        """A_mu = Abar_mu - phi M_mu, the spacetime part of the lifted gauge field."""
-        pts = check_points(x, self.dim)
-        return (broadcast_read(self.gauge_bar, pts, 1)
-                - broadcast_read(self.phi, pts)[..., None] * broadcast_read(self.m_field, pts, 1))
+        """A_mu = Abar_mu - phi M_mu, the spacetime part of the lifted gauge field, at
+        points x or at the points of an NCDerived bundle x, whose phi and M it takes."""
+        if isinstance(x, NCDerived):
+            pts, phi, m = x.pt, x.phi, x.m
+        else:
+            pts = check_points(x, self.dim)
+            phi, m = broadcast_read(self.phi, pts), broadcast_read(self.m_field, pts, 1)
+        return broadcast_read(self.gauge_bar, pts, 1) - phi[..., None] * m
 
     def data_derivatives_at(self, x):
         """(dtau, dvierbein, dM, dAbar, dphi) at one point (D,) or a batch (K, D): the
@@ -123,62 +133,83 @@ class NCBackground:
             (self.phi, self.dphi, (d,))))
 
 
-@dataclass(frozen=True)
+class _derived:
+    """An object derived from the frame solve: computed at its first read and kept
+    on the bundle, whose later reads find it there without calling this again.
+    Unlike ``functools.cached_property`` it takes no lock (Python 3.11)."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, der, owner=None):
+        if der is None:
+            return self
+        value = der.__dict__[self.name] = self.fn(der)
+        return value
+
+
+@dataclass
 class NCDerived:
     """The frame solve at one point, or its rows stacked along leading axes.
 
-    Only the solve is stored; every other object is a property, a few products
-    of ``finv`` and ``m`` written once over the leading axes, so it serves one
-    point and a stacked batch alike and runs once per batch when read.
+    Stored are the checked points, the solve, M and phi; every other object
+    is derived from them, a few products of ``finv`` and ``m`` written once
+    over the leading axes, so it serves one point and a stacked batch alike.
+    Each is computed at its first read and kept, once per bundle.  The fields
+    are not reassigned; the class is not frozen because a frozen __init__
+    costs each single-point row about 1 us more (7 fields).
     """
 
+    pt: Array         # the checked point (D,) or points (..., D)
     frame: Array      # (tau, e): tau as column 0, the vierbein as columns 1..D-1
     finv: Array       # inverse frame: row 0 is -v, rows 1..D-1 are e^mu_a
     m: Array          # mass gauge field M_mu
+    phi: Array        # scalar potential phi
     w: float | Array  # effective mass m - q phi
     vol: float | Array  # det(tau, e)
 
-    @property
+    @_derived
     def v(self) -> Array:
         """Temporal vector v^mu."""
         return -self.finv[..., 0, :]
 
-    @property
+    @_derived
     def e_inv(self) -> Array:
         """Inverse vierbein e^mu_a, shape (D-1, D), row a."""
         return self.finv[..., 1:, :]
 
-    @property
+    @_derived
     def h_up(self) -> Array:
         """h^{mu nu} = e^mu_a e^nu_a."""
-        e_inv = self.e_inv
+        e_inv = self.finv[..., 1:, :]  # sliced as e_inv is: reading it costs a row a call
         return e_inv.mT @ e_inv
 
-    @property
+    @_derived
     def h_down(self) -> Array:
         """h_{mu nu} = e_mu^a e_nu^a."""
         vier = self.frame[..., 1:]
         return vier @ vier.mT
 
-    @property
+    @_derived
     def hbar_down(self) -> Array:
         """h_{mu nu} - tau_mu M_nu - tau_nu M_mu."""
         tau, m = self.frame[..., 0], self.m
         return (self.h_down - tau[..., :, None] * m[..., None, :]
                 - m[..., :, None] * tau[..., None, :])
 
-    @property
+    @_derived
     def v_hat(self) -> Array:
-        """v^mu - h^{mu nu} M_nu."""
-        return self.v - np.matvec(self.h_up, self.m)
+        """v^mu - h^{mu nu} M_nu; v is negated from finv as ``v`` does, which spares a
+        guidance row, which reads only v_hat and h_up, a call."""
+        return -self.finv[..., 0, :] - np.matvec(self.h_up, self.m)
 
-    @property
+    @_derived
     def e_hat(self) -> Array:
         """e_mu^a - M_nu e^nu_b delta^{ba} tau_mu, shape (D, D-1)."""
         return (self.frame[..., 1:]
                 - self.frame[..., :, :1] * np.matvec(self.e_inv, self.m)[..., None, :])
 
-    @property
+    @_derived
     def Phi(self) -> float | Array:
         """-v.M + (1/2) M h M."""
         return np.vecdot(0.5 * np.matvec(self.h_up, self.m) - self.v, self.m)
@@ -195,8 +226,9 @@ class NullLift:
 
 
 def derive_nc(nc: NCBackground, x) -> NCDerived:
-    """Solve the frame relations at x: the frame, its inverse, M, w and the volume.
-    The derived objects are properties of the result."""
+    """Solve the frame relations at one point x: the checked point, the frame, its
+    inverse, M, phi, w and the volume, from one read of tau, e, M and phi.  The
+    derived objects are computed from the result when first read."""
     pt = check_point(x, nc.dim)
     frame = np.empty((nc.dim, nc.dim))
     frame[:, 0] = nc.tau(pt)
@@ -205,8 +237,10 @@ def derive_nc(nc: NCBackground, x) -> NCDerived:
     if abs(det) < FRAME_DET_FLOOR:
         raise DegenerateFrame(f"|det(tau, e)| = {abs(det):.3e} below {FRAME_DET_FLOOR:.0e} "
                               f"at point {pt.tolist()}")
-    return NCDerived(frame=frame, finv=np.linalg.inv(frame), m=broadcast_read(nc.m_field, pt, 1),
-                     w=nc.mass - nc.charge * float(nc.phi(pt)), vol=float(det))
+    phi = broadcast_read(nc.phi, pt)
+    return NCDerived(pt=pt, frame=frame, finv=np.linalg.inv(frame),
+                     m=broadcast_read(nc.m_field, pt, 1), phi=phi,
+                     w=nc.mass - nc.charge * float(phi), vol=float(det))
 
 
 def derive_nc_partials(nc: NCBackground, x):
@@ -247,8 +281,7 @@ def derive_nc_partials(nc: NCBackground, x):
     dPhi = (-np.matvec(dv, m) - np.matvec(dm, der.v) + np.matvec(dm, np.vecmat(m, der.h_up))
             + 0.5 * np.vecdot(np.vecmat(m_mu, dh_up), m_mu))
     dvol = der.vol[..., None] * np.einsum("...ab,...mba->...m", finv, dframe)
-    phi = broadcast_read(nc.phi, pt)
-    da = dabar - dphi[..., None] * m_mu - phi[..., None, None] * dm
+    da = dabar - dphi[..., None] * m_mu - der.phi[..., None, None] * dm
     return {"v": dv, "e_inv": de_inv, "h_up": dh_up, "h_down": dh_down,
             "hbar_down": dhbar, "v_hat": dv_hat, "Phi": dPhi, "vol": dvol,
             "w": -nc.charge * dphi, "A": da}
@@ -256,18 +289,22 @@ def derive_nc_partials(nc: NCBackground, x):
 
 def _nc_frames(nc: NCBackground, pt) -> NCDerived:
     """``derive_nc`` at each point of pt, (D,) or (K, D), stacked: the one loop over rows
-    of the Newton-Cartan half.  Each row copies its five stored fields into preallocated
-    arrays with the leading axes of pt, so one row's solve is alive at a time (lists of
-    every row's, stacked, cost a 2,500-point check 2 MB); the derived objects are then
-    read once from the stacks."""
-    rows = np.reshape(pt, (-1, nc.dim))
-    stack = {}
-    for i, row in enumerate(rows):
-        for key, value in vars(derive_nc(nc, row)).items():
-            if i == 0:
-                stack[key] = np.empty((len(rows),) + np.shape(value))
-            stack[key][i] = value
-    return NCDerived(**{key: a.reshape(pt.shape[:-1] + a.shape[1:]) for key, a in stack.items()})
+    of the Newton-Cartan half.  Each row copies the five fields of its frame solve into
+    arrays preallocated with the leading axes of pt, so one row's solve is alive at a
+    time (lists of every row's, stacked, cost a 2,500-point check 2 MB); the points and
+    phi are filled once for the batch, and the derived objects computed once from the
+    stacks."""
+    d, lead = nc.dim, pt.shape[:-1]
+    frame, finv, m = np.empty(lead + (d, d)), np.empty(lead + (d, d)), np.empty(lead + (d,))
+    w, vol = np.empty(lead), np.empty(lead)
+    # row views of the stacks
+    frames, finvs, ms = frame.reshape(-1, d, d), finv.reshape(-1, d, d), m.reshape(-1, d)
+    ws, vols = w.reshape(-1), vol.reshape(-1)
+    for i, row in enumerate(np.reshape(pt, (-1, d))):
+        der = derive_nc(nc, row)
+        frames[i], finvs[i], ms[i], ws[i], vols[i] = der.frame, der.finv, der.m, der.w, der.vol
+    return NCDerived(pt=pt, frame=frame, finv=finv, m=m, phi=broadcast_read(nc.phi, pt),
+                     w=w, vol=vol)
 
 
 def _max_abs(a, axes=1):
@@ -290,8 +327,7 @@ def null_lift(nc: NCBackground, x) -> NullLift:
     gamma_inv[..., :d, d] = -der.v_hat
     gamma_inv[..., d, :d] = -der.v_hat
     gamma_inv[..., d, d] = 2.0 * der.Phi
-    gauge = np.concatenate([nc.reduced_gauge_at(pt), broadcast_read(nc.phi, pt)[..., None]],
-                           axis=-1)
+    gauge = np.concatenate([nc.reduced_gauge_at(der), der.phi[..., None]], axis=-1)
     residual = _max_abs(gamma @ gamma_inv - np.eye(d + 1), 2)
     raise_at_first(residual >= 1e-10, pt, DegenerateFrame,
                    "lift inverse residual {:.3e} exceeds 1e-10", residual)

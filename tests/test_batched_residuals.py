@@ -11,10 +11,12 @@ read each field closure the same number of times whatever the size of its
 grid.  A relativistic residual given the MetricData bundle of its points
 returns exactly its value at the points, and a Lorentzian grid's checks
 share one bundle; a Newton-Cartan grid's checks derive their frame partials
-once per residual that takes a divergence, and reads each object derived
-from the frame as often, whatever the size of the grid.
+once per residual that takes a divergence, and compute each object derived
+from the frame as often, at most once per stack of frames, whatever the
+size of the grid.
 """
 import dataclasses
+import functools
 import itertools
 import json
 import re
@@ -251,15 +253,16 @@ def test_partials_batch_equals_point_calls(case):
         _assert_rows_match(value[rows], [single[j] for single in singles])
 
 
-# one point's shape of every NCDerived name, stored field or derived property, in D
-NC_DERIVED_SHAPES = {"frame": lambda d: (d, d), "finv": lambda d: (d, d),
-                     "m": lambda d: (d,), "w": lambda d: (), "vol": lambda d: (),
+# one point's shape of every NCDerived name, stored field or derived object, in D
+NC_DERIVED_SHAPES = {"pt": lambda d: (d,), "frame": lambda d: (d, d), "finv": lambda d: (d, d),
+                     "m": lambda d: (d,), "phi": lambda d: (), "w": lambda d: (),
+                     "vol": lambda d: (),
                      "v": lambda d: (d,), "e_inv": lambda d: (d - 1, d),
                      "h_up": lambda d: (d, d), "h_down": lambda d: (d, d),
                      "hbar_down": lambda d: (d, d), "v_hat": lambda d: (d,),
                      "e_hat": lambda d: (d, d - 1), "Phi": lambda d: ()}
-NC_DERIVED_PROPERTIES = [name for name, value in vars(ncg.NCDerived).items()
-                         if isinstance(value, property)]
+NC_DERIVED_OBJECTS = [name for name, value in vars(ncg.NCDerived).items()
+                      if isinstance(value, ncg._derived)]
 
 
 @pytest.mark.parametrize("case", ["nc-wavy-2", "nc-wavy-3", "flat-nc-plane-wave",
@@ -271,7 +274,7 @@ def test_stacked_frames_equal_point_frames(case):
     bg, _, pts = CASES[case]()
     d = bg.dim
     rows = np.unique(np.linspace(0, len(pts) - 1, min(len(pts), 100)).astype(int))
-    names = [f.name for f in dataclasses.fields(ncg.NCDerived)] + NC_DERIVED_PROPERTIES
+    names = [f.name for f in dataclasses.fields(ncg.NCDerived)] + NC_DERIVED_OBJECTS
     assert sorted(names) == sorted(NC_DERIVED_SHAPES)
     batch = ncg._nc_frames(bg, pts)
     singles = [ncg.derive_nc(bg, p) for p in pts[rows]]
@@ -540,13 +543,14 @@ FIELD_CLOSURES = {POLAR: ("rho", "S", "drho", "d2rho", "dS", "d2S"),
 
 def _counted_check(monkeypatch, tmp_path, name, samples, functions):
     """Calls of the named pilotwave functions, counted at every module binding
-    (a name ``Class.method`` at that class of ``nc_geometry``, where a property
-    counts its reads), and of each field closure of the scenario, in one
-    ``check`` of scenario ``name`` on a samples x samples grid over its default
-    bounds."""
+    (a name ``Class.method`` at that class of ``nc_geometry``, where an object
+    derived in ``NCDerived`` counts its computations), and of each field
+    closure of the scenario, in one ``check`` of scenario ``name`` on a
+    samples x samples grid over its default bounds."""
     calls = Counter()
 
     def counted(key, fn):
+        @functools.wraps(fn)
         def wrapper(*args):
             calls[key] += 1
             return fn(*args)
@@ -557,8 +561,8 @@ def _counted_check(monkeypatch, tmp_path, name, samples, functions):
         owner, _, attr = fn_name.rpartition(".")
         for module in [getattr(ncg, owner)] if owner else modules:
             if getattr(module, attr, None) is original:
-                monkeypatch.setattr(module, attr, property(counted(fn_name, original.fget))
-                                    if isinstance(original, property)
+                monkeypatch.setattr(module, attr, ncg._derived(counted(fn_name, original.fn))
+                                    if isinstance(original, ncg._derived)
                                     else counted(fn_name, original))
     builder = scen.REGISTRY[name]
 
@@ -593,16 +597,42 @@ def test_the_grid_is_not_split_into_points(monkeypatch, tmp_path):
         assert small["polar.rho"] + small["psi.psi"] > 0
 
     counted = {name: getattr(ncg, name)
-               for name in ("derive_nc", "derive_nc_partials", *NC_IDENTITIES)}
+               for name in ("derive_nc", "_nc_frames", "derive_nc_partials", *NC_IDENTITIES)}
     counted["NCBackground.data_derivatives_at"] = ncg.NCBackground.data_derivatives_at
-    derived = {f"NCDerived.{name}": getattr(ncg.NCDerived, name) for name in NC_DERIVED_PROPERTIES}
+    derived = {f"NCDerived.{name}": getattr(ncg.NCDerived, name) for name in NC_DERIVED_OBJECTS}
     counted.update(derived)
     small, large = (_counted_check(monkeypatch, tmp_path, "flat-nc-gaussian-packet", n, counted)
                     for n in (4, 8))
-    # the Newton-Cartan frame is still solved point by point, 11 times per point; the
-    # objects derived from it are read from the stacked solves, and its partials run
-    # once per residual that takes a divergence, both on the whole grid
+    # the Newton-Cartan frame is still solved point by point, 11 times per point and
+    # stacked 11 times; the objects derived from it are computed from the stacked
+    # solves, at most once per stack, and its partials run once per residual that
+    # takes a divergence, both on the whole grid
     assert small.pop("derive_nc") == 11 * 4 * 4 and large.pop("derive_nc") == 11 * 8 * 8
+    assert small["_nc_frames"] == 11
     assert small["derive_nc_partials"] == small["NCBackground.data_derivatives_at"] == 3
     assert small == large and small["polar.rho"] > 0 and small["psi.psi"] > 0
-    assert all(small[name] > 0 for name in (*NC_IDENTITIES, *derived))
+    assert all(small[name] > 0 for name in NC_IDENTITIES)
+    assert all(0 < small[name] <= small["_nc_frames"] for name in derived)
+
+
+def test_each_derived_object_is_computed_once_per_bundle(monkeypatch):
+    """A bundle, of one point or of a batch, computes each derived object at its first
+    read and keeps it: h_up serves v_hat, Phi and its own reads alike."""
+    calls = Counter()
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(der):
+            calls[name] += 1
+            return fn(der)
+        return wrapper
+
+    for name in NC_DERIVED_OBJECTS:
+        original = vars(ncg.NCDerived)[name]
+        monkeypatch.setattr(ncg.NCDerived, name, ncg._derived(counted(name, original.fn)))
+    bg, _, pts = CASES["nc-wavy-3"]()
+    for der in (ncg.derive_nc(bg, pts[0]), ncg._nc_frames(bg, pts)):
+        calls.clear()
+        reads = [[getattr(der, name) for name in NC_DERIVED_OBJECTS] for _ in range(3)]
+        assert calls == dict.fromkeys(NC_DERIVED_OBJECTS, 1)
+        assert all(a is b for a, b in zip(reads[0], reads[2]))

@@ -1,4 +1,8 @@
+import dataclasses
 import json
+import re
+import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -6,19 +10,21 @@ from hypothesis import given, settings
 
 import pilotwave.dynamics as dyn
 import pilotwave.field_equations as feq
+import pilotwave.geometry as geometry
 from pilotwave.dynamics import (GuidanceField, guidance_velocity_nc, guidance_velocity_rel,
                                 hamiltonian_constraint_residual,
                                 integrate_trajectory, lagrangian_nc,
                                 lagrangian_quantum_rel, momentum_nc_classical,
                                 momentum_quantum_rel)
-from pilotwave.errors import (DegenerateVelocity, ImaginaryMass, MassSingular,
-                              NodeEncountered, TachyonicInput)
+from pilotwave.errors import (DegenerateFrame, DegenerateVelocity, ImaginaryMass, MassSingular,
+                              NodeEncountered, SignatureViolation, SingularMetric,
+                              TachyonicInput)
 from pilotwave.fields import EPS_NODE, polar_field
 from pilotwave.geometry import BackgroundRel
 from pilotwave.integrators import integrate_fixed
-from pilotwave.nc_geometry import NCBackground
+from pilotwave.nc_geometry import NCBackground, derive_nc
 from pilotwave.scenarios import build
-from conftest import trajectories
+from conftest import make_wavy_nc, make_wavy_polar, trajectories
 from oracles import integrate_geodesic, rk4_path
 
 X4 = np.array([0.3, 0.1, -0.2, 0.5])
@@ -64,6 +70,17 @@ class TestGuidanceRel:
         with pytest.raises(MassSingular):
             guidance_velocity_rel(bg, sc.polar, X4)
 
+    @pytest.mark.parametrize("g, error, message", [
+        ([[-1.0, 0.5], [0.0, 1.0]], ValueError, "metric is not symmetric"),
+        ([[-1.0, 0.0], [0.0, 0.0]], SingularMetric, "|det g| = 0.000e+00 below 1e-14"),
+        ([[1.0, 0.0], [0.0, 1.0]], SignatureViolation, "exactly one negative eigenvalue, has 0"),
+    ])
+    def test_metric_checks_name_the_point(self, g, error, message):
+        bg = BackgroundRel.constant(g)
+        f = build("minkowski-plane-wave", {"k": [0.3]}).polar
+        with pytest.raises(error, match=f"{re.escape(message)}.* at point \\[0.3, -0.7\\]$"):
+            guidance_velocity_rel(bg, f, np.array([0.3, -0.7]))
+
 
 class TestGuidanceNC:
     def test_flat_velocity_is_k_over_m(self):
@@ -77,6 +94,22 @@ class TestGuidanceNC:
         v = guidance_velocity_nc(sc.background, sc.polar, np.array([0.4, 0.2]))
         assert np.allclose(v, [1.0, 0.0], atol=1e-14)
 
+    def test_errors_name_their_cause(self):
+        f = build("flat-nc-gaussian-packet").polar
+        x = np.array([0.3, 0.7])
+        # the vierbein column is parallel to tau: det(tau, e) = 0
+        degenerate = NCBackground.constant(tau=[1.0, 0.0], vierbein=[[1.0], [0.0]])
+        with pytest.raises(DegenerateFrame) as info:
+            derive_nc(degenerate, x)
+        assert str(info.value).endswith("at point [0.3, 0.7]")
+        with pytest.raises(DegenerateFrame, match=f"^{re.escape(str(info.value))}$"):
+            guidance_velocity_nc(degenerate, f, x)
+        # w = m - q phi = 1 - 0.4 * 2.5 = 0
+        singular = NCBackground.constant(tau=[1.0, 0.0], vierbein=[[0.0], [1.0]],
+                                         phi=2.5, mass=1.0, charge=0.4)
+        with pytest.raises(MassSingular, match="m - q phi = 0.000e[+]00 vanishes"):
+            guidance_velocity_nc(singular, f, x)
+
     def test_packet_velocity_matches_phase_gradient(self):
         sc = build("flat-nc-gaussian-packet")
         m = sc.params["m"]
@@ -85,6 +118,44 @@ class TestGuidanceNC:
             v = guidance_velocity_nc(sc.background, sc.polar, x)
             assert v[0] == pytest.approx(1.0, abs=1e-14)
             assert v[1] == pytest.approx(sc.polar.dS(x)[1] / m, abs=1e-13)
+
+
+# what one GuidanceField.velocity row reads: each closure it needs, once, and its point
+# checks (check_points at every pilotwave binding)
+NC_ROW = dict.fromkeys(("check_points", "tau", "vierbein", "m_field", "phi", "gauge_bar", "dS"), 1)
+REL_READS = dict.fromkeys(("metric", "gauge", "dS"), 1)
+
+
+def _counted_rows(monkeypatch, bg, f):
+    """A GuidanceField on bg and f whose closures and point checks are counted, and the
+    list to which each of its velocity rows appends what it called, by name."""
+    calls, rows = Counter(), []
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    def counted_closures(obj):
+        return dataclasses.replace(obj, **{
+            field.name: counted(field.name, getattr(obj, field.name))
+            for field in dataclasses.fields(obj) if callable(getattr(obj, field.name))})
+
+    original = geometry.check_points
+    for module in [m for name, m in sys.modules.items() if name.startswith("pilotwave")]:
+        if getattr(module, "check_points", None) is original:
+            monkeypatch.setattr(module, "check_points", counted("check_points", original))
+    velocity = dyn.GuidanceField.velocity
+
+    def counted_velocity(self, x):
+        before = calls.copy()
+        out = velocity(self, x)
+        rows.append(calls - before)
+        return out
+
+    monkeypatch.setattr(dyn.GuidanceField, "velocity", counted_velocity)
+    return GuidanceField(counted_closures(bg), counted_closures(f)), rows
 
 
 class TestIntegrateTrajectory:
@@ -171,25 +242,40 @@ class TestIntegrateTrajectory:
         # 6 stages, since the node guard samples the step's interpolant rather
         # than capping the step, and only the first interval evaluates its k1;
         # a fresh k1 per interval took 350 rows, a step cap of 0.05 650, and a
-        # cold start at 1e-3 x interval 1,850
-        counts = {"rhs": 0, "adaptive": 0}
-        velocity, adaptive = dyn.GuidanceField.velocity, dyn.integrate_adaptive
-
-        def counted_velocity(self, x):
-            counts["rhs"] += 1
-            return velocity(self, x)
+        # cold start at 1e-3 x interval 1,850.  Each row checks its point once
+        # and reads each closure it needs once: M and phi come from its derive_nc
+        adaptive, calls = dyn.integrate_adaptive, Counter()
 
         def counted_adaptive(*args, **kwargs):
-            counts["adaptive"] += 1
+            calls["adaptive"] += 1
             return adaptive(*args, **kwargs)
 
-        monkeypatch.setattr(dyn.GuidanceField, "velocity", counted_velocity)
         monkeypatch.setattr(dyn, "integrate_adaptive", counted_adaptive)
         sc = build("flat-nc-gaussian-packet")
-        gf = GuidanceField(background=sc.background, field=sc.polar)
+        gf, rows = _counted_rows(monkeypatch, sc.background, sc.polar)
         traj = integrate_trajectory(gf, sc.default_seeds[0], (0.0, 5.0), steps=51)
         assert len(traj) == 51
-        assert counts == {"rhs": 301, "adaptive": 50}
+        assert len(rows) == 301 and calls["adaptive"] == 50
+        assert all(row == NC_ROW for row in rows)
+
+    @pytest.mark.parametrize("case", ["wavy-nc", "curved-diagonal"])
+    def test_guidance_row_reads(self, case, monkeypatch):
+        """One velocity row on a charged, varying Newton-Cartan frame reads what a packet
+        row reads; a Lorentzian row reads g, A and dS once and checks its point at most
+        twice."""
+        if case == "wavy-nc":
+            bg, f, expected = make_wavy_nc(), make_wavy_polar(), NC_ROW
+        else:
+            sc = build(case)
+            bg, f, expected = sc.background, sc.polar, REL_READS
+        gf, rows = _counted_rows(monkeypatch, bg, f)
+        for x in np.random.default_rng(4).uniform(-0.8, 0.8, size=(5, 2)):
+            gf.velocity(x)
+        assert len(rows) == 5
+        for row in rows:
+            if case == "curved-diagonal":
+                assert 1 <= row.pop("check_points") <= 2
+            assert row == expected
 
     @pytest.mark.parametrize("name", ["flat-nc-gaussian-packet", "curved-diagonal"])
     def test_carried_derivative_is_a_fresh_one(self, name, monkeypatch):
