@@ -34,7 +34,7 @@ from . import scenarios as scen
 from .dynamics import GuidanceField, integrate_trajectory
 from .errors import ConfigError, NonFiniteResult, PilotwaveError
 from .geometry import BackgroundRel, evaluate_named, metric_data
-from .nc_geometry import (NCBackground, ehat_identity_residual,
+from .nc_geometry import (NCBackground, derive_nc, ehat_identity_residual,
                           frame_identity_residuals, null_lift_residuals,
                           random_frame_background)
 from .report import GridSpec, ResidualReport
@@ -228,7 +228,7 @@ def _run_field_checks(sc, cfg, run, names=None):
 
 
 def _identity_values(nc, x) -> dict:
-    """The Newton-Cartan identity defects at x, one point or a batch, by gate name."""
+    """The Newton-Cartan identity defects at x (points or their NCDerived) by gate name."""
     lift = null_lift_residuals(nc, x)
     return {"frame-identities": np.max(list(frame_identity_residuals(nc, x).values()), axis=0),
             "ehat-identity": ehat_identity_residual(nc, x),
@@ -291,11 +291,15 @@ def cmd_reduce(sc, cfg, run):
     _gate_nc_identities(sc, cfg, run)
     n_random = cfg.reduce["random_frames"]
     if n_random > 0:
-        rng = np.random.default_rng(cfg.reduce["seed"])
-        dim = cfg.reduce["dim"] or sc.background.dim
-        vals = []
-        for _ in range(n_random):
-            ids = _identity_values(random_frame_background(rng, dim), np.zeros(dim))
+        seed, dim = cfg.reduce["seed"], cfg.reduce["dim"] or sc.background.dim
+        rng, vals = np.random.default_rng(seed), []
+        for i in range(n_random):
+            nc = random_frame_background(rng, dim)
+            try:  # one frame solve serves every identity
+                ids = _identity_values(nc, derive_nc(nc, np.zeros(dim)))
+            except ArithmeticError as exc:
+                raise NonFiniteResult(f"reduce random frame {i} (reduce.seed {seed}): "
+                                      f"{type(exc).__name__}: {exc}") from exc
             vals.append(max(ids["frame-identities"], ids["ehat-identity"],
                             ids["null-lift-inverse"]))
         rep = ResidualReport.from_samples("random-frame-identities",

@@ -41,7 +41,7 @@ from .fields import EPS_NODE, PolarField
 from .geometry import (BackgroundRel, _checked_inverse, broadcast_read, check_point,
                        check_points)
 from .integrators import hermite, integrate_adaptive
-from .nc_geometry import NCBackground, derive_nc
+from .nc_geometry import NCBackground, _nc_frames, derive_nc
 from .report import ResidualReport, _csv, _json_floats, _json_list
 
 Array = np.ndarray
@@ -103,7 +103,11 @@ class GuidanceField:
         """HJ expression of the kinetic covector p - qA at x, plus Q if quantum.
 
         x is one point (D,) or a batch (K, D), with momenta p of the same
-        shape; they default to the field's phase gradient dS.
+        shape; they default to the field's phase gradient dS.  On
+        Newton-Cartan data one frame solve per point serves A, the HJ
+        expression and Q.  The Lorentzian branch keeps the ``metric_inverse``
+        of ``hj_expression`` beside Q's ``metric_data``: on a worldline it is
+        the only call ``EXERCISED`` in ``perfbench/run.py`` counts.
         """
         bg, f = self.background, self.field
         pt = check_points(x, bg.dim)
@@ -111,8 +115,9 @@ class GuidanceField:
         if self.kind == "relativistic":
             val = hj_expression(bg, pt, p - bg.charge * bg.gauge_at(pt))
             return val + quantum_potential_rel(bg, f, pt) if self.quantum else val
-        val = nc_hj_expression(bg, pt, p - bg.charge * bg.reduced_gauge_at(pt))
-        return val + nc_quantum_potential(bg, f, pt) if self.quantum else val
+        der = _nc_frames(bg, pt)
+        val = nc_hj_expression(bg, der, p - bg.charge * bg.reduced_gauge_at(der))
+        return val + nc_quantum_potential(bg, f, der) if self.quantum else val
 
     @property
     def parametrization(self) -> str:

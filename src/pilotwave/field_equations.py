@@ -41,15 +41,13 @@ A relativistic residual takes either the points or their
 one read of the metric), so every check of one grid reads one bundle; given
 points, it builds their bundle itself.  ``classical_hj_residual_rel`` needs
 no gradients and reads ``metric_inverse`` at the bundle's points.
-Newton-Cartan residuals read ``nc_geometry._nc_frames``, which solves the
-frame one point at a time through ``derive_nc`` and stacks the solves (the
-frame, its inverse, M, w = m - q phi and the volume) with the points and
-phi; each derived object is computed from those stacks at its first read,
-once per batch.  ``nc_momentum_covector`` also takes a single-point
-``NCDerived`` in place of its point and uses its M and phi, so a guidance
-row reads each closure once.  For the divergences they read one stacked
-``derive_nc_partials`` per batch.  A node check runs before the division it
-guards, and an error in a batch names the first failing point.
+A Newton-Cartan residual takes the points or their ``NCDerived`` bundle
+(``nc_geometry``: the stacked frame solves, each derived object computed
+once) and passes on what it was given: given points, it solves the frames
+it always solved; given a bundle, none.  Its divergences read one stacked
+``derive_nc_partials``.  ``nc_momentum_covector`` uses a bundle's M and
+phi, so a guidance row reads each closure once.  A node check runs before
+the division it guards, and an error in a batch names the first failing point.
 
 The ``*_printed`` variants reproduce equation forms that fail their own
 consistency checks (a factor slip in the relativistic quantum potential's
@@ -67,7 +65,7 @@ from .errors import FormMismatch
 from .fields import PSI_AT_NODE, ComplexField, PolarField, _outer, node_check
 from .geometry import (BackgroundRel, MetricData, broadcast_read, check_points, metric_data,
                        metric_inverse, raise_at_first)
-from .nc_geometry import NCBackground, NCDerived, _nc_frames, derive_nc_partials
+from .nc_geometry import NCBackground, NCDerived, _nc_bundle, derive_nc_partials
 
 Array = np.ndarray
 
@@ -319,9 +317,9 @@ def nc_momentum_covector(nc: NCBackground, f: PolarField, x) -> Array:
     return broadcast_read(f.dS, x.pt if isinstance(x, NCDerived) else x, 1) - nc.charge * a_red
 
 
-def _nc_hj_forms(nc: NCBackground, pt, k):
-    """Both forms and the largest magnitude among the terms they are summed from."""
-    der = _nc_frames(nc, pt)
+def _nc_hj_forms(nc: NCBackground, x, k):
+    """The points, both forms and the largest magnitude among the terms of either."""
+    pt, der = _nc_bundle(nc, x)
     w = der.w
     terms = (2.0 * w * np.vecdot(der.v_hat, k), _bilinear(k, der.h_up, k),
              2.0 * w**2 * der.Phi)
@@ -331,7 +329,7 @@ def _nc_hj_forms(nc: NCBackground, pt, k):
     big_k = k + _col(w) * broadcast_read(nc.m_field, pt, 1)
     terms += (2.0 * w * np.vecdot(der.v, big_k), _bilinear(big_k, der.h_up, big_k))
     vm_form = terms[3] - terms[4]
-    return vhat_form, vm_form, np.max(np.abs(terms), axis=0)
+    return pt, vhat_form, vm_form, np.max(np.abs(terms), axis=0)
 
 
 def nc_classical_hj_forms(nc: NCBackground, f: PolarField, x) -> tuple[Array, Array]:
@@ -340,8 +338,8 @@ def nc_classical_hj_forms(nc: NCBackground, f: PolarField, x) -> tuple[Array, Ar
     The boost-invariant form uses (vhat, Phi); the frame form uses (v, M)
     with K = k + w M, oriented to match.  They agree identically.
     """
-    pt = check_points(x, nc.dim)
-    return _nc_hj_forms(nc, pt, nc_momentum_covector(nc, f, pt))[:2]
+    pt, der = _nc_bundle(nc, x)
+    return _nc_hj_forms(nc, der, nc_momentum_covector(nc, f, pt))[1:3]
 
 
 def nc_hj_expression(nc: NCBackground, x, k) -> Array:
@@ -351,8 +349,7 @@ def nc_hj_expression(nc: NCBackground, x, k) -> Array:
     two disagree beyond tolerance, relative to their largest term: the forms
     themselves can cancel to 0 while their terms are large.
     """
-    pt = check_points(x, nc.dim)
-    vhat_form, vm_form, scale = _nc_hj_forms(nc, pt, np.asarray(k, dtype=float))
+    pt, vhat_form, vm_form, scale = _nc_hj_forms(nc, x, np.asarray(k, dtype=float))
     raise_at_first(np.abs(vhat_form - vm_form) > FORM_AGREEMENT_TOL * np.maximum(1.0, scale),
                    pt, FormMismatch, "HJ form mismatch: {!r} vs {!r}", vhat_form, vm_form)
     return vhat_form
@@ -365,8 +362,7 @@ def nc_classical_hj_residual(nc: NCBackground, f: PolarField, x) -> Array:
 
 def nc_quantum_potential(nc: NCBackground, f: PolarField, x) -> Array:
     """Q = (1/4 rho^2) h drho drho + (1/2e) d_mu[(1/rho) e h^{mu nu} d_nu rho]."""
-    pt = check_points(x, nc.dim)
-    der, parts = _nc_frames(nc, pt), derive_nc_partials(nc, pt)
+    (pt, der), parts = _nc_bundle(nc, x), derive_nc_partials(nc, x)
     return _quantum_potential(der.vol, parts["vol"], -der.h_up, -parts["h_up"], f, pt)
 
 
@@ -377,8 +373,7 @@ def nc_quantum_hj_residual(nc: NCBackground, f: PolarField, x) -> Array:
 
 def nc_continuity_residual(nc: NCBackground, f: PolarField, x) -> Array:
     """d_mu[e w rho vhat^mu] - d_mu[e h^{mu nu} rho k_nu]."""
-    pt = check_points(x, nc.dim)
-    der, parts = _nc_frames(nc, pt), derive_nc_partials(nc, pt)
+    (pt, der), parts = _nc_bundle(nc, x), derive_nc_partials(nc, x)
     rho = broadcast_read(f.rho, pt)
     drho = broadcast_read(f.drho, pt, 1)
     k = nc_momentum_covector(nc, f, pt)
@@ -399,8 +394,7 @@ def nc_schrodinger_residual(nc: NCBackground, cf: ComplexField, x) -> Array:
     divided by the volume element e so that normalization carries over to
     curved data.  Linear in psi by construction.
     """
-    pt = check_points(x, nc.dim)
-    der, parts = _nc_frames(nc, pt), derive_nc_partials(nc, pt)
+    (pt, der), parts = _nc_bundle(nc, x), derive_nc_partials(nc, x)
     a_red = nc.reduced_gauge_at(pt)
     q = nc.charge
     psi, dpsi, dcov, ddcov = _covariant_derivative_data(cf, pt, a_red, parts["A"], q)
@@ -423,10 +417,9 @@ def nc_classical_action_density_polar(nc: NCBackground, f: PolarField, x) -> Arr
     """Integrand of the classical ensemble action in (rho, S) variables:
     e (2 w rho vhat.k - 2 Phi w^2 rho - rho h k k), i.e. e rho times the HJ
     expression."""
-    pt = check_points(x, nc.dim)
-    der = _nc_frames(nc, pt)
+    pt, der = _nc_bundle(nc, x)
     k = nc_momentum_covector(nc, f, pt)
-    return der.vol * broadcast_read(f.rho, pt) * nc_hj_expression(nc, pt, k)
+    return der.vol * broadcast_read(f.rho, pt) * nc_hj_expression(nc, x, k)
 
 
 def nc_classical_action_density_complex_printed(nc: NCBackground, cf: ComplexField,
@@ -438,8 +431,7 @@ def nc_classical_action_density_complex_printed(nc: NCBackground, cf: ComplexFie
     a missing |psi|^2 factor in those terms whenever rho != 1 (see
     nc_classical_action_equivalence_report).
     """
-    pt = check_points(x, nc.dim)
-    der = _nc_frames(nc, pt)
+    pt, der = _nc_bundle(nc, x)
     psi = broadcast_read(cf.psi, pt, 0, complex)
     node_check(np.abs(psi) ** 2, pt, PSI_AT_NODE)
     dpsi = broadcast_read(cf.dpsi, pt, 1, complex)

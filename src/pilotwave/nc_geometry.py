@@ -18,15 +18,14 @@ whose closed-form inverse has gamma^{uu} = 2 Phi, gamma^{u mu} = -vhat^mu
 and gamma^{mu nu} = h^{mu nu}.  The extra null coordinate u is ordered last.
 
 ``derive_nc`` checks one point, reads tau, e, M and phi there once and
-solves the frame, and stores the point, the solve, M and phi in an
-``NCDerived``; each derived object is computed from them at its first read
-and kept, once per bundle, written over leading axes.  A single-point row,
-such as a guidance velocity, takes everything it needs from that one
-bundle (``reduced_gauge_at`` takes its M and phi and reads only Abar): one
-point check and one read of each closure.  The other functions of a point
-take one point (D,) or a batch (K, D): ``_nc_frames`` stacks the frame
-solves of a batch, and the algebra on them, the derived objects and the
-frame partials included, runs once over the leading axis.
+solves the frame; ``_nc_frames`` stacks those solves for a batch (K, D).
+Either gives an ``NCDerived`` bundle of the points, the solve, M and phi,
+whose derived objects are computed at their first read, once per bundle,
+over leading axes.  ``derive_nc_partials``, the null lift and the identity
+checks take one point (D,), a batch (K, D) or their bundle, through
+``_nc_bundle``, and pass on what they were given: a call given points solves
+the frames it always solved (twice in ``null_lift_residuals``), one given a
+bundle none.
 """
 from __future__ import annotations
 
@@ -53,12 +52,8 @@ class NCBackground:
     (D, D-1); column a is e_mu^a.  Derivative closures follow the axis-0
     convention of the rest of the package, e.g. ``dtau(x)[mu, nu] =
     d_mu tau_nu``; central differences are used when they are omitted.
-    ``derive_nc`` still derives the frame one point at a time, and
-    ``_nc_frames`` stacks its rows for a batch; ``reduced_gauge_at`` takes
-    points or the ``NCDerived`` of points, whose M and phi it uses in place
-    of reading them again; ``data_derivatives_at`` reads the derivatives
-    once per batch, so ``derive_nc_partials`` and the identity checks take
-    one point or a batch.
+    ``reduced_gauge_at`` takes points or their ``NCDerived``, whose M and
+    phi it uses; ``data_derivatives_at`` reads the derivatives once per batch.
     None of the data may depend on the null coordinate u by construction.
     """
 
@@ -247,9 +242,9 @@ def derive_nc_partials(nc: NCBackground, x):
     """Coordinate derivatives of the derived objects at one point (D,) or a batch
     (K, D): the batch axis first, then d_mu.
 
-    The frames come from ``_nc_frames``, one ``derive_nc`` per row; the data
-    derivatives are read once for the batch, and the algebra below runs once
-    over the leading axis.  Uses d(F^{-1}) = -F^{-1} (dF) F^{-1} and
+    x may be the points' ``NCDerived`` in their place; the data derivatives
+    are read once for the batch, and the algebra below runs once over the
+    leading axis.  Uses d(F^{-1}) = -F^{-1} (dF) F^{-1} and
     d(det F) = det F tr(F^{-1} dF), so analytic frame derivatives propagate
     exactly.
 
@@ -257,8 +252,7 @@ def derive_nc_partials(nc: NCBackground, x):
     vol, w (the effective mass m - q phi) and A (the reduced gauge field
     Abar - phi M).
     """
-    pt = check_points(x, nc.dim)
-    der = _nc_frames(nc, pt)
+    pt, der = _nc_bundle(nc, x)
     finv, m, e_inv = der.finv, der.m, der.e_inv
     tau, vier = der.frame[..., 0], der.frame[..., 1:]
     dtau, dvier, dm, dabar, dphi = nc.data_derivatives_at(pt)
@@ -289,11 +283,9 @@ def derive_nc_partials(nc: NCBackground, x):
 
 def _nc_frames(nc: NCBackground, pt) -> NCDerived:
     """``derive_nc`` at each point of pt, (D,) or (K, D), stacked: the one loop over rows
-    of the Newton-Cartan half.  Each row copies the five fields of its frame solve into
-    arrays preallocated with the leading axes of pt, so one row's solve is alive at a
-    time (lists of every row's, stacked, cost a 2,500-point check 2 MB); the points and
-    phi are filled once for the batch, and the derived objects computed once from the
-    stacks."""
+    of the Newton-Cartan half.  Each row copies the five fields of its solve into stacks
+    preallocated with pt's leading axes, so one row's solve is alive at a time (lists of
+    every row's cost a 2,500-point check 2 MB); the points and phi are set once."""
     d, lead = nc.dim, pt.shape[:-1]
     frame, finv, m = np.empty(lead + (d, d)), np.empty(lead + (d, d)), np.empty(lead + (d,))
     w, vol = np.empty(lead), np.empty(lead)
@@ -307,6 +299,15 @@ def _nc_frames(nc: NCBackground, pt) -> NCDerived:
                      w=w, vol=vol)
 
 
+def _nc_bundle(nc: NCBackground, x) -> tuple[Array, NCDerived]:
+    """The points and the frame bundle of x: x itself when it is an NCDerived of nc's
+    dimension, else the checked points x and their ``_nc_frames``."""
+    if isinstance(x, NCDerived):
+        return check_points(x.pt, nc.dim), x
+    pt = check_points(x, nc.dim)
+    return pt, _nc_frames(nc, pt)
+
+
 def _max_abs(a, axes=1):
     """max |a| over its trailing ``axes`` axes: one value per point."""
     return np.max(np.abs(a), axis=tuple(range(-axes, 0)))
@@ -314,8 +315,7 @@ def _max_abs(a, axes=1):
 
 def null_lift(nc: NCBackground, x) -> NullLift:
     """Assemble the lifted metric, its closed-form inverse and the gauge lift."""
-    pt = check_points(x, nc.dim)
-    der = _nc_frames(nc, pt)
+    pt, der = _nc_bundle(nc, x)
     d = nc.dim
     tau = der.frame[..., 0]
     gamma = np.zeros(pt.shape[:-1] + (d + 1, d + 1))
@@ -336,8 +336,7 @@ def null_lift(nc: NCBackground, x) -> NullLift:
 
 def frame_identity_residuals(nc: NCBackground, x) -> dict[str, Array]:
     """Max-norm defects of the defining frame relations at x."""
-    pt = check_points(x, nc.dim)
-    der = _nc_frames(nc, pt)
+    _, der = _nc_bundle(nc, x)
     tau, vier = der.frame[..., 0], der.frame[..., 1:]
     return {
         "v_dot_tau": np.abs(np.vecdot(der.v, tau) + 1.0),
@@ -350,8 +349,7 @@ def frame_identity_residuals(nc: NCBackground, x) -> dict[str, Array]:
 
 def ehat_identity_residual(nc: NCBackground, x) -> Array:
     """Defect of ehat.delta.ehat = hbar + 2 Phi tau tau at x."""
-    pt = check_points(x, nc.dim)
-    der = _nc_frames(nc, pt)
+    _, der = _nc_bundle(nc, x)
     tau = der.frame[..., 0]
     lhs = der.e_hat @ der.e_hat.mT
     rhs = der.hbar_down + 2.0 * der.Phi[..., None, None] * (tau[..., :, None] * tau[..., None, :])
@@ -367,9 +365,8 @@ def null_lift_residuals(nc: NCBackground, x) -> dict[str, Array]:
                  large potential (gamma^{uu} = 2 Phi) is not a defect
     volume_gap:  relative gap between sqrt(-det gamma) and |det(tau, e)|
     """
-    pt = check_points(x, nc.dim)
-    lift = null_lift(nc, pt)
-    der = _nc_frames(nc, pt)
+    lift = null_lift(nc, x)  # given points, it solves their frames as well
+    pt, der = _nc_bundle(nc, x)
     product = _max_abs(lift.gamma @ lift.gamma_inv - np.eye(nc.dim + 1), 2)
     inverse_gap = (_max_abs(lift.gamma_inv - np.linalg.inv(lift.gamma), 2)
                    / np.maximum(1.0, _max_abs(lift.gamma_inv, 2)))

@@ -10,7 +10,10 @@ row's point, and a check must read the geometry, call each identity and
 read each field closure the same number of times whatever the size of its
 grid.  A relativistic residual given the MetricData bundle of its points
 returns exactly its value at the points, and a Lorentzian grid's checks
-share one bundle; a Newton-Cartan grid's checks derive their frame partials
+share one bundle.  A Newton-Cartan residual or identity given the
+``NCDerived`` bundle of its points returns the same bits and solves no
+frame, and given the points it solves as many as before; a Newton-Cartan
+grid's checks derive their frame partials
 once per residual that takes a divergence, and compute each object derived
 from the frame as often, at most once per stack of frames, whatever the
 size of the grid.
@@ -176,6 +179,70 @@ def test_a_bundle_stands_for_its_points(case):
         assert np.array_equal(fn(bg, field, bundle), fn(bg, field, pts)), name
         with pytest.raises(ValueError, match="dimension"):
             fn(bg, field, other)
+
+
+# every Newton-Cartan residual and identity -> (field it reads, or None for an identity;
+# derive_nc rows it solves per point when given points, as it did before it took bundles)
+NC_BUNDLE_CALLS = {"nc_momentum_covector": (POLAR, 0), "nc_classical_hj_residual": (POLAR, 1),
+                   "nc_quantum_potential": (POLAR, 2), "nc_quantum_hj_residual": (POLAR, 3),
+                   "nc_continuity_residual": (POLAR, 2),
+                   "nc_classical_action_density_polar": (POLAR, 2),
+                   "nc_schrodinger_residual": (COMPLEX, 2),
+                   "nc_classical_action_density_complex_printed": (COMPLEX, 1),
+                   "nc_classical_hj_forms": (POLAR, 1), "nc_hj_expression": ("k", 1),
+                   "frame_identity_residuals": (None, 1), "ehat_identity_residual": (None, 1),
+                   "null_lift": (None, 1), "null_lift_residuals": (None, 2),
+                   "derive_nc_partials": (None, 1)}
+
+# these take a bundle's M and phi before its frame; a single-point guidance row passes
+# nc_momentum_covector its bundle, so it checks no bundle's dimension
+TAKE_M_AND_PHI_FIRST = ("nc_momentum_covector", "nc_classical_hj_residual",
+                        "nc_quantum_hj_residual")
+
+
+def _same_bits(a, b):
+    """Whether two results hold the same arrays, to the bit, under the same names."""
+    if isinstance(a, (dict, tuple, ncg.NullLift)):
+        a, b = ((vars(r) if isinstance(r, ncg.NullLift) else r) for r in (a, b))
+        keys = a.keys() if isinstance(a, dict) else range(len(a))
+        return len(a) == len(b) and all(_same_bits(a[k], b[k]) for k in keys)
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("case", ["nc-wavy-2", "nc-wavy-3", "flat-nc-plane-wave",
+                                  "flat-nc-gaussian-packet", "nc-nontrivial-M"])
+def test_a_frame_bundle_stands_for_its_points(case, monkeypatch):
+    """Every Newton-Cartan residual and identity given the ``_nc_frames`` bundle of its
+    points returns, to the bit, what it returns given the points, and solves no frame;
+    given the points, it solves as many rows per point as before bundles were taken.
+    A bundle of another dimension is refused before anything is read from it."""
+    bg, fields, pts = CASES[case]()
+    fields["k"] = feq.nc_momentum_covector(bg, fields[POLAR], pts)
+    rows, derive_nc = Counter(), ncg.derive_nc
+
+    def counted(nc, x):
+        rows["derive_nc"] += 1
+        return derive_nc(nc, x)
+
+    bundle = ncg._nc_frames(bg, pts)
+    other_dim = 3 if bg.dim == 2 else 2
+    other = ncg._nc_frames(make_wavy_nc(dim=other_dim), np.zeros((2, other_dim)))
+    monkeypatch.setattr(ncg, "derive_nc", counted)
+    for name, (field, per_point) in NC_BUNDLE_CALLS.items():
+        fn = getattr(feq, name, None) or getattr(ncg, name)
+        call = ((lambda x: fn(bg, x)) if field is None else
+                (lambda x: fn(bg, x, fields[field])) if field == "k" else
+                (lambda x: fn(bg, fields[field], x)))
+        rows.clear()
+        at_points = call(pts)
+        assert rows["derive_nc"] == per_point * len(pts), name
+        rows.clear()
+        assert _same_bits(call(bundle), at_points), name
+        assert rows["derive_nc"] == 0, name
+        if name not in TAKE_M_AND_PHI_FIRST:
+            with pytest.raises(ValueError, match="^point has dimension"):
+                call(other)
 
 
 def test_one_point_keeps_its_types_and_shapes():

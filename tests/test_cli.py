@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import dataclasses
 import io
 import json
 import math
@@ -9,11 +10,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 import pilotwave
+import pilotwave.cli as cli
 from pilotwave.cli import FIELDS, RunConfig, main, run
 from pilotwave.errors import ConfigError
 from pilotwave.scenarios import COMMAND_GATES, build
@@ -213,6 +216,25 @@ def test_reduce_reports_identities(tmp_path):
         doc = json.load(handle)
     assert doc["max_abs"] < 1e-9
     assert len(doc["samples"]) == 25
+
+
+def test_reduce_names_the_random_frame_that_overflows(tmp_path, capsys, monkeypatch):
+    # frame 2 has M = (1e200, 1e200): Phi = -v.M + M h M / 2 overflows in its identities
+    original, made = cli.random_frame_background, []
+
+    def frames(rng, dim, charge=0.0):
+        made.append(original(rng, dim, charge))
+        if len(made) != 3:
+            return made[-1]
+        return dataclasses.replace(made[-1], m_field=lambda x: np.full(dim, 1e200))
+
+    monkeypatch.setattr(cli, "random_frame_background", frames)
+    cfg = write_config(tmp_path, {"scenario": {"name": "flat-nc-plane-wave"},
+                                  "reduce": {"random_frames": 5, "seed": 4}})
+    assert main(["reduce", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == ("error: reduce random frame 2 (reduce.seed 4): "
+                                       "FloatingPointError: overflow encountered in vecdot\n")
+    assert len(made) == 3
 
 
 @pytest.mark.parametrize("params", [{"M_t": 1e300}, {"M_t": -1e300}, {"M_x": 1e5}])

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 import pilotwave.dynamics as dyn
 import pilotwave.field_equations as feq
 import pilotwave.geometry as geometry
+import pilotwave.nc_geometry as ncg
 from pilotwave.dynamics import (GuidanceField, guidance_velocity_nc, guidance_velocity_rel,
                                 hamiltonian_constraint_residual,
                                 integrate_trajectory, lagrangian_nc,
@@ -414,6 +415,34 @@ class TestHamiltonianConstraint:
         traj = integrate_trajectory(gf, [0.0, 0.5], (0.0, 5.0), steps=11)
         rep = hamiltonian_constraint_residual(traj, gf)
         assert rep.max_abs < 1e-5
+
+    @pytest.mark.parametrize("name, expected", [
+        # one frame row per sample serves A, the HJ expression and Q (three rows before)
+        ("flat-nc-gaussian-packet", {"derive_nc": 51, "derive_nc_partials": 1}),
+        ("curved-diagonal", {"metric_inverse": 1})])
+    def test_constraint_reads_the_geometry_once(self, name, expected, monkeypatch):
+        calls = Counter()
+        for module, fn_name in ((ncg, "derive_nc"), (feq, "derive_nc_partials"),
+                                (feq, "metric_inverse")):
+            def counted(*args, fn=getattr(module, fn_name), fn_name=fn_name):
+                calls[fn_name] += 1
+                return fn(*args)
+            monkeypatch.setattr(module, fn_name, counted)
+        sc = build(name)
+        gf = GuidanceField(background=sc.background, field=sc.polar)
+        traj = integrate_trajectory(gf, sc.default_seeds[0], sc.default_span, steps=51)
+        calls.clear()
+        constraint = gf.constraint_residual(traj.points, traj.momenta)
+        assert calls == expected and np.array_equal(constraint, traj.constraint)
+
+    def test_constraint_names_a_degenerate_sample(self):
+        # the vierbein vanishes from x = 3 on: the fourth sample is the first bad one
+        flat = NCBackground.flat(2)
+        bg = dataclasses.replace(flat, vierbein=lambda x: np.where(
+            (np.asarray(x)[..., 1] >= 3.0)[..., None, None], 0.0, [[0.0], [1.0]]))
+        gf = GuidanceField(background=bg, field=build("flat-nc-gaussian-packet").polar)
+        with pytest.raises(DegenerateFrame, match=r"below 1e-12 at point \[3\.0, 3\.0\]$"):
+            gf.constraint_residual(np.repeat(np.arange(6.0), 2).reshape(6, 2))
 
     def test_off_shell_matches_classical_residual(self):
         # constant density, deliberately off-shell phase
