@@ -17,12 +17,11 @@ from .nc_geometry import (NCBackground, NCDerived, NullLift, derive_nc, null_lif
                           null_lift_residuals)
 from .report import GridSpec, ResidualReport
 from .dynamics import (GuidanceField, Trajectory, guidance_velocity_nc,
-                       guidance_velocity_rel, hamiltonian_constraint_residual,
-                       integrate_trajectory, lagrangian_nc,
+                       guidance_velocity_rel, integrate_trajectory, lagrangian_nc,
                        lagrangian_quantum_rel)
 from .action_principles import (BoundaryValueProblem, DiscretizedPath,
                                 LagrangianSystem, action_value, extremize,
                                 verify_hj_relations)
-from .scenarios import Scenario, build, scenario_names, validate_derivatives
+from .scenarios import Scenario, build
 
 __version__ = "0.1.0"

@@ -59,14 +59,13 @@ class LagrangianSystem:
 
     ``lagrangian(X, V, lam)`` must be vectorized over nodes: X and V have
     shape (n, dim), lam shape (n,), and the result shape (n,).  The
-    analytic ``hamiltonian(x, p)`` and ``momentum(x, v)`` closures are used
-    only for verification, never by the solver.
+    analytic ``hamiltonian(x, p)`` closure is used only for verification
+    (the 'pde' report of ``verify_hj_relations``), never by the solver.
     """
 
     dim: int
     lagrangian: Callable[[Array, Array, Array], Array]
     hamiltonian: Callable[[Array, Array], float] | None = None
-    momentum: Callable[[Array, Array], Array] | None = None
 
 
 @dataclass(frozen=True)
@@ -103,10 +102,6 @@ class DiscretizedPath:
     points: Array    # (n, dim)
     velocities: Array
     chord_inverse: Array | None = field(default=None, compare=False, repr=False)
-
-    @property
-    def intervals(self) -> int:
-        return int(self.lambdas.size - 1)
 
 
 @lru_cache(maxsize=None)
@@ -338,7 +333,7 @@ def endpoint_derivatives(sys: LagrangianSystem, bvp: BoundaryValueProblem,
 
 def verify_hj_relations(sys: LagrangianSystem, bvps,
                         fd_step: float = 1e-4) -> dict[str, ResidualReport]:
-    """Check dS/dX_f = p and dS/dlambda_f = -H over one or many problems.
+    """Check dS/dX_f = p and dS/dlambda_f = -H over a list of problems.
 
     Returns reports keyed 'momentum' (max |dS/dX_f - p_f| per problem),
     'energy' (|dS/dlambda_f + H_f|), and, when the system carries an
@@ -346,8 +341,6 @@ def verify_hj_relations(sys: LagrangianSystem, bvps,
     sampled at the point (X_f..., lambda_f).  A NoConvergence, or an
     ArithmeticError (raised as NonFiniteResult), names the problem's point.
     """
-    if isinstance(bvps, BoundaryValueProblem):
-        bvps = [bvps]
     pts, vals_p, vals_h, vals_pde = [], [], [], []
     for bvp in bvps:
         where = f"endpoint problem at (X_f, lambda_f) = ({bvp.xf.tolist()}, {bvp.lambdaf!r})"

@@ -38,11 +38,11 @@ from .field_equations import (hj_expression, momentum_covector, nc_hj_expression
                               nc_momentum_covector, nc_quantum_potential,
                               quantum_potential_rel)
 from .fields import EPS_NODE, PolarField
-from .geometry import (BackgroundRel, _checked_inverse, broadcast_read, check_point,
-                       check_points)
+from .geometry import (BackgroundRel, broadcast_read, check_point, check_points,
+                       metric_inverse)
 from .integrators import hermite, integrate_adaptive
 from .nc_geometry import NCBackground, _nc_frames, derive_nc
-from .report import ResidualReport, _csv, _json_floats, _json_list
+from .report import _csv, _json_floats, _json_list
 
 Array = np.ndarray
 
@@ -51,12 +51,11 @@ MAX_STEP_FRAC = 1e-2   # largest node-guard sample gap, as a fraction of the lam
 
 
 def guidance_velocity_rel(bg: BackgroundRel, f: PolarField, x) -> Array:
-    """u^M = g^{MN}(d_N S - q A_N)/m; unit timelike on the mass shell."""
+    """u^M = g^{MN}(d_N S - q A_N)/m at one point (D,) or a batch (K, D); unit timelike
+    on the mass shell."""
     if bg.mass <= MASS_FLOOR:
         raise MassSingular("relativistic guidance needs a positive mass")
-    pt = check_point(x, bg.dim)
-    ginv = _checked_inverse(bg._metric(pt), pt)[0]  # metric_inverse, without a second check
-    return ginv @ momentum_covector(bg, f, pt) / bg.mass
+    return np.matvec(metric_inverse(bg, x), momentum_covector(bg, f, x)) / bg.mass
 
 
 def guidance_velocity_nc(nc: NCBackground, f: PolarField, x) -> Array:
@@ -105,9 +104,8 @@ class GuidanceField:
         x is one point (D,) or a batch (K, D), with momenta p of the same
         shape; they default to the field's phase gradient dS.  On
         Newton-Cartan data one frame solve per point serves A, the HJ
-        expression and Q.  The Lorentzian branch keeps the ``metric_inverse``
-        of ``hj_expression`` beside Q's ``metric_data``: on a worldline it is
-        the only call ``EXERCISED`` in ``perfbench/run.py`` counts.
+        expression and Q.  The Lorentzian branch reads ``metric_inverse``
+        through ``hj_expression``, beside Q's ``metric_data``.
         """
         bg, f = self.background, self.field
         pt = check_points(x, bg.dim)
@@ -326,14 +324,3 @@ def momentum_nc_classical(nc: NCBackground, x, xdot) -> Array:
     hbx = der.hbar_down @ xdot
     return (-w / (2.0 * tdot**2) * float(xdot @ hbx) * tau
             + w * hbx / tdot + nc.charge * nc.reduced_gauge_at(pt))
-
-
-def hamiltonian_constraint_residual(traj: Trajectory, gf: GuidanceField) -> ResidualReport:
-    """Constraint defect at every trajectory sample.
-
-    Relativistic: (p - qA) g^{-1} (p - qA) + m^2 + Q;
-    Newton-Cartan: 2 w vhat.(p - qA) - (p - qA) h (p - qA) - 2 Phi w^2 + Q,
-    with p the recorded sample momenta (Q dropped when gf.quantum is off).
-    """
-    return ResidualReport.from_samples("hamiltonian-constraint", traj.points,
-                                       gf.constraint_residual(traj.points, traj.momenta))

@@ -152,22 +152,14 @@ def momentum_covector(bg: BackgroundRel, f: PolarField, x) -> Array:
 
 
 def hj_expression(bg: BackgroundRel, x, k):
-    """k g^{-1} k + m^2 for a kinetic covector k at x."""
-    pt = check_points(x, bg.dim)
-    return _mass_shell(metric_inverse(bg, pt), np.asarray(k, dtype=float), bg.mass)
+    """k g^{-1} k + m^2 for a kinetic covector k at x; metric_inverse checks the points."""
+    return _mass_shell(metric_inverse(bg, x), np.asarray(k, dtype=float), bg.mass)
 
 
 def classical_hj_residual_rel(bg: BackgroundRel, f: PolarField, x):
     """(dS - qA) g^{-1} (dS - qA) + m^2 at x, read from metric_inverse at its points."""
     pt = x.pt if isinstance(x, MetricData) else x
     return hj_expression(bg, pt, momentum_covector(bg, f, pt))
-
-
-def ensemble_current(bg: BackgroundRel, f: PolarField, x) -> Array:
-    """J^M = rho sqrt(-g) g^{MN}(d_N S - q A_N)."""
-    md = _bundle(bg, x)
-    return (_col(broadcast_read(f.rho, md.pt) * md.vol)
-            * np.matvec(md.ginv, momentum_covector(bg, f, md.pt)))
 
 
 def continuity_residual_rel(bg: BackgroundRel, f: PolarField, x):
@@ -284,25 +276,6 @@ def classical_field_residual_printed(bg: BackgroundRel, cf: ComplexField, x):
     return _classical_field_terms(bg, cf, x, printed=True)
 
 
-def classical_field_equation_report(bg: BackgroundRel, cf: ComplexField, points):
-    """Compare the operating and literal forms over sample points.
-
-    Returns reports for both forms plus their pointwise difference; the
-    difference is the documented discrepancy of the literal transcription.
-    """
-    from .report import ResidualReport
-
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    derived = classical_field_residual(bg, cf, pts)
-    printed = classical_field_residual_printed(bg, cf, pts)
-    return {
-        "derived": ResidualReport.from_samples("classical-field-derived", pts, derived),
-        "printed": ResidualReport.from_samples("classical-field-printed", pts, printed),
-        "discrepancy": ResidualReport.from_samples("classical-field-printed-discrepancy",
-                                                   pts, np.abs(printed - derived)),
-    }
-
-
 # ---------------------------------------------------------------------------
 # Newton-Cartan backgrounds
 # ---------------------------------------------------------------------------
@@ -313,7 +286,7 @@ FORM_AGREEMENT_TOL = 1e-10
 def nc_momentum_covector(nc: NCBackground, f: PolarField, x) -> Array:
     """k_mu = d_mu S - q A_mu with the reduced gauge field A = Abar - phi M, at points
     x or at the points of an NCDerived bundle x, whose phi and M it takes."""
-    a_red = nc.reduced_gauge_at(x)  # checks points x for both reads
+    a_red = nc.reduced_gauge_at(x)  # checks points x, or the bundle's dimension, for both reads
     return broadcast_read(f.dS, x.pt if isinstance(x, NCDerived) else x, 1) - nc.charge * a_red
 
 
@@ -330,16 +303,6 @@ def _nc_hj_forms(nc: NCBackground, x, k):
     terms += (2.0 * w * np.vecdot(der.v, big_k), _bilinear(big_k, der.h_up, big_k))
     vm_form = terms[3] - terms[4]
     return pt, vhat_form, vm_form, np.max(np.abs(terms), axis=0)
-
-
-def nc_classical_hj_forms(nc: NCBackground, f: PolarField, x) -> tuple[Array, Array]:
-    """Both algebraic forms of the classical HJ expression.
-
-    The boost-invariant form uses (vhat, Phi); the frame form uses (v, M)
-    with K = k + w M, oriented to match.  They agree identically.
-    """
-    pt, der = _nc_bundle(nc, x)
-    return _nc_hj_forms(nc, der, nc_momentum_covector(nc, f, pt))[1:3]
 
 
 def nc_hj_expression(nc: NCBackground, x, k) -> Array:
@@ -428,8 +391,8 @@ def nc_classical_action_density_complex_printed(nc: NCBackground, cf: ComplexFie
 
     The nonlinear terms carry 1/(psi psi) and 1/(psi* psi*) denominators as
     transcribed; the polar form above is the arbiter, and the two differ by
-    a missing |psi|^2 factor in those terms whenever rho != 1 (see
-    nc_classical_action_equivalence_report).
+    a missing |psi|^2 factor in those terms whenever rho != 1 (the test
+    oracle ``nc_classical_action_equivalence_report`` reports the gap).
     """
     pt, der = _nc_bundle(nc, x)
     psi = broadcast_read(cf.psi, pt, 0, complex)
@@ -447,15 +410,3 @@ def nc_classical_action_density_complex_printed(nc: NCBackground, cf: ComplexFie
     val += 0.25 * _bilinear(dcov, h, dcov) / (psi * psi)
     val += 0.25 * _bilinear(dcov_c, h, dcov_c) / (psis * psis)
     return der.vol * val
-
-
-def nc_classical_action_equivalence_report(nc: NCBackground, f: PolarField, points):
-    """Pointwise gap between the polar and literal-complex action densities."""
-    from .fields import complex_view
-    from .report import ResidualReport
-
-    cf = complex_view(f)
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    gaps = np.abs(nc_classical_action_density_complex_printed(nc, cf, pts)
-                  - nc_classical_action_density_polar(nc, f, pts))
-    return ResidualReport.from_samples("nc-classical-action-form-gap", pts, gaps)

@@ -201,7 +201,7 @@ def metric_inverse(bg: BackgroundRel, x) -> Array:
     does not have exactly one negative eigenvalue, naming the first such point.
     """
     pts = check_points(x, bg.dim)
-    return _checked_inverse(bg.metric_at(pts), pts)[0]
+    return _checked_inverse(bg._metric(pts), pts)[0]
 
 
 def _volume(det, pts: Array):
@@ -212,7 +212,7 @@ def _volume(det, pts: Array):
 def volume_element(bg: BackgroundRel, x):
     """sqrt(-det g), shape () at one point and (K,) for a batch; requires det g < 0."""
     pts = check_points(x, bg.dim)
-    return _volume(np.linalg.det(bg.metric_at(pts)), pts)
+    return _volume(np.linalg.det(bg._metric(pts)), pts)
 
 
 @dataclass(frozen=True)
@@ -230,7 +230,7 @@ class MetricData:
 def metric_data(bg: BackgroundRel, x) -> MetricData:
     """One checked read of the metric at x, (D,) or (K, D), inverted, with sqrt(-det g)."""
     pts = check_points(x, bg.dim)
-    ginv, det = _checked_inverse(bg.metric_at(pts), pts)
+    ginv, det = _checked_inverse(bg._metric(pts), pts)
     vol = _volume(det, pts)
     dg = bg.metric_derivative_at(pts)
     return MetricData(pt=pts, ginv=ginv, vol=vol,

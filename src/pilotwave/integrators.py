@@ -3,8 +3,7 @@
 The fifth-order solution is propagated; the embedded fourth-order solution
 provides the local error estimate for adaptive step control.  The tableau is
 stored as matrices, so each stage input and both solutions are one product
-with the stacked stage derivatives.  A fixed-step mode drives the same
-stages, which is what the order-measurement tests use.  Output points are
+with the stacked stage derivatives.  Output points are
 hit exactly by clamping the step to each requested time, so no interpolation
 error enters sampled trajectories; the first trial step is the whole output
 span, clamped the same way.  ``hermite`` evaluates the cubic Hermite
@@ -51,18 +50,6 @@ def rk45_step(f, t, y, h, k1=None):
     for i in range(1, 7):
         k[i] = f(t + _C[i] * h, y + h * (_A[i, :i] @ k[:i]))
     return y + h * (_B5 @ k), h * (_E @ k), k[6].copy()
-
-
-def integrate_fixed(f, t0, y0, t1, steps):
-    """Propagate with a fixed step; returns the state at t1."""
-    y = np.asarray(y0, dtype=float)
-    h = (t1 - t0) / steps
-    t = t0
-    k1 = np.asarray(f(t, y), dtype=float)
-    for _ in range(steps):
-        y, _, k1 = rk45_step(f, t, y, h, k1)
-        t += h
-    return y
 
 
 def hermite(t0, y0, k0, t1, y1, k1, t) -> np.ndarray:

@@ -53,7 +53,8 @@ class NCBackground:
     convention of the rest of the package, e.g. ``dtau(x)[mu, nu] =
     d_mu tau_nu``; central differences are used when they are omitted.
     ``reduced_gauge_at`` takes points or their ``NCDerived``, whose M and
-    phi it uses; ``data_derivatives_at`` reads the derivatives once per batch.
+    phi it uses after checking its dimension; ``data_derivatives_at`` reads
+    the derivatives once per batch.
     None of the data may depend on the null coordinate u by construction.
     """
 
@@ -111,6 +112,8 @@ class NCBackground:
         points x or at the points of an NCDerived bundle x, whose phi and M it takes."""
         if isinstance(x, NCDerived):
             pts, phi, m = x.pt, x.phi, x.m
+            if pts.shape[-1] != self.dim:
+                raise ValueError(f"point has dimension {pts.shape[-1]}, expected {self.dim}")
         else:
             pts = check_points(x, self.dim)
             phi, m = broadcast_read(self.phi, pts), broadcast_read(self.m_field, pts, 1)

@@ -2,9 +2,9 @@
 
 Every scenario bundles a background, a wave field with analytic first and
 second derivatives, closed-form oracle data where known, a default sampling
-grid, trajectory seeds and a named check suite with tolerances.  The
-analytic derivatives are required to pass a finite-difference cross-check
-(``validate_derivatives``), which every registry entry is tested against.
+grid, trajectory seeds and a named check suite with tolerances.  The test
+suite cross-checks every analytic derivative of every registry entry
+against finite differences.
 """
 from __future__ import annotations
 
@@ -24,7 +24,6 @@ from .fields import ComplexField, PolarField, polar_field, polar_view
 from .geometry import BackgroundRel, MetricData, evaluate_named
 from .nc_geometry import NCBackground
 from .report import GridSpec, ResidualReport
-from .stencils import hessian, jacobian
 
 Array = np.ndarray
 
@@ -540,7 +539,6 @@ def build_free_particle_hj(params) -> Scenario:
         dim=1,
         lagrangian=lambda X, V, lam: 0.5 * m * (V * V).sum(axis=1),
         hamiltonian=lambda x, pp: float(np.sum(np.asarray(pp)**2) / (2.0 * m)),
-        momentum=lambda x, v: m * np.asarray(v, dtype=float),
     )
 
     def action(x0, t0, xf, tf):
@@ -568,7 +566,6 @@ def build_harmonic_oscillator_hj(params) -> Scenario:
         - 0.5 * m * omega**2 * (X * X).sum(axis=1),
         hamiltonian=lambda x, pp: float(np.sum(np.asarray(pp)**2) / (2.0 * m)
                                         + 0.5 * m * omega**2 * np.sum(np.asarray(x)**2)),
-        momentum=lambda x, v: m * np.asarray(v, dtype=float),
     )
 
     def action(x0, t0, xf, tf):
@@ -615,37 +612,3 @@ def build(name: str, params: dict | None = None) -> Scenario:
         return REGISTRY[name](params)
     except ArithmeticError as exc:  # closed forms of overrides that under- or overflow
         raise BadParameter("scenario.params", f"out of floating-point range: {exc}")
-
-
-def scenario_names() -> list[str]:
-    return sorted(REGISTRY)
-
-
-def validate_derivatives(sc: Scenario, n_points: int = 50, seed: int = 0) -> dict[str, float]:
-    """FD cross-check of every analytic derivative the scenario supplies.
-
-    Draws points inside the default grid (shrunk 10% from the edges) and
-    returns the worst absolute deviation per derivative.  Values should be
-    O(h^2) of the stencil steps for correct closures.
-    """
-    if sc.default_grid is None or sc.kind == "hj-foundation":
-        return {}
-    rng = np.random.default_rng(seed)
-    bounds = np.asarray(sc.default_grid.bounds, dtype=float)
-    span = bounds[:, 1] - bounds[:, 0]
-    lo = bounds[:, 0] + 0.1 * span
-    hi = bounds[:, 1] - 0.1 * span
-    pts = lo + rng.random((n_points, bounds.shape[0])) * (hi - lo)
-    pairs = []
-    if sc.polar is not None:
-        pf = sc.polar
-        pairs += [("drho", pf.drho, jacobian(pf.rho, pts)),
-                  ("d2rho", pf.d2rho, hessian(pf.rho, pts)),
-                  ("dS", pf.dS, jacobian(pf.S, pts)), ("d2S", pf.d2S, hessian(pf.S, pts))]
-    if sc.psi is not None:
-        pairs += [("dpsi", sc.psi.dpsi, jacobian(sc.psi.psi, pts)),
-                  ("d2psi", sc.psi.d2psi, hessian(sc.psi.psi, pts))]
-    bg = sc.background
-    if isinstance(bg, BackgroundRel) and bg.dmetric is not None:
-        pairs.append(("dmetric", bg.dmetric, jacobian(bg.metric, pts)))
-    return {key: float(np.max(np.abs(analytic(pts) - fd))) for key, analytic, fd in pairs}

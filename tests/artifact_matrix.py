@@ -11,12 +11,14 @@ It runs, through ``pilotwave.cli.main`` in this process:
 - the commands of the four benchmark workloads (``perfbench/workloads.py``:
   nc-sweep, worldlines, rel-sweep and hj-endpoint) at seeds 3 and 7;
 - ``check`` and ``reduce`` on ``nc-nontrivial-M`` at ``M_t`` 1e7 and 1e300
-  and at ``M_x`` 1e5, where round-off and overflow are at stake.
+  and at ``M_x`` 1e5, where round-off and overflow are at stake;
+- ``reduce`` on ``flat-nc-plane-wave`` with 25 random frames of seed 4 at
+  ``reduce.dim`` 2, 3 and 10, the only runs that draw random frames.
 
 Each line holds the run's label, its exit code, its stderr and the sha256
 of every file it wrote, so two checkouts whose outputs are identical give
 identical text: compare them with ``diff``.  Pytest does not collect this
-file; it takes about 12 s and prints 114 lines.
+file; it takes about 11 s and prints 117 lines.
 """
 import contextlib
 import hashlib
@@ -35,6 +37,7 @@ import workloads
 
 SEEDS = (3, 7)
 PARAMS = ({"M_t": 1e7}, {"M_t": 1e300}, {"M_x": 1e5})
+FRAME_DIMS = (2, 3, 10)
 
 
 def runs():
@@ -55,6 +58,10 @@ def runs():
         doc = {"scenario": {"name": "nc-nontrivial-M", "params": params}}
         for command in ("check", "reduce"):
             yield f"nc-nontrivial-M {json.dumps(params)} {command}", command, doc, "json"
+    for dim in FRAME_DIMS:
+        doc = {"scenario": {"name": "flat-nc-plane-wave"},
+               "reduce": {"random_frames": 25, "seed": 4, "dim": dim}}
+        yield f"flat-nc-plane-wave reduce {json.dumps(doc['reduce'])}", "reduce", doc, "json"
 
 
 def fingerprint(tmp, i, command, doc, fmt):

@@ -7,12 +7,25 @@ integrator driven by Christoffel symbols from its own metric differencing,
 a Newton Jacobian differenced from the whole collocated residual, and the
 stationarity of an extremal probed by directional derivatives of the action
 on a Hermite-refined path.
+
+The last section holds reference quantities that only tests read, built on
+the library's own kernels: the relativistic ensemble current, both algebraic
+forms of the Newton-Cartan classical HJ expression, the reports of the
+printed forms against the derived ones, a fixed-step Dormand-Prince
+integration and the finite-difference check of a scenario's derivatives.
 """
 import numpy as np
 
+import pilotwave.field_equations as feq
 from pilotwave.action_principles import (DiscretizedPath, _nodal_partials,
                                          _residual_from_interior, action_value,
                                          differentiation_matrix)
+from pilotwave.fields import complex_view
+from pilotwave.geometry import BackgroundRel, broadcast_read
+from pilotwave.integrators import rk45_step
+from pilotwave.nc_geometry import _nc_bundle
+from pilotwave.report import ResidualReport
+from pilotwave.stencils import hessian, jacobian
 
 
 def cofactor_det(a):
@@ -206,3 +219,87 @@ def stationarity_probe(sys, path, directions=5):
         slope = (action_value(sys, plus) - action_value(sys, minus)) / (2 * eps)
         worst = max(worst, abs(slope))
     return worst
+
+
+# ---------------------------------------------------------------------------
+# reference quantities that only tests read
+# ---------------------------------------------------------------------------
+
+def ensemble_current(bg, f, x):
+    """J^M = rho sqrt(-g) g^{MN}(d_N S - q A_N) at points x or their MetricData bundle."""
+    md = feq._bundle(bg, x)
+    return (feq._col(broadcast_read(f.rho, md.pt) * md.vol)
+            * np.matvec(md.ginv, feq.momentum_covector(bg, f, md.pt)))
+
+
+def nc_classical_hj_forms(nc, f, x):
+    """Both algebraic forms of the Newton-Cartan classical HJ expression.
+
+    The boost-invariant form uses (vhat, Phi); the frame form uses (v, M)
+    with K = k + w M, oriented to match.  They agree identically.
+    """
+    pt, der = _nc_bundle(nc, x)
+    return feq._nc_hj_forms(nc, der, feq.nc_momentum_covector(nc, f, pt))[1:3]
+
+
+def classical_field_equation_report(bg, cf, points):
+    """Reports of the derived and printed nonlinear classical wave residuals over sample
+    points, and of their pointwise difference, the slip of the printed form."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    derived = feq.classical_field_residual(bg, cf, pts)
+    printed = feq.classical_field_residual_printed(bg, cf, pts)
+    return {
+        "derived": ResidualReport.from_samples("classical-field-derived", pts, derived),
+        "printed": ResidualReport.from_samples("classical-field-printed", pts, printed),
+        "discrepancy": ResidualReport.from_samples("classical-field-printed-discrepancy",
+                                                   pts, np.abs(printed - derived)),
+    }
+
+
+def nc_classical_action_equivalence_report(nc, f, points):
+    """Pointwise gap between the polar and the printed complex action densities."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    gaps = np.abs(feq.nc_classical_action_density_complex_printed(nc, complex_view(f), pts)
+                  - feq.nc_classical_action_density_polar(nc, f, pts))
+    return ResidualReport.from_samples("nc-classical-action-form-gap", pts, gaps)
+
+
+def integrate_fixed(f, t0, y0, t1, steps):
+    """Dormand-Prince 5(4) at a fixed step, carrying k7 as the next k1; the state at t1."""
+    y = np.asarray(y0, dtype=float)
+    h = (t1 - t0) / steps
+    t = t0
+    k1 = np.asarray(f(t, y), dtype=float)
+    for _ in range(steps):
+        y, _, k1 = rk45_step(f, t, y, h, k1)
+        t += h
+    return y
+
+
+def validate_derivatives(sc, n_points=50, seed=0):
+    """Worst |analytic - finite difference| of every derivative a scenario supplies.
+
+    Draws points inside the default grid, shrunk 10% from the edges; correct
+    closures give O(h^2) of the stencil steps.
+    """
+    if sc.default_grid is None or sc.kind == "hj-foundation":
+        return {}
+    rng = np.random.default_rng(seed)
+    bounds = np.asarray(sc.default_grid.bounds, dtype=float)
+    span = bounds[:, 1] - bounds[:, 0]
+    lo = bounds[:, 0] + 0.1 * span
+    hi = bounds[:, 1] - 0.1 * span
+    pts = lo + rng.random((n_points, bounds.shape[0])) * (hi - lo)
+    pairs = []
+    if sc.polar is not None:
+        pf = sc.polar
+        pairs += [("drho", pf.drho, jacobian(pf.rho, pts)),
+                  ("d2rho", pf.d2rho, hessian(pf.rho, pts)),
+                  ("dS", pf.dS, jacobian(pf.S, pts)), ("d2S", pf.d2S, hessian(pf.S, pts))]
+    if sc.psi is not None:
+        pairs += [("dpsi", sc.psi.dpsi, jacobian(sc.psi.psi, pts)),
+                  ("d2psi", sc.psi.d2psi, hessian(sc.psi.psi, pts))]
+    bg = sc.background
+    if isinstance(bg, BackgroundRel) and bg.dmetric is not None:
+        pairs.append(("dmetric", bg.dmetric, jacobian(bg.metric, pts)))
+    return {key: float(np.max(np.abs(analytic(pts) - fd))) for key, analytic, fd in pairs}

@@ -158,7 +158,7 @@ def test_hj_relations_oscillator_closed_form():
 
 def test_energy_conservation_for_autonomous_lagrangian():
     sc = build("harmonic-oscillator-hj")
-    reports = verify_hj_relations(sc.system, sc.bvp)
+    reports = verify_hj_relations(sc.system, [sc.bvp])
     assert reports["energy"].max_abs < 1e-5
     assert reports["momentum"].max_abs < 1e-5
     assert reports["pde"].max_abs < 1e-4
@@ -237,7 +237,7 @@ def test_assembled_jacobian_matches_colored_oracle():
 
 
 def test_hj_relations_nonlinear_coupled_lagrangian():
-    reports = verify_hj_relations(COUPLED, COUPLED_BVP)
+    reports = verify_hj_relations(COUPLED, [COUPLED_BVP])
     assert reports["momentum"].max_abs <= 5e-5
     assert reports["energy"].max_abs <= 5e-5
 
@@ -331,7 +331,7 @@ def test_verify_hj_relations_names_an_arithmetic_error():
     sys = LagrangianSystem(dim=1, lagrangian=overflowing)
     bvp = BoundaryValueProblem(x0=[0.0], xf=[1.0], lambda0=0.0, lambdaf=1.0)
     with np.errstate(over="raise"), pytest.raises(NonFiniteResult) as info:
-        verify_hj_relations(sys, bvp)
+        verify_hj_relations(sys, [bvp])
     assert str(info.value).startswith(
         "endpoint problem at (X_f, lambda_f) = ([1.0], 1.0): FloatingPointError: ")
 

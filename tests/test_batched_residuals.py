@@ -2,8 +2,8 @@
 
 Every closure takes one point (D,) or a batch (..., D), and every public
 residual of the relativistic and the Newton-Cartan half, every
-Newton-Cartan identity and the Newton-Cartan frame partials take one point
-(D,) or a batch (K, D).  A batch
+Newton-Cartan identity, the Newton-Cartan frame partials and the Lorentzian
+guidance velocity take one point (D,) or a batch (K, D).  A batch
 must reproduce its point calls to 1e-13 max(1, |v|), a single point gives
 shape-() values, a bad row must raise the point call's error naming that
 row's point, and a check must read the geometry, call each identity and
@@ -33,6 +33,7 @@ import pilotwave.field_equations as feq
 import pilotwave.nc_geometry as ncg
 import pilotwave.scenarios as scen
 from pilotwave import cli
+from pilotwave.dynamics import guidance_velocity_rel
 from pilotwave.errors import (DegenerateFrame, FormMismatch, NodeEncountered,
                               SignatureViolation, SingularMetric)
 from pilotwave.fields import EPS_NODE, ComplexField, complex_view, polar_field
@@ -40,6 +41,7 @@ from pilotwave.geometry import BackgroundRel, metric_data, metric_inverse, volum
 from pilotwave.nc_geometry import NCBackground
 from pilotwave.scenarios import CHECK_EVALUATORS, build
 from pilotwave.stencils import jacobian
+import oracles
 from conftest import make_wavy_nc, make_wavy_polar, make_wavy_rel, wavy_nc_derivatives
 
 REL_TOL = 1e-13
@@ -99,6 +101,15 @@ CASES = {"wavy-2": lambda: _wavy_case(2), "wavy-3": lambda: _wavy_case(3),
                          "flat-nc-plane-wave", "flat-nc-gaussian-packet", "nc-nontrivial-M")}}
 
 
+def _residual(name):
+    """The function of that name: a residual or NC identity of the package, or a
+    reference quantity of ``oracles``."""
+    for module in (feq, ncg, oracles):
+        if hasattr(module, name):
+            return getattr(module, name)
+    raise AttributeError(name)
+
+
 def _assert_rows_match(batch, points):
     points = np.asarray(points)
     assert batch.shape == points.shape
@@ -114,9 +125,10 @@ def _entries(result, keys):
 
 
 def _assert_batch_equals_points(bg, fields, pts):
-    """Every public residual (and on a Newton-Cartan background every identity) on the
-    batch pts equals its point calls at every row; on a grid of more than 200 rows the
-    point calls sample 100, the last one included."""
+    """Every public residual (and on a Newton-Cartan background every identity, on a
+    Lorentzian one the guidance velocity) on the batch pts equals its point calls at
+    every row; on a grid of more than 200 rows the point calls sample 100, the last
+    one included."""
     rows = (np.arange(len(pts)) if len(pts) <= 200
             else np.unique(np.linspace(0, len(pts) - 1, 100).astype(int)))
     nc = isinstance(bg, NCBackground)
@@ -124,14 +136,14 @@ def _assert_batch_equals_points(bg, fields, pts):
     for name, (field, _, _) in (NC_RESIDUALS if nc else REL_RESIDUALS).items():
         if fields[field] is None:
             continue
-        fn = getattr(feq, name)
+        fn = _residual(name)
         _assert_rows_match(fn(bg, fields[field], pts)[rows],
                            [fn(bg, fields[field], p) for p in pts[rows]])
         checked += 1
     assert checked >= len(REL_RESIDUALS) - 3
     if nc:
-        forms = np.stack(feq.nc_classical_hj_forms(bg, fields[POLAR], pts), axis=-1)
-        _assert_rows_match(forms[rows], [feq.nc_classical_hj_forms(bg, fields[POLAR], p)
+        forms = np.stack(oracles.nc_classical_hj_forms(bg, fields[POLAR], pts), axis=-1)
+        _assert_rows_match(forms[rows], [oracles.nc_classical_hj_forms(bg, fields[POLAR], p)
                                          for p in pts[rows]])
         k = feq.nc_momentum_covector(bg, fields[POLAR], pts)
         _assert_rows_match(feq.nc_hj_expression(bg, pts, k)[rows],
@@ -145,6 +157,8 @@ def _assert_batch_equals_points(bg, fields, pts):
     k = feq.momentum_covector(bg, fields[POLAR], pts)
     _assert_rows_match(feq.hj_expression(bg, pts, k)[rows],
                        [feq.hj_expression(bg, pts[i], k[i]) for i in rows])
+    _assert_rows_match(guidance_velocity_rel(bg, fields[POLAR], pts)[rows],
+                       [guidance_velocity_rel(bg, fields[POLAR], p) for p in pts[rows]])
     for fn in (metric_inverse, volume_element):
         _assert_rows_match(fn(bg, pts)[rows], [fn(bg, p) for p in pts[rows]])
     batch = metric_data(bg, pts)
@@ -173,7 +187,7 @@ def test_a_bundle_stands_for_its_points(case):
     other_dim = 3 if bg.dim == 2 else 2
     other = metric_data(make_wavy_rel(dim=other_dim), np.zeros((2, other_dim)))
     for name in BUNDLE_RESIDUALS:
-        fn, field = getattr(feq, name), fields[REL_RESIDUALS[name][0]]
+        fn, field = _residual(name), fields[REL_RESIDUALS[name][0]]
         if field is None:
             continue
         assert np.array_equal(fn(bg, field, bundle), fn(bg, field, pts)), name
@@ -193,11 +207,6 @@ NC_BUNDLE_CALLS = {"nc_momentum_covector": (POLAR, 0), "nc_classical_hj_residual
                    "frame_identity_residuals": (None, 1), "ehat_identity_residual": (None, 1),
                    "null_lift": (None, 1), "null_lift_residuals": (None, 2),
                    "derive_nc_partials": (None, 1)}
-
-# these take a bundle's M and phi before its frame; a single-point guidance row passes
-# nc_momentum_covector its bundle, so it checks no bundle's dimension
-TAKE_M_AND_PHI_FIRST = ("nc_momentum_covector", "nc_classical_hj_residual",
-                        "nc_quantum_hj_residual")
 
 
 def _same_bits(a, b):
@@ -230,7 +239,7 @@ def test_a_frame_bundle_stands_for_its_points(case, monkeypatch):
     other = ncg._nc_frames(make_wavy_nc(dim=other_dim), np.zeros((2, other_dim)))
     monkeypatch.setattr(ncg, "derive_nc", counted)
     for name, (field, per_point) in NC_BUNDLE_CALLS.items():
-        fn = getattr(feq, name, None) or getattr(ncg, name)
+        fn = _residual(name)
         call = ((lambda x: fn(bg, x)) if field is None else
                 (lambda x: fn(bg, x, fields[field])) if field == "k" else
                 (lambda x: fn(bg, fields[field], x)))
@@ -240,9 +249,8 @@ def test_a_frame_bundle_stands_for_its_points(case, monkeypatch):
         rows.clear()
         assert _same_bits(call(bundle), at_points), name
         assert rows["derive_nc"] == 0, name
-        if name not in TAKE_M_AND_PHI_FIRST:
-            with pytest.raises(ValueError, match="^point has dimension"):
-                call(other)
+        with pytest.raises(ValueError, match="^point has dimension"):
+            call(other)
 
 
 def test_one_point_keeps_its_types_and_shapes():
@@ -251,7 +259,7 @@ def test_one_point_keeps_its_types_and_shapes():
         bg, fields, pts = _wavy_case(dim, background)
         x = pts[0]
         for name, (field, dtype, axes) in table.items():
-            value = getattr(feq, name)(bg, fields[field], x)
+            value = _residual(name)(bg, fields[field], x)
             assert np.shape(value) == (dim,) * axes and value.dtype == dtype, name
     bg, _, pts = _wavy_case(dim)
     x = pts[0]

@@ -10,7 +10,8 @@ from pilotwave.errors import FormMismatch
 from pilotwave.fields import complex_view, polar_field
 from pilotwave.nc_geometry import NCBackground, derive_nc, random_frame_background
 from pilotwave.scenarios import _superposition_psi, build
-from oracles import nested_divergence
+from oracles import (nc_classical_action_equivalence_report, nc_classical_hj_forms,
+                     nested_divergence)
 from conftest import make_wavy_polar
 
 X2 = np.array([0.4, 0.2])
@@ -44,7 +45,7 @@ class TestClassicalHJ:
         f = polar_field(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
                         drho=lambda x: np.zeros(3), d2rho=lambda x: np.zeros((3, 3)),
                         dS=lambda x: p.copy(), d2S=lambda x: np.zeros((3, 3)))
-        vhat_form, vm_form = feq.nc_classical_hj_forms(nc, f, np.zeros(3))
+        vhat_form, vm_form = nc_classical_hj_forms(nc, f, np.zeros(3))
         scale = max(1.0, abs(vhat_form))
         assert abs(vhat_form - vm_form) < 1e-10 * scale
 
@@ -216,7 +217,7 @@ class TestNontrivialMScenario:
 class TestClassicalActionForms:
     def test_plane_wave_forms_agree_at_unit_density(self):
         sc = build("flat-nc-plane-wave")
-        rep = feq.nc_classical_action_equivalence_report(
+        rep = nc_classical_action_equivalence_report(
             sc.background, sc.polar, sc.default_grid.points()[::5])
         assert rep.max_abs < 1e-12
 
@@ -226,7 +227,7 @@ class TestClassicalActionForms:
         nc = sc.background
         f = sc.polar
         x = np.array([0.8, 0.6])
-        rep = feq.nc_classical_action_equivalence_report(nc, f, [x])
+        rep = nc_classical_action_equivalence_report(nc, f, [x])
         der = derive_nc(nc, x)
         rho = f.rho(x)
         a = f.drho(x) / (2 * rho)

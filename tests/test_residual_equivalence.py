@@ -2,7 +2,8 @@
 
 ``tests/data/residuals_parent.json`` holds signed values (real and
 imaginary parts) of each public residual in ``pilotwave.field_equations``,
-the ``*_printed`` variants included, at 40 points on the wavy backgrounds
+the ``*_printed`` variants included, and of the reference quantities that
+moved from there to ``oracles.py``, at 40 points on the wavy backgrounds
 of ``conftest.py``, plus the values of every registry check run through
 ``Scenario.run_check`` on a subsample of its default grid.  The data were
 recorded before the residuals were rebuilt on shared kernels, with
@@ -21,7 +22,8 @@ import pytest
 
 import pilotwave.field_equations as feq
 from pilotwave.fields import complex_view
-from pilotwave.scenarios import build, scenario_names
+from pilotwave.scenarios import REGISTRY, build
+import oracles
 from conftest import make_wavy_nc, make_wavy_polar, make_wavy_rel
 
 DATA = os.path.join(os.path.dirname(os.path.abspath(__file__)), "data",
@@ -60,14 +62,14 @@ def compute() -> dict:
     for names, bg, field in ((REL_POLAR, rel, polar), (REL_COMPLEX, rel, cf),
                              (NC_POLAR, nc, polar), (NC_COMPLEX, nc, cf)):
         for name in names:
-            fn = getattr(feq, name)
+            fn = getattr(feq, name, None) or getattr(oracles, name)
             out[name] = [_flat(fn(bg, field, p)) for p in pts]
     out["classical_field_equation_report"] = [
         rep.values.tolist() for _, rep in
-        sorted(feq.classical_field_equation_report(rel, cf, pts).items())]
+        sorted(oracles.classical_field_equation_report(rel, cf, pts).items())]
     out["nc_classical_action_equivalence_report"] = \
-        feq.nc_classical_action_equivalence_report(nc, polar, pts).values.tolist()
-    for sc_name in scenario_names():
+        oracles.nc_classical_action_equivalence_report(nc, polar, pts).values.tolist()
+    for sc_name in sorted(REGISTRY):
         sc = build(sc_name)
         if not sc.checks:
             continue

@@ -2,12 +2,12 @@ import numpy as np
 import pytest
 
 from pilotwave.errors import BadParameter, UnknownScenario
-from pilotwave.scenarios import build, scenario_names, validate_derivatives
-from oracles import rk4_path
+from pilotwave.scenarios import REGISTRY, build
+from oracles import rk4_path, validate_derivatives
 
 
 def test_registry_contains_required_entries():
-    names = scenario_names()
+    names = sorted(REGISTRY)
     for required in ("minkowski-plane-wave", "minkowski-superposition",
                      "flat-nc-plane-wave", "flat-nc-gaussian-packet",
                      "curved-diagonal", "nc-nontrivial-M",
@@ -15,7 +15,7 @@ def test_registry_contains_required_entries():
         assert required in names
 
 
-@pytest.mark.parametrize("name", scenario_names())
+@pytest.mark.parametrize("name", sorted(REGISTRY))
 def test_every_scenario_builds(name):
     sc = build(name)
     assert sc.name == name
@@ -61,7 +61,7 @@ def test_nontrivial_m_phi_value():
     assert sc.oracle["Phi"] == pytest.approx(0.3, abs=1e-14)
 
 
-@pytest.mark.parametrize("name", [n for n in scenario_names() if not n.endswith("-hj")])
+@pytest.mark.parametrize("name", [n for n in sorted(REGISTRY) if not n.endswith("-hj")])
 def test_analytic_derivatives_pass_fd_cross_check(name):
     sc = build(name)
     worst = validate_derivatives(sc, n_points=50, seed=2)
