@@ -136,7 +136,7 @@ class RunConfig:
         if scenario["name"] is None:
             raise ConfigError("scenario.name", "missing")
         grid = values.pop("grid")
-        if "grid" not in doc:
+        if doc.get("grid") is None:
             grid = None
         elif grid["bounds"] is None or grid["samples"] is None:
             raise ConfigError("grid", "needs 'bounds' and 'samples'")
@@ -146,6 +146,9 @@ class RunConfig:
             except ValueError as exc:
                 raise ConfigError("grid", str(exc))
             for i, s in enumerate(values["trajectories"]["seeds"] or ()):
+                if len(s) != len(grid.bounds):
+                    raise ConfigError(f"trajectories.seeds[{i}]", f"has {len(s)} coordinates, "
+                                                                 f"the grid {len(grid.bounds)}")
                 if not grid.contains(s):
                     raise ConfigError(f"trajectories.seeds[{i}]", "seed outside grid bounds")
         return cls(scenario_name=scenario["name"], scenario_params=scenario["params"],
@@ -245,7 +248,7 @@ def _gate_nc_identities(sc, cfg, run):
 
 
 def cmd_check(sc, cfg, run):
-    if sc.kind == "hj-foundation":
+    if sc.system is not None:
         return cmd_hj_verify(sc, cfg, run)
     _run_field_checks(sc, cfg, run)
     if isinstance(sc.background, NCBackground):
@@ -310,7 +313,7 @@ def cmd_reduce(sc, cfg, run):
 def cmd_hj_verify(sc, cfg, run):
     from .action_principles import BoundaryValueProblem, verify_hj_relations
 
-    if sc.kind != "hj-foundation":
+    if sc.system is None:
         raise ConfigError("scenario.name", "hj-verify needs an hj-foundation scenario")
     base, fd_step = sc.bvp, cfg.hj["fd_step"]
     pts = _grid_points(sc, cfg)
@@ -325,7 +328,7 @@ def cmd_hj_verify(sc, cfg, run):
 
 
 def cmd_superposition_demo(sc, cfg, run):
-    if sc.psi is None or sc.kind != "relativistic":
+    if sc.psi is None or not isinstance(sc.background, BackgroundRel):
         raise ConfigError("scenario.name",
                           "superposition-demo needs a relativistic complex field")
     pts = _grid_points(sc, cfg)

@@ -18,11 +18,15 @@ unit coefficient on the relativistic square root (so Q = 0 recovers
 -m sqrt(-Xdot.g.Xdot)) and Q tau.Xdot/(2w) on the Newton-Cartan quantum
 term (so finite-difference momenta reproduce dS on guidance trajectories).
 
-A velocity row is one point, and it checks that point and reads each
-closure it needs once: on Newton-Cartan data tau, e, M and phi through one
-``derive_nc``, then Abar and dS, with h^{mu nu} formed once; on Lorentzian
-data g (through the checks of ``metric_inverse``), then A and dS, with two
-point checks.
+The background's type picks the velocity law, the constraint and the
+parametrization.  A velocity row is one point, and it checks that point and
+reads each closure it needs once: on Newton-Cartan data tau, e, M and phi
+through one ``derive_nc``, then Abar and dS, with h^{mu nu} formed once; on
+Lorentzian data g (through the checks of ``metric_inverse``), then A and dS,
+with two point checks.  A trajectory's constraint reads the geometry of its
+samples once: one ``metric_data`` bundle, or one frame solve per sample.
+Each Lagrangian pair shares one checked kernel: the point check, the metric
+read or frame solve, and the timelike (and m^2 + Q > 0) or tau.Xdot > 0 check.
 """
 from __future__ import annotations
 
@@ -39,7 +43,7 @@ from .field_equations import (hj_expression, momentum_covector, nc_hj_expression
                               quantum_potential_rel)
 from .fields import EPS_NODE, PolarField
 from .geometry import (BackgroundRel, broadcast_read, check_point, check_points,
-                       metric_inverse)
+                       metric_data, metric_inverse)
 from .integrators import hermite, integrate_adaptive
 from .nc_geometry import NCBackground, _nc_frames, derive_nc
 from .report import _csv, _json_floats, _json_list
@@ -75,51 +79,46 @@ def guidance_velocity_nc(nc: NCBackground, f: PolarField, x) -> Array:
 
 @dataclass(frozen=True)
 class GuidanceField:
-    """A background plus a polar field with a velocity-law selector.
+    """A polar field on a Lorentzian or a Newton-Cartan background.
 
-    The law follows the background kind; ``quantum`` picks whether sample
-    constraint residuals include the quantum potential.
+    The background's type picks the velocity law, the constraint and the
+    parametrization; any other background is a TypeError at construction.
     """
 
-    background: object
+    background: BackgroundRel | NCBackground
     field: PolarField
-    quantum: bool = True
 
-    @property
-    def kind(self) -> str:
-        if isinstance(self.background, BackgroundRel):
-            return "relativistic"
-        if isinstance(self.background, NCBackground):
-            return "newton-cartan"
-        raise TypeError(f"unsupported background {type(self.background)!r}")
+    def __post_init__(self):
+        if not isinstance(self.background, (BackgroundRel, NCBackground)):
+            raise TypeError(f"unsupported background {type(self.background)!r}")
 
     def velocity(self, x) -> Array:
-        if self.kind == "relativistic":
+        if isinstance(self.background, BackgroundRel):
             return guidance_velocity_rel(self.background, self.field, x)
         return guidance_velocity_nc(self.background, self.field, x)
 
     def constraint_residual(self, x, p=None) -> Array:
-        """HJ expression of the kinetic covector p - qA at x, plus Q if quantum.
+        """HJ expression of the kinetic covector p - qA at x, plus Q.
 
         x is one point (D,) or a batch (K, D), with momenta p of the same
-        shape; they default to the field's phase gradient dS.  On
-        Newton-Cartan data one frame solve per point serves A, the HJ
-        expression and Q.  The Lorentzian branch reads ``metric_inverse``
-        through ``hj_expression``, beside Q's ``metric_data``.
+        shape; they default to the field's phase gradient dS.  One
+        ``metric_data`` bundle, or one frame solve per point, serves A (on
+        Newton-Cartan data), the HJ expression and Q.
         """
         bg, f = self.background, self.field
         pt = check_points(x, bg.dim)
         p = broadcast_read(f.dS, pt, 1) if p is None else np.asarray(p, dtype=float)
-        if self.kind == "relativistic":
-            val = hj_expression(bg, pt, p - bg.charge * bg.gauge_at(pt))
-            return val + quantum_potential_rel(bg, f, pt) if self.quantum else val
+        if isinstance(bg, BackgroundRel):
+            md = metric_data(bg, pt)
+            return (hj_expression(bg, md, p - bg.charge * bg.gauge_at(pt))
+                    + quantum_potential_rel(bg, f, md))
         der = _nc_frames(bg, pt)
-        val = nc_hj_expression(bg, der, p - bg.charge * bg.reduced_gauge_at(der))
-        return val + nc_quantum_potential(bg, f, der) if self.quantum else val
+        return (nc_hj_expression(bg, der, p - bg.charge * bg.reduced_gauge_at(der))
+                + nc_quantum_potential(bg, f, der))
 
     @property
     def parametrization(self) -> str:
-        return "proper_time" if self.kind == "relativistic" else "coordinate_time"
+        return "proper_time" if isinstance(self.background, BackgroundRel) else "coordinate_time"
 
 
 @dataclass(frozen=True)
@@ -244,41 +243,45 @@ def _assemble_trajectory(gf: GuidanceField, lambdas, points) -> Trajectory:
 # Lagrangians and Legendre checks
 # ---------------------------------------------------------------------------
 
-def lagrangian_quantum_rel(bg: BackgroundRel, f: PolarField | None, x, xdot,
-                           Q: float | None = None) -> float:
-    """L_Q = -sqrt(m^2 + Q) sqrt(-Xdot.g.Xdot) + q A.Xdot.
-
-    Q is evaluated from the field unless supplied directly.
-    """
+def _rel_particle(bg: BackgroundRel, f: PolarField | None, x, xdot, Q):
+    """The checked point, Xdot, g, sqrt(m^2 + Q) and sqrt(-Xdot.g.Xdot) of L_Q at x, with
+    Q read from the field unless given; Xdot must be timelike and m^2 + Q positive."""
     pt = check_point(x, bg.dim)
     xdot = np.asarray(xdot, dtype=float)
     g = bg.metric_at(pt)
     speed2 = float(xdot @ g @ xdot)
     if speed2 >= 0.0:
         raise TachyonicInput(f"Xdot.g.Xdot = {speed2:.3e} is not timelike")
-    if Q is None:
-        Q = quantum_potential_rel(bg, f, pt)
-    m2q = bg.mass**2 + Q
+    m2q = bg.mass**2 + (quantum_potential_rel(bg, f, pt) if Q is None else Q)
     if m2q <= 0.0:
         raise ImaginaryMass(f"m^2 + Q = {m2q:.3e} is not positive")
-    return float(-np.sqrt(m2q) * np.sqrt(-speed2) + bg.charge * (bg.gauge_at(pt) @ xdot))
+    return pt, xdot, g, np.sqrt(m2q), np.sqrt(-speed2)
+
+
+def lagrangian_quantum_rel(bg: BackgroundRel, f: PolarField | None, x, xdot,
+                           Q: float | None = None) -> float:
+    """L_Q = -sqrt(m^2 + Q) sqrt(-Xdot.g.Xdot) + q A.Xdot, Q read from f unless given."""
+    pt, xdot, _, root_m2q, root_speed = _rel_particle(bg, f, x, xdot, Q)
+    return float(-root_m2q * root_speed + bg.charge * (bg.gauge_at(pt) @ xdot))
 
 
 def momentum_quantum_rel(bg: BackgroundRel, f: PolarField | None, x, xdot,
                          Q: float | None = None) -> Array:
     """Conjugate momenta of L_Q: sqrt(m^2+Q) g Xdot / sqrt(-Xdot.g.Xdot) + qA."""
-    pt = check_point(x, bg.dim)
+    pt, xdot, g, root_m2q, root_speed = _rel_particle(bg, f, x, xdot, Q)
+    return root_m2q * (g @ xdot) / root_speed + bg.charge * bg.gauge_at(pt)
+
+
+def _nc_particle(nc: NCBackground, x, xdot):
+    """The checked point, Xdot, its frame solve, tau and tau.Xdot at x; tau.Xdot must be
+    positive, as the absolute-time gauge does not extend to backward-in-time motion."""
+    der = derive_nc(nc, x)
     xdot = np.asarray(xdot, dtype=float)
-    g = bg.metric_at(pt)
-    speed2 = float(xdot @ g @ xdot)
-    if speed2 >= 0.0:
-        raise TachyonicInput("momenta need a timelike velocity")
-    if Q is None:
-        Q = quantum_potential_rel(bg, f, pt)
-    m2q = bg.mass**2 + Q
-    if m2q <= 0.0:
-        raise ImaginaryMass(f"m^2 + Q = {m2q:.3e} is not positive")
-    return np.sqrt(m2q) * (g @ xdot) / np.sqrt(-speed2) + bg.charge * bg.gauge_at(pt)
+    tau = der.frame[:, 0]
+    tdot = float(tau @ xdot)
+    if tdot <= MASS_FLOOR:
+        raise DegenerateVelocity(f"tau.Xdot = {tdot:.3e} must be positive")
+    return der.pt, xdot, der, tau, tdot
 
 
 def lagrangian_nc(nc: NCBackground, f: PolarField | None, x, xdot,
@@ -286,24 +289,16 @@ def lagrangian_nc(nc: NCBackground, f: PolarField | None, x, xdot,
     """Newton-Cartan particle Lagrangian, classical or quantum.
 
     Classical: w/(2 tau.Xdot) Xdot hbar Xdot + q A.Xdot.  The quantum flag
-    adds Q tau.Xdot / (2 w).  Inputs with tau.Xdot <= 0 are rejected: the
-    absolute-time gauge does not extend to backward-in-time motion.
+    adds Q tau.Xdot / (2 w), Q read from f unless given.
     """
-    pt = check_point(x, nc.dim)
-    xdot = np.asarray(xdot, dtype=float)
-    der = derive_nc(nc, pt)
-    tau, w = der.frame[:, 0], der.w
-    tdot = float(tau @ xdot)
-    if tdot <= MASS_FLOOR:
-        raise DegenerateVelocity(f"tau.Xdot = {tdot:.3e} must be positive")
+    pt, xdot, der, _, tdot = _nc_particle(nc, x, xdot)
+    w = der.w
     if abs(w) <= MASS_FLOOR:
         raise MassSingular(f"effective mass m - q phi = {w:.3e} vanishes")
-    a_red = nc.reduced_gauge_at(pt)
     val = w / (2.0 * tdot) * float(xdot @ der.hbar_down @ xdot) \
-        + nc.charge * float(a_red @ xdot)
+        + nc.charge * float(nc.reduced_gauge_at(pt) @ xdot)
     if quantum:
-        if Q is None:
-            Q = nc_quantum_potential(nc, f, pt)
+        Q = nc_quantum_potential(nc, f, pt) if Q is None else Q
         val += Q * tdot / (2.0 * w)
     return float(val)
 
@@ -314,13 +309,7 @@ def momentum_nc_classical(nc: NCBackground, x, xdot) -> Array:
     p_mu = -w/(2 (tau.Xdot)^2) tau_mu (Xdot hbar Xdot)
            + w hbar_{mu nu} Xdot^nu / (tau.Xdot) + q A_mu.
     """
-    pt = check_point(x, nc.dim)
-    xdot = np.asarray(xdot, dtype=float)
-    der = derive_nc(nc, pt)
-    tau, w = der.frame[:, 0], der.w
-    tdot = float(tau @ xdot)
-    if tdot <= MASS_FLOOR:
-        raise DegenerateVelocity(f"tau.Xdot = {tdot:.3e} must be positive")
-    hbx = der.hbar_down @ xdot
+    pt, xdot, der, tau, tdot = _nc_particle(nc, x, xdot)
+    w, hbx = der.w, der.hbar_down @ xdot
     return (-w / (2.0 * tdot**2) * float(xdot @ hbx) * tau
             + w * hbx / tdot + nc.charge * nc.reduced_gauge_at(pt))

@@ -152,8 +152,10 @@ def momentum_covector(bg: BackgroundRel, f: PolarField, x) -> Array:
 
 
 def hj_expression(bg: BackgroundRel, x, k):
-    """k g^{-1} k + m^2 for a kinetic covector k at x; metric_inverse checks the points."""
-    return _mass_shell(metric_inverse(bg, x), np.asarray(k, dtype=float), bg.mass)
+    """k g^{-1} k + m^2 for a kinetic covector k at points x, through metric_inverse (which
+    checks them), or at a MetricData bundle x, whose g^{-1} it takes after _bundle's check."""
+    ginv = _bundle(bg, x).ginv if isinstance(x, MetricData) else metric_inverse(bg, x)
+    return _mass_shell(ginv, np.asarray(k, dtype=float), bg.mass)
 
 
 def classical_hj_residual_rel(bg: BackgroundRel, f: PolarField, x):

@@ -127,17 +127,8 @@ class BackgroundRel:
     dgauge: Callable[[Array], Array] | None = None
 
     @classmethod
-    def minkowski(cls, dim: int = 4, mass: float = 1.0, charge: float = 0.0,
-                  gauge: Callable[[Array], Array] | None = None,
-                  dgauge: Callable[[Array], Array] | None = None) -> "BackgroundRel":
-        eta = np.diag([-1.0] + [1.0] * (dim - 1))
-        zero_dg = np.zeros((dim, dim, dim))
-        if gauge is None:
-            gauge = lambda x: np.zeros(dim)
-            dgauge = lambda x: np.zeros((dim, dim))
-        return cls(dim=dim, metric=lambda x: eta.copy(), gauge=gauge,
-                   mass=mass, charge=charge,
-                   dmetric=lambda x: zero_dg.copy(), dgauge=dgauge)
+    def minkowski(cls, dim: int = 4, mass: float = 1.0, charge: float = 0.0) -> "BackgroundRel":
+        return cls.constant(np.diag([-1.0] + [1.0] * (dim - 1)), mass=mass, charge=charge)
 
     @classmethod
     def constant(cls, g, A=None, mass: float = 1.0, charge: float = 0.0) -> "BackgroundRel":

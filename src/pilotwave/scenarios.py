@@ -40,7 +40,6 @@ class Check:
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    kind: str                       # relativistic | newton-cartan | hj-foundation
     params: dict
     background: object = None
     polar: PolarField | None = None
@@ -218,19 +217,12 @@ def build_minkowski_plane_wave(params) -> Scenario:
     energy = float(np.sqrt(m**2 + k @ k))
     p_cov = np.concatenate([[-energy], k])
     q = float(p["q"])
-    if p["a"] is not None:
-        a = np.asarray(p["a"], dtype=float)
-        _require(a.size == dim, "a", f"gauge covector needs {dim} components")
-        bg = BackgroundRel.minkowski(dim=dim, mass=m, charge=q,
-                                     gauge=lambda x, av=a: av.copy(),
-                                     dgauge=lambda x: np.zeros((dim, dim)))
-        field_p = p_cov + q * a
-    else:
-        bg = BackgroundRel.minkowski(dim=dim, mass=m, charge=q)
-        field_p = p_cov
-    pf = _plane_wave_field(field_p)
-    eta_inv = np.diag([-1.0] + [1.0] * (dim - 1))
-    u = eta_inv @ p_cov / m
+    eta = np.diag([-1.0] + [1.0] * (dim - 1))
+    a = None if p["a"] is None else np.asarray(p["a"], dtype=float)
+    _require(a is None or a.size == dim, "a", f"gauge covector needs {dim} components")
+    bg = BackgroundRel.constant(eta, A=a, mass=m, charge=q)
+    pf = _plane_wave_field(p_cov if a is None else p_cov + q * a)
+    u = eta @ p_cov / m  # eta is its own inverse
 
     def trajectory(x0, tau):
         return np.asarray(x0, dtype=float) + u * tau
@@ -238,7 +230,7 @@ def build_minkowski_plane_wave(params) -> Scenario:
     bounds = [(0.0, 2.0)] + [(-1.0, 1.0)] * (dim - 1)
     samples = [4] + [3] * (dim - 1)
     return Scenario(
-        name="minkowski-plane-wave", kind="relativistic", params=p,
+        name="minkowski-plane-wave", params=p,
         background=bg, polar=pf,
         psi=None if q else _superposition_psi(np.array([1.0]), [p_cov]),
         oracle={"E": energy, "u": u, "trajectory": trajectory},
@@ -295,7 +287,7 @@ def build_minkowski_superposition(params) -> Scenario:
     bounds = [(0.0, 3.0), (0.0, 3.0)] + [(-0.5, 0.5)] * (dim - 2)
     samples = [6, 6] + [2] * (dim - 2)
     return Scenario(
-        name="minkowski-superposition", kind="relativistic", params=p,
+        name="minkowski-superposition", params=p,
         background=bg, psi=psi, polar=polar_view(psi),
         oracle={"p1": p1, "p2": p2},
         default_grid=GridSpec(tuple(bounds), tuple(samples)),
@@ -373,7 +365,7 @@ def build_curved_diagonal(params) -> Scenario:
         return _components(x, energy, wprime(x[..., 1])) / (omega2(x)[..., None] * m)
 
     return Scenario(
-        name="curved-diagonal", kind="relativistic", params=p,
+        name="curved-diagonal", params=p,
         background=bg, polar=pf,
         oracle={"u": velocity, "W_prime": wprime},
         default_grid=GridSpec(((0.0, 5.0), (-0.8 * x_max, 0.8 * x_max)), (6, 8)),
@@ -474,7 +466,7 @@ def build_flat_nc_gaussian_packet(params) -> Scenario:
         return float(x0) * sigma(t) / s0
 
     return Scenario(
-        name="flat-nc-gaussian-packet", kind="newton-cartan", params=p,
+        name="flat-nc-gaussian-packet", params=p,
         background=nc, polar=pf, psi=complex_view(pf),
         oracle={"sigma": sigma, "bohmian_trajectory": bohmian_trajectory},
         default_grid=GridSpec(((0.0, 5.0), (-4.0, 4.0)), (50, 50)),
@@ -512,7 +504,7 @@ def build_nc_nontrivial_m(params) -> Scenario:
     pf = _plane_wave_field(p_cov)
     psi = _superposition_psi(np.array([1.0]), [p_cov])
     return Scenario(
-        name="nc-nontrivial-M", kind="newton-cartan", params=p,
+        name="nc-nontrivial-M", params=p,
         background=nc, polar=pf, psi=psi,
         oracle={"E": energy, "Phi": phi_pot},
         default_grid=GridSpec(((0.0, 2.0), (-1.0, 1.0)), (5, 5)),
@@ -548,7 +540,7 @@ def build_free_particle_hj(params) -> Scenario:
         return x0 + (xf - x0) * (lam - t0) / (tf - t0)
 
     return Scenario(
-        name="free-particle-hj", kind="hj-foundation", params=p,
+        name="free-particle-hj", params=p,
         system=sys,
         bvp=BoundaryValueProblem(x0=[0.0], xf=[1.0], lambda0=0.0, lambdaf=1.0),
         oracle={"action": action, "solution": solution},
@@ -580,7 +572,7 @@ def build_harmonic_oscillator_hj(params) -> Scenario:
         return (x0 * np.sin(omega * (tf - lam)) + xf * np.sin(omega * (lam - t0))) / np.sin(wt)
 
     return Scenario(
-        name="harmonic-oscillator-hj", kind="hj-foundation", params=p,
+        name="harmonic-oscillator-hj", params=p,
         system=sys,
         bvp=BoundaryValueProblem(x0=[0.0], xf=[1.0], lambda0=0.0, lambdaf=1.5),
         oracle={"action": action, "solution": solution},

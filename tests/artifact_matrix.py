@@ -13,12 +13,15 @@ It runs, through ``pilotwave.cli.main`` in this process:
 - ``check`` and ``reduce`` on ``nc-nontrivial-M`` at ``M_t`` 1e7 and 1e300
   and at ``M_x`` 1e5, where round-off and overflow are at stake;
 - ``reduce`` on ``flat-nc-plane-wave`` with 25 random frames of seed 4 at
-  ``reduce.dim`` 2, 3 and 10, the only runs that draw random frames.
+  ``reduce.dim`` 2, 3 and 10, the only runs that draw random frames;
+- ``check`` and ``trajectories`` on ``minkowski-plane-wave`` with charge
+  ``q`` 0.5 and gauge covector ``a``, the only runs through a gauged
+  Minkowski background.
 
 Each line holds the run's label, its exit code, its stderr and the sha256
 of every file it wrote, so two checkouts whose outputs are identical give
 identical text: compare them with ``diff``.  Pytest does not collect this
-file; it takes about 11 s and prints 117 lines.
+file; it takes about 11 s and prints 119 lines.
 """
 import contextlib
 import hashlib
@@ -38,6 +41,7 @@ import workloads
 SEEDS = (3, 7)
 PARAMS = ({"M_t": 1e7}, {"M_t": 1e300}, {"M_x": 1e5})
 FRAME_DIMS = (2, 3, 10)
+GAUGED = {"q": 0.5, "a": [0.1, 0.2, -0.1, 0.05]}
 
 
 def runs():
@@ -62,6 +66,9 @@ def runs():
         doc = {"scenario": {"name": "flat-nc-plane-wave"},
                "reduce": {"random_frames": 25, "seed": 4, "dim": dim}}
         yield f"flat-nc-plane-wave reduce {json.dumps(doc['reduce'])}", "reduce", doc, "json"
+    doc = {"scenario": {"name": "minkowski-plane-wave", "params": GAUGED}}
+    for command in ("check", "trajectories"):
+        yield f"minkowski-plane-wave {json.dumps(GAUGED)} {command}", command, doc, "json"
 
 
 def fingerprint(tmp, i, command, doc, fmt):

@@ -282,7 +282,7 @@ def validate_derivatives(sc, n_points=50, seed=0):
     Draws points inside the default grid, shrunk 10% from the edges; correct
     closures give O(h^2) of the stencil steps.
     """
-    if sc.default_grid is None or sc.kind == "hj-foundation":
+    if sc.default_grid is None or sc.system is not None:
         return {}
     rng = np.random.default_rng(seed)
     bounds = np.asarray(sc.default_grid.bounds, dtype=float)

@@ -119,9 +119,8 @@ def test_criterion_5_legendre_round_trips():
     # relativistic: FD momenta of L_Q against p = m g Xdot / sqrt(-v.g.v) + qA
     a_const = np.array([0.3, -0.2, 0.1, 0.05])
     from pilotwave.geometry import BackgroundRel
-    bg = BackgroundRel.minkowski(4, mass=1.2, charge=0.5,
-                                 gauge=lambda x: a_const.copy(),
-                                 dgauge=lambda x: np.zeros((4, 4)))
+    bg = BackgroundRel.constant(np.diag([-1.0, 1.0, 1.0, 1.0]), A=a_const, mass=1.2,
+                                charge=0.5)
     from pilotwave.fields import polar_field
     flat_rho = polar_field(rho=lambda x: 1.0, S=lambda x: 0.0,
                            drho=lambda x: np.zeros(4),

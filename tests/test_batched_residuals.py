@@ -193,6 +193,10 @@ def test_a_bundle_stands_for_its_points(case):
         assert np.array_equal(fn(bg, field, bundle), fn(bg, field, pts)), name
         with pytest.raises(ValueError, match="dimension"):
             fn(bg, field, other)
+    k = feq.momentum_covector(bg, fields[POLAR], pts)
+    assert np.array_equal(feq.hj_expression(bg, bundle, k), feq.hj_expression(bg, pts, k))
+    with pytest.raises(ValueError, match="dimension"):
+        feq.hj_expression(bg, other, k)
 
 
 # every Newton-Cartan residual and identity -> (field it reads, or None for an identity;

@@ -63,6 +63,31 @@ def test_seed_outside_grid_exits_2(tmp_path):
     assert main(["trajectories", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
+def test_seed_with_the_wrong_dimension_is_named_as_such(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "scenario": {"name": "flat-nc-plane-wave"},
+        "grid": {"bounds": [[0, 1], [0, 1]], "samples": [2, 2]},
+        "trajectories": {"seeds": [[0.5, 0.5, 0.5]]},
+    })
+    assert main(["trajectories", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == ("config error: config field 'trajectories.seeds[0]': "
+                                       "has 3 coordinates, the grid 2\n")
+
+
+def test_null_grid_counts_as_not_given(tmp_path):
+    doc = {"scenario": {"name": "flat-nc-plane-wave"}}
+    written = []
+    for i, grid in enumerate(({}, {"grid": None})):
+        out = tmp_path / f"out{i}"
+        cfg = write_config(tmp_path, {**doc, **grid}, f"config{i}.json")
+        assert main(["check", "--config", cfg, "--out", str(out)]) == 0
+        written.append(read_manifest(out)["files"])
+    assert written[0] == written[1]
+    # an empty grid object is still a grid without its fields
+    cfg = write_config(tmp_path, {**doc, "grid": {}})
+    assert main(["check", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
 def test_command_mismatch_exits_2(tmp_path):
     cfg = write_config(tmp_path, {"scenario": {"name": "minkowski-plane-wave"},
                                   "command": "reduce"})

@@ -166,6 +166,9 @@ class TestIntegrateTrajectory:
         assert np.max(np.abs(traj.points - expect)) < 1e-8
         assert traj.parametrization == "proper_time"
         assert np.max(np.abs(traj.constraint)) < 1e-9
+        # the background's type picks the law: any other is refused at construction
+        with pytest.raises(TypeError, match="unsupported background"):
+            GuidanceField(background=sc.polar, field=sc.polar)
 
     def test_packet_bohmian_closed_form(self):
         sc = build("flat-nc-gaussian-packet")
@@ -191,7 +194,7 @@ class TestIntegrateTrajectory:
     def _straight_path(rho):
         # S = -t + 0.9 x on the flat background: X(lambda) = (lambda, 1.45 + 0.9 lambda)
         f = polar_field(rho=rho, S=lambda x: -x[..., 0] + 0.9 * x[..., 1])
-        return GuidanceField(background=NCBackground.flat(2), field=f, quantum=False)
+        return GuidanceField(background=NCBackground.flat(2), field=f)
 
     @staticmethod
     def _peak(x):
@@ -335,9 +338,8 @@ class TestLagrangianRel:
 
     def test_legendre_momenta_match_formula(self):
         rng = np.random.default_rng(14)
-        bg = BackgroundRel.minkowski(4, mass=1.2, charge=0.5,
-                                     gauge=lambda x: np.array([0.3, -0.2, 0.1, 0.0]),
-                                     dgauge=lambda x: np.zeros((4, 4)))
+        bg = BackgroundRel.constant(np.diag([-1.0, 1.0, 1.0, 1.0]),
+                                    A=[0.3, -0.2, 0.1, 0.0], mass=1.2, charge=0.5)
         for _ in range(20):
             v_spatial = rng.uniform(-0.5, 0.5, size=3)
             xdot = np.concatenate([[1.0], v_spatial * 0.9 / max(1.0, np.linalg.norm(v_spatial))])
@@ -415,11 +417,11 @@ class TestHamiltonianConstraint:
     @pytest.mark.parametrize("name, expected", [
         # one frame row per sample serves A, the HJ expression and Q (three rows before)
         ("flat-nc-gaussian-packet", {"derive_nc": 51, "derive_nc_partials": 1}),
-        ("curved-diagonal", {"metric_inverse": 1})])
+        ("curved-diagonal", {"metric_data": 1})])
     def test_constraint_reads_the_geometry_once(self, name, expected, monkeypatch):
         calls = Counter()
         for module, fn_name in ((ncg, "derive_nc"), (feq, "derive_nc_partials"),
-                                (feq, "metric_inverse")):
+                                (feq, "metric_inverse"), (dyn, "metric_data")):
             def counted(*args, fn=getattr(module, fn_name), fn_name=fn_name):
                 calls[fn_name] += 1
                 return fn(*args)
@@ -447,7 +449,7 @@ class TestHamiltonianConstraint:
         f = polar_field(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
                         drho=lambda x: np.zeros(4), d2rho=lambda x: np.zeros((4, 4)),
                         dS=lambda x: p.copy(), d2S=lambda x: np.zeros((4, 4)))
-        gf = GuidanceField(background=bg, field=f, quantum=False)
+        gf = GuidanceField(background=bg, field=f)
         traj = integrate_trajectory(gf, np.zeros(4), (0.0, 1.0), steps=5)
         expect = abs(feq.classical_hj_residual_rel(bg, f, np.zeros(4)))
         assert abs(traj.constraint[0]) == pytest.approx(expect, rel=1e-12)
