@@ -296,7 +296,6 @@ class EndpointDerivatives:
     p_f: Array
     dS_dlambdaf: float
     H_f: float
-    action: float
 
 
 def endpoint_derivatives(sys: LagrangianSystem, bvp: BoundaryValueProblem,
@@ -327,8 +326,7 @@ def endpoint_derivatives(sys: LagrangianSystem, bvp: BoundaryValueProblem,
 
     ds = np.array([richardson(axis) for axis in range(end.size)])
     p_f, h_f = endpoint_state(sys, base)
-    return EndpointDerivatives(dS_dXf=ds[:-1], p_f=p_f, dS_dlambdaf=float(ds[-1]),
-                               H_f=h_f, action=action_value(sys, base))
+    return EndpointDerivatives(dS_dXf=ds[:-1], p_f=p_f, dS_dlambdaf=float(ds[-1]), H_f=h_f)
 
 
 def verify_hj_relations(sys: LagrangianSystem, bvps,

@@ -25,8 +25,9 @@ through one ``derive_nc``, then Abar and dS, with h^{mu nu} formed once; on
 Lorentzian data g (through the checks of ``metric_inverse``), then A and dS,
 with two point checks.  A trajectory's constraint reads the geometry of its
 samples once: one ``metric_data`` bundle, or one frame solve per sample.
-Each Lagrangian pair shares one checked kernel: the point check, the metric
-read or frame solve, and the timelike (and m^2 + Q > 0) or tau.Xdot > 0 check.
+Each Lagrangian pair shares one checked kernel: the point check, one
+``metric_data`` or ``derive_nc`` bundle, which also serves Q and A, and the
+timelike (and m^2 + Q > 0) or tau.Xdot > 0 check.
 """
 from __future__ import annotations
 
@@ -244,18 +245,17 @@ def _assemble_trajectory(gf: GuidanceField, lambdas, points) -> Trajectory:
 # ---------------------------------------------------------------------------
 
 def _rel_particle(bg: BackgroundRel, f: PolarField | None, x, xdot, Q):
-    """The checked point, Xdot, g, sqrt(m^2 + Q) and sqrt(-Xdot.g.Xdot) of L_Q at x, with
-    Q read from the field unless given; Xdot must be timelike and m^2 + Q positive."""
-    pt = check_point(x, bg.dim)
+    """The checked point, Xdot, g, sqrt(m^2 + Q) and sqrt(-Xdot.g.Xdot) of L_Q at x, from
+    one ``metric_data`` that also serves Q unless given; Xdot timelike, m^2 + Q positive."""
+    md = metric_data(bg, check_point(x, bg.dim))
     xdot = np.asarray(xdot, dtype=float)
-    g = bg.metric_at(pt)
-    speed2 = float(xdot @ g @ xdot)
+    speed2 = float(xdot @ md.g @ xdot)
     if speed2 >= 0.0:
         raise TachyonicInput(f"Xdot.g.Xdot = {speed2:.3e} is not timelike")
-    m2q = bg.mass**2 + (quantum_potential_rel(bg, f, pt) if Q is None else Q)
+    m2q = bg.mass**2 + (quantum_potential_rel(bg, f, md) if Q is None else Q)
     if m2q <= 0.0:
         raise ImaginaryMass(f"m^2 + Q = {m2q:.3e} is not positive")
-    return pt, xdot, g, np.sqrt(m2q), np.sqrt(-speed2)
+    return md.pt, xdot, md.g, np.sqrt(m2q), np.sqrt(-speed2)
 
 
 def lagrangian_quantum_rel(bg: BackgroundRel, f: PolarField | None, x, xdot,
@@ -273,15 +273,15 @@ def momentum_quantum_rel(bg: BackgroundRel, f: PolarField | None, x, xdot,
 
 
 def _nc_particle(nc: NCBackground, x, xdot):
-    """The checked point, Xdot, its frame solve, tau and tau.Xdot at x; tau.Xdot must be
-    positive, as the absolute-time gauge does not extend to backward-in-time motion."""
+    """Xdot, the frame solve at x (the point's bundle, which A and Q take), tau and tau.Xdot;
+    tau.Xdot must be positive: the absolute-time gauge excludes backward-in-time motion."""
     der = derive_nc(nc, x)
     xdot = np.asarray(xdot, dtype=float)
     tau = der.frame[:, 0]
     tdot = float(tau @ xdot)
     if tdot <= MASS_FLOOR:
         raise DegenerateVelocity(f"tau.Xdot = {tdot:.3e} must be positive")
-    return der.pt, xdot, der, tau, tdot
+    return xdot, der, tau, tdot
 
 
 def lagrangian_nc(nc: NCBackground, f: PolarField | None, x, xdot,
@@ -291,14 +291,14 @@ def lagrangian_nc(nc: NCBackground, f: PolarField | None, x, xdot,
     Classical: w/(2 tau.Xdot) Xdot hbar Xdot + q A.Xdot.  The quantum flag
     adds Q tau.Xdot / (2 w), Q read from f unless given.
     """
-    pt, xdot, der, _, tdot = _nc_particle(nc, x, xdot)
+    xdot, der, _, tdot = _nc_particle(nc, x, xdot)
     w = der.w
     if abs(w) <= MASS_FLOOR:
         raise MassSingular(f"effective mass m - q phi = {w:.3e} vanishes")
     val = w / (2.0 * tdot) * float(xdot @ der.hbar_down @ xdot) \
-        + nc.charge * float(nc.reduced_gauge_at(pt) @ xdot)
+        + nc.charge * float(nc.reduced_gauge_at(der) @ xdot)
     if quantum:
-        Q = nc_quantum_potential(nc, f, pt) if Q is None else Q
+        Q = nc_quantum_potential(nc, f, der) if Q is None else Q
         val += Q * tdot / (2.0 * w)
     return float(val)
 
@@ -309,7 +309,7 @@ def momentum_nc_classical(nc: NCBackground, x, xdot) -> Array:
     p_mu = -w/(2 (tau.Xdot)^2) tau_mu (Xdot hbar Xdot)
            + w hbar_{mu nu} Xdot^nu / (tau.Xdot) + q A_mu.
     """
-    pt, xdot, der, tau, tdot = _nc_particle(nc, x, xdot)
+    xdot, der, tau, tdot = _nc_particle(nc, x, xdot)
     w, hbx = der.w, der.hbar_down @ xdot
     return (-w / (2.0 * tdot**2) * float(xdot @ hbx) * tau
-            + w * hbx / tdot + nc.charge * nc.reduced_gauge_at(pt))
+            + w * hbx / tdot + nc.charge * nc.reduced_gauge_at(der))

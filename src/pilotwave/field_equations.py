@@ -45,8 +45,9 @@ A Newton-Cartan residual takes the points or their ``NCDerived`` bundle
 (``nc_geometry``: the stacked frame solves, each derived object computed
 once) and passes on what it was given: given points, it solves the frames
 it always solved; given a bundle, none.  Its divergences read one stacked
-``derive_nc_partials``.  ``nc_momentum_covector`` uses a bundle's M and
-phi, so a guidance row reads each closure once.  A node check runs before
+``derive_nc_partials``.  ``nc_momentum_covector`` and the reduced gauge field
+take M and phi from a bundle, and every kernel that holds one hands it to
+them, so a guidance row reads each closure once.  A node check runs before
 the division it guards, and an error in a batch names the first failing point.
 
 The ``*_printed`` variants reproduce equation forms that fail their own
@@ -341,7 +342,7 @@ def nc_continuity_residual(nc: NCBackground, f: PolarField, x) -> Array:
     (pt, der), parts = _nc_bundle(nc, x), derive_nc_partials(nc, x)
     rho = broadcast_read(f.rho, pt)
     drho = broadcast_read(f.drho, pt, 1)
-    k = nc_momentum_covector(nc, f, pt)
+    k = nc_momentum_covector(nc, f, der)
     dk = broadcast_read(f.d2S, pt, 2) - nc.charge * parts["A"]
     e, de, w = der.vol, parts["vol"], der.w
     t1 = _flow_divergence(e, de, der.v_hat, parts["v_hat"], w * rho,
@@ -360,7 +361,7 @@ def nc_schrodinger_residual(nc: NCBackground, cf: ComplexField, x) -> Array:
     curved data.  Linear in psi by construction.
     """
     (pt, der), parts = _nc_bundle(nc, x), derive_nc_partials(nc, x)
-    a_red = nc.reduced_gauge_at(pt)
+    a_red = nc.reduced_gauge_at(der)
     q = nc.charge
     psi, dpsi, dcov, ddcov = _covariant_derivative_data(cf, pt, a_red, parts["A"], q)
     e, de, w = der.vol, parts["vol"], der.w
@@ -383,7 +384,7 @@ def nc_classical_action_density_polar(nc: NCBackground, f: PolarField, x) -> Arr
     e (2 w rho vhat.k - 2 Phi w^2 rho - rho h k k), i.e. e rho times the HJ
     expression."""
     pt, der = _nc_bundle(nc, x)
-    k = nc_momentum_covector(nc, f, pt)
+    k = nc_momentum_covector(nc, f, der)
     return der.vol * broadcast_read(f.rho, pt) * nc_hj_expression(nc, x, k)
 
 
@@ -400,7 +401,7 @@ def nc_classical_action_density_complex_printed(nc: NCBackground, cf: ComplexFie
     psi = broadcast_read(cf.psi, pt, 0, complex)
     node_check(np.abs(psi) ** 2, pt, PSI_AT_NODE)
     dpsi = broadcast_read(cf.dpsi, pt, 1, complex)
-    a_red = nc.reduced_gauge_at(pt)
+    a_red = nc.reduced_gauge_at(der)
     q = nc.charge
     dcov = dpsi - 1j * q * a_red * _col(psi)
     dcov_c = np.conj(dcov)

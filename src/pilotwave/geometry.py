@@ -5,10 +5,10 @@ the particle parameters (mass, charge).  Everything is a pure function of
 the coordinate point, so a background keeps no state between reads.
 Signature convention is mostly-plus (-, +, ..., +); units are hbar = c = 1.
 
-``metric_data(bg, x)`` is the geometry bundle every residual reads:
-g^{MN}, sqrt(-g) and their gradients, from one checked read of the metric.
-``metric_inverse`` and ``volume_element`` give the single objects.  A
-relativistic residual takes either the points or the bundle of those
+``metric_data(bg, x)`` is the geometry bundle every residual reads: g_MN,
+then g^{MN} and sqrt(-g) with their gradients, from one checked read of the
+metric.  ``metric_inverse`` and ``volume_element`` give the single objects.
+A relativistic residual takes either the points or the bundle of those
 points, so the checks of one grid share one bundle.
 
 One batch contract runs through the package.  Every closure, here and in
@@ -141,9 +141,6 @@ class BackgroundRel:
                    mass=mass, charge=charge,
                    dmetric=lambda x: zero_dg.copy(), dgauge=lambda x: zero_da.copy())
 
-    def metric_at(self, x) -> Array:
-        return self._metric(check_points(x, self.dim))
-
     def _metric(self, pts: Array) -> Array:
         """g_MN at points that are already checked, its shape and symmetry checked."""
         g = np.asarray(self.metric(pts), dtype=float)
@@ -212,6 +209,7 @@ class MetricData:
     leading axis, shared by every residual."""
 
     pt: Array     # the checked point (D,) or points (K, D)
+    g: Array      # g_MN, its shape and symmetry checked
     ginv: Array   # g^{MN}
     dginv: Array  # d_M g^{PQ} = -(g^{-1} d_M g g^{-1}), axis -3 = d_M
     vol: Array    # sqrt(-det g)
@@ -221,9 +219,10 @@ class MetricData:
 def metric_data(bg: BackgroundRel, x) -> MetricData:
     """One checked read of the metric at x, (D,) or (K, D), inverted, with sqrt(-det g)."""
     pts = check_points(x, bg.dim)
-    ginv, det = _checked_inverse(bg._metric(pts), pts)
+    g = bg._metric(pts)
+    ginv, det = _checked_inverse(g, pts)
     vol = _volume(det, pts)
     dg = bg.metric_derivative_at(pts)
-    return MetricData(pt=pts, ginv=ginv, vol=vol,
+    return MetricData(pt=pts, g=g, ginv=ginv, vol=vol,
                       dginv=-(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :]),
                       dvol=0.5 * vol[..., None] * np.einsum("...ab,...mba->...m", ginv, dg))

@@ -163,8 +163,8 @@ class NCDerived:
     finv: Array       # inverse frame: row 0 is -v, rows 1..D-1 are e^mu_a
     m: Array          # mass gauge field M_mu
     phi: Array        # scalar potential phi
-    w: float | Array  # effective mass m - q phi
-    vol: float | Array  # det(tau, e)
+    w: Array          # effective mass m - q phi
+    vol: Array        # det(tau, e)
 
     @_derived
     def v(self) -> Array:
@@ -208,7 +208,7 @@ class NCDerived:
                 - self.frame[..., :, :1] * np.matvec(self.e_inv, self.m)[..., None, :])
 
     @_derived
-    def Phi(self) -> float | Array:
+    def Phi(self) -> Array:
         """-v.M + (1/2) M h M."""
         return np.vecdot(0.5 * np.matvec(self.h_up, self.m) - self.v, self.m)
 
@@ -221,12 +221,13 @@ class NullLift:
     gamma: Array       # (..., D+1, D+1)
     gamma_inv: Array   # closed-form inverse
     gauge_lift: Array  # A_A = (Abar_mu - phi M_mu, phi)
+    product: Array     # max |gamma gamma_inv - 1|, one value per point
 
 
 def derive_nc(nc: NCBackground, x) -> NCDerived:
-    """Solve the frame relations at one point x: the checked point, the frame, its
-    inverse, M, phi, w and the volume, from one read of tau, e, M and phi.  The
-    derived objects are computed from the result when first read."""
+    """Solve the frame relations at one point x: the checked point, the frame, its inverse,
+    M, phi, and w and the volume as shape-() values, from one read of tau, e, M and phi:
+    a bundle as ``_nc_frames`` gives.  Derived objects are computed when first read."""
     pt = check_point(x, nc.dim)
     frame = np.empty((nc.dim, nc.dim))
     frame[:, 0] = nc.tau(pt)
@@ -238,7 +239,7 @@ def derive_nc(nc: NCBackground, x) -> NCDerived:
     phi = broadcast_read(nc.phi, pt)
     return NCDerived(pt=pt, frame=frame, finv=np.linalg.inv(frame),
                      m=broadcast_read(nc.m_field, pt, 1), phi=phi,
-                     w=nc.mass - nc.charge * float(phi), vol=float(det))
+                     w=nc.mass - nc.charge * phi[()], vol=det)
 
 
 def derive_nc_partials(nc: NCBackground, x):
@@ -331,10 +332,10 @@ def null_lift(nc: NCBackground, x) -> NullLift:
     gamma_inv[..., d, :d] = -der.v_hat
     gamma_inv[..., d, d] = 2.0 * der.Phi
     gauge = np.concatenate([nc.reduced_gauge_at(der), der.phi[..., None]], axis=-1)
-    residual = _max_abs(gamma @ gamma_inv - np.eye(d + 1), 2)
-    raise_at_first(residual >= 1e-10, pt, DegenerateFrame,
-                   "lift inverse residual {:.3e} exceeds 1e-10", residual)
-    return NullLift(gamma=gamma, gamma_inv=gamma_inv, gauge_lift=gauge)
+    product = _max_abs(gamma @ gamma_inv - np.eye(d + 1), 2)
+    raise_at_first(product >= 1e-10, pt, DegenerateFrame,
+                   "lift inverse residual {:.3e} exceeds 1e-10", product)
+    return NullLift(gamma=gamma, gamma_inv=gamma_inv, gauge_lift=gauge, product=product)
 
 
 def frame_identity_residuals(nc: NCBackground, x) -> dict[str, Array]:
@@ -370,14 +371,13 @@ def null_lift_residuals(nc: NCBackground, x) -> dict[str, Array]:
     """
     lift = null_lift(nc, x)  # given points, it solves their frames as well
     pt, der = _nc_bundle(nc, x)
-    product = _max_abs(lift.gamma @ lift.gamma_inv - np.eye(nc.dim + 1), 2)
     inverse_gap = (_max_abs(lift.gamma_inv - np.linalg.inv(lift.gamma), 2)
                    / np.maximum(1.0, _max_abs(lift.gamma_inv, 2)))
     det = np.linalg.det(lift.gamma)
     raise_at_first(det >= 0.0, pt, DegenerateFrame,
                    "lifted metric determinant {:.3e} is not negative", det)
     volume_gap = np.abs(np.sqrt(-det) - np.abs(der.vol)) / np.abs(der.vol)
-    return {"product": product, "inverse_gap": inverse_gap, "volume_gap": volume_gap}
+    return {"product": lift.product, "inverse_gap": inverse_gap, "volume_gap": volume_gap}
 
 
 def random_frame_background(rng, dim: int, charge: float = 0.0) -> NCBackground:

@@ -229,7 +229,8 @@ def test_a_frame_bundle_stands_for_its_points(case, monkeypatch):
     """Every Newton-Cartan residual and identity given the ``_nc_frames`` bundle of its
     points returns, to the bit, what it returns given the points, and solves no frame;
     given the points, it solves as many rows per point as before bundles were taken.
-    A bundle of another dimension is refused before anything is read from it."""
+    The ``derive_nc`` bundle of one point stands for that point the same way.  A bundle
+    of another dimension is refused before anything is read from it."""
     bg, fields, pts = CASES[case]()
     fields["k"] = feq.nc_momentum_covector(bg, fields[POLAR], pts)
     rows, derive_nc = Counter(), ncg.derive_nc
@@ -238,20 +239,29 @@ def test_a_frame_bundle_stands_for_its_points(case, monkeypatch):
         rows["derive_nc"] += 1
         return derive_nc(nc, x)
 
-    bundle = ncg._nc_frames(bg, pts)
+    bundle, point = ncg._nc_frames(bg, pts), derive_nc(bg, pts[0])
     other_dim = 3 if bg.dim == 2 else 2
     other = ncg._nc_frames(make_wavy_nc(dim=other_dim), np.zeros((2, other_dim)))
     monkeypatch.setattr(ncg, "derive_nc", counted)
     for name, (field, per_point) in NC_BUNDLE_CALLS.items():
         fn = _residual(name)
-        call = ((lambda x: fn(bg, x)) if field is None else
-                (lambda x: fn(bg, x, fields[field])) if field == "k" else
-                (lambda x: fn(bg, fields[field], x)))
+
+        def call(x, rows_of_k=slice(None)):
+            if field is None:
+                return fn(bg, x)
+            if field == "k":
+                return fn(bg, x, fields["k"][rows_of_k])
+            return fn(bg, fields[field], x)
+
         rows.clear()
         at_points = call(pts)
         assert rows["derive_nc"] == per_point * len(pts), name
         rows.clear()
         assert _same_bits(call(bundle), at_points), name
+        assert rows["derive_nc"] == 0, name
+        at_point = call(pts[0], 0)
+        rows.clear()
+        assert _same_bits(call(point, 0), at_point), name
         assert rows["derive_nc"] == 0, name
         with pytest.raises(ValueError, match="^point has dimension"):
             call(other)

@@ -23,7 +23,7 @@ from pilotwave.fields import EPS_NODE, polar_field
 from pilotwave.geometry import BackgroundRel
 from pilotwave.nc_geometry import NCBackground, derive_nc
 from pilotwave.scenarios import build
-from conftest import make_wavy_nc, make_wavy_polar, trajectories
+from conftest import make_wavy_nc, make_wavy_polar, make_wavy_rel, trajectories
 from oracles import integrate_fixed, integrate_geodesic, rk4_path
 
 X4 = np.array([0.3, 0.1, -0.2, 0.5])
@@ -60,7 +60,7 @@ class TestGuidanceRel:
         for x in sc.default_grid.points()[::9]:
             assert abs(feq.classical_hj_residual_rel(sc.background, sc.polar, x)) < 1e-10
             u = guidance_velocity_rel(sc.background, sc.polar, x)
-            g = sc.background.metric_at(x)
+            g = geometry.metric_data(sc.background, x).g
             assert abs(u @ g @ u + 1.0) < 1e-8
 
     def test_zero_mass_rejected(self):
@@ -125,26 +125,29 @@ NC_ROW = dict.fromkeys(("check_points", "tau", "vierbein", "m_field", "phi", "ga
 REL_READS = dict.fromkeys(("metric", "gauge", "dS"), 1)
 
 
+def _counted(calls, name, fn):
+    """fn, each of whose calls adds one to calls[name]."""
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
+def _counted_closures(obj, calls):
+    """The dataclass obj with each of its closures counted in calls, by field name."""
+    return dataclasses.replace(obj, **{
+        field.name: _counted(calls, field.name, getattr(obj, field.name))
+        for field in dataclasses.fields(obj) if callable(getattr(obj, field.name))})
+
+
 def _counted_rows(monkeypatch, bg, f):
     """A GuidanceField on bg and f whose closures and point checks are counted, and the
     list to which each of its velocity rows appends what it called, by name."""
     calls, rows = Counter(), []
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
-    def counted_closures(obj):
-        return dataclasses.replace(obj, **{
-            field.name: counted(field.name, getattr(obj, field.name))
-            for field in dataclasses.fields(obj) if callable(getattr(obj, field.name))})
-
     original = geometry.check_points
     for module in [m for name, m in sys.modules.items() if name.startswith("pilotwave")]:
         if getattr(module, "check_points", None) is original:
-            monkeypatch.setattr(module, "check_points", counted("check_points", original))
+            monkeypatch.setattr(module, "check_points", _counted(calls, "check_points", original))
     velocity = dyn.GuidanceField.velocity
 
     def counted_velocity(self, x):
@@ -154,7 +157,7 @@ def _counted_rows(monkeypatch, bg, f):
         return out
 
     monkeypatch.setattr(dyn.GuidanceField, "velocity", counted_velocity)
-    return GuidanceField(counted_closures(bg), counted_closures(f)), rows
+    return GuidanceField(_counted_closures(bg, calls), _counted_closures(f, calls)), rows
 
 
 class TestIntegrateTrajectory:
@@ -399,6 +402,33 @@ class TestLagrangianNC:
                                          phi=2.0, mass=1.0, charge=0.5)
         with pytest.raises(MassSingular):
             lagrangian_nc(singular, None, np.zeros(2), [1.0, 0.2])
+
+
+# the data closures of make_wavy_nc, which omits every derivative closure, and what Q
+# reads of the field
+NC_DATA = ("tau", "vierbein", "m_field", "gauge_bar", "phi")
+Q_READS = dict.fromkeys(("rho", "drho", "d2rho"), 1)
+
+
+@pytest.mark.parametrize("name", ["lagrangian_quantum_rel", "momentum_quantum_rel",
+                                  "lagrangian_nc", "momentum_nc_classical"])
+def test_lagrangian_reads(name):
+    """One Lagrangian or momentum call, with Q read from the field, reads the metric once,
+    and each Newton-Cartan closure once plus once for the finite-difference stencil of the
+    derivative make_wavy_nc omits: Q and A take the kernel's geometry bundle."""
+    calls = Counter()
+    f = _counted_closures(make_wavy_polar(), calls)
+    x, xdot = np.array([0.3, -0.2]), np.array([1.0, 0.3])
+    if name.endswith("_rel"):
+        getattr(dyn, name)(_counted_closures(make_wavy_rel(), calls), f, x, xdot)
+        expected = {"metric": 1, "dmetric": 1, "gauge": 1, **Q_READS}
+    elif name == "lagrangian_nc":
+        lagrangian_nc(_counted_closures(make_wavy_nc(), calls), f, x, xdot, quantum=True)
+        expected = {**dict.fromkeys(NC_DATA, 2), **Q_READS}
+    else:
+        momentum_nc_classical(_counted_closures(make_wavy_nc(), calls), x, xdot)
+        expected = dict.fromkeys(NC_DATA, 1)
+    assert calls == expected
 
 
 class TestHamiltonianConstraint:

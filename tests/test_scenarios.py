@@ -96,10 +96,10 @@ def test_curved_scenario_phase_solves_hj_exactly():
 
 def test_curved_scenario_volume_matches_cofactor_oracle():
     from oracles import cofactor_det
-    from pilotwave.geometry import volume_element
+    from pilotwave.geometry import metric_data, volume_element
     sc = build("curved-diagonal")
     for x in sc.default_grid.points()[::11]:
-        g = sc.background.metric_at(x)
+        g = metric_data(sc.background, x).g
         assert abs(volume_element(sc.background, x) - np.sqrt(-cofactor_det(g))) < 1e-12
 
 
