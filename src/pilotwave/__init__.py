@@ -9,8 +9,7 @@ from .errors import (BadParameter, ConfigError, DegenerateFrame,
                      NoConvergence, NodeEncountered, NonFiniteResult,
                      PilotwaveError, SignatureViolation, SingularMetric, StepFailure,
                      TachyonicInput, UnknownScenario)
-from .fields import (EPS_NODE, ComplexField, PolarField, complex_view,
-                     polar_field, polar_view)
+from .fields import EPS_NODE, ComplexField, PolarField, complex_view, polar_view
 from .geometry import (BackgroundRel, MetricData, check_point, metric_data,
                        metric_inverse, volume_element)
 from .nc_geometry import (NCBackground, NCDerived, NullLift, derive_nc, null_lift,

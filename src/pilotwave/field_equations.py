@@ -201,7 +201,7 @@ def quantum_hj_residual_rel(bg: BackgroundRel, f: PolarField, x):
     """(dS - qA) g^{-1} (dS - qA) + m^2 + Q, from one read of the geometry."""
     md = _bundle(bg, x)
     classical = _mass_shell(md.ginv, momentum_covector(bg, f, md.pt), bg.mass)
-    return classical + _quantum_potential(md.vol, md.dvol, md.ginv, md.dginv, f, md.pt)
+    return classical + quantum_potential_rel(bg, f, md)
 
 
 def _rel_wave_data(bg, cf, x):
@@ -385,7 +385,7 @@ def nc_classical_action_density_polar(nc: NCBackground, f: PolarField, x) -> Arr
     expression."""
     pt, der = _nc_bundle(nc, x)
     k = nc_momentum_covector(nc, f, der)
-    return der.vol * broadcast_read(f.rho, pt) * nc_hj_expression(nc, x, k)
+    return der.vol * broadcast_read(f.rho, pt) * nc_hj_expression(nc, der, k)
 
 
 def nc_classical_action_density_complex_printed(nc: NCBackground, cf: ComplexField,

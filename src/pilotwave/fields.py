@@ -9,9 +9,8 @@ and vice versa.
 Every closure keeps the batch contract of ``geometry``: it takes one point
 (D,) or a batch (..., D) and returns the scalar as (...), the gradient as
 (..., D) and the second derivatives as (..., D, D), or anything that
-broadcasts to them.  ``polar_view``, ``complex_view`` and the
-``polar_field`` fallbacks keep the contract, so a residual reads each
-closure once for a whole batch.
+broadcasts to them.  ``polar_view`` and ``complex_view`` keep the
+contract, so a residual reads each closure once for a whole batch.
 
 Node handling: operations raise NodeEncountered as soon as the density is
 at or below EPS_NODE, naming the first such point.  Trajectories never
@@ -30,7 +29,6 @@ import numpy as np
 
 from .errors import NodeEncountered
 from .geometry import broadcast_read, raise_at_first
-from .stencils import hessian, jacobian
 
 Array = np.ndarray
 
@@ -77,18 +75,6 @@ class ComplexField:
     psi: Callable[[Array], Array]
     dpsi: Callable[[Array], Array]
     d2psi: Callable[[Array], Array]
-
-
-def polar_field(rho, S, *, drho=None, d2rho=None, dS=None, d2S=None) -> PolarField:
-    """Build a PolarField, filling missing derivatives with central FD."""
-    return PolarField(
-        rho=rho,
-        S=S,
-        drho=drho if drho is not None else (lambda x: jacobian(rho, x)),
-        d2rho=d2rho if d2rho is not None else (lambda x: hessian(rho, x)),
-        dS=dS if dS is not None else (lambda x: jacobian(S, x)),
-        d2S=d2S if d2S is not None else (lambda x: hessian(S, x)),
-    )
 
 
 def polar_view(cf: ComplexField) -> PolarField:

@@ -29,7 +29,6 @@ from typing import Callable
 import numpy as np
 
 from .errors import NonFiniteResult, SignatureViolation, SingularMetric
-from .stencils import derivative_or_fd
 
 Array = np.ndarray
 
@@ -110,21 +109,21 @@ class BackgroundRel:
     """D-dimensional Lorentzian background with particle parameters.
 
     ``metric(x)`` returns the covariant components g_MN and ``gauge(x)`` the
-    covector A_M.  Analytic derivative closures are optional; when absent,
-    central differences are used.  Index convention for the derivative
-    arrays: axis 0 is the derivative direction, i.e. ``dmetric(x)[M] =
-    d_M g`` and ``dgauge(x)[M, N] = d_M A_N``, with the point axes leading.
-    The ``*_at`` methods read a closure once at one point (D,) or a batch
-    (K, D).
+    covector A_M.  Their derivative closures are required: each derivative
+    has one source, the closure given, and none is taken by differences.
+    Index convention for the derivative arrays: axis 0 is the derivative
+    direction, i.e. ``dmetric(x)[M] = d_M g`` and ``dgauge(x)[M, N] =
+    d_M A_N``, with the point axes leading.  The ``*_at`` methods read a
+    closure once at one point (D,) or a batch (K, D).
     """
 
     dim: int
     metric: Callable[[Array], Array]
     gauge: Callable[[Array], Array]
+    dmetric: Callable[[Array], Array]
+    dgauge: Callable[[Array], Array]
     mass: float = 1.0
     charge: float = 0.0
-    dmetric: Callable[[Array], Array] | None = None
-    dgauge: Callable[[Array], Array] | None = None
 
     @classmethod
     def minkowski(cls, dim: int = 4, mass: float = 1.0, charge: float = 0.0) -> "BackgroundRel":
@@ -157,12 +156,10 @@ class BackgroundRel:
 
     def metric_derivative_at(self, x) -> Array:
         """Full derivative stack, shape (..., D, D, D): out[..., M, :, :] = d_M g."""
-        return broadcast_read(lambda p: derivative_or_fd(self.metric, self.dmetric, p),
-                              check_points(x, self.dim), 3)
+        return broadcast_read(self.dmetric, check_points(x, self.dim), 3)
 
     def gauge_derivative_at(self, x) -> Array:
-        return broadcast_read(lambda p: derivative_or_fd(self.gauge, self.dgauge, p),
-                              check_points(x, self.dim), 2)
+        return broadcast_read(self.dgauge, check_points(x, self.dim), 2)
 
 
 def _checked_inverse(g: Array, pts: Array) -> tuple[Array, Array]:

@@ -36,7 +36,6 @@ import numpy as np
 
 from .errors import DegenerateFrame
 from .geometry import broadcast_read, check_point, check_points, raise_at_first
-from .stencils import derivative_or_fd
 
 Array = np.ndarray
 
@@ -51,7 +50,7 @@ class NCBackground:
     (D,) or a batch (..., D).  At one point ``vierbein(x)`` has shape
     (D, D-1); column a is e_mu^a.  Derivative closures follow the axis-0
     convention of the rest of the package, e.g. ``dtau(x)[mu, nu] =
-    d_mu tau_nu``; central differences are used when they are omitted.
+    d_mu tau_nu``; they are required, with no central-difference fallback.
     ``reduced_gauge_at`` takes points or their ``NCDerived``, whose M and
     phi it uses after checking its dimension; ``data_derivatives_at`` reads
     the derivatives once per batch.
@@ -64,13 +63,13 @@ class NCBackground:
     m_field: Callable[[Array], Array]
     gauge_bar: Callable[[Array], Array]
     phi: Callable[[Array], Array]
+    dtau: Callable[[Array], Array]
+    dvierbein: Callable[[Array], Array]
+    dm_field: Callable[[Array], Array]
+    dgauge_bar: Callable[[Array], Array]
+    dphi: Callable[[Array], Array]
     mass: float = 1.0
     charge: float = 0.0
-    dtau: Callable[[Array], Array] | None = None
-    dvierbein: Callable[[Array], Array] | None = None
-    dm_field: Callable[[Array], Array] | None = None
-    dgauge_bar: Callable[[Array], Array] | None = None
-    dphi: Callable[[Array], Array] | None = None
 
     @classmethod
     def flat(cls, dim: int = 2, mass: float = 1.0) -> "NCBackground":
@@ -124,11 +123,10 @@ class NCBackground:
         batch axis first, then the derivative index, each closure read once."""
         pts = check_points(x, self.dim)
         d = self.dim
-        return tuple(np.broadcast_to(derivative_or_fd(f, df, pts), pts.shape[:-1] + shape)
-                     for f, df, shape in (
-            (self.tau, self.dtau, (d, d)), (self.vierbein, self.dvierbein, (d, d, d - 1)),
-            (self.m_field, self.dm_field, (d, d)), (self.gauge_bar, self.dgauge_bar, (d, d)),
-            (self.phi, self.dphi, (d,))))
+        return tuple(np.broadcast_to(np.asarray(df(pts), dtype=float), pts.shape[:-1] + shape)
+                     for df, shape in ((self.dtau, (d, d)), (self.dvierbein, (d, d, d - 1)),
+                                       (self.dm_field, (d, d)), (self.dgauge_bar, (d, d)),
+                                       (self.dphi, (d,))))
 
 
 class _derived:

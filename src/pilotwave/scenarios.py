@@ -20,7 +20,7 @@ import numpy as np
 from . import field_equations as feq
 from .action_principles import BoundaryValueProblem, LagrangianSystem
 from .errors import BadParameter, ConfigError, UnknownScenario
-from .fields import ComplexField, PolarField, polar_field, polar_view
+from .fields import ComplexField, PolarField, polar_view
 from .geometry import BackgroundRel, MetricData, evaluate_named
 from .nc_geometry import NCBackground
 from .report import GridSpec, ResidualReport
@@ -199,7 +199,7 @@ def _components(x, *entries):
 def _plane_wave_field(p_total: Array) -> PolarField:
     """rho = 1, S = p.x with constant covector p (derivatives exact)."""
     d = p_total.size
-    return polar_field(
+    return PolarField(
         rho=lambda x: 1.0,
         S=lambda x, pv=p_total: np.vecdot(x, pv),
         drho=lambda x: np.zeros(d),
@@ -354,7 +354,7 @@ def build_curved_diagonal(params) -> Scenario:
         checks = (Check("classical-hj", 1e-8),
                   Check("continuity", 1e-8))
 
-    pf = polar_field(
+    pf = PolarField(
         S=lambda x: -energy * x[..., 0] + w_val(x[..., 1]),
         dS=lambda x: _components(x, -energy, wprime(x[..., 1])),
         d2S=lambda x: _components(x, 0.0, 0.0, 0.0, -m**2 * a / (2.0 * wprime(x[..., 1]))),
@@ -454,7 +454,7 @@ def build_flat_nc_gaussian_packet(params) -> Scenario:
         sxx = 2.0 * c * beta / u
         return _components(x, stt, stx, stx, sxx)
 
-    pf = polar_field(rho=rho, S=s_fun, drho=drho, d2rho=d2rho, dS=ds_fun, d2S=d2s_fun)
+    pf = PolarField(rho=rho, S=s_fun, drho=drho, d2rho=d2rho, dS=ds_fun, d2S=d2s_fun)
     from .fields import complex_view
     nc = NCBackground.flat(dim=2, mass=m)
 

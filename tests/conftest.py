@@ -4,9 +4,10 @@ from hypothesis import HealthCheck, settings
 from hypothesis import strategies as st
 
 from pilotwave.dynamics import Trajectory
-from pilotwave.fields import polar_field
+from pilotwave.fields import PolarField
 from pilotwave.geometry import BackgroundRel
 from pilotwave.nc_geometry import NCBackground
+from stencils import jacobian
 
 settings.register_profile(
     "suite", max_examples=25, deadline=None, derandomize=True,
@@ -103,12 +104,13 @@ def make_wavy_polar(dim=2, seed=5):
     def d2s_fun(x):
         return (-b * np.cos(np.vecdot(x, u_vec)))[..., None, None] * np.outer(u_vec, u_vec)
 
-    return polar_field(rho=rho, S=s_fun, drho=drho, d2rho=d2rho,
-                       dS=ds_fun, d2S=d2s_fun)
+    return PolarField(rho=rho, S=s_fun, drho=drho, d2rho=d2rho,
+                      dS=ds_fun, d2S=d2s_fun)
 
 
 def make_wavy_nc(dim=2, seed=7, mass=1.0, charge=0.4):
-    """Smoothly varying NC data; derivatives fall back to the FD provider."""
+    """Smoothly varying NC data whose derivative closures are the central differences
+    of ``jacobian``; ``wavy_nc_derivatives`` gives their closed forms."""
     rng = np.random.default_rng(seed)
     w1 = rng.normal(size=dim)
     w2 = rng.normal(size=dim)
@@ -138,12 +140,17 @@ def make_wavy_nc(dim=2, seed=7, mass=1.0, charge=0.4):
         return 0.1 * np.sin(np.vecdot(x, w2) + 0.3)
 
     return NCBackground(dim=dim, tau=tau, vierbein=vierbein, m_field=m_field,
-                        gauge_bar=gauge_bar, phi=phi, mass=mass, charge=charge)
+                        gauge_bar=gauge_bar, phi=phi,
+                        dtau=lambda x: jacobian(tau, x),
+                        dvierbein=lambda x: jacobian(vierbein, x),
+                        dm_field=lambda x: jacobian(m_field, x),
+                        dgauge_bar=lambda x: jacobian(gauge_bar, x),
+                        dphi=lambda x: jacobian(phi, x), mass=mass, charge=charge)
 
 
 def wavy_nc_derivatives(dim=2, seed=7):
     """Closed-form (dtau, dvierbein, dM, dAbar, dphi) of make_wavy_nc(dim, seed), the
-    derivative index first after the point axes: the derivatives it withholds."""
+    derivative index first after the point axes: what its central differences approximate."""
     rng = np.random.default_rng(seed)
     w1, w2, w3 = (rng.normal(size=dim) for _ in range(3))
 

@@ -25,7 +25,7 @@ from pilotwave.geometry import BackgroundRel, broadcast_read
 from pilotwave.integrators import rk45_step
 from pilotwave.nc_geometry import _nc_bundle
 from pilotwave.report import ResidualReport
-from pilotwave.stencils import hessian, jacobian
+from stencils import hessian, jacobian
 
 
 def cofactor_det(a):
@@ -300,6 +300,6 @@ def validate_derivatives(sc, n_points=50, seed=0):
         pairs += [("dpsi", sc.psi.dpsi, jacobian(sc.psi.psi, pts)),
                   ("d2psi", sc.psi.d2psi, hessian(sc.psi.psi, pts))]
     bg = sc.background
-    if isinstance(bg, BackgroundRel) and bg.dmetric is not None:
+    if isinstance(bg, BackgroundRel):
         pairs.append(("dmetric", bg.dmetric, jacobian(bg.metric, pts)))
     return {key: float(np.max(np.abs(analytic(pts) - fd))) for key, analytic, fd in pairs}

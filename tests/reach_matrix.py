@@ -13,10 +13,10 @@ module-level class in ``src/pilotwave`` that no run entered, as
 ``module.Class.method`` or ``module.function``.  A decorated function counts
 as entered at its first decorator's line, where its code object starts.
 
-Names that run only at import time, only on an error path or only as a
-fallback belong in the listing; any other name is code that no command
-reaches.  Compare two checkouts with ``diff``.  Pytest does not collect this
-file; the profiler makes it several times slower than ``artifact_matrix.py``.
+Names that run only at import time or only on an error path belong in
+the listing; any other name is code that no command reaches.  Compare two
+checkouts with ``diff``.  Pytest does not collect this file; the profiler
+makes it several times slower than ``artifact_matrix.py``.
 """
 import ast
 import os

@@ -1,4 +1,4 @@
-"""Central finite-difference stencils used as fallback derivative providers.
+"""Central finite-difference stencils, the derivative oracles of the tests.
 
 Like every closure of the package, ``jacobian`` and ``hessian`` take one
 point (D,) or a batch (..., D).  They stack the shifted copies of the points
@@ -12,6 +12,8 @@ H_SECOND = 1e-4 for second derivatives.
 from __future__ import annotations
 
 import numpy as np
+
+from pilotwave.fields import PolarField
 
 H_FIRST = 1e-5
 H_SECOND = 1e-4
@@ -39,11 +41,6 @@ def jacobian(f, x, h=H_FIRST):
     return (plus - minus) / (2.0 * h)
 
 
-def derivative_or_fd(f, df, x):
-    """df(x) when an analytic derivative df is supplied, else jacobian(f, x)."""
-    return np.asarray(df(x), dtype=float) if df is not None else jacobian(f, x)
-
-
 def hessian(f, x):
     """Symmetric second-derivative matrix of a scalar function, step H_SECOND.
 
@@ -66,3 +63,15 @@ def hessian(f, x):
     out[..., i, j] = mixed
     out[..., j, i] = mixed
     return out
+
+
+def polar_field(rho, S, *, drho=None, d2rho=None, dS=None, d2S=None) -> PolarField:
+    """A PolarField of rho and S, each derivative not given filled by central differences."""
+    return PolarField(
+        rho=rho,
+        S=S,
+        drho=drho if drho is not None else (lambda x: jacobian(rho, x)),
+        d2rho=d2rho if d2rho is not None else (lambda x: hessian(rho, x)),
+        dS=dS if dS is not None else (lambda x: jacobian(S, x)),
+        d2S=d2S if d2S is not None else (lambda x: hessian(S, x)),
+    )

@@ -121,11 +121,11 @@ def test_criterion_5_legendre_round_trips():
     from pilotwave.geometry import BackgroundRel
     bg = BackgroundRel.constant(np.diag([-1.0, 1.0, 1.0, 1.0]), A=a_const, mass=1.2,
                                 charge=0.5)
-    from pilotwave.fields import polar_field
-    flat_rho = polar_field(rho=lambda x: 1.0, S=lambda x: 0.0,
-                           drho=lambda x: np.zeros(4),
-                           d2rho=lambda x: np.zeros((4, 4)),
-                           dS=lambda x: np.zeros(4), d2S=lambda x: np.zeros((4, 4)))
+    from pilotwave.fields import PolarField
+    flat_rho = PolarField(rho=lambda x: 1.0, S=lambda x: 0.0,
+                          drho=lambda x: np.zeros(4),
+                          d2rho=lambda x: np.zeros((4, 4)),
+                          dS=lambda x: np.zeros(4), d2S=lambda x: np.zeros((4, 4)))
     g = np.diag([-1.0, 1.0, 1.0, 1.0])
     worst_rel = coeff_gap = 0.0
     for _ in range(100):

@@ -36,13 +36,13 @@ from pilotwave import cli
 from pilotwave.dynamics import guidance_velocity_rel
 from pilotwave.errors import (DegenerateFrame, FormMismatch, NodeEncountered,
                               SignatureViolation, SingularMetric)
-from pilotwave.fields import EPS_NODE, ComplexField, complex_view, polar_field
+from pilotwave.fields import EPS_NODE, ComplexField, PolarField, complex_view
 from pilotwave.geometry import BackgroundRel, metric_data, metric_inverse, volume_element
 from pilotwave.nc_geometry import NCBackground
 from pilotwave.scenarios import CHECK_EVALUATORS, build
-from pilotwave.stencils import jacobian
 import oracles
 from conftest import make_wavy_nc, make_wavy_polar, make_wavy_rel, wavy_nc_derivatives
+from stencils import jacobian
 
 REL_TOL = 1e-13
 
@@ -204,7 +204,7 @@ def test_a_bundle_stands_for_its_points(case):
 NC_BUNDLE_CALLS = {"nc_momentum_covector": (POLAR, 0), "nc_classical_hj_residual": (POLAR, 1),
                    "nc_quantum_potential": (POLAR, 2), "nc_quantum_hj_residual": (POLAR, 3),
                    "nc_continuity_residual": (POLAR, 2),
-                   "nc_classical_action_density_polar": (POLAR, 2),
+                   "nc_classical_action_density_polar": (POLAR, 1),
                    "nc_schrodinger_residual": (COMPLEX, 2),
                    "nc_classical_action_density_complex_printed": (COMPLEX, 1),
                    "nc_classical_hj_forms": (POLAR, 1), "nc_hj_expression": ("k", 1),
@@ -298,7 +298,7 @@ def test_newton_cartan_residuals_take_a_batch_row_by_row():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_stacked_jacobian_is_second_order(dim):
-    """With the analytic derivatives withheld, the stacked central differences
+    """Against the analytic derivatives, the stacked central differences
     of each wavy closure lose a factor 4 of error per halving of the step, on
     every row of a batch: a shift stacked onto the wrong row or axis would not."""
     bg, polar = make_wavy_rel(dim=dim), make_wavy_polar(dim=dim)
@@ -326,7 +326,7 @@ DATA_DERIVATIVE_SHAPES = (lambda d: (d, d), lambda d: (d, d, d - 1), lambda d: (
                                   "flat-nc-gaussian-packet", "nc-nontrivial-M"])
 def test_partials_batch_equals_point_calls(case):
     """The stacked partials and data derivatives of a batch equal their point calls,
-    with the finite-difference fallback (wavy) and with analytic closures (registry)."""
+    with finite-difference derivative closures (wavy) and with analytic ones (registry)."""
     bg, _, pts = CASES[case]()
     d = bg.dim
     rows = np.unique(np.linspace(0, len(pts) - 1, min(len(pts), 100)).astype(int))
@@ -376,18 +376,18 @@ def test_stacked_frames_equal_point_frames(case):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_stacked_fd_fallback_is_second_order_on_wavy_nc(dim):
-    """make_wavy_nc has no derivative closures, so data_derivatives_at takes the stacked
-    central differences of ``jacobian``.  Against the closed forms, their error on a
-    (K, D) batch falls by 4 per halving of the step on every row, over three halvings:
-    a shift stacked onto the wrong row or axis would not."""
+    """make_wavy_nc's derivative closures are the stacked central differences of
+    ``jacobian``, which data_derivatives_at reads.  Against the closed forms, their
+    error on a (K, D) batch falls by 4 per halving of the step on every row, over three
+    halvings: a shift stacked onto the wrong row or axis would not."""
     nc = make_wavy_nc(dim=dim)
     exact = wavy_nc_derivatives(dim=dim)
     pts = np.random.default_rng(dim).uniform(-0.8, 0.8, size=(7, dim))
     closures = (nc.tau, nc.vierbein, nc.m_field, nc.gauge_bar, nc.phi)
     steps = 1e-2 / 2.0 ** np.arange(4)
-    for f, df, fallback in zip(closures, exact, nc.data_derivatives_at(pts)):
-        assert np.array_equal(fallback, jacobian(f, pts))
-        assert np.max(np.abs(fallback - df(pts))) < 1e-9
+    for f, df, read in zip(closures, exact, nc.data_derivatives_at(pts)):
+        assert np.array_equal(read, jacobian(f, pts))
+        assert np.max(np.abs(read - df(pts))) < 1e-9
         errors = np.array([np.max(np.abs(jacobian(f, pts, h) - df(pts)).reshape(len(pts), -1),
                                   axis=1) for h in steps])
         assert np.all(np.abs(errors[:-1] / errors[1:] - 4.0) < 0.5), errors
@@ -421,9 +421,9 @@ def _at_bad(x):
 
 def _unit_polar(rho=lambda x: 1.0):
     """Unit density, or the density given, and the phase gradient (-1, 0)."""
-    return polar_field(rho=rho, S=lambda x: 0.0, drho=lambda x: np.zeros(2),
-                       d2rho=lambda x: np.zeros((2, 2)), dS=lambda x: np.array([-1.0, 0.0]),
-                       d2S=lambda x: np.zeros((2, 2)))
+    return PolarField(rho=rho, S=lambda x: 0.0, drho=lambda x: np.zeros(2),
+                      d2rho=lambda x: np.zeros((2, 2)), dS=lambda x: np.array([-1.0, 0.0]),
+                      d2S=lambda x: np.zeros((2, 2)))
 
 
 def _node_polar():
@@ -529,7 +529,8 @@ def test_non_finite_coordinate_names_its_point():
 def test_bad_metric_names_its_point(g_bad, error):
     eta = np.diag([-1.0, 1.0])
     bg = BackgroundRel(dim=2, metric=lambda x: np.where(_at_bad(x)[..., None, None], g_bad, eta),
-                       gauge=lambda x: np.zeros(2))
+                       gauge=lambda x: np.zeros(2), dmetric=lambda x: np.zeros((2, 2, 2)),
+                       dgauge=lambda x: np.zeros((2, 2)))
     polar = _unit_polar()
     for call in (lambda x: metric_inverse(bg, x), lambda x: metric_data(bg, x),
                  lambda x: feq.classical_hj_residual_rel(bg, polar, x),

@@ -19,12 +19,13 @@ from pilotwave.dynamics import (GuidanceField, guidance_velocity_nc, guidance_ve
 from pilotwave.errors import (DegenerateFrame, DegenerateVelocity, ImaginaryMass, MassSingular,
                               NodeEncountered, SignatureViolation, SingularMetric,
                               TachyonicInput)
-from pilotwave.fields import EPS_NODE, polar_field
+from pilotwave.fields import EPS_NODE, PolarField
 from pilotwave.geometry import BackgroundRel
 from pilotwave.nc_geometry import NCBackground, derive_nc
 from pilotwave.scenarios import build
 from conftest import make_wavy_nc, make_wavy_polar, make_wavy_rel, trajectories
 from oracles import integrate_fixed, integrate_geodesic, rk4_path
+from stencils import polar_field
 
 X4 = np.array([0.3, 0.1, -0.2, 0.5])
 H_LEG = 1e-6
@@ -404,9 +405,9 @@ class TestLagrangianNC:
             lagrangian_nc(singular, None, np.zeros(2), [1.0, 0.2])
 
 
-# the data closures of make_wavy_nc, which omits every derivative closure, and what Q
-# reads of the field
+# the data closures of make_wavy_nc, their derivative closures, and what Q reads of the field
 NC_DATA = ("tau", "vierbein", "m_field", "gauge_bar", "phi")
+NC_DERIVATIVES = ("dtau", "dvierbein", "dm_field", "dgauge_bar", "dphi")
 Q_READS = dict.fromkeys(("rho", "drho", "d2rho"), 1)
 
 
@@ -414,8 +415,8 @@ Q_READS = dict.fromkeys(("rho", "drho", "d2rho"), 1)
                                   "lagrangian_nc", "momentum_nc_classical"])
 def test_lagrangian_reads(name):
     """One Lagrangian or momentum call, with Q read from the field, reads the metric once,
-    and each Newton-Cartan closure once plus once for the finite-difference stencil of the
-    derivative make_wavy_nc omits: Q and A take the kernel's geometry bundle."""
+    and each Newton-Cartan closure and the derivative closure Q needs of it once: Q and A
+    take the kernel's geometry bundle."""
     calls = Counter()
     f = _counted_closures(make_wavy_polar(), calls)
     x, xdot = np.array([0.3, -0.2]), np.array([1.0, 0.3])
@@ -424,7 +425,7 @@ def test_lagrangian_reads(name):
         expected = {"metric": 1, "dmetric": 1, "gauge": 1, **Q_READS}
     elif name == "lagrangian_nc":
         lagrangian_nc(_counted_closures(make_wavy_nc(), calls), f, x, xdot, quantum=True)
-        expected = {**dict.fromkeys(NC_DATA, 2), **Q_READS}
+        expected = {**dict.fromkeys(NC_DATA + NC_DERIVATIVES, 1), **Q_READS}
     else:
         momentum_nc_classical(_counted_closures(make_wavy_nc(), calls), x, xdot)
         expected = dict.fromkeys(NC_DATA, 1)
@@ -476,9 +477,9 @@ class TestHamiltonianConstraint:
         # constant density, deliberately off-shell phase
         bg = BackgroundRel.minkowski(4, mass=1.0)
         p = np.array([-1.5, 0.6, 0.0, 0.0])
-        f = polar_field(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
-                        drho=lambda x: np.zeros(4), d2rho=lambda x: np.zeros((4, 4)),
-                        dS=lambda x: p.copy(), d2S=lambda x: np.zeros((4, 4)))
+        f = PolarField(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
+                       drho=lambda x: np.zeros(4), d2rho=lambda x: np.zeros((4, 4)),
+                       dS=lambda x: p.copy(), d2S=lambda x: np.zeros((4, 4)))
         gf = GuidanceField(background=bg, field=f)
         traj = integrate_trajectory(gf, np.zeros(4), (0.0, 1.0), steps=5)
         expect = abs(feq.classical_hj_residual_rel(bg, f, np.zeros(4)))

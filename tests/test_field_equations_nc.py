@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 import pilotwave.field_equations as feq
 from pilotwave.errors import FormMismatch
-from pilotwave.fields import complex_view, polar_field
+from pilotwave.fields import PolarField, complex_view
 from pilotwave.nc_geometry import NCBackground, derive_nc, random_frame_background
 from pilotwave.scenarios import _superposition_psi, build
 from oracles import (nc_classical_action_equivalence_report, nc_classical_hj_forms,
@@ -19,9 +19,9 @@ X2 = np.array([0.4, 0.2])
 
 def nc_plane_field(energy, k):
     p = np.array([-energy, k])
-    return polar_field(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
-                       drho=lambda x: np.zeros(2), d2rho=lambda x: np.zeros((2, 2)),
-                       dS=lambda x: p.copy(), d2S=lambda x: np.zeros((2, 2)))
+    return PolarField(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
+                      drho=lambda x: np.zeros(2), d2rho=lambda x: np.zeros((2, 2)),
+                      dS=lambda x: p.copy(), d2S=lambda x: np.zeros((2, 2)))
 
 
 class TestClassicalHJ:
@@ -42,9 +42,9 @@ class TestClassicalHJ:
         rng = np.random.default_rng(seed)
         nc = random_frame_background(rng, 3, charge=0.7)
         p = rng.normal(size=3)
-        f = polar_field(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
-                        drho=lambda x: np.zeros(3), d2rho=lambda x: np.zeros((3, 3)),
-                        dS=lambda x: p.copy(), d2S=lambda x: np.zeros((3, 3)))
+        f = PolarField(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
+                       drho=lambda x: np.zeros(3), d2rho=lambda x: np.zeros((3, 3)),
+                       dS=lambda x: p.copy(), d2S=lambda x: np.zeros((3, 3)))
         vhat_form, vm_form = nc_classical_hj_forms(nc, f, np.zeros(3))
         scale = max(1.0, abs(vhat_form))
         assert abs(vhat_form - vm_form) < 1e-10 * scale
@@ -89,8 +89,8 @@ class TestQuantumPotential:
             out[..., 1, 1] = (x[..., 1] ** 2 - 1.0) * rho(x)
             return out
 
-        f = polar_field(rho=rho, S=lambda x: 0.0, drho=drho, d2rho=d2rho,
-                        dS=lambda x: np.zeros(2), d2S=lambda x: np.zeros((2, 2)))
+        f = PolarField(rho=rho, S=lambda x: 0.0, drho=drho, d2rho=d2rho,
+                       dS=lambda x: np.zeros(2), d2S=lambda x: np.zeros((2, 2)))
         assert feq.nc_quantum_potential(nc, f, np.array([0.0, 0.3])) == \
             pytest.approx(0.3**2 / 4 - 0.5, abs=1e-13)
         assert feq.nc_quantum_potential(nc, f, np.zeros(2)) == pytest.approx(-0.5, abs=1e-13)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import pilotwave.field_equations as feq
-from pilotwave.fields import complex_view, polar_field, polar_view
+from pilotwave.fields import PolarField, complex_view, polar_view
 from pilotwave.geometry import BackgroundRel, metric_inverse, volume_element
 from pilotwave.scenarios import build
 from oracles import classical_field_equation_report, ensemble_current, nested_divergence
@@ -13,9 +13,9 @@ from oracles import classical_field_equation_report, ensemble_current, nested_di
 def plane_wave_field(p):
     p = np.asarray(p, dtype=float)
     d = p.size
-    return polar_field(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
-                       drho=lambda x: np.zeros(d), d2rho=lambda x: np.zeros((d, d)),
-                       dS=lambda x: p.copy(), d2S=lambda x: np.zeros((d, d)))
+    return PolarField(rho=lambda x: 1.0, S=lambda x: np.vecdot(x, p),
+                      drho=lambda x: np.zeros(d), d2rho=lambda x: np.zeros((d, d)),
+                      dS=lambda x: p.copy(), d2S=lambda x: np.zeros((d, d)))
 
 
 X4 = np.array([0.3, 0.1, -0.2, 0.5])
@@ -52,8 +52,8 @@ class TestEnsembleCurrent:
         p = np.array([-1.3, 0.6, 0.0, 0.0])
         bg = BackgroundRel.minkowski(4)
         f1 = plane_wave_field(p)
-        f2 = polar_field(rho=lambda x: 2.0, S=f1.S, drho=f1.drho,
-                         d2rho=f1.d2rho, dS=f1.dS, d2S=f1.d2S)
+        f2 = PolarField(rho=lambda x: 2.0, S=f1.S, drho=f1.drho,
+                        d2rho=f1.d2rho, dS=f1.dS, d2S=f1.d2S)
         assert np.allclose(ensemble_current(bg, f2, X4),
                            2.0 * ensemble_current(bg, f1, X4), atol=1e-14)
 
@@ -87,9 +87,9 @@ class TestContinuity:
             out[..., 2, 2] = -0.1 * k2**2 * np.sin(k2 * x[..., 2])
             return out
 
-        f = polar_field(rho=lambda x: 1.0 + 0.1 * np.sin(k2 * x[..., 2]),
-                        S=lambda x: np.vecdot(x, p), drho=drho, d2rho=d2rho,
-                        dS=lambda x: p.copy(), d2S=lambda x: np.zeros((4, 4)))
+        f = PolarField(rho=lambda x: 1.0 + 0.1 * np.sin(k2 * x[..., 2]),
+                       S=lambda x: np.vecdot(x, p), drho=drho, d2rho=d2rho,
+                       dS=lambda x: p.copy(), d2S=lambda x: np.zeros((4, 4)))
         bg = BackgroundRel.minkowski(4)
         assert abs(feq.continuity_residual_rel(bg, f, X4)) < 1e-14
 
@@ -126,8 +126,8 @@ class TestQuantumPotential:
             out[..., 1, 1] = (4.0 * x[..., 1] ** 2 - 2.0) * rho(x)
             return out
 
-        f = polar_field(rho=rho, S=lambda x: 0.0, drho=drho, d2rho=d2rho,
-                        dS=lambda x: np.zeros(2), d2S=lambda x: np.zeros((2, 2)))
+        f = PolarField(rho=rho, S=lambda x: 0.0, drho=drho, d2rho=d2rho,
+                       dS=lambda x: np.zeros(2), d2S=lambda x: np.zeros((2, 2)))
         origin = np.zeros(2)
         assert feq.quantum_potential_rel(bg, f, origin) == pytest.approx(1.0, abs=1e-12)
         assert feq.quantum_potential_rel_printed(bg, f, origin) == pytest.approx(0.5, abs=1e-12)
@@ -165,6 +165,18 @@ class TestQuantumHJ:
         for x in sc.default_grid.points()[::13]:
             assert abs(feq.quantum_hj_residual_rel(sc.background, sc.polar, x)) < 1e-7
             assert abs(feq.continuity_residual_rel(sc.background, sc.polar, x)) < 1e-7
+
+    def test_q_is_added_through_quantum_potential_rel(self, monkeypatch):
+        """quantum_hj_residual_rel takes Q from quantum_potential_rel, the one Q entry
+        point of a Lorentzian background, so a slip there moves the residual too."""
+        sc = build("minkowski-superposition")
+        bg, f, pts = sc.background, sc.polar, sc.default_grid.points()[::13]
+        q, before = feq.quantum_potential_rel(bg, f, pts), feq.quantum_hj_residual_rel(bg, f, pts)
+        real = feq.quantum_potential_rel
+        monkeypatch.setattr(feq, "quantum_potential_rel", lambda *args: 1.05 * real(*args))
+        moved = feq.quantum_hj_residual_rel(bg, f, pts) - before
+        assert np.max(np.abs(q)) > 1e-2
+        assert np.allclose(moved, 0.05 * q, rtol=1e-9, atol=1e-14)
 
 
 class TestLinearWave:

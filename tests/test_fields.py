@@ -4,10 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pilotwave.errors import NodeEncountered
-from pilotwave.fields import (ComplexField, complex_view, polar_field,
-                              polar_view)
+from pilotwave.fields import ComplexField, complex_view, polar_view
 from oracles import nested_gradient
 from conftest import make_wavy_polar
+from stencils import polar_field
 
 
 def constant_psi(psi):

@@ -9,8 +9,9 @@ from oracles import cofactor_det
 from pilotwave.errors import SignatureViolation, SingularMetric
 from pilotwave.geometry import (BackgroundRel, check_point, metric_data,
                                 metric_inverse, volume_element)
-from pilotwave.stencils import jacobian
+from pilotwave.nc_geometry import NCBackground
 from conftest import make_wavy_rel
+from stencils import jacobian
 
 MINK4 = np.diag([-1.0, 1.0, 1.0, 1.0])
 
@@ -72,7 +73,8 @@ def test_metric_derivative_hand_value():
         g[..., 0, 0] = -(1.0 + 0.1 * x[..., 1]) ** 2
         return g
 
-    bg = BackgroundRel(dim=4, metric=metric, gauge=lambda x: np.zeros(4))
+    bg = BackgroundRel(dim=4, metric=metric, gauge=lambda x: np.zeros(4),
+                       dmetric=lambda x: jacobian(metric, x), dgauge=lambda x: np.zeros((4, 4)))
     dg1 = bg.metric_derivative_at(np.zeros(4))[1]
     assert dg1[0, 0] == pytest.approx(-0.2, abs=1e-9)
     assert np.max(np.abs(dg1[1:, 1:])) < 1e-12
@@ -164,15 +166,30 @@ def test_signature_violation_raises():
 def test_asymmetric_metric_rejected():
     g = MINK4 + np.triu(np.full((4, 4), 1e-6), k=1)
     bg = BackgroundRel.constant(0.5 * (g + g.T))
-    bg_bad = BackgroundRel(dim=4, metric=lambda x: g, gauge=lambda x: np.zeros(4))
+    bg_bad = BackgroundRel(dim=4, metric=lambda x: g, gauge=lambda x: np.zeros(4),
+                           dmetric=lambda x: np.zeros((4, 4, 4)),
+                           dgauge=lambda x: np.zeros((4, 4)))
     metric_data(bg, np.zeros(4))
     with pytest.raises(ValueError, match="not symmetric"):
         metric_data(bg_bad, np.zeros(4))
 
 
+@pytest.mark.parametrize("cls, name", [(BackgroundRel, "dmetric"), (BackgroundRel, "dgauge")]
+                         + [(NCBackground, name) for name in ("dtau", "dvierbein", "dm_field",
+                                                              "dgauge_bar", "dphi")])
+def test_a_missing_derivative_is_refused(cls, name):
+    """Each derivative has one source, the closure given: a background built without one
+    is refused, naming it, and never differentiated numerically."""
+    full = BackgroundRel.minkowski(2) if cls is BackgroundRel else NCBackground.flat(2)
+    given = {f.name: getattr(full, f.name) for f in dataclasses.fields(cls) if f.name != name}
+    with pytest.raises(TypeError, match=f"missing 1 required .*'{name}'"):
+        cls(**given)
+
+
 @pytest.mark.parametrize("value", [-1.0, np.ones(4), np.ones((1, 4))])
 def test_metric_of_wrong_shape_is_a_shape_error(value):
-    bg = BackgroundRel(dim=4, metric=lambda x: value, gauge=lambda x: np.zeros(4))
+    bg = BackgroundRel(dim=4, metric=lambda x: value, gauge=lambda x: np.zeros(4),
+                       dmetric=lambda x: np.zeros((4, 4, 4)), dgauge=lambda x: np.zeros((4, 4)))
     for x in (np.zeros(4), np.zeros((3, 4))):
         with pytest.raises(ValueError, match="metric has shape"):
             metric_data(bg, x)
