@@ -40,7 +40,8 @@ A relativistic residual takes either the points or their
 ``geometry.metric_data`` bundle (g^{MN}, sqrt(-g) and their gradients from
 one read of the metric), so every check of one grid reads one bundle; given
 points, it builds their bundle itself.  ``classical_hj_residual_rel`` needs
-no gradients and reads ``metric_inverse`` at the bundle's points.
+no gradients and reads g^{MN} through ``metric_inverse``, which given a
+bundle returns the bundle's own.
 A Newton-Cartan residual takes the points or their ``NCDerived`` bundle
 (``nc_geometry``: the stacked frame solves, each derived object computed
 once) and passes on what it was given: given points, it solves the frames
@@ -153,16 +154,15 @@ def momentum_covector(bg: BackgroundRel, f: PolarField, x) -> Array:
 
 
 def hj_expression(bg: BackgroundRel, x, k):
-    """k g^{-1} k + m^2 for a kinetic covector k at points x, through metric_inverse (which
-    checks them), or at a MetricData bundle x, whose g^{-1} it takes after _bundle's check."""
-    ginv = _bundle(bg, x).ginv if isinstance(x, MetricData) else metric_inverse(bg, x)
-    return _mass_shell(ginv, np.asarray(k, dtype=float), bg.mass)
+    """k g^{-1} k + m^2 for a kinetic covector k at points x or their MetricData bundle x,
+    with g^{-1} from metric_inverse."""
+    return _mass_shell(metric_inverse(bg, x), np.asarray(k, dtype=float), bg.mass)
 
 
 def classical_hj_residual_rel(bg: BackgroundRel, f: PolarField, x):
-    """(dS - qA) g^{-1} (dS - qA) + m^2 at x, read from metric_inverse at its points."""
+    """(dS - qA) g^{-1} (dS - qA) + m^2 at points x or their MetricData bundle x."""
     pt = x.pt if isinstance(x, MetricData) else x
-    return hj_expression(bg, pt, momentum_covector(bg, f, pt))
+    return hj_expression(bg, x, momentum_covector(bg, f, pt))
 
 
 def continuity_residual_rel(bg: BackgroundRel, f: PolarField, x):

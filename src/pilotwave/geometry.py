@@ -7,9 +7,15 @@ Signature convention is mostly-plus (-, +, ..., +); units are hbar = c = 1.
 
 ``metric_data(bg, x)`` is the geometry bundle every residual reads: g_MN,
 then g^{MN} and sqrt(-g) with their gradients, from one checked read of the
-metric.  ``metric_inverse`` and ``volume_element`` give the single objects.
-A relativistic residual takes either the points or the bundle of those
+metric.  ``metric_inverse`` and ``volume_element`` give the single objects;
+``metric_inverse`` also takes a bundle and returns its g^{MN}.  A
+relativistic residual takes either the points or the bundle of those
 points, so the checks of one grid share one bundle.
+
+The metric's checks, its inverse, sqrt(-g) and their gradients run at the
+shape the metric closure returns: a constant (D, D) metric is checked,
+inverted and differentiated once per batch, and only the results are
+broadcast to the points, as read-only views.
 
 One batch contract runs through the package.  Every closure, here and in
 ``fields`` and ``nc_geometry``, takes one point (D,) or a batch (..., D) and
@@ -61,14 +67,16 @@ def check_point(x, dim: int | None = None) -> Array:
 def raise_at_first(flags, pts, error, message: str, *values) -> None:
     """Raise ``error`` for the first point of ``pts`` whose flag is set.
 
-    ``flags`` and each of ``values`` hold one entry per point of ``pts`` (one
-    point (D,) or a batch (K, D)); the message is ``message`` formatted with
-    that point's entries of ``values``, followed by the point itself.
+    ``flags`` and each of ``values`` broadcast to one entry per point of
+    ``pts`` (one point (D,) or a batch (K, D)), so a check made once for a
+    constant names the first point; the message is ``message`` formatted
+    with that point's entries of ``values``, followed by the point itself.
     """
     if np.count_nonzero(flags):  # the cheapest test of a clean batch
-        i = np.flatnonzero(flags)[0]
+        lead = pts.shape[:-1]
+        i = np.flatnonzero(np.broadcast_to(flags, lead))[0]
         point = np.reshape(pts, (-1, pts.shape[-1]))[i]
-        found = (np.ravel(v)[i].item() for v in values)
+        found = (np.ravel(np.broadcast_to(v, lead))[i].item() for v in values)
         raise error(f"{message.format(*found)} at point {point.tolist()}")
 
 
@@ -102,6 +110,14 @@ def broadcast_read(fn, pts: Array, axes: int = 0, dtype=float) -> Array:
     out = np.asarray(fn(pts), dtype=dtype)
     shape = pts.shape[:-1] + pts.shape[-1:] * axes
     return out if out.shape == shape else np.broadcast_to(out, shape)
+
+
+def _spread(a: Array, pts: Array, axes: int = 0) -> Array:
+    """a, (D,) * axes per point, as shape pts.shape[:-1] + (D,) * axes: a itself when
+    it has that shape, else a read-only broadcast view, as ``broadcast_read`` returns
+    (which repeats these two lines to spare its per-row callers a call)."""
+    shape = pts.shape[:-1] + pts.shape[-1:] * axes
+    return a if a.shape == shape else np.broadcast_to(a, shape)
 
 
 @dataclass(frozen=True)
@@ -141,11 +157,13 @@ class BackgroundRel:
                    dmetric=lambda x: zero_dg.copy(), dgauge=lambda x: zero_da.copy())
 
     def _metric(self, pts: Array) -> Array:
-        """g_MN at points that are already checked, its shape and symmetry checked."""
+        """g_MN at points that are already checked, its shape and symmetry checked, at the
+        shape the closure returns, which broadcasts to pts.shape[:-1] + (D, D)."""
         g = np.asarray(self.metric(pts), dtype=float)
-        if g.shape[-2:] != (self.dim, self.dim):
-            raise ValueError(f"metric has shape {g.shape}, expected (..., {self.dim}, {self.dim})")
-        g = broadcast_read(lambda _: g, pts, 2)
+        shape = pts.shape[:-1] + (self.dim, self.dim)
+        if g.shape != shape and (g.ndim > len(shape) or g.shape[-2:] != shape[-2:] or any(
+                n not in (1, m) for n, m in zip(g.shape, shape[len(shape) - g.ndim:]))):
+            raise ValueError(f"metric has shape {g.shape}, expected {shape}")
         asym = np.abs(g - g.mT).max(axis=(-2, -1))
         raise_at_first(asym >= SYMMETRY_TOL, pts, ValueError,
                        "metric is not symmetric (max |g - g^T| = {:.3e})", asym)
@@ -155,8 +173,12 @@ class BackgroundRel:
         return broadcast_read(self.gauge, check_points(x, self.dim), 1)
 
     def metric_derivative_at(self, x) -> Array:
-        """Full derivative stack, shape (..., D, D, D): out[..., M, :, :] = d_M g."""
-        return broadcast_read(self.dmetric, check_points(x, self.dim), 3)
+        """Full derivative stack out[..., M, :, :] = d_M g, at the shape the closure returns,
+        broadcast only as far as the (D, D, D) of one point."""
+        dg = np.asarray(self.dmetric(check_points(x, self.dim)), dtype=float)
+        one = (self.dim,) * 3
+        return dg if dg.shape[-3:] == one else np.broadcast_to(
+            dg, np.broadcast_shapes(dg.shape, one))
 
     def gauge_derivative_at(self, x) -> Array:
         return broadcast_read(self.dgauge, check_points(x, self.dim), 2)
@@ -178,15 +200,36 @@ def _checked_inverse(g: Array, pts: Array) -> tuple[Array, Array]:
     return ginv, det
 
 
+@dataclass(frozen=True)
+class MetricData:
+    """Lorentzian geometry at one point, or at each point of a batch along a
+    leading axis, shared by every residual.  Where the metric closure returns
+    one value for the whole batch, every field but ``pt`` is a read-only
+    broadcast view of that one value."""
+
+    pt: Array     # the checked point (D,) or points (K, D)
+    g: Array      # g_MN, its shape and symmetry checked
+    ginv: Array   # g^{MN}
+    dginv: Array  # d_M g^{PQ} = -(g^{-1} d_M g g^{-1}), axis -3 = d_M
+    vol: Array    # sqrt(-det g)
+    dvol: Array   # d_M sqrt(-g) = (1/2) sqrt(-g) tr(g^{-1} d_M g)
+
+
 def metric_inverse(bg: BackgroundRel, x) -> Array:
     """Contravariant metric g^{MN} at one point (D, D) or at each point of a batch (K, D, D).
 
-    Raises SingularMetric when |det g| is below the floor (or the inverse
-    fails its own residual check) and SignatureViolation when the metric
-    does not have exactly one negative eigenvalue, naming the first such point.
+    x is the points or their MetricData bundle.  Given points, it reads the
+    metric once and raises SingularMetric when |det g| is below the floor (or
+    the inverse fails its own residual check) and SignatureViolation when the
+    metric does not have exactly one negative eigenvalue, naming the first
+    such point.  Given a bundle, it checks the dimension and returns the
+    bundle's g^{MN}, which passed those checks when the bundle was built.
     """
+    if isinstance(x, MetricData):
+        check_points(x.pt, bg.dim)
+        return x.ginv
     pts = check_points(x, bg.dim)
-    return _checked_inverse(bg._metric(pts), pts)[0]
+    return _spread(_checked_inverse(bg._metric(pts), pts)[0], pts, 2)
 
 
 def _volume(det, pts: Array):
@@ -197,20 +240,7 @@ def _volume(det, pts: Array):
 def volume_element(bg: BackgroundRel, x):
     """sqrt(-det g), shape () at one point and (K,) for a batch; requires det g < 0."""
     pts = check_points(x, bg.dim)
-    return _volume(np.linalg.det(bg._metric(pts)), pts)
-
-
-@dataclass(frozen=True)
-class MetricData:
-    """Lorentzian geometry at one point, or at each point of a batch along a
-    leading axis, shared by every residual."""
-
-    pt: Array     # the checked point (D,) or points (K, D)
-    g: Array      # g_MN, its shape and symmetry checked
-    ginv: Array   # g^{MN}
-    dginv: Array  # d_M g^{PQ} = -(g^{-1} d_M g g^{-1}), axis -3 = d_M
-    vol: Array    # sqrt(-det g)
-    dvol: Array   # d_M sqrt(-g) = (1/2) sqrt(-g) tr(g^{-1} d_M g)
+    return _spread(_volume(np.linalg.det(bg._metric(pts)), pts), pts)
 
 
 def metric_data(bg: BackgroundRel, x) -> MetricData:
@@ -220,6 +250,8 @@ def metric_data(bg: BackgroundRel, x) -> MetricData:
     ginv, det = _checked_inverse(g, pts)
     vol = _volume(det, pts)
     dg = bg.metric_derivative_at(pts)
-    return MetricData(pt=pts, g=g, ginv=ginv, vol=vol,
-                      dginv=-(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :]),
-                      dvol=0.5 * vol[..., None] * np.einsum("...ab,...mba->...m", ginv, dg))
+    dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
+    dvol = 0.5 * vol[..., None] * np.einsum("...ab,...mba->...m", ginv, dg)
+    return MetricData(pt=pts, g=_spread(g, pts, 2), ginv=_spread(ginv, pts, 2),
+                      dginv=_spread(dginv, pts, 3), vol=_spread(vol, pts),
+                      dvol=_spread(dvol, pts, 1))

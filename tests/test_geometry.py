@@ -5,11 +5,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import pilotwave.geometry as geometry
 from oracles import cofactor_det
 from pilotwave.errors import SignatureViolation, SingularMetric
+from pilotwave.field_equations import classical_hj_residual_rel
 from pilotwave.geometry import (BackgroundRel, check_point, metric_data,
                                 metric_inverse, volume_element)
 from pilotwave.nc_geometry import NCBackground
+from pilotwave.report import GridSpec
+from pilotwave.scenarios import build
 from conftest import make_wavy_rel
 from stencils import jacobian
 
@@ -143,6 +147,119 @@ def test_metric_data_reads_the_metric_once(wavy_rel):
     assert len(reads) == 1
     assert np.array_equal(md.ginv, metric_inverse(wavy_rel, md.pt))
     assert md.vol == volume_element(wavy_rel, md.pt)
+
+
+def _counting_metric(bg):
+    """bg with a metric closure that counts its reads, and the list of those reads."""
+    reads = []
+    return dataclasses.replace(bg, metric=lambda x: reads.append(1) or bg.metric(x)), reads
+
+
+# the documented shape of each batch result, after the batch axis, in units of (D,)
+BATCH_SHAPES = {"g": 2, "ginv": 2, "dginv": 3, "vol": 0, "dvol": 1}
+
+
+@pytest.mark.parametrize("name", ["minkowski", "curved-diagonal"])
+def test_one_solve_per_distinct_metric(name, monkeypatch):
+    if name == "minkowski":
+        bg = BackgroundRel.minkowski()
+        pts = np.random.default_rng(5).uniform(-1.0, 1.0, size=(900, 4))
+    else:
+        bg = build(name).background
+        pts = GridSpec(((0.0, 5.0), (-2.4, 2.4)), (30, 30)).points()
+    k, dim = pts.shape
+    shapes = []
+
+    def spy(g, x, inverse=geometry._checked_inverse):
+        shapes.append(g.shape)
+        return inverse(g, x)
+
+    monkeypatch.setattr(geometry, "_checked_inverse", spy)
+    md, ginv, vol = metric_data(bg, pts), metric_inverse(bg, pts), volume_element(bg, pts)
+    # the constant Minkowski metric is solved once for the whole batch
+    assert shapes == [(dim, dim) if name == "minkowski" else (k, dim, dim)] * 2
+    monkeypatch.undo()
+    rows = [metric_data(bg, p) for p in pts]
+    for field, axes in BATCH_SHAPES.items():
+        batch = getattr(md, field)
+        assert batch.shape == (k,) + (dim,) * axes, field
+        assert np.array_equal(batch, np.stack([getattr(row, field) for row in rows])), field
+    assert np.array_equal(md.pt, pts)
+    assert ginv.shape == (k, dim, dim) and vol.shape == (k,)
+    assert np.array_equal(ginv, np.stack([metric_inverse(bg, p) for p in pts]))
+    assert np.array_equal(vol, np.stack([volume_element(bg, p) for p in pts]))
+    # a constant's results reach the points as read-only views of the one solve
+    assert ginv.flags.writeable == md.ginv.flags.writeable == (name != "minkowski")
+
+
+def test_metric_inverse_takes_a_bundle(wavy_rel):
+    pts = np.random.default_rng(8).uniform(-0.8, 0.8, size=(12, 2))
+    bg, reads = _counting_metric(wavy_rel)
+    md = metric_data(bg, pts)
+    reads.clear()
+    assert metric_inverse(bg, md) is md.ginv and reads == []
+    with pytest.raises(ValueError, match=r"^point has dimension 2, expected 3$"):
+        metric_inverse(BackgroundRel.minkowski(3), md)
+
+
+@pytest.mark.parametrize("name", ["curved-diagonal", "minkowski-superposition"])
+def test_classical_hj_reads_no_metric_given_the_bundle(name):
+    sc = build(name)
+    bg, reads = _counting_metric(sc.background)
+    pts = sc.default_grid.points()
+    md = metric_data(bg, pts)
+    reads.clear()
+    from_bundle = classical_hj_residual_rel(bg, sc.polar, md)
+    assert len(reads) == 0
+    from_points = classical_hj_residual_rel(bg, sc.polar, pts)
+    assert len(reads) == 1
+    assert np.array_equal(from_bundle, from_points)
+
+
+# points of a batch; a constant metric that fails a check names the first of them
+BATCH = np.array([[0.5, -0.25], [1.0, 2.0], [-3.0, 0.0]])
+AT_FIRST = r" at point \[0\.5, -0\.25\]$"
+
+
+def _constant(g):
+    return BackgroundRel(dim=2, metric=lambda x: g, gauge=lambda x: np.zeros(2),
+                         dmetric=lambda x: np.zeros((2, 2, 2)), dgauge=lambda x: np.zeros((2, 2)))
+
+
+ASYMMETRIC = r"metric is not symmetric \(max \|g - g\^T\| = 1\.000e-06\)"
+
+
+# each failing constant metric: the error and text of metric_inverse and metric_data,
+# then those of volume_element, which checks only the sign of det g
+@pytest.mark.parametrize("g, error, message, volume_error, volume_message", [
+    (np.diag([-1.0, 0.0]), SingularMetric, r"\|det g\| = 0\.000e\+00 below 1e-14",
+     SignatureViolation, r"det g = -?0\.000e\+00 is not negative"),
+    (np.eye(2), SignatureViolation, r"metric must have exactly one negative eigenvalue, has 0",
+     SignatureViolation, r"det g = 1\.000e\+00 is not negative"),
+    (np.array([[-1.0, 1e-6], [0.0, 1.0]]), ValueError, ASYMMETRIC, ValueError, ASYMMETRIC)])
+def test_a_constant_metric_that_fails_names_the_first_point(g, error, message, volume_error,
+                                                            volume_message):
+    bg = _constant(g)
+    for call in (metric_inverse, metric_data):
+        with pytest.raises(error, match="^" + message + AT_FIRST):
+            call(bg, BATCH)
+        with pytest.raises(error, match="^" + message + r" at point \[1\.0, 2\.0\]$"):
+            call(bg, BATCH[1])
+    with pytest.raises(volume_error, match="^" + volume_message + AT_FIRST):
+        volume_element(bg, BATCH)
+
+
+def test_a_metric_that_does_not_broadcast_to_the_points_is_a_shape_error():
+    bg = _constant(np.broadcast_to(np.diag([-1.0, 1.0]), (2, 2, 2)))
+    for call in (metric_inverse, metric_data, volume_element):
+        for x, expected in ((BATCH, r"\(3, 2, 2\)"), (BATCH[0], r"\(2, 2\)")):
+            with pytest.raises(ValueError,
+                               match=rf"^metric has shape \(2, 2, 2\), expected {expected}$"):
+                call(bg, x)
+    # a closure's value of leading shape 1 broadcasts to any batch
+    eta = np.diag([-1.0, 1.0])
+    assert np.array_equal(metric_data(_constant(eta[None]), BATCH).ginv,
+                          metric_data(_constant(eta), BATCH).ginv)
 
 
 def test_singular_metric_raises():
