@@ -25,7 +25,7 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -33,6 +33,7 @@ import numpy as np
 from . import scenarios as scen
 from .dynamics import GuidanceField, integrate_trajectory
 from .errors import ConfigError, NonFiniteResult, PilotwaveError
+from .fields import on_points
 from .geometry import BackgroundRel, evaluate_named, metric_data
 from .nc_geometry import (NCBackground, derive_nc, ehat_identity_residual,
                           frame_identity_residuals, null_lift_residuals,
@@ -181,6 +182,12 @@ def _grid_geometry(sc: Scenario, pts):
     return evaluate_named("geometry bundle", partial(metric_data, sc.background), pts)
 
 
+def _grid_fields(sc: Scenario, pts) -> Scenario:
+    """The scenario with each field closure read once for the grid (``fields.on_points``)."""
+    polar, psi = on_points(sc.polar, sc.psi, pts)
+    return replace(sc, polar=polar, psi=psi)
+
+
 # ---------------------------------------------------------------------------
 # command handlers: each renders its artifacts into, and gates them through, one Run
 # ---------------------------------------------------------------------------
@@ -219,12 +226,12 @@ class Run:
 
 
 def _run_field_checks(sc, cfg, run, names=None):
-    """Gate the scenario's checks (or the named subset) on its grid, each one
-    residual call on the grid's points or on its Lorentzian geometry bundle."""
+    """Gate the scenario's checks (or the named subset) on its grid, each one residual
+    call on the grid's points or Lorentzian geometry bundle and the grid's fields."""
     pts = _grid_points(sc, cfg)
     for name in names or ():
         scen.check_value("residuals", name, tuple(c.name for c in sc.checks))
-    grid = _grid_geometry(sc, pts)
+    grid, sc = _grid_geometry(sc, pts), _grid_fields(sc, pts)
     for check in sc.checks:
         if names is None or check.name in names:
             run.gate(sc.run_check(check.name, grid), check)
@@ -332,7 +339,7 @@ def cmd_superposition_demo(sc, cfg, run):
         raise ConfigError("scenario.name",
                           "superposition-demo needs a relativistic complex field")
     pts = _grid_points(sc, cfg)
-    grid = _grid_geometry(sc, pts)
+    grid, sc = _grid_geometry(sc, pts), _grid_fields(sc, pts)
     linear, classical = sc.run_check("linear-wave", grid), sc.run_check("classical-wave", grid)
     linear_gate, classical_gate = COMMAND_GATES["linear-wave"], COMMAND_GATES["classical-wave"]
     linear_ok = run.gate(linear, linear_gate)

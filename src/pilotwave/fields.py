@@ -19,10 +19,14 @@ cross nodes, and regularizing silently would only hide bugs.
 ``polar_view`` gives (rho, S) = (|psi|^2, arg psi) of a complex field, with
 S in (-pi, pi]; ``np.unwrap`` continues such a phase along a sampled path.
 Residuals depend on dS only, so branch choice never affects them.
+
+A view records the field it views as its ``source``, which a ``dataclasses.replace``
+copy lacks.  ``on_points`` readies the fields for one grid's checks: each closure
+is read at most once there, and a view is rebuilt over its source's one read.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from typing import Callable
 
 import numpy as np
@@ -62,6 +66,7 @@ class PolarField:
     d2rho: Callable[[Array], Array]
     dS: Callable[[Array], Array]
     d2S: Callable[[Array], Array]
+    source: ComplexField | None = field(default=None, init=False, compare=False, repr=False)
 
     def rho_checked(self, x) -> Array:
         pts = np.asarray(x, dtype=float)
@@ -75,6 +80,7 @@ class ComplexField:
     psi: Callable[[Array], Array]
     dpsi: Callable[[Array], Array]
     d2psi: Callable[[Array], Array]
+    source: PolarField | None = field(default=None, init=False, compare=False, repr=False)
 
 
 def polar_view(cf: ComplexField) -> PolarField:
@@ -118,7 +124,9 @@ def polar_view(cf: ComplexField) -> PolarField:
         psi = psi[..., None, None]
         return np.imag(d2p / psi - _outer(dp, dp) / psi**2)
 
-    return PolarField(rho=rho, S=S, drho=drho, d2rho=d2rho, dS=dS, d2S=d2S)
+    view = PolarField(rho=rho, S=S, drho=drho, d2rho=d2rho, dS=dS, d2S=d2S)
+    object.__setattr__(view, "source", cf)  # frozen, and not an __init__ argument
+    return view
 
 
 def complex_view(pf: PolarField) -> ComplexField:
@@ -144,4 +152,34 @@ def complex_view(pf: PolarField) -> ComplexField:
                + 1j * broadcast_read(pf.d2S, x, 2))
         return (_outer(ld, ld) + dld) * psi(x)[..., None, None]
 
-    return ComplexField(psi=psi, dpsi=dpsi, d2psi=d2psi)
+    view = ComplexField(psi=psi, dpsi=dpsi, d2psi=d2psi)
+    object.__setattr__(view, "source", pf)
+    return view
+
+
+def _once(f, pts):
+    """A copy of field f (None for None) whose closures, called at pts or an equal array,
+    read themselves on the first such call only and keep that result read-only."""
+    def once(fn):
+        kept = []
+
+        def read(x):
+            if x is not pts and not np.array_equal(x, pts):
+                return fn(x)  # other points: read, keep nothing
+            if not kept:
+                kept.append(np.asarray(fn(pts)).view())
+                kept[0].flags.writeable = False
+            return kept[0]
+        return read
+    return f and replace(f, **{c.name: once(getattr(f, c.name)) for c in fields(f) if c.init})
+
+
+def on_points(polar: PolarField | None, psi: ComplexField | None, pts: Array):
+    """(polar, psi) for the checks of one grid at pts (K, D): each closure is read
+    at most once at pts, and a view of the other field is rebuilt over that read."""
+    once_polar, once_psi = _once(polar, pts), _once(psi, pts)
+    if getattr(polar, "source", None) is psi is not None:
+        once_polar = polar_view(once_psi)
+    elif getattr(psi, "source", None) is polar is not None:
+        once_psi = complex_view(once_polar)
+    return once_polar, once_psi

@@ -16,12 +16,15 @@ It runs, through ``pilotwave.cli.main`` in this process:
   ``reduce.dim`` 2, 3 and 10, the only runs that draw random frames;
 - ``check`` and ``trajectories`` on ``minkowski-plane-wave`` with charge
   ``q`` 0.5 and gauge covector ``a``, the only runs through a gauged
-  Minkowski background.
+  Minkowski background;
+- ``residuals`` with one check on ``curved-diagonal`` (classical-hj),
+  ``minkowski-superposition`` (linear-wave) and ``flat-nc-gaussian-packet``
+  (nc-quantum-hj), the runs that read only part of a grid's fields.
 
 Each line holds the run's label, its exit code, its stderr and the sha256
 of every file it wrote, so two checkouts whose outputs are identical give
 identical text: compare them with ``diff``.  Pytest does not collect this
-file; it takes about 11 s and prints 119 lines.
+file; it takes about 11 s and prints 122 lines.
 """
 import contextlib
 import hashlib
@@ -42,6 +45,8 @@ SEEDS = (3, 7)
 PARAMS = ({"M_t": 1e7}, {"M_t": 1e300}, {"M_x": 1e5})
 FRAME_DIMS = (2, 3, 10)
 GAUGED = {"q": 0.5, "a": [0.1, 0.2, -0.1, 0.05]}
+SINGLE_CHECKS = (("curved-diagonal", "classical-hj"), ("minkowski-superposition", "linear-wave"),
+                 ("flat-nc-gaussian-packet", "nc-quantum-hj"))
 
 
 def runs():
@@ -69,6 +74,9 @@ def runs():
     doc = {"scenario": {"name": "minkowski-plane-wave", "params": GAUGED}}
     for command in ("check", "trajectories"):
         yield f"minkowski-plane-wave {json.dumps(GAUGED)} {command}", command, doc, "json"
+    for name, check in SINGLE_CHECKS:
+        doc = {"scenario": {"name": name}, "residuals": [check]}
+        yield f"{name} residuals {check}", "residuals", doc, "json"
 
 
 def fingerprint(tmp, i, command, doc, fmt):

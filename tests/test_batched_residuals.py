@@ -16,7 +16,9 @@ frame, and given the points it solves as many as before; a Newton-Cartan
 grid's checks derive their frame partials
 once per residual that takes a divergence, and compute each object derived
 from the frame as often, at most once per stack of frames, whatever the
-size of the grid.
+size of the grid.  The checks of a grid read each field closure at most
+once, a view's source included, and a closure that fails at one point
+through the CLI names that point.
 """
 import dataclasses
 import functools
@@ -36,7 +38,7 @@ from pilotwave import cli
 from pilotwave.dynamics import guidance_velocity_rel
 from pilotwave.errors import (DegenerateFrame, FormMismatch, NodeEncountered,
                               SignatureViolation, SingularMetric)
-from pilotwave.fields import EPS_NODE, ComplexField, PolarField, complex_view
+from pilotwave.fields import EPS_NODE, ComplexField, PolarField, complex_view, polar_view
 from pilotwave.geometry import BackgroundRel, metric_data, metric_inverse, volume_element
 from pilotwave.nc_geometry import NCBackground
 from pilotwave.scenarios import CHECK_EVALUATORS, build
@@ -623,6 +625,49 @@ def test_bad_row_through_the_cli(tmp_path, capsys, monkeypatch, case):
     assert re.match(line, err), err
 
 
+def _fails_at(fn, bad):
+    """fn, with a sqrt of -1 (an invalid value) at the rows equal to ``bad``."""
+    def read(x):
+        value, at = fn(x), np.all(np.asarray(x) == bad, axis=-1)
+        return value * np.sqrt(np.where(at, -1.0, 1.0)).reshape(
+            at.shape + (1,) * (np.ndim(value) - at.ndim))
+    return read
+
+
+# a field closure that fails at one grid point, on a polar field (d2S, read only by the
+# second check, after the first has read dS) and on a complex field under its polar view
+FIELD_FAILURES = {
+    "curved-diagonal": ({"rho_profile": "conserved"}, "polar", "d2S", [1.0, 0.0],
+                        "report 'continuity'"),
+    "minkowski-superposition": ({}, "psi", "dpsi", [0.0, 1.5, -0.5, 0.5], "report 'linear-wave'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIELD_FAILURES))
+def test_a_field_that_fails_at_one_point_through_the_cli(tmp_path, capsys, monkeypatch, name):
+    params, attr, closure, bad, report = FIELD_FAILURES[name]
+    builder = scen.REGISTRY[name]
+
+    def failing_build(p):
+        sc = builder(p)
+        f = getattr(sc, attr)
+        f = dataclasses.replace(f, **{closure: _fails_at(getattr(f, closure), bad)})
+        if attr == "polar":
+            return dataclasses.replace(sc, polar=f)
+        return dataclasses.replace(sc, psi=f, polar=polar_view(f))
+
+    monkeypatch.setitem(scen.REGISTRY, name, failing_build)
+    bounds = [[0.0, 1.0], [-1.0, 1.0]] if name == "curved-diagonal" else (
+        [[0.0, 1.0], [0.0, 3.0], [-0.5, 0.5], [-0.5, 0.5]])
+    doc = {"scenario": {"name": name, "params": params},
+           "grid": {"bounds": bounds, "samples": [2, 3] + [2] * (len(bounds) - 2)}}
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["check", "--config", str(config), "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (f"error: {report}: FloatingPointError: invalid value "
+                                       f"encountered in sqrt at point {bad}\n")
+
+
 # ---------------------------------------------------------------------------
 # one geometry bundle per grid, and as many field closure reads, whatever the grid
 # ---------------------------------------------------------------------------
@@ -726,3 +771,64 @@ def test_each_derived_object_is_computed_once_per_bundle(monkeypatch):
         reads = [[getattr(der, name) for name in NC_DERIVED_OBJECTS] for _ in range(3)]
         assert calls == dict.fromkeys(NC_DERIVED_OBJECTS, 1)
         assert all(a is b for a, b in zip(reads[0], reads[2]))
+
+
+# ---------------------------------------------------------------------------
+# one read of each field closure per grid, shared by every check of the grid
+# ---------------------------------------------------------------------------
+
+def _counting(calls, f, closures):
+    """A copy of field f whose named closures count their calls in ``calls``."""
+    def counted(name, fn):
+        def read(x):
+            calls[name] += 1
+            return fn(x)
+        return read
+    return dataclasses.replace(f, **{c: counted(c, getattr(f, c)) for c in closures})
+
+
+def _run_on_grid(tmp_path, name, command, samples):
+    """``command`` on scenario ``name`` (every check for ``residuals``), on a grid of
+    ``samples`` per axis over its default bounds."""
+    sc = build(name)
+    doc = {"scenario": {"name": name},
+           "grid": {"bounds": [list(b) for b in sc.default_grid.bounds],
+                    "samples": [samples] * len(sc.default_grid.bounds)}}
+    if command == "residuals":
+        doc["residuals"] = [c.name for c in sc.checks]
+    assert cli.run(command, cli.RunConfig.from_dict(doc),
+                   out_dir=str(tmp_path / f"{command}-{samples}")) == 0
+
+
+@pytest.mark.parametrize("samples", [3, 4])
+@pytest.mark.parametrize("command", ["check", "residuals", "superposition-demo"])
+def test_one_plane_wave_sum_read_per_grid(monkeypatch, tmp_path, command, samples):
+    """The superposition's psi, dpsi and d2psi are read once each, for the checks
+    on psi and, through its polar view, for those on (rho, S)."""
+    calls, superposition = Counter(), scen._superposition_psi
+    monkeypatch.setattr(scen, "_superposition_psi", lambda *args: _counting(
+        calls, superposition(*args), FIELD_CLOSURES[COMPLEX]))
+    _run_on_grid(tmp_path, "minkowski-superposition", command, samples)
+    assert calls == {"psi": 1, "dpsi": 1, "d2psi": 1}
+
+
+@pytest.mark.parametrize("samples", [3, 4])
+@pytest.mark.parametrize("command", ["check", "residuals"])
+def test_one_polar_read_per_grid_under_a_complex_view(monkeypatch, tmp_path, command, samples):
+    calls, packet = Counter(), scen.REGISTRY["flat-nc-gaussian-packet"]
+
+    def counted_packet(params):
+        sc = packet(params)
+        polar = _counting(calls, sc.polar, FIELD_CLOSURES[POLAR])
+        return dataclasses.replace(sc, polar=polar, psi=complex_view(polar))
+
+    monkeypatch.setitem(scen.REGISTRY, "flat-nc-gaussian-packet", counted_packet)
+    _run_on_grid(tmp_path, "flat-nc-gaussian-packet", command, samples)
+    assert calls["rho"] == 1 and max(calls.values()) == 1
+
+
+def test_a_closure_no_check_needs_is_never_read(monkeypatch, tmp_path):
+    """With both fields counted as fields of their own, the superposition's checks
+    read each closure at most once, and never S."""
+    calls = _counted_check(monkeypatch, tmp_path, "minkowski-superposition", 4, {})
+    assert calls["polar.S"] == 0 and calls["psi.psi"] == 1 and max(calls.values()) == 1

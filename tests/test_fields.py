@@ -1,10 +1,14 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from pilotwave.errors import NodeEncountered
-from pilotwave.fields import ComplexField, complex_view, polar_view
+from pilotwave.fields import ComplexField, PolarField, complex_view, on_points, polar_view
+from pilotwave.scenarios import build
 from oracles import nested_gradient
 from conftest import make_wavy_polar
 from stencils import polar_field
@@ -101,3 +105,119 @@ def test_node_raises():
     f = polar_field(rho=lambda x: 0.0, S=lambda x: 0.0)
     with pytest.raises(NodeEncountered):
         complex_view(f).psi(np.zeros(2))
+
+
+# ---------------------------------------------------------------------------
+# one read per grid: what on_points promises
+# ---------------------------------------------------------------------------
+
+CLOSURES = {PolarField: ("rho", "S", "drho", "d2rho", "dS", "d2S"),
+            ComplexField: ("psi", "dpsi", "d2psi")}
+
+
+def counted(f, calls, prefix=""):
+    """A copy of field f whose closures count their calls in ``calls``."""
+    def wrap(name, fn):
+        def read(x):
+            calls[prefix + name] += 1
+            return fn(x)
+        return read
+    return dataclasses.replace(f, **{n: wrap(n, getattr(f, n)) for n in CLOSURES[type(f)]})
+
+
+def grid_of(name):
+    return build(name).default_grid.points()
+
+
+@pytest.mark.parametrize("name", ["minkowski-superposition", "flat-nc-gaussian-packet",
+                                  "curved-diagonal"])
+def test_a_grid_read_equals_a_direct_read_bit_for_bit(name):
+    sc, pts = build(name), grid_of(name)
+    polar, psi = on_points(sc.polar, sc.psi, pts)
+    for direct, once in ((sc.polar, polar), (sc.psi, psi)):
+        if direct is None:
+            assert once is None
+            continue
+        for n in CLOSURES[type(direct)]:
+            for _ in range(2):  # the grid read, then the kept one
+                got, want = np.asarray(getattr(once, n)(pts)), np.asarray(getattr(direct, n)(pts))
+                assert got.shape == want.shape and got.dtype == want.dtype
+                assert got.tobytes() == want.tobytes(), n
+
+
+def test_kept_reads_are_read_only_and_nothing_is_read_in_advance():
+    calls = Counter()
+    sc, pts = build("flat-nc-gaussian-packet"), grid_of("flat-nc-gaussian-packet")
+    polar, psi = on_points(counted(sc.polar, calls), None, pts)
+    assert psi is None and not calls
+    rho = polar.rho(pts)
+    with pytest.raises(ValueError):
+        rho[0] = 1.0
+    assert polar.rho(pts) is rho and calls == {"rho": 1}
+    assert sc.polar.rho(pts).flags.writeable  # the closure's own results are untouched
+
+
+def test_a_view_over_its_source_reads_the_source_once():
+    calls = Counter()
+    sc, pts = build("minkowski-superposition"), grid_of("minkowski-superposition")
+    psi = counted(sc.psi, calls)
+    polar, psi_once = on_points(polar_view(psi), psi, pts)
+    for n in CLOSURES[PolarField]:
+        getattr(polar, n)(pts)
+    for n in CLOSURES[ComplexField]:
+        getattr(psi_once, n)(pts)
+    assert calls == {"psi": 1, "dpsi": 1, "d2psi": 1}
+    assert polar.source is psi_once
+
+    calls.clear()
+    pf = counted(build("flat-nc-gaussian-packet").polar, calls)
+    pts = grid_of("flat-nc-gaussian-packet")
+    polar, psi = on_points(pf, complex_view(pf), pts)
+    for n in CLOSURES[ComplexField]:
+        getattr(psi, n)(pts)
+    assert calls == dict.fromkeys(CLOSURES[PolarField], 1)
+    assert psi.source is polar
+
+
+def test_other_points_reach_the_closure_and_an_equal_copy_is_served():
+    calls = Counter()
+    sc, pts = build("curved-diagonal"), grid_of("curved-diagonal")
+    polar, _ = on_points(counted(sc.polar, calls), None, pts)
+    polar.dS(pts[:1])
+    polar.dS(pts[0])
+    polar.dS(pts + 0.5)
+    polar.dS(pts[::-1])
+    assert calls["dS"] == 4  # none of them filled the store
+    kept = polar.dS(pts.copy())
+    assert calls["dS"] == 5 and polar.dS(pts) is kept and polar.dS(pts.tolist()) is kept
+    assert calls["dS"] == 5
+
+
+def test_a_closure_that_raises_stores_nothing():
+    calls, error, failing = Counter(), FloatingPointError("overflow"), [True]
+
+    def rho(x):
+        calls["rho"] += 1
+        if failing[0]:
+            raise error
+        return np.ones(x.shape[:-1])
+
+    pf = dataclasses.replace(build("curved-diagonal").polar, rho=rho)
+    pts = grid_of("curved-diagonal")
+    polar, _ = on_points(pf, None, pts)
+    with pytest.raises(FloatingPointError) as raised:
+        polar.rho(pts)
+    assert raised.value is error
+    failing[0] = False
+    assert np.all(polar.rho(pts) == 1.0) and calls["rho"] == 2
+    polar.rho(pts)
+    assert calls["rho"] == 2
+
+
+def test_a_copy_of_a_view_has_no_source():
+    cf = constant_psi(1.0 + 0.0j)
+    pf = polar_view(cf)
+    assert pf.source is cf and complex_view(pf).source is pf
+    assert dataclasses.replace(pf).source is None
+    assert dataclasses.replace(complex_view(pf)).source is None
+    assert cf.source is None and dataclasses.replace(pf) == pf  # source is not compared
