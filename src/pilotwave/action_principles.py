@@ -24,8 +24,10 @@ Hamilton-Jacobi relations:
 
 verified here by re-extremizing at displaced endpoints, with one Richardson
 extrapolation step on the central differences.  Each displaced problem starts
-from the base extremal, moved onto its own grid and endpoint, and from the
-base problem's chord inverse, and iterates to tolerance on its own.
+from a prediction, the polynomial in the shift through the solves already made
+on its axis (the predictor of predictor-corrector continuation; Allgower and
+Georg, Introduction to Numerical Continuation Methods, SIAM 2003), and from
+the base problem's chord inverse, which all nine solves share.
 """
 from __future__ import annotations
 
@@ -304,25 +306,40 @@ def endpoint_derivatives(sys: LagrangianSystem, bvp: BoundaryValueProblem,
 
     Along each endpoint coordinate (X_f..., lambda_f), central differences
     at steps fd_step and fd_step/2 are combined by one Richardson
-    extrapolation; each displaced problem is re-extremized to tolerance,
-    warm-started from the base extremal (``extremize(..., near=base)``).
+    extrapolation; each displaced problem is re-extremized to tolerance.
+    The displaced extremals of one axis form a smooth family in the shift,
+    so each solve starts from the polynomial through the solves already
+    made on that axis, taken node by node (the predictor of
+    predictor-corrector continuation): +d from the base extremal, -d from
+    the line through the base and +d, +d/2 and -d/2 from the parabola
+    through -d, the base and +d.  Every start carries the base problem's
+    chord inverse, which ``extremize(..., near=...)`` steps with.
     """
     base = extremize(sys, bvp)
     end = np.append(bvp.xf, bvp.lambdaf)
 
-    def action_at(axis, shift):
+    def solve(axis, shift, *terms):
+        """The extremal with the endpoint moved by shift along axis, started
+        from the sum of weight * path over the (weight, path) terms."""
         moved = end.copy()
         moved[axis] += shift
         moved_bvp = BoundaryValueProblem(bvp.x0, moved[:-1], bvp.lambda0, float(moved[-1]),
                                          bvp.intervals)
-        return action_value(sys, extremize(sys, moved_bvp, near=base))
+        near = DiscretizedPath(*(sum(w * getattr(path, key) for w, path in terms)
+                                 for key in ("lambdas", "points", "velocities")),
+                               chord_inverse=base.chord_inverse)
+        return extremize(sys, moved_bvp, near=near)
 
-    def slope(axis, delta):
-        return (action_at(axis, delta) - action_at(axis, -delta)) / (2 * delta)
+    def slope(plus, minus, delta):
+        return (action_value(sys, plus) - action_value(sys, minus)) / (2 * delta)
 
     def richardson(axis):
-        coarse = slope(axis, fd_step)
-        return (4.0 * slope(axis, fd_step / 2) - coarse) / 3.0
+        plus = solve(axis, fd_step, (1.0, base))
+        minus = solve(axis, -fd_step, (2.0, base), (-1.0, plus))
+        half_plus = solve(axis, fd_step / 2, (0.375, plus), (0.75, base), (-0.125, minus))
+        half_minus = solve(axis, -fd_step / 2, (0.375, minus), (0.75, base), (-0.125, plus))
+        coarse = slope(plus, minus, fd_step)
+        return (4.0 * slope(half_plus, half_minus, fd_step / 2) - coarse) / 3.0
 
     ds = np.array([richardson(axis) for axis in range(end.size)])
     p_f, h_f = endpoint_state(sys, base)

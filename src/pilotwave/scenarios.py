@@ -84,7 +84,6 @@ CHECK_EVALUATORS = {
     "nc-classical-hj": ("nc_classical_hj_residual", "polar"),
     "nc-quantum-hj": ("nc_quantum_hj_residual", "polar"),
     "nc-continuity": ("nc_continuity_residual", "polar"),
-    "nc-quantum-potential": ("nc_quantum_potential", "polar"),
     "nc-schrodinger": ("nc_schrodinger_residual", "psi"),
 }
 

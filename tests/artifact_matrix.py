@@ -19,12 +19,14 @@ It runs, through ``pilotwave.cli.main`` in this process:
   Minkowski background;
 - ``residuals`` with one check on ``curved-diagonal`` (classical-hj),
   ``minkowski-superposition`` (linear-wave) and ``flat-nc-gaussian-packet``
-  (nc-quantum-hj), the runs that read only part of a grid's fields.
+  (nc-quantum-hj), the runs that read only part of a grid's fields;
+- ``hj-verify`` on ``harmonic-oscillator-hj`` at ``hj.fd_step`` 1e-2,
+  where the displaced solves start farthest from their solutions.
 
 Each line holds the run's label, its exit code, its stderr and the sha256
 of every file it wrote, so two checkouts whose outputs are identical give
 identical text: compare them with ``diff``.  Pytest does not collect this
-file; it takes about 11 s and prints 122 lines.
+file; it takes about 11 s and prints 123 lines.
 """
 import contextlib
 import hashlib
@@ -47,6 +49,7 @@ FRAME_DIMS = (2, 3, 10)
 GAUGED = {"q": 0.5, "a": [0.1, 0.2, -0.1, 0.05]}
 SINGLE_CHECKS = (("curved-diagonal", "classical-hj"), ("minkowski-superposition", "linear-wave"),
                  ("flat-nc-gaussian-packet", "nc-quantum-hj"))
+WIDE_HJ_STEP = {"fd_step": 1e-2}
 
 
 def runs():
@@ -77,6 +80,8 @@ def runs():
     for name, check in SINGLE_CHECKS:
         doc = {"scenario": {"name": name}, "residuals": [check]}
         yield f"{name} residuals {check}", "residuals", doc, "json"
+    doc = {"scenario": {"name": "harmonic-oscillator-hj"}, "hj": WIDE_HJ_STEP}
+    yield f"harmonic-oscillator-hj hj-verify {json.dumps(WIDE_HJ_STEP)}", "hj-verify", doc, "json"
 
 
 def fingerprint(tmp, i, command, doc, fmt):

@@ -285,25 +285,75 @@ def test_endpoint_derivatives_reuse_one_jacobian(monkeypatch, name):
     assert counts["inv"] == 1
     assert counts["solve"] == 0
     assert counts["linspace"] == 9
-    assert counts["lagrangian"] == {"harmonic-oscillator-hj": 34, "free-particle-hj": 30}[name]
+    assert counts["lagrangian"] == {"harmonic-oscillator-hj": 26, "free-particle-hj": 23}[name]
 
 
-@pytest.mark.parametrize("shift", [{"xf": [1.0 + 1e-4]}, {"lambdaf": 1.5 - 1e-4}])
+# the solves that start stationary, in the order base, X_f +d, -d, +d/2, -d/2,
+# lambda_f +d, -d, +d/2, -d/2: the free particle's extremals are affine in the
+# endpoint data, so its -d, +d/2 and -d/2 predictions on lambda_f are exact
+# (from a ramp start they took 4, 3 and 3 residuals); on the oscillator the
+# parabola through -d, the base and +d is O(d^3) off at +-d/2
+STATIONARY_SOLVES = {"free-particle-hj": [6, 7, 8], "harmonic-oscillator-hj": [3, 4, 7, 8]}
+
+
+@pytest.mark.parametrize("name", sorted(STATIONARY_SOLVES))
+def test_predicted_starts_are_stationary(monkeypatch, name):
+    # residual evaluations per extremize call: a start already within
+    # NEWTON_TOL evaluates one residual and takes no Newton step
+    per_solve = []
+    real_extremize, real_residual = ap.extremize, ap._residual_from_interior
+
+    def counted_extremize(*args, **kwargs):
+        per_solve.append(0)
+        return real_extremize(*args, **kwargs)
+
+    def counted_residual(*args):
+        per_solve[-1] += 1
+        return real_residual(*args)
+
+    monkeypatch.setattr(ap, "extremize", counted_extremize)
+    monkeypatch.setattr(ap, "_residual_from_interior", counted_residual)
+    sc = build(name)
+    endpoint_derivatives(sc.system, sc.bvp)
+    assert len(per_solve) == 9
+    stationary = STATIONARY_SOLVES[name]
+    assert [per_solve[i] for i in stationary] == [1] * len(stationary), per_solve
+
+
+@pytest.mark.parametrize("shift", [("xf", 1e-4), ("lambdaf", -1e-4)])
 def test_near_start_reaches_the_cold_solution(monkeypatch, shift):
     # a displaced endpoint problem solved from the base extremal and its chord
-    # inverse lands on the path a cold solve from the straight line finds
+    # inverse lands on the path a cold solve from the straight line finds; so
+    # does one started, with the same chord inverse, from endpoint_derivatives'
+    # predictions: the line through the base and the mirrored solve (its -d
+    # start), and the parabola through the solves at -2 and +2 times the shift
+    # (its +d/2 start); measured gaps 6.8e-12, 6.8e-12 and 6.9e-12 (X_f shift),
+    # 2.4e-13, 1.3e-12 and 1.3e-12 (lambda_f shift)
+    key, d = shift
     sc = build("harmonic-oscillator-hj")
+
+    def moved(k):
+        return dataclasses.replace(sc.bvp, **{key: getattr(sc.bvp, key) + k * d})
+
+    def predicted(*terms):
+        return DiscretizedPath(*(sum(w * getattr(path, name) for w, path in terms)
+                                 for name in ("lambdas", "points", "velocities")),
+                               chord_inverse=base.chord_inverse)
+
     base = extremize(sc.system, sc.bvp)
-    moved = dataclasses.replace(sc.bvp, **shift)
-    cold = extremize(sc.system, moved)
-    # measured gaps: 6.8e-12 (X_f shift) and 2.4e-13 (lambda_f shift)
+    mirror, wide_plus, wide_minus = (extremize(sc.system, moved(k), near=base)
+                                     for k in (-1, 2, -2))
+    starts = {"base": base, "line": predicted((2.0, base), (-1.0, mirror)),
+              "parabola": predicted((0.375, wide_plus), (0.75, base), (-0.125, wide_minus))}
+    cold = extremize(sc.system, moved(1))
     assembled, real = [], ap._assembled_jacobian
     monkeypatch.setattr(ap, "_assembled_jacobian", lambda *args: assembled.append(1) or real(*args))
-    warm = extremize(sc.system, moved, near=base)
-    assert assembled == []
-    assert warm.chord_inverse is base.chord_inverse
-    assert np.array_equal(warm.lambdas, cold.lambdas)
-    assert np.max(np.abs(warm.points - cold.points)) <= 1e-9
+    for label, near in starts.items():
+        warm = extremize(sc.system, moved(1), near=near)
+        assert assembled == [], label
+        assert warm.chord_inverse is base.chord_inverse, label
+        assert np.array_equal(warm.lambdas, cold.lambdas), label
+        assert np.max(np.abs(warm.points - cold.points)) <= 1e-9, label
 
 
 def test_near_path_must_share_the_node_count():

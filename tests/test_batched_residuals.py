@@ -291,7 +291,7 @@ def test_newton_cartan_residuals_take_a_batch_row_by_row():
     nc, polar = make_wavy_nc(), make_wavy_polar()
     fields = {POLAR: polar, COMPLEX: complex_view(polar)}
     pts = np.random.default_rng(5).uniform(-0.8, 0.8, size=(6, 2))
-    for fn_name, field in CHECK_EVALUATORS.values():
+    for fn_name, field in [*CHECK_EVALUATORS.values(), ("nc_quantum_potential", POLAR)]:
         if fn_name.startswith("nc_"):
             fn = getattr(feq, fn_name)
             batch = fn(nc, fields[field], pts)

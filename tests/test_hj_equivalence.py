@@ -12,7 +12,11 @@ run from the root of the checkout.  Each recorded sample must be reproduced
 to |new - old| <= 2e-8: the samples are central-difference slopes of the
 extremal action, so the Newton-tolerance noise of each re-extremization is
 amplified by 1/(2 fd_step); the largest change measured over the benchmark's
-oscillator seeds 1-7 is 1.06e-8.
+oscillator seeds 1-7 is 1.06e-8.  Starting each displaced solve from the
+polynomial through the solves already made on its axis, in place of the base
+extremal, moves the samples of seeds 1-10 by at most 1.2e-7 (seed 2, momentum,
+where that seed's own samples reach 1.2e-7); against the recorded data the
+worst gaps are 4.8e-9 (seed 3) and 2.1e-9 (free particle).
 """
 import json
 import os

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pilotwave.errors import BadParameter, UnknownScenario
-from pilotwave.scenarios import REGISTRY, build
+from pilotwave.scenarios import CHECK_EVALUATORS, REGISTRY, build
 from oracles import rk4_path, validate_derivatives
 
 
@@ -19,6 +19,13 @@ def test_registry_contains_required_entries():
 def test_every_scenario_builds(name):
     sc = build(name)
     assert sc.name == name
+
+
+def test_every_check_evaluator_is_a_scenario_check():
+    # `residuals` accepts only a scenario's own checks, so an evaluator no
+    # registry scenario lists is one no command can reach
+    checks = {c.name for name in REGISTRY for c in build(name).checks}
+    assert sorted(set(CHECK_EVALUATORS) - checks) == []
 
 
 def test_unknown_scenario_raises():
