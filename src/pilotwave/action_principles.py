@@ -209,13 +209,13 @@ def extremize(sys: LagrangianSystem, bvp: BoundaryValueProblem,
     of a nearby problem with the same node count: the start is then that
     path interpolated onto this problem's grid plus the linear ramp that
     moves its end onto ``bvp.xf``, with its chord inverse.  The chord is
-    kept while full steps are accepted, and each step is its stored inverse
-    times the residual; it is rebuilt and inverted again at the current
-    iterate after a damped step, and once when the line search stalls.  The
-    returned path carries the chord inverse last used (given or, if the
-    start was already stationary, assembled and inverted at the solution).
-    Raises NoConvergence with the best residual reached when the iteration
-    stalls or a chord Jacobian is singular.
+    kept while accepted full steps at least halve max|R|, each step its
+    stored inverse times the residual; it is rebuilt and inverted again at
+    the current iterate after any other step, and once when the line search
+    stalls.  The returned path carries the chord inverse last used (given
+    or, if the start was already stationary, assembled and inverted at the
+    solution).  Raises NoConvergence with the best residual reached when the
+    iteration stalls or a chord Jacobian is singular.
     """
     lam = bvp.grid()
     n = lam.size
@@ -259,9 +259,9 @@ def extremize(sys: LagrangianSystem, bvp: BoundaryValueProblem,
         refreshed = False
         u = u + alpha * step
         r, X, V = accepted
-        res = float(abs(r).max())
+        prev, res = res, float(abs(r).max())
         best = min(best, res)
-        rebuild = alpha < 1.0
+        rebuild = alpha < 1.0 or res > 0.5 * prev
     else:
         raise NoConvergence(f"no convergence after {MAX_NEWTON_ITER} iterations",
                             best_residual=best)

@@ -43,9 +43,9 @@ points, it builds their bundle itself.  ``classical_hj_residual_rel`` needs
 no gradients and reads g^{MN} through ``metric_inverse``, which given a
 bundle returns the bundle's own.
 A Newton-Cartan residual takes the points or their ``NCDerived`` bundle
-(``nc_geometry``: the stacked frame solves, each derived object computed
-once) and passes on what it was given: given points, it solves the frames
-it always solved; given a bundle, none.  Its divergences read one stacked
+(``nc_geometry``: the stacked frames, inverted once, each derived object
+computed once) and passes on what it was given: given points, it builds the
+bundle it always built; given a bundle, none.  Its divergences read one stacked
 ``derive_nc_partials``.  ``nc_momentum_covector`` and the reduced gauge field
 take M and phi from a bundle, and every kernel that holds one hands it to
 them, so a guidance row reads each closure once.  A node check runs before

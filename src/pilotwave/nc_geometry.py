@@ -18,14 +18,14 @@ whose closed-form inverse has gamma^{uu} = 2 Phi, gamma^{u mu} = -vhat^mu
 and gamma^{mu nu} = h^{mu nu}.  The extra null coordinate u is ordered last.
 
 ``derive_nc`` checks one point, reads tau, e, M and phi there once and
-solves the frame; ``_nc_frames`` stacks those solves for a batch (K, D).
-Either gives an ``NCDerived`` bundle of the points, the solve, M and phi,
-whose derived objects are computed at their first read, once per bundle,
-over leading axes.  ``derive_nc_partials``, the null lift and the identity
-checks take one point (D,), a batch (K, D) or their bundle, through
-``_nc_bundle``, and pass on what they were given: a call given points solves
-the frames it always solved (twice in ``null_lift_residuals``), one given a
-bundle none.
+checks det(tau, e); ``_nc_frames`` stacks those rows for a batch (K, D).
+Either gives an ``NCDerived`` bundle whose inverse frame (one stacked
+``inv`` for a batch) and derived objects are computed at their first read,
+once per bundle, over leading axes.  ``derive_nc_partials``, the null lift
+and the identity checks take one point (D,), a batch (K, D) or their bundle,
+through ``_nc_bundle``, and pass on what they were given: a call given
+points builds the bundles it always built (two in ``null_lift_residuals``),
+one given a bundle none.
 """
 from __future__ import annotations
 
@@ -130,7 +130,7 @@ class NCBackground:
 
 
 class _derived:
-    """An object derived from the frame solve: computed at its first read and kept
+    """An object derived from the frame: computed at its first read and kept
     on the bundle, whose later reads find it there without calling this again.
     Unlike ``functools.cached_property`` it takes no lock (Python 3.11)."""
 
@@ -146,23 +146,25 @@ class _derived:
 
 @dataclass
 class NCDerived:
-    """The frame solve at one point, or its rows stacked along leading axes.
+    """The checked frame at one point, or its rows stacked along leading axes.
 
-    Stored are the checked points, the solve, M and phi; every other object
-    is derived from them, a few products of ``finv`` and ``m`` written once
-    over the leading axes, so it serves one point and a stacked batch alike.
-    Each is computed at its first read and kept, once per bundle.  The fields
-    are not reassigned; the class is not frozen because a frozen __init__
-    costs each single-point row about 1 us more (7 fields).
+    Every object not stored is derived (``finv``, one ``inv`` over the leading axes,
+    and products of it and ``m``), so it serves one point and a stacked batch alike,
+    computed at its first read and kept, once per bundle.  The fields are not reassigned;
+    the class is not frozen: a frozen __init__ costs each row about 1 us more (6 fields).
     """
 
     pt: Array         # the checked point (D,) or points (..., D)
     frame: Array      # (tau, e): tau as column 0, the vierbein as columns 1..D-1
-    finv: Array       # inverse frame: row 0 is -v, rows 1..D-1 are e^mu_a
     m: Array          # mass gauge field M_mu
     phi: Array        # scalar potential phi
     w: Array          # effective mass m - q phi
     vol: Array        # det(tau, e)
+
+    @_derived
+    def finv(self) -> Array:
+        """Inverse frame: row 0 is -v, rows 1..D-1 are e^mu_a."""
+        return np.linalg.inv(self.frame)
 
     @_derived
     def v(self) -> Array:
@@ -223,9 +225,9 @@ class NullLift:
 
 
 def derive_nc(nc: NCBackground, x) -> NCDerived:
-    """Solve the frame relations at one point x: the checked point, the frame, its inverse,
-    M, phi, and w and the volume as shape-() values, from one read of tau, e, M and phi:
-    a bundle as ``_nc_frames`` gives.  Derived objects are computed when first read."""
+    """The frame at one point x, its determinant checked: the checked point, the frame, M,
+    phi, and w and the volume as shape-() values, from one read of tau, e, M and phi: a
+    bundle as ``_nc_frames`` gives.  The inverse frame is computed at its first read."""
     pt = check_point(x, nc.dim)
     frame = np.empty((nc.dim, nc.dim))
     frame[:, 0] = nc.tau(pt)
@@ -235,8 +237,7 @@ def derive_nc(nc: NCBackground, x) -> NCDerived:
         raise DegenerateFrame(f"|det(tau, e)| = {abs(det):.3e} below {FRAME_DET_FLOOR:.0e} "
                               f"at point {pt.tolist()}")
     phi = broadcast_read(nc.phi, pt)
-    return NCDerived(pt=pt, frame=frame, finv=np.linalg.inv(frame),
-                     m=broadcast_read(nc.m_field, pt, 1), phi=phi,
+    return NCDerived(pt=pt, frame=frame, m=broadcast_read(nc.m_field, pt, 1), phi=phi,
                      w=nc.mass - nc.charge * phi[()], vol=det)
 
 
@@ -285,20 +286,18 @@ def derive_nc_partials(nc: NCBackground, x):
 
 def _nc_frames(nc: NCBackground, pt) -> NCDerived:
     """``derive_nc`` at each point of pt, (D,) or (K, D), stacked: the one loop over rows
-    of the Newton-Cartan half.  Each row copies the five fields of its solve into stacks
-    preallocated with pt's leading axes, so one row's solve is alive at a time (lists of
+    of the Newton-Cartan half.  Each row copies the four fields of its check into stacks
+    preallocated with pt's leading axes, so one row's bundle is alive at a time (lists of
     every row's cost a 2,500-point check 2 MB); the points and phi are set once."""
     d, lead = nc.dim, pt.shape[:-1]
-    frame, finv, m = np.empty(lead + (d, d)), np.empty(lead + (d, d)), np.empty(lead + (d,))
-    w, vol = np.empty(lead), np.empty(lead)
+    frame, m, w, vol = (np.empty(lead + shape) for shape in ((d, d), (d,), (), ()))
     # row views of the stacks
-    frames, finvs, ms = frame.reshape(-1, d, d), finv.reshape(-1, d, d), m.reshape(-1, d)
+    frames, ms = frame.reshape(-1, d, d), m.reshape(-1, d)
     ws, vols = w.reshape(-1), vol.reshape(-1)
     for i, row in enumerate(np.reshape(pt, (-1, d))):
         der = derive_nc(nc, row)
-        frames[i], finvs[i], ms[i], ws[i], vols[i] = der.frame, der.finv, der.m, der.w, der.vol
-    return NCDerived(pt=pt, frame=frame, finv=finv, m=m, phi=broadcast_read(nc.phi, pt),
-                     w=w, vol=vol)
+        frames[i], ms[i], ws[i], vols[i] = der.frame, der.m, der.w, der.vol
+    return NCDerived(pt=pt, frame=frame, m=m, phi=broadcast_read(nc.phi, pt), w=w, vol=vol)
 
 
 def _nc_bundle(nc: NCBackground, x) -> tuple[Array, NCDerived]:
@@ -367,7 +366,7 @@ def null_lift_residuals(nc: NCBackground, x) -> dict[str, Array]:
                  large potential (gamma^{uu} = 2 Phi) is not a defect
     volume_gap:  relative gap between sqrt(-det gamma) and |det(tau, e)|
     """
-    lift = null_lift(nc, x)  # given points, it solves their frames as well
+    lift = null_lift(nc, x)  # given points, it builds their bundle as well
     pt, der = _nc_bundle(nc, x)
     inverse_gap = (_max_abs(lift.gamma_inv - np.linalg.inv(lift.gamma), 2)
                    / np.maximum(1.0, _max_abs(lift.gamma_inv, 2)))

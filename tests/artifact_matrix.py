@@ -21,12 +21,13 @@ It runs, through ``pilotwave.cli.main`` in this process:
   ``minkowski-superposition`` (linear-wave) and ``flat-nc-gaussian-packet``
   (nc-quantum-hj), the runs that read only part of a grid's fields;
 - ``hj-verify`` on ``harmonic-oscillator-hj`` at ``hj.fd_step`` 1e-2,
-  where the displaced solves start farthest from their solutions.
+  where the displaced solves start farthest from their solutions, and at
+  0.3, where a start from the base's chord needs that chord rebuilt.
 
 Each line holds the run's label, its exit code, its stderr and the sha256
 of every file it wrote, so two checkouts whose outputs are identical give
 identical text: compare them with ``diff``.  Pytest does not collect this
-file; it takes about 11 s and prints 123 lines.
+file; it takes about 11 s and prints 124 lines.
 """
 import contextlib
 import hashlib
@@ -49,7 +50,7 @@ FRAME_DIMS = (2, 3, 10)
 GAUGED = {"q": 0.5, "a": [0.1, 0.2, -0.1, 0.05]}
 SINGLE_CHECKS = (("curved-diagonal", "classical-hj"), ("minkowski-superposition", "linear-wave"),
                  ("flat-nc-gaussian-packet", "nc-quantum-hj"))
-WIDE_HJ_STEP = {"fd_step": 1e-2}
+WIDE_HJ_STEPS = ({"fd_step": 1e-2}, {"fd_step": 0.3})
 
 
 def runs():
@@ -80,8 +81,9 @@ def runs():
     for name, check in SINGLE_CHECKS:
         doc = {"scenario": {"name": name}, "residuals": [check]}
         yield f"{name} residuals {check}", "residuals", doc, "json"
-    doc = {"scenario": {"name": "harmonic-oscillator-hj"}, "hj": WIDE_HJ_STEP}
-    yield f"harmonic-oscillator-hj hj-verify {json.dumps(WIDE_HJ_STEP)}", "hj-verify", doc, "json"
+    for hj in WIDE_HJ_STEPS:
+        doc = {"scenario": {"name": "harmonic-oscillator-hj"}, "hj": hj}
+        yield f"harmonic-oscillator-hj hj-verify {json.dumps(hj)}", "hj-verify", doc, "json"
 
 
 def fingerprint(tmp, i, command, doc, fmt):

@@ -356,6 +356,20 @@ def test_near_start_reaches_the_cold_solution(monkeypatch, shift):
         assert np.max(np.abs(warm.points - cold.points)) <= 1e-9, label
 
 
+def test_a_slowly_contracting_chord_is_rebuilt():
+    # the lambda_f - d problem of ([0.2], 1.2) at hj.fd_step 0.3, started from
+    # its base and the base's chord inverse: full steps with that chord shrink
+    # max|R| too slowly to converge in MAX_NEWTON_ITER, so the chord must be
+    # rebuilt when a full step fails to halve it (NoConvergence without)
+    sc = build("harmonic-oscillator-hj")
+    bvp = dataclasses.replace(sc.bvp, xf=np.array([0.2]), lambdaf=1.2)
+    base = extremize(sc.system, bvp)
+    moved = dataclasses.replace(bvp, lambdaf=bvp.lambdaf - 0.3)
+    warm, cold = extremize(sc.system, moved, near=base), extremize(sc.system, moved)
+    assert np.array_equal(warm.lambdas, cold.lambdas)
+    assert np.max(np.abs(warm.points - cold.points)) <= 1e-9
+
+
 def test_near_path_must_share_the_node_count():
     sc = build("harmonic-oscillator-hj")
     base = extremize(sc.system, sc.bvp)

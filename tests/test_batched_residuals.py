@@ -16,7 +16,8 @@ frame, and given the points it solves as many as before; a Newton-Cartan
 grid's checks derive their frame partials
 once per residual that takes a divergence, and compute each object derived
 from the frame as often, at most once per stack of frames, whatever the
-size of the grid.  The checks of a grid read each field closure at most
+size of the grid; a bundle inverts its frames once, stacked, at the first
+read of the inverse.  The checks of a grid read each field closure at most
 once, a view's source included, and a closure that fails at one point
 through the CLI names that point.
 """
@@ -771,6 +772,35 @@ def test_each_derived_object_is_computed_once_per_bundle(monkeypatch):
         reads = [[getattr(der, name) for name in NC_DERIVED_OBJECTS] for _ in range(3)]
         assert calls == dict.fromkeys(NC_DERIVED_OBJECTS, 1)
         assert all(a is b for a, b in zip(reads[0], reads[2]))
+
+
+def test_one_frame_inverse_per_bundle(monkeypatch):
+    """A bundle inverts no frame while it is built.  The first read of finv, or of an
+    object derived from it, makes one inverse: of the stacked (K, D, D) frames of a
+    batch, or of the (D, D) frame of one point.  Later reads make none."""
+    bg, _, pts = CASES["nc-wavy-3"]()
+    d, shapes, inv = bg.dim, [], np.linalg.inv
+    monkeypatch.setattr(np.linalg, "inv", lambda a: shapes.append(np.shape(a)) or inv(a))
+    for bundle, shape in ((lambda: ncg._nc_frames(bg, pts), (len(pts), d, d)),
+                          (lambda: ncg.derive_nc(bg, pts[0]), (d, d))):
+        for first in ("finv", "v", "h_up"):
+            shapes.clear()
+            der = bundle()
+            assert shapes == [], first
+            getattr(der, first)
+            assert shapes == [shape], first
+            for name in NC_DERIVED_OBJECTS:
+                getattr(der, name)
+            assert shapes == [shape], first
+
+
+@pytest.mark.parametrize("case", ["nc-wavy-2", "nc-wavy-3", "flat-nc-plane-wave",
+                                  "flat-nc-gaussian-packet", "nc-nontrivial-M"])
+def test_the_stacked_inverse_is_each_row_inverse(case):
+    """The one stacked inverse of a batch holds, to the bit, each row's own inverse."""
+    bg, _, pts = CASES[case]()
+    der = ncg._nc_frames(bg, pts)
+    assert np.array_equal(der.finv, [np.linalg.inv(frame) for frame in der.frame])
 
 
 # ---------------------------------------------------------------------------
