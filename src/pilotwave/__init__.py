@@ -10,8 +10,7 @@ from .errors import (BadParameter, ConfigError, DegenerateFrame,
                      PilotwaveError, SignatureViolation, SingularMetric, StepFailure,
                      TachyonicInput, UnknownScenario)
 from .fields import EPS_NODE, ComplexField, PolarField, complex_view, polar_view
-from .geometry import (BackgroundRel, MetricData, check_point, metric_data,
-                       metric_inverse, volume_element)
+from .geometry import BackgroundRel, MetricData, check_point, metric_data, metric_inverse
 from .nc_geometry import (NCBackground, NCDerived, NullLift, derive_nc, null_lift,
                           null_lift_residuals)
 from .report import GridSpec, ResidualReport

@@ -22,9 +22,11 @@ The background's type picks the velocity law, the constraint and the
 parametrization.  A velocity row is one point, and it checks that point and
 reads each closure it needs once: on Newton-Cartan data tau, e, M and phi
 through one ``derive_nc``, then Abar and dS, with h^{mu nu} formed once; on
-Lorentzian data g (through the checks of ``metric_inverse``), then A and dS,
-with two point checks.  A trajectory's constraint reads the geometry of its
-samples once: one ``metric_data`` bundle, or one frame solve per sample.
+Lorentzian data g, through the row's ``metric_data`` bundle, then A and dS,
+with two point checks.  A trajectory reads the geometry of its samples once:
+one ``metric_data`` bundle, which also gives each sample's momentum
+p = m g Xdot + q A at its guidance velocity, so the constraint at p gates
+that velocity, or one frame solve per sample, with p = dS.
 Each Lagrangian pair shares one checked kernel: the point check, one
 ``metric_data`` or ``derive_nc`` bundle, which also serves Q and A, and the
 timelike (and m^2 + Q > 0) or tau.Xdot > 0 check.
@@ -43,10 +45,10 @@ from .field_equations import (hj_expression, momentum_covector, nc_hj_expression
                               nc_momentum_covector, nc_quantum_potential,
                               quantum_potential_rel)
 from .fields import EPS_NODE, PolarField
-from .geometry import (BackgroundRel, broadcast_read, check_point, check_points,
-                       metric_data, metric_inverse)
+from .geometry import (BackgroundRel, _bundle, broadcast_read, check_point, metric_data,
+                       metric_inverse)
 from .integrators import hermite, integrate_adaptive
-from .nc_geometry import NCBackground, _nc_frames, derive_nc
+from .nc_geometry import NCBackground, _nc_bundle, derive_nc
 from .report import _csv, _json_floats, _json_list
 
 Array = np.ndarray
@@ -56,11 +58,12 @@ MAX_STEP_FRAC = 1e-2   # largest node-guard sample gap, as a fraction of the lam
 
 
 def guidance_velocity_rel(bg: BackgroundRel, f: PolarField, x) -> Array:
-    """u^M = g^{MN}(d_N S - q A_N)/m at one point (D,) or a batch (K, D); unit timelike
-    on the mass shell."""
+    """u^M = g^{MN}(d_N S - q A_N)/m at one point (D,) or a batch (K, D), or at the
+    points of their MetricData bundle; unit timelike on the mass shell."""
     if bg.mass <= MASS_FLOOR:
         raise MassSingular("relativistic guidance needs a positive mass")
-    return np.matvec(metric_inverse(bg, x), momentum_covector(bg, f, x)) / bg.mass
+    md = _bundle(bg, x)
+    return np.matvec(metric_inverse(bg, md), momentum_covector(bg, f, md.pt)) / bg.mass
 
 
 def guidance_velocity_nc(nc: NCBackground, f: PolarField, x) -> Array:
@@ -101,21 +104,20 @@ class GuidanceField:
     def constraint_residual(self, x, p=None) -> Array:
         """HJ expression of the kinetic covector p - qA at x, plus Q.
 
-        x is one point (D,) or a batch (K, D), with momenta p of the same
-        shape; they default to the field's phase gradient dS.  One
-        ``metric_data`` bundle, or one frame solve per point, serves A (on
-        Newton-Cartan data), the HJ expression and Q.
+        x is one point (D,) or a batch (K, D), or their geometry bundle, with
+        momenta p of the same shape; they default to the field's phase
+        gradient dS.  One ``metric_data`` bundle, or one frame solve per
+        point, serves A (on Newton-Cartan data), the HJ expression and Q.
         """
         bg, f = self.background, self.field
-        pt = check_points(x, bg.dim)
-        p = broadcast_read(f.dS, pt, 1) if p is None else np.asarray(p, dtype=float)
-        if isinstance(bg, BackgroundRel):
-            md = metric_data(bg, pt)
-            return (hj_expression(bg, md, p - bg.charge * bg.gauge_at(pt))
-                    + quantum_potential_rel(bg, f, md))
-        der = _nc_frames(bg, pt)
-        return (nc_hj_expression(bg, der, p - bg.charge * bg.reduced_gauge_at(der))
-                + nc_quantum_potential(bg, f, der))
+        rel = isinstance(bg, BackgroundRel)
+        geo = _bundle(bg, x) if rel else _nc_bundle(bg, x)[1]
+        p = broadcast_read(f.dS, geo.pt, 1) if p is None else np.asarray(p, dtype=float)
+        if rel:
+            return (hj_expression(bg, geo, p - bg.charge * bg.gauge_at(geo.pt))
+                    + quantum_potential_rel(bg, f, geo))
+        return (nc_hj_expression(bg, geo, p - bg.charge * bg.reduced_gauge_at(geo))
+                + nc_quantum_potential(bg, f, geo))
 
     @property
     def parametrization(self) -> str:
@@ -129,7 +131,7 @@ class Trajectory:
     parametrization: str
     lambdas: Array          # (K,), strictly increasing
     points: Array           # (K, D)
-    momenta: Array          # (K, D), p_M = d_M S at each sample
+    momenta: Array          # (K, D), p_M at each sample: m g_MN Xdot^N + q A_M, or d_M S (NC)
     constraint: Array       # (K,)
 
     def __post_init__(self):
@@ -234,10 +236,18 @@ def integrate_trajectory(gf: GuidanceField, x0, lambda_span, steps: int = 101,
 
 
 def _assemble_trajectory(gf: GuidanceField, lambdas, points) -> Trajectory:
-    momenta = np.array(broadcast_read(gf.field.dS, points, 1))
-    constraint = gf.constraint_residual(points, momenta)
-    return Trajectory(parametrization=gf.parametrization, lambdas=lambdas,
-                      points=points, momenta=momenta, constraint=constraint)
+    """The samples, their momenta p and the constraint at p: on Lorentzian data p = m g Xdot
+    + q A at the guidance velocity Xdot, from one bundle of the samples; on Newton-Cartan
+    data, where Xdot fixes only the spatial part of the momentum, dS."""
+    bg = gf.background
+    if isinstance(bg, BackgroundRel):
+        geo = metric_data(bg, points)
+        u = guidance_velocity_rel(bg, gf.field, geo)
+        momenta = bg.mass * np.matvec(geo.g, u) + bg.charge * bg.gauge_at(points)
+    else:
+        geo, momenta = points, np.array(broadcast_read(gf.field.dS, points, 1))
+    return Trajectory(parametrization=gf.parametrization, lambdas=lambdas, points=points,
+                      momenta=momenta, constraint=gf.constraint_residual(geo, momenta))
 
 
 # ---------------------------------------------------------------------------

@@ -37,11 +37,12 @@ whole batch, and every kernel runs over the leading axis with the stacked
 products ``np.vecdot``/``np.matvec``/``np.vecmat`` and ``...`` einsum.  A
 point gives shape-() values.  Geometry arrives in one bundle per batch.
 A relativistic residual takes either the points or their
-``geometry.metric_data`` bundle (g^{MN}, sqrt(-g) and their gradients from
-one read of the metric), so every check of one grid reads one bundle; given
-points, it builds their bundle itself.  ``classical_hj_residual_rel`` needs
-no gradients and reads g^{MN} through ``metric_inverse``, which given a
-bundle returns the bundle's own.
+``geometry.metric_data`` bundle (g^{MN} and sqrt(-g) from one read of the
+metric, their gradients derived from one read of d_M g at their first read),
+resolved by ``geometry._bundle``, so every check of one grid reads one bundle;
+given points, it builds their bundle itself.  ``classical_hj_residual_rel``
+reads only g^{MN}, through ``metric_inverse``, so a grid whose checks need no
+gradient reads no d_M g.
 A Newton-Cartan residual takes the points or their ``NCDerived`` bundle
 (``nc_geometry``: the stacked frames, inverted once, each derived object
 computed once) and passes on what it was given: given points, it builds the
@@ -65,8 +66,8 @@ import numpy as np
 
 from .errors import FormMismatch
 from .fields import PSI_AT_NODE, ComplexField, PolarField, _outer, node_check
-from .geometry import (BackgroundRel, MetricData, broadcast_read, check_points, metric_data,
-                       metric_inverse, raise_at_first)
+from .geometry import (BackgroundRel, _bundle, broadcast_read, check_points, metric_inverse,
+                       raise_at_first)
 from .nc_geometry import NCBackground, NCDerived, _nc_bundle, derive_nc_partials
 
 Array = np.ndarray
@@ -139,14 +140,6 @@ def _mass_shell(ginv, k, mass):
 # MetricData bundle of either
 # ---------------------------------------------------------------------------
 
-def _bundle(bg: BackgroundRel, x) -> MetricData:
-    """x itself when it is a bundle of bg's dimension, else the bundle of the points x."""
-    if not isinstance(x, MetricData):
-        return metric_data(bg, x)
-    check_points(x.pt, bg.dim)
-    return x
-
-
 def momentum_covector(bg: BackgroundRel, f: PolarField, x) -> Array:
     """k_M = d_M S - q A_M, from one check of the points x and one read of dS and A."""
     pt = check_points(x, bg.dim)
@@ -161,8 +154,8 @@ def hj_expression(bg: BackgroundRel, x, k):
 
 def classical_hj_residual_rel(bg: BackgroundRel, f: PolarField, x):
     """(dS - qA) g^{-1} (dS - qA) + m^2 at points x or their MetricData bundle x."""
-    pt = x.pt if isinstance(x, MetricData) else x
-    return hj_expression(bg, x, momentum_covector(bg, f, pt))
+    md = _bundle(bg, x)
+    return hj_expression(bg, md, momentum_covector(bg, f, md.pt))
 
 
 def continuity_residual_rel(bg: BackgroundRel, f: PolarField, x):

@@ -5,17 +5,14 @@ the particle parameters (mass, charge).  Everything is a pure function of
 the coordinate point, so a background keeps no state between reads.
 Signature convention is mostly-plus (-, +, ..., +); units are hbar = c = 1.
 
-``metric_data(bg, x)`` is the geometry bundle every residual reads: g_MN,
-then g^{MN} and sqrt(-g) with their gradients, from one checked read of the
-metric.  ``metric_inverse`` and ``volume_element`` give the single objects;
-``metric_inverse`` also takes a bundle and returns its g^{MN}.  A
-relativistic residual takes either the points or the bundle of those
-points, so the checks of one grid share one bundle.
-
-The metric's checks, its inverse, sqrt(-g) and their gradients run at the
-shape the metric closure returns: a constant (D, D) metric is checked,
-inverted and differentiated once per batch, and only the results are
-broadcast to the points, as read-only views.
+``metric_data(bg, x)`` is the one reader of the metric: from one checked
+read it builds the bundle every Lorentzian function reads, g_MN, g^{MN} and
+sqrt(-g) at the shape the metric closure returns, which broadcasts to the
+points, so a constant metric is checked and inverted once per batch.  The
+bundle derives d_M g and the gradients at their first read, so a check that
+needs none reads no d_M g.  ``metric_inverse`` is its g^{MN} at the points.
+Every Lorentzian function takes the points or their bundle (``_bundle``), so
+the checks of one grid share one bundle.
 
 One batch contract runs through the package.  Every closure, here and in
 ``fields`` and ``nc_geometry``, takes one point (D,) or a batch (..., D) and
@@ -112,14 +109,6 @@ def broadcast_read(fn, pts: Array, axes: int = 0, dtype=float) -> Array:
     return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
-def _spread(a: Array, pts: Array, axes: int = 0) -> Array:
-    """a, (D,) * axes per point, as shape pts.shape[:-1] + (D,) * axes: a itself when
-    it has that shape, else a read-only broadcast view, as ``broadcast_read`` returns
-    (which repeats these two lines to spare its per-row callers a call)."""
-    shape = pts.shape[:-1] + pts.shape[-1:] * axes
-    return a if a.shape == shape else np.broadcast_to(a, shape)
-
-
 @dataclass(frozen=True)
 class BackgroundRel:
     """D-dimensional Lorentzian background with particle parameters.
@@ -185,7 +174,7 @@ class BackgroundRel:
 
 
 def _checked_inverse(g: Array, pts: Array) -> tuple[Array, Array]:
-    """(g^{MN}, det g) at each point after the checks that ``metric_inverse`` documents."""
+    """(g^{MN}, det g) at each point after the checks that ``metric_data`` documents."""
     det = np.linalg.det(g)
     raise_at_first(np.abs(det) < DET_FLOOR, pts, SingularMetric,
                    f"|det g| = {{:.3e}} below {DET_FLOOR:.0e}", np.abs(det))
@@ -200,58 +189,77 @@ def _checked_inverse(g: Array, pts: Array) -> tuple[Array, Array]:
     return ginv, det
 
 
-@dataclass(frozen=True)
+class _derived:
+    """An object derived from a bundle's stored fields: computed at its first read and
+    kept on the bundle, whose later reads find it there without calling this again.
+    Unlike ``functools.cached_property`` it takes no lock (Python 3.11)."""
+
+    def __init__(self, fn):
+        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
+
+    def __get__(self, bundle, owner=None):
+        if bundle is None:
+            return self
+        value = bundle.__dict__[self.name] = self.fn(bundle)
+        return value
+
+
+@dataclass
 class MetricData:
-    """Lorentzian geometry at one point, or at each point of a batch along a
-    leading axis, shared by every residual.  Where the metric closure returns
-    one value for the whole batch, every field but ``pt`` is a read-only
-    broadcast view of that one value."""
+    """The checked metric at one point, or at each point of a batch along a leading axis,
+    kept at the shape the metric closure returned, which broadcasts to the points.  The
+    gradients are derived, from one read of d_M g, at their first read.  The fields are
+    not reassigned; the class is not frozen, as ``nc_geometry.NCDerived`` is not: a
+    frozen __init__ costs each row more."""
 
-    pt: Array     # the checked point (D,) or points (K, D)
-    g: Array      # g_MN, its shape and symmetry checked
-    ginv: Array   # g^{MN}
-    dginv: Array  # d_M g^{PQ} = -(g^{-1} d_M g g^{-1}), axis -3 = d_M
-    vol: Array    # sqrt(-det g)
-    dvol: Array   # d_M sqrt(-g) = (1/2) sqrt(-g) tr(g^{-1} d_M g)
+    bg: BackgroundRel  # the background read, whose dmetric the gradients read
+    pt: Array          # the checked point (D,) or points (K, D)
+    g: Array           # g_MN, its shape and symmetry checked
+    ginv: Array        # g^{MN}
+    vol: Array         # sqrt(-det g)
 
+    @_derived
+    def dg(self) -> Array:
+        """d_M g_PQ, axis -3 = d_M, from one read of the background's dmetric."""
+        return self.bg.metric_derivative_at(self.pt)
 
-def metric_inverse(bg: BackgroundRel, x) -> Array:
-    """Contravariant metric g^{MN} at one point (D, D) or at each point of a batch (K, D, D).
+    @_derived
+    def dginv(self) -> Array:
+        """d_M g^{PQ} = -(g^{-1} d_M g g^{-1}), axis -3 = d_M."""
+        ginv = self.ginv[..., None, :, :]
+        return -(ginv @ self.dg @ ginv)
 
-    x is the points or their MetricData bundle.  Given points, it reads the
-    metric once and raises SingularMetric when |det g| is below the floor (or
-    the inverse fails its own residual check) and SignatureViolation when the
-    metric does not have exactly one negative eigenvalue, naming the first
-    such point.  Given a bundle, it checks the dimension and returns the
-    bundle's g^{MN}, which passed those checks when the bundle was built.
-    """
-    if isinstance(x, MetricData):
-        check_points(x.pt, bg.dim)
-        return x.ginv
-    pts = check_points(x, bg.dim)
-    return _spread(_checked_inverse(bg._metric(pts), pts)[0], pts, 2)
-
-
-def _volume(det, pts: Array):
-    raise_at_first(det >= 0.0, pts, SignatureViolation, "det g = {:.3e} is not negative", det)
-    return np.sqrt(-det)
-
-
-def volume_element(bg: BackgroundRel, x):
-    """sqrt(-det g), shape () at one point and (K,) for a batch; requires det g < 0."""
-    pts = check_points(x, bg.dim)
-    return _spread(_volume(np.linalg.det(bg._metric(pts)), pts), pts)
+    @_derived
+    def dvol(self) -> Array:
+        """d_M sqrt(-g) = (1/2) sqrt(-g) tr(g^{-1} d_M g)."""
+        return 0.5 * self.vol[..., None] * np.einsum("...ab,...mba->...m", self.ginv, self.dg)
 
 
 def metric_data(bg: BackgroundRel, x) -> MetricData:
-    """One checked read of the metric at x, (D,) or (K, D), inverted, with sqrt(-det g)."""
+    """The bundle of x, (D,) or (K, D), from one read of the metric: SingularMetric when
+    |det g| is below the floor or the inverse fails its residual check, SignatureViolation
+    when g has not exactly one negative eigenvalue or det g >= 0, at the first such point."""
     pts = check_points(x, bg.dim)
     g = bg._metric(pts)
     ginv, det = _checked_inverse(g, pts)
-    vol = _volume(det, pts)
-    dg = bg.metric_derivative_at(pts)
-    dginv = -(ginv[..., None, :, :] @ dg @ ginv[..., None, :, :])
-    dvol = 0.5 * vol[..., None] * np.einsum("...ab,...mba->...m", ginv, dg)
-    return MetricData(pt=pts, g=_spread(g, pts, 2), ginv=_spread(ginv, pts, 2),
-                      dginv=_spread(dginv, pts, 3), vol=_spread(vol, pts),
-                      dvol=_spread(dvol, pts, 1))
+    raise_at_first(det >= 0.0, pts, SignatureViolation, "det g = {:.3e} is not negative", det)
+    return MetricData(bg, pts, g, ginv, np.sqrt(-det))
+
+
+def _bundle(bg: BackgroundRel, x) -> MetricData:
+    """x itself when it is a bundle of bg's dimension, else the bundle of the points x:
+    the one reading of "points or their bundle" of every Lorentzian function."""
+    if not isinstance(x, MetricData):
+        return metric_data(bg, x)
+    if x.pt.shape[-1] != bg.dim:
+        raise ValueError(f"point has dimension {x.pt.shape[-1]}, expected {bg.dim}")
+    return x
+
+
+def metric_inverse(bg: BackgroundRel, x) -> Array:
+    """g^{MN} at one point (D, D) or at each point of a batch (K, D, D), for the points x
+    or their MetricData bundle x: the bundle's g^{MN} broadcast to its points, as a
+    read-only view where the metric closure returned one value for the batch."""
+    md = _bundle(bg, x)
+    shape = md.pt.shape + md.pt.shape[-1:]
+    return md.ginv if md.ginv.shape == shape else np.broadcast_to(md.ginv, shape)

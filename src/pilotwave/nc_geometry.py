@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateFrame
-from .geometry import broadcast_read, check_point, check_points, raise_at_first
+from .geometry import _derived, broadcast_read, check_point, check_points, raise_at_first
 
 Array = np.ndarray
 
@@ -127,21 +127,6 @@ class NCBackground:
                      for df, shape in ((self.dtau, (d, d)), (self.dvierbein, (d, d, d - 1)),
                                        (self.dm_field, (d, d)), (self.dgauge_bar, (d, d)),
                                        (self.dphi, (d,))))
-
-
-class _derived:
-    """An object derived from the frame: computed at its first read and kept
-    on the bundle, whose later reads find it there without calling this again.
-    Unlike ``functools.cached_property`` it takes no lock (Python 3.11)."""
-
-    def __init__(self, fn):
-        self.fn, self.name, self.__doc__ = fn, fn.__name__, fn.__doc__
-
-    def __get__(self, der, owner=None):
-        if der is None:
-            return self
-        value = der.__dict__[self.name] = self.fn(der)
-        return value
 
 
 @dataclass

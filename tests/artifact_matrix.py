@@ -19,7 +19,9 @@ It runs, through ``pilotwave.cli.main`` in this process:
   Minkowski background;
 - ``residuals`` with one check on ``curved-diagonal`` (classical-hj),
   ``minkowski-superposition`` (linear-wave) and ``flat-nc-gaussian-packet``
-  (nc-quantum-hj), the runs that read only part of a grid's fields;
+  (nc-quantum-hj), the runs that read only part of a grid's fields, and on
+  ``minkowski-plane-wave`` (classical-hj), the one run that builds a
+  constant metric's bundle and never reads its gradients;
 - ``hj-verify`` on ``harmonic-oscillator-hj`` at ``hj.fd_step`` 1e-2,
   where the displaced solves start farthest from their solutions, and at
   0.3, where a start from the base's chord needs that chord rebuilt.
@@ -27,7 +29,7 @@ It runs, through ``pilotwave.cli.main`` in this process:
 Each line holds the run's label, its exit code, its stderr and the sha256
 of every file it wrote, so two checkouts whose outputs are identical give
 identical text: compare them with ``diff``.  Pytest does not collect this
-file; it takes about 11 s and prints 124 lines.
+file; it takes about 11 s and prints 125 lines.
 """
 import contextlib
 import hashlib
@@ -49,7 +51,8 @@ PARAMS = ({"M_t": 1e7}, {"M_t": 1e300}, {"M_x": 1e5})
 FRAME_DIMS = (2, 3, 10)
 GAUGED = {"q": 0.5, "a": [0.1, 0.2, -0.1, 0.05]}
 SINGLE_CHECKS = (("curved-diagonal", "classical-hj"), ("minkowski-superposition", "linear-wave"),
-                 ("flat-nc-gaussian-packet", "nc-quantum-hj"))
+                 ("flat-nc-gaussian-packet", "nc-quantum-hj"),
+                 ("minkowski-plane-wave", "classical-hj"))
 WIDE_HJ_STEPS = ({"fd_step": 1e-2}, {"fd_step": 0.3})
 
 

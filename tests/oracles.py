@@ -21,7 +21,7 @@ from pilotwave.action_principles import (DiscretizedPath, _nodal_partials,
                                          _residual_from_interior, action_value,
                                          differentiation_matrix)
 from pilotwave.fields import complex_view
-from pilotwave.geometry import BackgroundRel, broadcast_read
+from pilotwave.geometry import BackgroundRel, _bundle, broadcast_read
 from pilotwave.integrators import rk45_step
 from pilotwave.nc_geometry import _nc_bundle
 from pilotwave.report import ResidualReport
@@ -227,7 +227,7 @@ def stationarity_probe(sys, path, directions=5):
 
 def ensemble_current(bg, f, x):
     """J^M = rho sqrt(-g) g^{MN}(d_N S - q A_N) at points x or their MetricData bundle."""
-    md = feq._bundle(bg, x)
+    md = _bundle(bg, x)
     return (feq._col(broadcast_read(f.rho, md.pt) * md.vol)
             * np.matvec(md.ginv, feq.momentum_covector(bg, f, md.pt)))
 

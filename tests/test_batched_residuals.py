@@ -33,6 +33,7 @@ import numpy as np
 import pytest
 
 import pilotwave.field_equations as feq
+import pilotwave.geometry as geo
 import pilotwave.nc_geometry as ncg
 import pilotwave.scenarios as scen
 from pilotwave import cli
@@ -40,7 +41,7 @@ from pilotwave.dynamics import guidance_velocity_rel
 from pilotwave.errors import (DegenerateFrame, FormMismatch, NodeEncountered,
                               SignatureViolation, SingularMetric)
 from pilotwave.fields import EPS_NODE, ComplexField, PolarField, complex_view, polar_view
-from pilotwave.geometry import BackgroundRel, metric_data, metric_inverse, volume_element
+from pilotwave.geometry import BackgroundRel, metric_data, metric_inverse
 from pilotwave.nc_geometry import NCBackground
 from pilotwave.scenarios import CHECK_EVALUATORS, build
 import oracles
@@ -82,7 +83,8 @@ NC_IDENTITIES = {
     "null_lift": ("gamma", "gamma_inv", "gauge_lift"),
     "null_lift_residuals": ("product", "inverse_gap", "volume_gap"),
 }
-METRIC_DATA_SHAPES = {"pt": 1, "ginv": 2, "dginv": 3, "vol": 0, "dvol": 1}
+# each object of a MetricData bundle -> its number of axes at one point
+METRIC_DATA_SHAPES = {"pt": 1, "g": 2, "ginv": 2, "dg": 3, "dginv": 3, "vol": 0, "dvol": 1}
 
 
 def _wavy_case(dim, background=make_wavy_rel):
@@ -162,12 +164,13 @@ def _assert_batch_equals_points(bg, fields, pts):
                        [feq.hj_expression(bg, pts[i], k[i]) for i in rows])
     _assert_rows_match(guidance_velocity_rel(bg, fields[POLAR], pts)[rows],
                        [guidance_velocity_rel(bg, fields[POLAR], p) for p in pts[rows]])
-    for fn in (metric_inverse, volume_element):
-        _assert_rows_match(fn(bg, pts)[rows], [fn(bg, p) for p in pts[rows]])
+    _assert_rows_match(metric_inverse(bg, pts)[rows], [metric_inverse(bg, p) for p in pts[rows]])
+    # a bundle keeps the shape its closures return, which broadcasts to the points
     batch = metric_data(bg, pts)
     singles = [metric_data(bg, p) for p in pts[rows]]
-    for field in METRIC_DATA_SHAPES:
-        _assert_rows_match(getattr(batch, field)[rows], [getattr(md, field) for md in singles])
+    for field, axes in METRIC_DATA_SHAPES.items():
+        at_points = np.broadcast_to(getattr(batch, field), pts.shape[:-1] + (bg.dim,) * axes)
+        _assert_rows_match(at_points[rows], [getattr(md, field) for md in singles])
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -282,7 +285,6 @@ def test_one_point_keeps_its_types_and_shapes():
     x = pts[0]
     assert np.shape(feq.hj_expression(bg, x, np.ones(dim))) == ()
     assert metric_inverse(bg, x).shape == (dim, dim)
-    assert np.shape(volume_element(bg, x)) == ()
     md = metric_data(bg, x)
     for field, ndim in METRIC_DATA_SHAPES.items():
         assert np.shape(getattr(md, field)) == (dim,) * ndim, field
@@ -354,7 +356,9 @@ NC_DERIVED_SHAPES = {"pt": lambda d: (d,), "frame": lambda d: (d, d), "finv": la
                      "hbar_down": lambda d: (d, d), "v_hat": lambda d: (d,),
                      "e_hat": lambda d: (d, d - 1), "Phi": lambda d: ()}
 NC_DERIVED_OBJECTS = [name for name, value in vars(ncg.NCDerived).items()
-                      if isinstance(value, ncg._derived)]
+                      if isinstance(value, geo._derived)]
+METRIC_DERIVED_OBJECTS = [name for name, value in vars(geo.MetricData).items()
+                          if isinstance(value, geo._derived)]
 
 
 @pytest.mark.parametrize("case", ["nc-wavy-2", "nc-wavy-3", "flat-nc-plane-wave",
@@ -720,8 +724,6 @@ def _counted_check(monkeypatch, tmp_path, name, samples, functions):
 
 
 def test_the_grid_is_not_split_into_points(monkeypatch, tmp_path):
-    import pilotwave.geometry as geo
-
     geometry = {"metric_data": geo.metric_data, "metric_inverse": geo.metric_inverse}
     for name in ("curved-diagonal", "minkowski-superposition"):
         small, large = (_counted_check(monkeypatch, tmp_path, name, n, geometry)
@@ -752,26 +754,58 @@ def test_the_grid_is_not_split_into_points(monkeypatch, tmp_path):
 
 
 def test_each_derived_object_is_computed_once_per_bundle(monkeypatch):
-    """A bundle, of one point or of a batch, computes each derived object at its first
-    read and keeps it: h_up serves v_hat, Phi and its own reads alike."""
+    """A bundle of either half, of one point or of a batch, derives nothing while it is
+    built, then each derived object at its first read, and keeps it: h_up serves v_hat,
+    Phi and its own reads alike, and one d_M g serves dginv and dvol."""
     calls = Counter()
 
     def counted(name, fn):
         @functools.wraps(fn)
-        def wrapper(der):
+        def wrapper(bundle):
             calls[name] += 1
-            return fn(der)
+            return fn(bundle)
         return wrapper
 
-    for name in NC_DERIVED_OBJECTS:
-        original = vars(ncg.NCDerived)[name]
-        monkeypatch.setattr(ncg.NCDerived, name, ncg._derived(counted(name, original.fn)))
-    bg, _, pts = CASES["nc-wavy-3"]()
-    for der in (ncg.derive_nc(bg, pts[0]), ncg._nc_frames(bg, pts)):
+    for cls, names in ((ncg.NCDerived, NC_DERIVED_OBJECTS),
+                       (geo.MetricData, METRIC_DERIVED_OBJECTS)):
+        for name in names:
+            original = vars(cls)[name]
+            monkeypatch.setattr(cls, name, geo._derived(counted(name, original.fn)))
+    nc, _, nc_pts = CASES["nc-wavy-3"]()
+    rel, _, rel_pts = CASES["wavy-3"]()
+    assert METRIC_DERIVED_OBJECTS == ["dg", "dginv", "dvol"]
+    for bundle, names in ((lambda: ncg.derive_nc(nc, nc_pts[0]), NC_DERIVED_OBJECTS),
+                          (lambda: ncg._nc_frames(nc, nc_pts), NC_DERIVED_OBJECTS),
+                          (lambda: metric_data(rel, rel_pts[0]), METRIC_DERIVED_OBJECTS),
+                          (lambda: metric_data(rel, rel_pts), METRIC_DERIVED_OBJECTS)):
         calls.clear()
-        reads = [[getattr(der, name) for name in NC_DERIVED_OBJECTS] for _ in range(3)]
-        assert calls == dict.fromkeys(NC_DERIVED_OBJECTS, 1)
+        der = bundle()
+        assert calls == {}
+        reads = [[getattr(der, name) for name in names] for _ in range(3)]
+        assert calls == dict.fromkeys(names, 1)
         assert all(a is b for a, b in zip(reads[0], reads[2]))
+
+
+def test_a_grid_reads_the_metric_derivative_only_for_a_gradient(monkeypatch, tmp_path):
+    """A Lorentzian grid's bundle reads d_M g at the first read of a gradient: a
+    classical-hj-only residuals run, which reads g^{MN} alone, never reads it, and a
+    check reads it once for the grid."""
+    reads = []
+    builder = scen.REGISTRY["curved-diagonal"]
+
+    def counted_build(params):
+        sc = builder(params)
+        bg = sc.background
+        counted = dataclasses.replace(bg, dmetric=lambda x: reads.append(1) or bg.dmetric(x))
+        return dataclasses.replace(sc, background=counted)
+
+    monkeypatch.setitem(scen.REGISTRY, "curved-diagonal", counted_build)
+    for command, extra, expected in (("residuals", {"residuals": ["classical-hj"]}, 0),
+                                     ("check", {}, 1)):
+        reads.clear()
+        doc = {"scenario": {"name": "curved-diagonal"}, **extra}
+        status = cli.run(command, cli.RunConfig.from_dict(doc), out_dir=str(tmp_path / command))
+        assert status == 0 and len(reads) == expected, command
 
 
 def test_one_frame_inverse_per_bundle(monkeypatch):

@@ -12,6 +12,7 @@ import pilotwave.dynamics as dyn
 import pilotwave.field_equations as feq
 import pilotwave.geometry as geometry
 import pilotwave.nc_geometry as ncg
+from pilotwave import cli
 from pilotwave.dynamics import (GuidanceField, guidance_velocity_nc, guidance_velocity_rel,
                                 integrate_trajectory, lagrangian_nc,
                                 lagrangian_quantum_rel, momentum_nc_classical,
@@ -432,6 +433,12 @@ def test_lagrangian_reads(name):
     assert calls == expected
 
 
+# the Lorentzian trajectory scenarios whose momenta the constraint gates: a curved metric,
+# and a charged particle in a constant gauge field
+LORENTZIAN_WORLDLINES = [("curved-diagonal", {}),
+                         ("minkowski-plane-wave", {"q": 0.5, "a": [0.1, 0.2, -0.1, 0.05]})]
+
+
 class TestHamiltonianConstraint:
     def test_plane_wave_trajectory(self):
         sc = build("minkowski-plane-wave")
@@ -452,7 +459,7 @@ class TestHamiltonianConstraint:
     def test_constraint_reads_the_geometry_once(self, name, expected, monkeypatch):
         calls = Counter()
         for module, fn_name in ((ncg, "derive_nc"), (feq, "derive_nc_partials"),
-                                (feq, "metric_inverse"), (dyn, "metric_data")):
+                                (feq, "metric_inverse"), (geometry, "metric_data")):
             def counted(*args, fn=getattr(module, fn_name), fn_name=fn_name):
                 # a bundle's g^{MN} is no read of the geometry: count calls given points
                 if not isinstance(args[1], geometry.MetricData):
@@ -494,6 +501,28 @@ class TestHamiltonianConstraint:
         traj = integrate_trajectory(gf, np.zeros(4), (0.0, 1.0), steps=5)
         expect = abs(feq.classical_hj_residual_rel(bg, f, np.zeros(4)))
         assert abs(traj.constraint[0]) == pytest.approx(expect, rel=1e-12)
+
+    @pytest.mark.parametrize("name, params", LORENTZIAN_WORLDLINES)
+    def test_the_constraint_gates_the_worldline_velocity(self, name, params, monkeypatch,
+                                                         tmp_path):
+        """On Lorentzian data each sample records p = m g Xdot + q A, with Xdot the guidance
+        velocity there, and the constraint is taken at p: a guidance law 5% too fast moves
+        p off the mass shell by (1.05^2 - 1) m^2, so trajectories exits 1 where the guided
+        run exits 0."""
+        cfg = cli.RunConfig.from_dict({"scenario": {"name": name, "params": params}})
+        assert cli.run("trajectories", cfg, out_dir=str(tmp_path / "guided")) == 0
+        law = dyn.guidance_velocity_rel
+        monkeypatch.setattr(dyn, "guidance_velocity_rel", lambda *args: 1.05 * law(*args))
+        sc = build(name, params)
+        bg, f = sc.background, sc.polar
+        traj = integrate_trajectory(GuidanceField(background=bg, field=f),
+                                    sc.default_seeds[0], sc.default_span, steps=11)
+        for x, p in zip(traj.points, traj.momenta):
+            xdot = 1.05 * law(bg, f, x)
+            expect = bg.mass * geometry.metric_data(bg, x).g @ xdot + bg.charge * bg.gauge_at(x)
+            assert np.max(np.abs(p - expect)) <= 1e-15 * max(1.0, np.max(np.abs(expect)))
+        assert np.max(np.abs(traj.constraint)) > 0.05 * bg.mass**2
+        assert cli.run("trajectories", cfg, out_dir=str(tmp_path / "fast")) == 1
 
 
 @settings(max_examples=80)

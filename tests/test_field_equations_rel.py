@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 import pilotwave.field_equations as feq
 from pilotwave.fields import PolarField, complex_view, polar_view
-from pilotwave.geometry import BackgroundRel, metric_inverse, volume_element
+from pilotwave.geometry import BackgroundRel, metric_data, metric_inverse
 from pilotwave.scenarios import build
 from oracles import classical_field_equation_report, ensemble_current, nested_divergence
 
@@ -61,7 +61,7 @@ class TestEnsembleCurrent:
         x = np.array([0.25, -0.4])
         j = ensemble_current(wavy_rel, wavy_polar, x)
         ginv = metric_inverse(wavy_rel, x)
-        vol = volume_element(wavy_rel, x)
+        vol = metric_data(wavy_rel, x).vol
         k = wavy_polar.dS(x) - wavy_rel.charge * wavy_rel.gauge_at(x)
         expect = np.array([wavy_polar.rho(x) * vol * sum(ginv[m, n] * k[n] for n in range(2))
                            for m in range(2)])
@@ -138,13 +138,13 @@ class TestQuantumPotential:
 
             def bracket(p):
                 ginv = metric_inverse(wavy_rel, p)
-                vol = volume_element(wavy_rel, p)
+                vol = metric_data(wavy_rel, p).vol
                 dr = wavy_polar.drho(p)
                 return vol * (ginv @ dr) / (2.0 * wavy_polar.rho(p))
 
             oracle = (-(wavy_polar.drho(x) @ metric_inverse(wavy_rel, x)
                         @ wavy_polar.drho(x)) / (4.0 * wavy_polar.rho(x) ** 2)
-                      - nested_divergence(bracket, x) / volume_element(wavy_rel, x))
+                      - nested_divergence(bracket, x) / metric_data(wavy_rel, x).vol)
             assert abs(val - oracle) < 1e-6
 
 
@@ -212,14 +212,14 @@ class TestLinearWave:
 
             def bracket(p):
                 ginv = metric_inverse(wavy_rel, p)
-                vol = volume_element(wavy_rel, p)
+                vol = metric_data(wavy_rel, p).vol
                 dcov = cf.dpsi(p) - 1j * wavy_rel.charge * wavy_rel.gauge_at(p) * cf.psi(p)
                 return vol * (ginv @ dcov)
 
             a_cov = wavy_rel.gauge_at(x)
             div = nested_divergence(bracket, x) \
                 - 1j * wavy_rel.charge * (a_cov @ bracket(x))
-            oracle = div / volume_element(wavy_rel, x) - wavy_rel.mass**2 * cf.psi(x)
+            oracle = div / metric_data(wavy_rel, x).vol - wavy_rel.mass**2 * cf.psi(x)
             assert abs(val - oracle) < 1e-6
 
 
@@ -252,7 +252,7 @@ class TestClassicalWave:
             rho = wavy_polar.rho(x)
             rhs = cf.psi(x) * (-feq.classical_hj_residual_rel(wavy_rel, wavy_polar, x)
                                + 1j * feq.continuity_residual_rel(wavy_rel, wavy_polar, x)
-                               / (rho * volume_element(wavy_rel, x)))
+                               / (rho * metric_data(wavy_rel, x).vol))
             assert abs(lhs - rhs) < 1e-10
 
     def test_printed_variant_reports_discrepancy(self):

@@ -9,8 +9,7 @@ import pilotwave.geometry as geometry
 from oracles import cofactor_det
 from pilotwave.errors import SignatureViolation, SingularMetric
 from pilotwave.field_equations import classical_hj_residual_rel
-from pilotwave.geometry import (BackgroundRel, check_point, metric_data,
-                                metric_inverse, volume_element)
+from pilotwave.geometry import BackgroundRel, check_point, metric_data, metric_inverse
 from pilotwave.nc_geometry import NCBackground
 from pilotwave.report import GridSpec
 from pilotwave.scenarios import build
@@ -48,17 +47,17 @@ def test_perturbed_inverse_residual(seed):
 
 
 def test_volume_element_trivial_values():
-    assert volume_element(BackgroundRel.minkowski(4), np.zeros(4)) == pytest.approx(1.0)
+    assert metric_data(BackgroundRel.minkowski(4), np.zeros(4)).vol == pytest.approx(1.0)
     bg = BackgroundRel.constant(np.diag([-4.0, 1.0, 1.0, 1.0]))
-    assert volume_element(bg, np.zeros(4)) == pytest.approx(2.0)
+    assert metric_data(bg, np.zeros(4)).vol == pytest.approx(2.0)
 
 
 def test_volume_element_against_cofactor_oracle():
     bg = make_wavy_rel(dim=3, seed=9)
     rng = np.random.default_rng(0)
     for x in rng.uniform(-1, 1, size=(20, 3)):
-        g = metric_data(bg, x).g
-        vol = volume_element(bg, x)
+        md = metric_data(bg, x)
+        g, vol = md.g, md.vol
         assert abs(vol - np.sqrt(-cofactor_det(g))) < 1e-12
         # vol^2 + det g = 0 to relative 1e-12
         det = np.linalg.det(g)
@@ -100,7 +99,7 @@ def test_volume_element_derivative_matches_fd(wavy_rel):
     x = np.array([0.3, -0.4])
     dvol = metric_data(wavy_rel, x).dvol
     from oracles import nested_gradient
-    fd = nested_gradient(lambda p: volume_element(wavy_rel, p), x)
+    fd = nested_gradient(lambda p: metric_data(wavy_rel, p).vol, x)
     assert np.max(np.abs(dvol - fd)) < 1e-8
 
 
@@ -146,7 +145,7 @@ def test_metric_data_reads_the_metric_once(wavy_rel):
     md = metric_data(bg, np.array([0.3, -0.4]))
     assert len(reads) == 1
     assert np.array_equal(md.ginv, metric_inverse(wavy_rel, md.pt))
-    assert md.vol == volume_element(wavy_rel, md.pt)
+    assert md.vol == np.sqrt(-np.linalg.det(wavy_rel.metric(md.pt)))
 
 
 def _counting_metric(bg):
@@ -155,8 +154,8 @@ def _counting_metric(bg):
     return dataclasses.replace(bg, metric=lambda x: reads.append(1) or bg.metric(x)), reads
 
 
-# the documented shape of each batch result, after the batch axis, in units of (D,)
-BATCH_SHAPES = {"g": 2, "ginv": 2, "dginv": 3, "vol": 0, "dvol": 1}
+# the shape of each bundle object at one point, in units of (D,)
+BATCH_SHAPES = {"g": 2, "ginv": 2, "dg": 3, "dginv": 3, "vol": 0, "dvol": 1}
 
 
 @pytest.mark.parametrize("name", ["minkowski", "curved-diagonal"])
@@ -175,21 +174,24 @@ def test_one_solve_per_distinct_metric(name, monkeypatch):
         return inverse(g, x)
 
     monkeypatch.setattr(geometry, "_checked_inverse", spy)
-    md, ginv, vol = metric_data(bg, pts), metric_inverse(bg, pts), volume_element(bg, pts)
+    md, ginv = metric_data(bg, pts), metric_inverse(bg, pts)
     # the constant Minkowski metric is solved once for the whole batch
     assert shapes == [(dim, dim) if name == "minkowski" else (k, dim, dim)] * 2
     monkeypatch.undo()
     rows = [metric_data(bg, p) for p in pts]
     for field, axes in BATCH_SHAPES.items():
+        # the bundle keeps the shape its closures return, which broadcasts to the points:
+        # one value for the whole batch where the metric is constant
         batch = getattr(md, field)
-        assert batch.shape == (k,) + (dim,) * axes, field
-        assert np.array_equal(batch, np.stack([getattr(row, field) for row in rows])), field
+        if name == "minkowski":
+            assert batch.shape == (dim,) * axes, field
+        at_points = np.broadcast_to(batch, (k,) + (dim,) * axes)
+        assert np.array_equal(at_points, np.stack([getattr(row, field) for row in rows])), field
     assert np.array_equal(md.pt, pts)
-    assert ginv.shape == (k, dim, dim) and vol.shape == (k,)
+    assert ginv.shape == (k, dim, dim)
     assert np.array_equal(ginv, np.stack([metric_inverse(bg, p) for p in pts]))
-    assert np.array_equal(vol, np.stack([volume_element(bg, p) for p in pts]))
-    # a constant's results reach the points as read-only views of the one solve
-    assert ginv.flags.writeable == md.ginv.flags.writeable == (name != "minkowski")
+    # a constant's g^{MN} reaches the points as a read-only view of the one solve
+    assert ginv.flags.writeable == (name != "minkowski")
 
 
 def test_metric_inverse_takes_a_bundle(wavy_rel):
@@ -229,37 +231,31 @@ def _constant(g):
 ASYMMETRIC = r"metric is not symmetric \(max \|g - g\^T\| = 1\.000e-06\)"
 
 
-# each failing constant metric: the error and text of metric_inverse and metric_data,
-# then those of volume_element, which checks only the sign of det g
-@pytest.mark.parametrize("g, error, message, volume_error, volume_message", [
-    (np.diag([-1.0, 0.0]), SingularMetric, r"\|det g\| = 0\.000e\+00 below 1e-14",
-     SignatureViolation, r"det g = -?0\.000e\+00 is not negative"),
-    (np.eye(2), SignatureViolation, r"metric must have exactly one negative eigenvalue, has 0",
-     SignatureViolation, r"det g = 1\.000e\+00 is not negative"),
-    (np.array([[-1.0, 1e-6], [0.0, 1.0]]), ValueError, ASYMMETRIC, ValueError, ASYMMETRIC)])
-def test_a_constant_metric_that_fails_names_the_first_point(g, error, message, volume_error,
-                                                            volume_message):
+# each failing constant metric: the error and text of metric_inverse and metric_data
+@pytest.mark.parametrize("g, error, message", [
+    (np.diag([-1.0, 0.0]), SingularMetric, r"\|det g\| = 0\.000e\+00 below 1e-14"),
+    (np.eye(2), SignatureViolation, r"metric must have exactly one negative eigenvalue, has 0"),
+    (np.array([[-1.0, 1e-6], [0.0, 1.0]]), ValueError, ASYMMETRIC)])
+def test_a_constant_metric_that_fails_names_the_first_point(g, error, message):
     bg = _constant(g)
     for call in (metric_inverse, metric_data):
         with pytest.raises(error, match="^" + message + AT_FIRST):
             call(bg, BATCH)
         with pytest.raises(error, match="^" + message + r" at point \[1\.0, 2\.0\]$"):
             call(bg, BATCH[1])
-    with pytest.raises(volume_error, match="^" + volume_message + AT_FIRST):
-        volume_element(bg, BATCH)
 
 
 def test_a_metric_that_does_not_broadcast_to_the_points_is_a_shape_error():
     bg = _constant(np.broadcast_to(np.diag([-1.0, 1.0]), (2, 2, 2)))
-    for call in (metric_inverse, metric_data, volume_element):
+    for call in (metric_inverse, metric_data):
         for x, expected in ((BATCH, r"\(3, 2, 2\)"), (BATCH[0], r"\(2, 2\)")):
             with pytest.raises(ValueError,
                                match=rf"^metric has shape \(2, 2, 2\), expected {expected}$"):
                 call(bg, x)
     # a closure's value of leading shape 1 broadcasts to any batch
     eta = np.diag([-1.0, 1.0])
-    assert np.array_equal(metric_data(_constant(eta[None]), BATCH).ginv,
-                          metric_data(_constant(eta), BATCH).ginv)
+    assert np.array_equal(metric_inverse(_constant(eta[None]), BATCH),
+                          metric_inverse(_constant(eta), BATCH))
 
 
 def test_singular_metric_raises():
@@ -271,10 +267,9 @@ def test_singular_metric_raises():
 
 def test_signature_violation_raises():
     bg = BackgroundRel.constant(np.eye(4))
-    with pytest.raises(SignatureViolation):
-        metric_inverse(bg, np.zeros(4))
-    with pytest.raises(SignatureViolation):
-        volume_element(bg, np.zeros(4))
+    for call in (metric_inverse, metric_data):
+        with pytest.raises(SignatureViolation):
+            call(bg, np.zeros(4))
     two_negative = BackgroundRel.constant(np.diag([-1.0, -1.0, 1.0, 1.0]))
     with pytest.raises(SignatureViolation):
         metric_inverse(two_negative, np.zeros(4))

@@ -17,7 +17,11 @@ once and read each closure once, with
     PYTHONPATH=src python tests/test_guidance_equivalence.py --regenerate
 
 run from the root of the checkout.  Each recorded value must be reproduced
-bit for bit.
+bit for bit, except the momenta and constraint of the Lorentzian
+trajectories: they were recorded as dS and the constraint at dS, and the
+momentum column now records m g Xdot + q A, the momentum of the worldline's
+own velocity, with the constraint taken there.  On a guidance worldline the
+two agree to round-off, so those arrays must be reproduced to 1e-15.
 """
 import json
 import os
@@ -102,12 +106,22 @@ def test_guidance_velocities_match_recorded(case):
         assert _same_bits(new, recorded), f"{case} at {x.tolist()}: {new} vs {recorded}"
 
 
+# scenario -> the arrays of its trajectories that are reproduced to round-off, not bit for bit
+ROUND_OFF_ARRAYS = {"curved-diagonal": ("p", "constraint")}
+ROUND_OFF = 1e-15
+
+
 def test_worldlines_match_recorded():
     new = trajectories()
     assert set(new) == set(RECORDED["trajectories"])
     for name, arrays in RECORDED["trajectories"].items():
+        near = ROUND_OFF_ARRAYS.get(name.split("/")[0], ())
         for key, old in arrays.items():
-            assert _same_bits(new[name][key], old), f"{name}/{key}"
+            if key in near:
+                gap = np.abs(np.asarray(new[name][key]) - np.asarray(old))
+                assert np.all(gap <= ROUND_OFF * np.maximum(1.0, np.abs(old))), f"{name}/{key}"
+            else:
+                assert _same_bits(new[name][key], old), f"{name}/{key}"
 
 
 if __name__ == "__main__" and "--regenerate" in sys.argv:

@@ -103,11 +103,11 @@ def test_curved_scenario_phase_solves_hj_exactly():
 
 def test_curved_scenario_volume_matches_cofactor_oracle():
     from oracles import cofactor_det
-    from pilotwave.geometry import metric_data, volume_element
+    from pilotwave.geometry import metric_data
     sc = build("curved-diagonal")
     for x in sc.default_grid.points()[::11]:
-        g = metric_data(sc.background, x).g
-        assert abs(volume_element(sc.background, x) - np.sqrt(-cofactor_det(g))) < 1e-12
+        md = metric_data(sc.background, x)
+        assert abs(md.vol - np.sqrt(-cofactor_det(md.g))) < 1e-12
 
 
 def test_scenario_checks_pass_their_own_tolerances():
