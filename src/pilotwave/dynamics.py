@@ -26,7 +26,8 @@ Lorentzian data g, through the row's ``metric_data`` bundle, then A and dS,
 with two point checks.  A trajectory reads the geometry of its samples once:
 one ``metric_data`` bundle, which also gives each sample's momentum
 p = m g Xdot + q A at its guidance velocity, so the constraint at p gates
-that velocity, or one frame solve per sample, with p = dS.
+that velocity (A is read twice: for Xdot, and for the q A that p adds and
+the constraint takes off), or one frame solve per sample, with p = dS.
 Each Lagrangian pair shares one checked kernel: the point check, one
 ``metric_data`` or ``derive_nc`` bundle, which also serves Q and A, and the
 timelike (and m^2 + Q > 0) or tau.Xdot > 0 check.
@@ -101,23 +102,24 @@ class GuidanceField:
             return guidance_velocity_rel(self.background, self.field, x)
         return guidance_velocity_nc(self.background, self.field, x)
 
-    def constraint_residual(self, x, p=None) -> Array:
+    def constraint_residual(self, x, p=None, qa=None) -> Array:
         """HJ expression of the kinetic covector p - qA at x, plus Q.
 
         x is one point (D,) or a batch (K, D), or their geometry bundle, with
         momenta p of the same shape; they default to the field's phase
-        gradient dS.  One ``metric_data`` bundle, or one frame solve per
-        point, serves A (on Newton-Cartan data), the HJ expression and Q.
+        gradient dS.  qa, the q A that p holds, is read at x unless given.
+        One ``metric_data`` bundle, or one frame solve per point, serves A
+        (on Newton-Cartan data), the HJ expression and Q.
         """
         bg, f = self.background, self.field
         rel = isinstance(bg, BackgroundRel)
         geo = _bundle(bg, x) if rel else _nc_bundle(bg, x)[1]
         p = broadcast_read(f.dS, geo.pt, 1) if p is None else np.asarray(p, dtype=float)
+        if qa is None:
+            qa = bg.charge * (bg.gauge_at(geo.pt) if rel else bg.reduced_gauge_at(geo))
         if rel:
-            return (hj_expression(bg, geo, p - bg.charge * bg.gauge_at(geo.pt))
-                    + quantum_potential_rel(bg, f, geo))
-        return (nc_hj_expression(bg, geo, p - bg.charge * bg.reduced_gauge_at(geo))
-                + nc_quantum_potential(bg, f, geo))
+            return hj_expression(bg, geo, p - qa) + quantum_potential_rel(bg, f, geo)
+        return nc_hj_expression(bg, geo, p - qa) + nc_quantum_potential(bg, f, geo)
 
     @property
     def parametrization(self) -> str:
@@ -243,11 +245,12 @@ def _assemble_trajectory(gf: GuidanceField, lambdas, points) -> Trajectory:
     if isinstance(bg, BackgroundRel):
         geo = metric_data(bg, points)
         u = guidance_velocity_rel(bg, gf.field, geo)
-        momenta = bg.mass * np.matvec(geo.g, u) + bg.charge * bg.gauge_at(points)
+        qa = bg.charge * bg.gauge_at(points)  # the q A that p adds, and the constraint takes off
+        momenta = bg.mass * np.matvec(geo.g, u) + qa
     else:
-        geo, momenta = points, np.array(broadcast_read(gf.field.dS, points, 1))
+        geo, qa, momenta = points, None, np.array(broadcast_read(gf.field.dS, points, 1))
     return Trajectory(parametrization=gf.parametrization, lambdas=lambdas, points=points,
-                      momenta=momenta, constraint=gf.constraint_residual(geo, momenta))
+                      momenta=momenta, constraint=gf.constraint_residual(geo, momenta, qa))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,9 @@ sqrt(-g) at the shape the metric closure returns, which broadcasts to the
 points, so a constant metric is checked and inverted once per batch.  The
 bundle derives d_M g and the gradients at their first read, so a check that
 needs none reads no d_M g.  ``metric_inverse`` is its g^{MN} at the points.
+A 2x2 determinant, here and in ``nc_geometry``, is taken in closed form by
+``_det``, with numpy's (LAPACK's) det where that is not finite; at D = 2 the
+signature comes from det g and the trace, and ``eigvalsh`` runs at D >= 3.
 Every Lorentzian function takes the points or their bundle (``_bundle``), so
 the checks of one grid share one bundle.
 
@@ -22,10 +25,12 @@ function of this module takes one point (D,) or a batch (K, D), reads each
 closure once for the whole batch and runs every check and every product as
 one stacked numpy call over the leading axis.  A check that fails names the
 first failing point.  A point is a batch without the leading axis: a scalar
-comes back as a shape-() numpy value.
+comes back as a shape-() numpy value, and one point's coordinates are
+checked as Python floats.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -49,7 +54,8 @@ def check_points(x, dim: int | None = None) -> Array:
         raise ValueError("points live in spacetime: need at least 2 coordinates")
     if dim is not None and pts.shape[-1] != dim:
         raise ValueError(f"point has dimension {pts.shape[-1]}, expected {dim}")
-    if not np.isfinite(pts).all():
+    # one point is checked as Python floats, which costs it less than a numpy reduction
+    if not (all(map(math.isfinite, pts.tolist())) if pts.ndim == 1 else np.isfinite(pts).all()):
         raise_at_first(~np.isfinite(pts).all(axis=-1), pts, ValueError, "non-finite coordinates")
     return pts
 
@@ -173,12 +179,36 @@ class BackgroundRel:
         return broadcast_read(self.dgauge, check_points(x, self.dim), 2)
 
 
+def _det(a: Array) -> Array:
+    """det a over the leading axes of a (..., n, n).  A 2x2 is taken in closed form,
+    a00 a11 - a01 a10; where that is not finite, and at every other size, numpy's det
+    (LAPACK's LU) gives the value, and its warning or error under the caller's
+    ``np.errstate``."""
+    if a.shape[-2:] == (2, 2):
+        if a.ndim == 2:  # one matrix, as Python floats: an overflow gives inf, not an error
+            (a00, a01), (a10, a11) = a.tolist()
+            det = a00 * a11 - a01 * a10
+            if math.isfinite(det):
+                return np.float64(det)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                det = a[..., 0, 0] * a[..., 1, 1] - a[..., 0, 1] * a[..., 1, 0]
+            if np.isfinite(det).all():
+                return det
+    return np.linalg.det(a)
+
+
 def _checked_inverse(g: Array, pts: Array) -> tuple[Array, Array]:
     """(g^{MN}, det g) at each point after the checks that ``metric_data`` documents."""
-    det = np.linalg.det(g)
+    det = _det(g)
     raise_at_first(np.abs(det) < DET_FLOOR, pts, SingularMetric,
                    f"|det g| = {{:.3e}} below {DET_FLOOR:.0e}", np.abs(det))
-    negative = (np.linalg.eigvalsh(g) < 0.0).sum(axis=-1)
+    if g.shape[-1] == 2:
+        # a symmetric 2x2 has one negative eigenvalue where det g < 0, else none or two,
+        # as the sign of its trace says
+        negative = (det < 0.0) + 2 * ((det > 0.0) & (g[..., 0, 0] + g[..., 1, 1] < 0.0))
+    else:
+        negative = (np.linalg.eigvalsh(g) < 0.0).sum(axis=-1)
     raise_at_first(negative != 1, pts, SignatureViolation,
                    "metric must have exactly one negative eigenvalue, has {}", negative)
     ginv = np.linalg.inv(g)

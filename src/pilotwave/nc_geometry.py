@@ -18,7 +18,9 @@ whose closed-form inverse has gamma^{uu} = 2 Phi, gamma^{u mu} = -vhat^mu
 and gamma^{mu nu} = h^{mu nu}.  The extra null coordinate u is ordered last.
 
 ``derive_nc`` checks one point, reads tau, e, M and phi there once and
-checks det(tau, e); ``_nc_frames`` stacks those rows for a batch (K, D).
+checks det(tau, e), which ``geometry._det`` takes in closed form at D = 2
+(LAPACK's where that is not finite); ``_nc_frames`` stacks those rows for a
+batch (K, D).
 Either gives an ``NCDerived`` bundle whose inverse frame (one stacked
 ``inv`` for a batch) and derived objects are computed at their first read,
 once per bundle, over leading axes.  ``derive_nc_partials``, the null lift
@@ -35,7 +37,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateFrame
-from .geometry import _derived, broadcast_read, check_point, check_points, raise_at_first
+from .geometry import _det, _derived, broadcast_read, check_point, check_points, raise_at_first
 
 Array = np.ndarray
 
@@ -217,7 +219,7 @@ def derive_nc(nc: NCBackground, x) -> NCDerived:
     frame = np.empty((nc.dim, nc.dim))
     frame[:, 0] = nc.tau(pt)
     frame[:, 1:] = nc.vierbein(pt)
-    det = np.linalg.det(frame)
+    det = _det(frame)
     if abs(det) < FRAME_DET_FLOOR:
         raise DegenerateFrame(f"|det(tau, e)| = {abs(det):.3e} below {FRAME_DET_FLOOR:.0e} "
                               f"at point {pt.tolist()}")

@@ -9,10 +9,11 @@ stationarity of an extremal probed by directional derivatives of the action
 on a Hermite-refined path.
 
 The last section holds reference quantities that only tests read, built on
-the library's own kernels: the relativistic ensemble current, both algebraic
-forms of the Newton-Cartan classical HJ expression, the reports of the
-printed forms against the derived ones, a fixed-step Dormand-Prince
-integration and the finite-difference check of a scenario's derivatives.
+the library's own kernels: the relativistic ensemble current, the
+equivariance gap of guided worldlines, both algebraic forms of the
+Newton-Cartan classical HJ expression, the reports of the printed forms
+against the derived ones, a fixed-step Dormand-Prince integration and the
+finite-difference check of a scenario's derivatives.
 """
 import numpy as np
 
@@ -20,8 +21,9 @@ import pilotwave.field_equations as feq
 from pilotwave.action_principles import (DiscretizedPath, _nodal_partials,
                                          _residual_from_interior, action_value,
                                          differentiation_matrix)
+from pilotwave.dynamics import GuidanceField, integrate_trajectory
 from pilotwave.fields import complex_view
-from pilotwave.geometry import BackgroundRel, _bundle, broadcast_read
+from pilotwave.geometry import BackgroundRel, _bundle, broadcast_read, metric_data
 from pilotwave.integrators import rk45_step
 from pilotwave.nc_geometry import _nc_bundle
 from pilotwave.report import ResidualReport
@@ -230,6 +232,36 @@ def ensemble_current(bg, f, x):
     md = _bundle(bg, x)
     return (feq._col(broadcast_read(f.rho, md.pt) * md.vol)
             * np.matvec(md.ginv, feq.momentum_covector(bg, f, md.pt)))
+
+
+def equivariance_gap(sc, seeds=None, delta=1e-4, steps=51):
+    """max over seeds and samples of |rho vol J / (rho vol J)(0) - 1| on the guided
+    worldlines of scenario sc, from each of its seeds (or of ``seeds``) over its span.
+
+    Guidance plus continuity means the flow carries the density: rho e J on
+    Newton-Cartan data (e = |det(tau, e)|) and rho sqrt(-g) J on Lorentzian
+    data stay constant along each worldline, with J = det dX(lambda)/dX(0),
+    the flow map's Jacobian, here from central differences of the 2D
+    worldlines from the seed moved by +-delta along each coordinate.
+    """
+    bg, f = sc.background, sc.polar
+    gf = GuidanceField(background=bg, field=f)
+
+    def carried(pts):
+        geo = metric_data(bg, pts) if isinstance(bg, BackgroundRel) else _nc_bundle(bg, pts)[1]
+        return broadcast_read(f.rho, pts) * np.abs(geo.vol)
+
+    def path(x0):
+        return integrate_trajectory(gf, x0, sc.default_span, steps).points
+
+    gap = 0.0
+    for seed in sc.default_seeds if seeds is None else seeds:
+        x0 = np.asarray(seed, dtype=float)
+        jac = np.stack([(path(x0 + move) - path(x0 - move)) / (2.0 * delta)
+                        for move in delta * np.eye(bg.dim)], axis=-1)
+        density = carried(path(x0)) * np.linalg.det(jac)
+        gap = max(gap, float(np.max(np.abs(density / density[0] - 1.0))))
+    return gap
 
 
 def nc_classical_hj_forms(nc, f, x):

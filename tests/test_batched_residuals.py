@@ -514,18 +514,21 @@ def test_bad_frame_names_its_point():
 
 
 def test_non_finite_coordinate_names_its_point():
+    """nan, inf and -inf in each coordinate: a one-point check, made as Python floats, and
+    a batch check name the same point."""
     bg = BackgroundRel.minkowski(2)
     polar = _node_polar()
-    batch = _batch_with_bad_row()
-    batch[2, 1] = np.nan
-    for call in (lambda x: metric_inverse(bg, x), lambda x: metric_data(bg, x),
-                 lambda x: feq.classical_hj_residual_rel(bg, polar, x),
-                 lambda x: feq.continuity_residual_rel(bg, polar, x),
-                 lambda x: feq.nc_continuity_residual(NCBackground.flat(2), polar, x)):
-        with pytest.raises(ValueError):
-            call(batch[2])
-        with pytest.raises(ValueError, match=r"non-finite coordinates at point \[0\.2, nan\]"):
-            call(batch)
+    calls = (lambda x: metric_inverse(bg, x), lambda x: metric_data(bg, x),
+             lambda x: feq.classical_hj_residual_rel(bg, polar, x),
+             lambda x: feq.continuity_residual_rel(bg, polar, x),
+             lambda x: feq.nc_continuity_residual(NCBackground.flat(2), polar, x))
+    for value, axis in itertools.product([np.nan, np.inf, -np.inf], [0, 1]):
+        batch = _batch_with_bad_row()
+        batch[2, axis] = value
+        message = re.escape(f"non-finite coordinates at point {batch[2].tolist()}")
+        for call, x in itertools.product(calls, (batch[2], batch)):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                call(x)
 
 
 @pytest.mark.parametrize("g_bad, error", [

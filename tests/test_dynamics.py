@@ -25,7 +25,7 @@ from pilotwave.geometry import BackgroundRel
 from pilotwave.nc_geometry import NCBackground, derive_nc
 from pilotwave.scenarios import build
 from conftest import make_wavy_nc, make_wavy_polar, make_wavy_rel, trajectories
-from oracles import integrate_fixed, integrate_geodesic, rk4_path
+from oracles import equivariance_gap, integrate_fixed, integrate_geodesic, rk4_path
 from stencils import polar_field
 
 X4 = np.array([0.3, 0.1, -0.2, 0.5])
@@ -502,6 +502,26 @@ class TestHamiltonianConstraint:
         expect = abs(feq.classical_hj_residual_rel(bg, f, np.zeros(4)))
         assert abs(traj.constraint[0]) == pytest.approx(expect, rel=1e-12)
 
+    def test_a_lorentzian_trajectory_reads_the_gauge_field_twice(self):
+        """Assembling a gauged trajectory reads A once for the guidance velocity and once for
+        the momenta p = m g Xdot + q A, whose q A the constraint takes off again: the momenta
+        and the constraint equal those of a fresh read of A to the bit."""
+        sc = build(*LORENTZIAN_WORLDLINES[1])
+        calls = Counter()
+        bg = dataclasses.replace(sc.background,
+                                 gauge=_counted(calls, "gauge", sc.background.gauge))
+        gf = GuidanceField(background=bg, field=sc.polar)
+        traj = integrate_trajectory(gf, sc.default_seeds[0], sc.default_span, steps=11)
+        calls.clear()
+        again = dyn._assemble_trajectory(gf, traj.lambdas, traj.points)
+        assert calls == Counter(gauge=2)
+        u = guidance_velocity_rel(bg, sc.polar, traj.points)
+        momenta = bg.mass * np.matvec(geometry.metric_data(bg, traj.points).g, u) \
+            + bg.charge * bg.gauge_at(traj.points)
+        assert momenta.tobytes() == again.momenta.tobytes() == traj.momenta.tobytes()
+        constraint = gf.constraint_residual(traj.points, momenta)
+        assert constraint.tobytes() == again.constraint.tobytes() == traj.constraint.tobytes()
+
     @pytest.mark.parametrize("name, params", LORENTZIAN_WORLDLINES)
     def test_the_constraint_gates_the_worldline_velocity(self, name, params, monkeypatch,
                                                          tmp_path):
@@ -523,6 +543,19 @@ class TestHamiltonianConstraint:
             assert np.max(np.abs(p - expect)) <= 1e-15 * max(1.0, np.max(np.abs(expect)))
         assert np.max(np.abs(traj.constraint)) > 0.05 * bg.mass**2
         assert cli.run("trajectories", cfg, out_dir=str(tmp_path / "fast")) == 1
+
+
+@pytest.mark.parametrize("name, params, seeds", [
+    ("flat-nc-gaussian-packet", {}, None),
+    ("curved-diagonal", {"rho_profile": "conserved"},
+     ((0.0, -1.0), (0.0, -0.5), (0.0, 0.5), (0.5, 1.0)))])
+def test_the_flow_carries_the_density(name, params, seeds):
+    """Equivariance: guidance plus continuity keep rho e J (Newton-Cartan) or rho sqrt(-g) J
+    (Lorentzian) constant along each worldline, J the flow Jacobian; a density the flow
+    does not conserve, curved-diagonal's constant profile, is far from it."""
+    assert equivariance_gap(build(name, params), seeds) <= 1e-9
+    if name == "curved-diagonal":
+        assert equivariance_gap(build(name, {"rho_profile": "constant"}), seeds) > 1e-2
 
 
 @settings(max_examples=80)

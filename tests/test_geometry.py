@@ -1,4 +1,6 @@
 import dataclasses
+import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,10 +9,10 @@ from hypothesis import strategies as st
 
 import pilotwave.geometry as geometry
 from oracles import cofactor_det
-from pilotwave.errors import SignatureViolation, SingularMetric
+from pilotwave.errors import DegenerateFrame, SignatureViolation, SingularMetric
 from pilotwave.field_equations import classical_hj_residual_rel
-from pilotwave.geometry import BackgroundRel, check_point, metric_data, metric_inverse
-from pilotwave.nc_geometry import NCBackground
+from pilotwave.geometry import BackgroundRel, _det, check_point, metric_data, metric_inverse
+from pilotwave.nc_geometry import NCBackground, derive_nc
 from pilotwave.report import GridSpec
 from pilotwave.scenarios import build
 from conftest import make_wavy_rel
@@ -318,3 +320,90 @@ def test_check_point_validation():
         check_point([1.0, 2.0, 3.0], dim=2)
     out = check_point([1, 2], dim=2)
     assert out.dtype == float
+
+
+# ---------------------------------------------------------------------------
+# the 2 x 2 determinant in closed form, and the D = 2 signature from it
+# ---------------------------------------------------------------------------
+
+def test_a_two_dimensional_row_calls_no_linalg_det(monkeypatch):
+    """A one-point frame on the packet and a one-point bundle on curved-diagonal take det
+    in closed form and the signature from it; D = 3 and D = 4 still call numpy's det, and
+    D = 4 its eigvalsh."""
+    packet, curved = build("flat-nc-gaussian-packet"), build("curved-diagonal")
+    calls = Counter()
+    for name in ("det", "eigvalsh"):
+        def spy(*args, fn=getattr(np.linalg, name), name=name):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(np.linalg, name, spy)
+    derive_nc(packet.background, np.array([0.3, 0.5]))
+    metric_data(curved.background, np.array([0.3, -0.5]))
+    assert calls == Counter()
+    derive_nc(NCBackground.flat(3), np.zeros(3))
+    assert calls == Counter(det=1)
+    metric_data(BackgroundRel.minkowski(4), np.zeros(4))
+    assert calls == Counter(det=2, eigvalsh=1)
+
+
+def test_closed_form_det_matches_the_oracles():
+    """On 200 random 2 x 2 matrices, one at a time and stacked (K, 2, 2): the cofactor
+    expansion to the bit, and LAPACK to 1e-15 of the larger product a00 a11 or a01 a10,
+    the scale at which the two-term difference rounds (relative to det itself, LAPACK's
+    LU and the closed form differ by up to 6e-14 where the products cancel)."""
+    a = np.random.default_rng(11).normal(size=(200, 2, 2))
+    stacked = _det(a)
+    scale = np.maximum(np.abs(a[:, 0, 0] * a[:, 1, 1]), np.abs(a[:, 0, 1] * a[:, 1, 0]))
+    assert stacked.shape == (200,)
+    assert np.max(np.abs(stacked - np.linalg.det(a)) / scale) <= 1e-15
+    for one, value in zip(a, stacked):
+        assert _det(one) == value == cofactor_det(one)
+        assert isinstance(_det(one), np.float64)
+
+
+@pytest.mark.parametrize("errstate", ["warn", "raise"])
+def test_a_cancelling_frame_is_degenerate_not_nan(errstate):
+    """a00 a11 - a01 a10 is inf - inf for a frame of 1e200s: LAPACK's LU gives det 0, so
+    the frame is degenerate, whether numpy warns (outside the CLI) or raises (inside)."""
+    big = np.full((2, 2), 1e200)
+    nc = NCBackground.constant(big[:, 0], big[:, 1:])
+    with np.errstate(over=errstate, invalid=errstate):
+        assert _det(big) == 0.0 and np.array_equal(_det(np.stack([big, big])), [0.0, 0.0])
+        with pytest.raises(DegenerateFrame, match=r"^\|det\(tau, e\)\| = 0\.000e\+00 below "
+                                                  r"1e-12 at point \[0\.0, 0\.0\]$"):
+            derive_nc(nc, np.zeros(2))
+
+
+def test_two_dimensional_signature_matches_eigvalsh():
+    """On 200 random symmetric 2 x 2 metrics with 0, 1 or 2 negative eigenvalues, one at a
+    time and stacked, the check accepts or refuses as eigvalsh's count says, with the
+    message that count gives."""
+    rng = np.random.default_rng(12)
+    signs = rng.choice([-1.0, 1.0], size=(200, 2))
+    turn = rng.uniform(0.0, np.pi, size=200)
+    rot = np.stack([np.stack([np.cos(turn), -np.sin(turn)], -1),
+                    np.stack([np.sin(turn), np.cos(turn)], -1)], -2)
+    g = rot * (signs * rng.uniform(0.1, 2.0, size=(200, 2)))[..., None, :] @ rot.mT
+    g = 0.5 * (g + g.mT)
+    negative = (np.linalg.eigvalsh(g) < 0.0).sum(axis=-1)
+    assert set(negative.tolist()) == {0, 1, 2}
+    pts = rng.uniform(-1.0, 1.0, size=(200, 2))
+
+    def message(i):
+        return re.escape(f"metric must have exactly one negative eigenvalue, has {negative[i]} "
+                         f"at point {pts[i].tolist()}")
+
+    for i in range(200):
+        bg = BackgroundRel.constant(g[i])
+        if negative[i] == 1:
+            metric_data(bg, pts[i])
+        else:
+            with pytest.raises(SignatureViolation, match=f"^{message(i)}$"):
+                metric_data(bg, pts[i])
+    stacked = BackgroundRel(dim=2, metric=lambda x: g, gauge=lambda x: np.zeros(2),
+                            dmetric=lambda x: np.zeros((2, 2, 2)),
+                            dgauge=lambda x: np.zeros((2, 2)))
+    with pytest.raises(SignatureViolation, match=f"^{message(np.argmax(negative != 1))}$"):
+        metric_data(stacked, pts)
+    ok = negative == 1
+    metric_data(dataclasses.replace(stacked, metric=lambda x: g[ok]), pts[ok])
