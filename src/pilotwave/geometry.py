@@ -25,8 +25,10 @@ function of this module takes one point (D,) or a batch (K, D), reads each
 closure once for the whole batch and runs every check and every product as
 one stacked numpy call over the leading axis.  A check that fails names the
 first failing point.  A point is a batch without the leading axis: a scalar
-comes back as a shape-() numpy value, and one point's coordinates are
-checked as Python floats.
+comes back as a shape-() numpy value, and ``check_points`` returns at once
+for a finite point of the expected dimension, its coordinates checked as
+Python floats.  ``BackgroundRel.constant`` copies its arrays once and
+freezes them: its closures hand out the same read-only arrays on every read.
 """
 from __future__ import annotations
 
@@ -48,14 +50,17 @@ INVERSE_TOL = 1e-10
 def check_points(x, dim: int | None = None) -> Array:
     """Validate one point (D,) or a batch of points (K, D); a float array of the same shape."""
     pts = np.asarray(x, dtype=float)
+    # a finite point of the expected dimension (each row's case) returns at once; one
+    # point's coordinates cost less checked as Python floats than by a numpy reduction
+    if pts.ndim == 1 and len(pts) == dim >= 2 and all(map(math.isfinite, pts.tolist())):
+        return pts
     if pts.ndim not in (1, 2):
         raise ValueError(f"points must have shape (D,) or (K, D), got {pts.shape}")
     if pts.shape[-1] < 2:
         raise ValueError("points live in spacetime: need at least 2 coordinates")
     if dim is not None and pts.shape[-1] != dim:
         raise ValueError(f"point has dimension {pts.shape[-1]}, expected {dim}")
-    # one point is checked as Python floats, which costs it less than a numpy reduction
-    if not (all(map(math.isfinite, pts.tolist())) if pts.ndim == 1 else np.isfinite(pts).all()):
+    if not np.isfinite(pts).all():
         raise_at_first(~np.isfinite(pts).all(axis=-1), pts, ValueError, "non-finite coordinates")
     return pts
 
@@ -110,9 +115,20 @@ def broadcast_read(fn, pts: Array, axes: int = 0, dtype=float) -> Array:
     bare constant; the result may then be a read-only broadcast view.
     """
     pts = np.asarray(pts, dtype=float)
-    out = np.asarray(fn(pts), dtype=dtype)
-    shape = pts.shape[:-1] + pts.shape[-1:] * axes
+    return _shaped(fn(pts), pts.shape[:-1] + pts.shape[-1:] * axes, dtype)
+
+
+def _shaped(value, shape: tuple, dtype=float) -> Array:
+    """value as an array of shape, broadcast (read-only) where it has another shape."""
+    out = np.asarray(value, dtype=dtype)
     return out if out.shape == shape else np.broadcast_to(out, shape)
+
+
+def _frozen(value) -> Array:
+    """A read-only float copy of value, for a constant closure to hand out on every read."""
+    out = np.array(value, dtype=float)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -142,14 +158,16 @@ class BackgroundRel:
 
     @classmethod
     def constant(cls, g, A=None, mass: float = 1.0, charge: float = 0.0) -> "BackgroundRel":
-        g = np.asarray(g, dtype=float)
+        """g and A at every point, with zero derivatives: each closure hands out one frozen
+        copy, the same read-only array on every read, never the caller's array."""
+        g = _frozen(g)
         dim = g.shape[0]
-        A = np.zeros(dim) if A is None else np.asarray(A, dtype=float)
-        zero_dg = np.zeros((dim, dim, dim))
-        zero_da = np.zeros((dim, dim))
-        return cls(dim=dim, metric=lambda x: g.copy(), gauge=lambda x: A.copy(),
+        A = _frozen(np.zeros(dim) if A is None else A)
+        zero_dg = _frozen(np.zeros((dim, dim, dim)))
+        zero_da = _frozen(np.zeros((dim, dim)))
+        return cls(dim=dim, metric=lambda x: g, gauge=lambda x: A,
                    mass=mass, charge=charge,
-                   dmetric=lambda x: zero_dg.copy(), dgauge=lambda x: zero_da.copy())
+                   dmetric=lambda x: zero_dg, dgauge=lambda x: zero_da)
 
     def _metric(self, pts: Array) -> Array:
         """g_MN at points that are already checked, its shape and symmetry checked, at the

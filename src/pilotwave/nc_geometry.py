@@ -17,8 +17,9 @@ The null lift assembles the (D+1)-dimensional Lorentzian metric
 whose closed-form inverse has gamma^{uu} = 2 Phi, gamma^{u mu} = -vhat^mu
 and gamma^{mu nu} = h^{mu nu}.  The extra null coordinate u is ordered last.
 
-``derive_nc`` checks one point, reads tau, e, M and phi there once and
-checks det(tau, e), which ``geometry._det`` takes in closed form at D = 2
+``derive_nc`` converts one point once and checks it by one
+``check_points`` call, reads tau, e, M and phi there once and checks
+det(tau, e), which ``geometry._det`` takes in closed form at D = 2
 (LAPACK's where that is not finite); ``_nc_frames`` stacks those rows for a
 batch (K, D).
 Either gives an ``NCDerived`` bundle whose inverse frame (one stacked
@@ -27,7 +28,8 @@ once per bundle, over leading axes.  ``derive_nc_partials``, the null lift
 and the identity checks take one point (D,), a batch (K, D) or their bundle,
 through ``_nc_bundle``, and pass on what they were given: a call given
 points builds the bundles it always built (two in ``null_lift_residuals``),
-one given a bundle none.
+one given a bundle none.  ``NCBackground.constant`` copies its arrays once and
+freezes them, so its closures hand out the same read-only arrays on every read.
 """
 from __future__ import annotations
 
@@ -37,7 +39,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateFrame
-from .geometry import _det, _derived, broadcast_read, check_point, check_points, raise_at_first
+from .geometry import (_det, _derived, _frozen, _shaped, broadcast_read, check_points,
+                       raise_at_first)
 
 Array = np.ndarray
 
@@ -85,27 +88,29 @@ class NCBackground:
     @classmethod
     def constant(cls, tau, vierbein, m_field=None, gauge_bar=None, phi: float = 0.0,
                  mass: float = 1.0, charge: float = 0.0) -> "NCBackground":
-        tau = np.asarray(tau, dtype=float)
-        vier = np.asarray(vierbein, dtype=float)
+        """tau, e, M, Abar and phi at every point, with zero derivatives: each closure hands
+        out one frozen copy, the same read-only array on every read, never the caller's."""
+        tau, vier = _frozen(tau), _frozen(vierbein)
         dim = tau.size
-        mfield = np.zeros(dim) if m_field is None else np.asarray(m_field, dtype=float)
-        abar = np.zeros(dim) if gauge_bar is None else np.asarray(gauge_bar, dtype=float)
-        zcov = np.zeros((dim, dim))
-        zvier = np.zeros((dim, dim, dim - 1))
+        mfield = _frozen(np.zeros(dim) if m_field is None else m_field)
+        abar = _frozen(np.zeros(dim) if gauge_bar is None else gauge_bar)
+        zvec = _frozen(np.zeros(dim))
+        zcov = _frozen(np.zeros((dim, dim)))
+        zvier = _frozen(np.zeros((dim, dim, dim - 1)))
         return cls(
             dim=dim,
-            tau=lambda x: tau.copy(),
-            vierbein=lambda x: vier.copy(),
-            m_field=lambda x: mfield.copy(),
-            gauge_bar=lambda x: abar.copy(),
+            tau=lambda x: tau,
+            vierbein=lambda x: vier,
+            m_field=lambda x: mfield,
+            gauge_bar=lambda x: abar,
             phi=lambda x: phi,
             mass=mass,
             charge=charge,
-            dtau=lambda x: zcov.copy(),
-            dvierbein=lambda x: zvier.copy(),
-            dm_field=lambda x: zcov.copy(),
-            dgauge_bar=lambda x: zcov.copy(),
-            dphi=lambda x: np.zeros(dim),
+            dtau=lambda x: zcov,
+            dvierbein=lambda x: zvier,
+            dm_field=lambda x: zcov,
+            dgauge_bar=lambda x: zcov,
+            dphi=lambda x: zvec,
         )
 
     def reduced_gauge_at(self, x) -> Array:
@@ -214,17 +219,23 @@ class NullLift:
 def derive_nc(nc: NCBackground, x) -> NCDerived:
     """The frame at one point x, its determinant checked: the checked point, the frame, M,
     phi, and w and the volume as shape-() values, from one read of tau, e, M and phi: a
-    bundle as ``_nc_frames`` gives.  The inverse frame is computed at its first read."""
-    pt = check_point(x, nc.dim)
-    frame = np.empty((nc.dim, nc.dim))
+    bundle as ``_nc_frames`` gives.  The inverse frame is computed at its first read.
+    The point is converted once and checked by one ``check_points`` call; tau and e are
+    copied into the fresh frame, and M and phi may be the background's read-only arrays."""
+    d = nc.dim
+    pt = np.asarray(x, dtype=float)
+    if pt.ndim != 1:
+        raise ValueError(f"point must be one-dimensional, got shape {pt.shape}")
+    check_points(pt, d)
+    frame = np.empty((d, d))
     frame[:, 0] = nc.tau(pt)
     frame[:, 1:] = nc.vierbein(pt)
     det = _det(frame)
     if abs(det) < FRAME_DET_FLOOR:
         raise DegenerateFrame(f"|det(tau, e)| = {abs(det):.3e} below {FRAME_DET_FLOOR:.0e} "
                               f"at point {pt.tolist()}")
-    phi = broadcast_read(nc.phi, pt)
-    return NCDerived(pt=pt, frame=frame, m=broadcast_read(nc.m_field, pt, 1), phi=phi,
+    phi = _shaped(nc.phi(pt), ())  # broadcast_read's shape rule, at the checked point
+    return NCDerived(pt=pt, frame=frame, m=_shaped(nc.m_field(pt), (d,)), phi=phi,
                      w=nc.mass - nc.charge * phi[()], vol=det)
 
 
@@ -273,18 +284,22 @@ def derive_nc_partials(nc: NCBackground, x):
 
 def _nc_frames(nc: NCBackground, pt) -> NCDerived:
     """``derive_nc`` at each point of pt, (D,) or (K, D), stacked: the one loop over rows
-    of the Newton-Cartan half.  Each row copies the four fields of its check into stacks
-    preallocated with pt's leading axes, so one row's bundle is alive at a time (lists of
-    every row's cost a 2,500-point check 2 MB); the points and phi are set once."""
+    of the Newton-Cartan half.  Each row copies its frame and M into stacks preallocated
+    with pt's leading axes, so one row's bundle is alive at a time (lists of every row's
+    cost a 2,500-point check 2 MB), and appends its scalars w and vol to lists, stacked
+    once; the points and phi are set once."""
     d, lead = nc.dim, pt.shape[:-1]
-    frame, m, w, vol = (np.empty(lead + shape) for shape in ((d, d), (d,), (), ()))
+    frame, m = np.empty(lead + (d, d)), np.empty(lead + (d,))
     # row views of the stacks
     frames, ms = frame.reshape(-1, d, d), m.reshape(-1, d)
-    ws, vols = w.reshape(-1), vol.reshape(-1)
+    ws, vols = [], []
     for i, row in enumerate(np.reshape(pt, (-1, d))):
         der = derive_nc(nc, row)
-        frames[i], ms[i], ws[i], vols[i] = der.frame, der.m, der.w, der.vol
-    return NCDerived(pt=pt, frame=frame, m=m, phi=broadcast_read(nc.phi, pt), w=w, vol=vol)
+        frames[i], ms[i] = der.frame, der.m
+        ws.append(der.w)
+        vols.append(der.vol)
+    return NCDerived(pt=pt, frame=frame, m=m, phi=broadcast_read(nc.phi, pt),
+                     w=np.array(ws).reshape(lead), vol=np.array(vols).reshape(lead))
 
 
 def _nc_bundle(nc: NCBackground, x) -> tuple[Array, NCDerived]:

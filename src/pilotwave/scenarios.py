@@ -21,7 +21,7 @@ from . import field_equations as feq
 from .action_principles import BoundaryValueProblem, LagrangianSystem
 from .errors import BadParameter, ConfigError, UnknownScenario
 from .fields import ComplexField, PolarField, polar_view
-from .geometry import BackgroundRel, MetricData, evaluate_named
+from .geometry import BackgroundRel, MetricData, _frozen, evaluate_named
 from .nc_geometry import NCBackground
 from .report import GridSpec, ResidualReport
 
@@ -196,14 +196,16 @@ def _components(x, *entries):
 
 
 def _plane_wave_field(p_total: Array) -> PolarField:
-    """rho = 1, S = p.x with constant covector p (derivatives exact)."""
+    """rho = 1, S = p.x with constant covector p (derivatives exact); dS hands out one
+    frozen copy of p."""
+    p_total = _frozen(p_total)
     d = p_total.size
     return PolarField(
         rho=lambda x: 1.0,
         S=lambda x, pv=p_total: np.vecdot(x, pv),
         drho=lambda x: np.zeros(d),
         d2rho=lambda x: np.zeros((d, d)),
-        dS=lambda x, pv=p_total: pv.copy(),
+        dS=lambda x, pv=p_total: pv,
         d2S=lambda x: np.zeros((d, d)),
     )
 

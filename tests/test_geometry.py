@@ -407,3 +407,34 @@ def test_two_dimensional_signature_matches_eigvalsh():
         metric_data(stacked, pts)
     ok = negative == 1
     metric_data(dataclasses.replace(stacked, metric=lambda x: g[ok]), pts[ok])
+
+
+# ---------------------------------------------------------------------------
+# constant backgrounds: one frozen copy of the caller's arrays
+# ---------------------------------------------------------------------------
+
+def test_a_constant_metric_owns_its_arrays():
+    """Edits to the caller's g and A after construction change nothing, and the caller's
+    arrays stay writeable."""
+    g, a = np.diag([-1.0, 1.0]), np.array([0.5, 0.0])
+    bg = BackgroundRel.constant(g, A=a)
+    g[0, 0], a[0] = -4.0, 7.0
+    md = metric_data(bg, np.zeros(2))
+    assert np.array_equal(md.g, np.diag([-1.0, 1.0])) and md.vol == 1.0
+    assert np.array_equal(bg.gauge_at(np.zeros(2)), [0.5, 0.0])
+    assert g.flags.writeable and a.flags.writeable
+
+
+def test_a_constant_metric_hands_out_one_read_only_array():
+    """Every read of a constant closure, and of the plane wave's dS, is the same read-only
+    array: writing through a bundle's g raises and leaves the background intact."""
+    sc = build("minkowski-plane-wave")
+    bg = sc.background
+    closures = [getattr(bg, name) for name in ("metric", "gauge", "dmetric", "dgauge")]
+    for fn in closures + [sc.polar.dS]:
+        first = fn(np.zeros(4))
+        assert fn(np.ones((3, 4))) is first and not first.flags.writeable
+    md = metric_data(bg, np.zeros(4))
+    with pytest.raises(ValueError, match="read-only"):
+        md.g[0, 0] = 1.0
+    assert np.array_equal(bg.metric(np.zeros(4)), MINK4)

@@ -155,3 +155,54 @@ def test_degenerate_frame_raises():
     nc = NCBackground.constant(tau=[1.0, 0.0], vierbein=[[2.0], [0.0]])
     with pytest.raises(DegenerateFrame):
         derive_nc(nc, X2)
+
+
+@pytest.mark.parametrize("x, message", [
+    (1.0, "point must be one-dimensional, got shape ()"),
+    (np.zeros((3, 2)), "point must be one-dimensional, got shape (3, 2)"),
+    (np.zeros(3), "point has dimension 3, expected 2"),
+    *[(point, f"non-finite coordinates at point {point}")
+      for bad in (np.nan, np.inf, -np.inf) for point in ([bad, 0.0], [0.0, bad])],
+])
+def test_derive_nc_refusals_keep_their_text(x, message):
+    """One conversion and one ``check_points`` call refuse what the ``check_point``
+    wrapper refused, with its text; a non-finite coordinate names its point."""
+    with pytest.raises(ValueError) as info:
+        derive_nc(NCBackground.flat(), x)
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
+# constant backgrounds: one frozen copy of the caller's arrays
+# ---------------------------------------------------------------------------
+
+def test_a_constant_background_owns_its_arrays():
+    """Edits to the caller's arrays after construction change nothing, and the caller's
+    arrays stay writeable."""
+    tau, vier = np.array([1.0, 0.0]), np.array([[0.0], [1.0]])
+    m_field, abar = np.array([0.3, 0.0]), np.array([0.0, 0.4])
+    nc = NCBackground.constant(tau, vier, m_field=m_field, gauge_bar=abar)
+    tau[0], vier[1, 0], m_field[0], abar[1] = 2.0, 3.0, 5.0, 6.0
+    der = derive_nc(nc, X2)
+    assert der.vol == 1.0 and der.Phi == pytest.approx(0.3, abs=1e-14)
+    assert np.array_equal(der.m, [0.3, 0.0])
+    assert np.array_equal(nc.reduced_gauge_at(X2), [0.0, 0.4])
+    assert all(a.flags.writeable for a in (tau, vier, m_field, abar))
+
+
+def test_constant_closures_hand_out_one_read_only_array():
+    """Every read of a constant closure is the same read-only array, so a row's M is the
+    background's: writing through it raises and leaves the background intact.  The
+    frame is the row's own copy of tau and e."""
+    nc = NCBackground.constant(tau=[1.0, 0.0], vierbein=[[0.0], [1.0]], m_field=[0.3, 0.0])
+    for name in ("tau", "vierbein", "m_field", "gauge_bar", "dtau", "dvierbein", "dm_field",
+                 "dgauge_bar", "dphi"):
+        fn = getattr(nc, name)
+        first = fn(X2)
+        assert fn(np.ones((3, 2))) is first and not first.flags.writeable
+    der = derive_nc(nc, X2)
+    with pytest.raises(ValueError, match="read-only"):
+        der.m[0] = 9.0
+    assert np.array_equal(nc.m_field(X2), [0.3, 0.0])
+    der.frame[0, 0] = 9.0
+    assert np.array_equal(nc.tau(X2), [1.0, 0.0])
